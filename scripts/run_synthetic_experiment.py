@@ -27,7 +27,6 @@ from verisel.trainer import (
     evaluate_rankings,
     random_orderings,
     results_from_orderings,
-    static_results,
     train,
 )
 
@@ -67,8 +66,8 @@ def main() -> int:
         "model": [predict(inst.graph, params) for inst in held],
     }
     static = baselines(train_set)
-    selectors["iss-rank"] = static_results(static.iss_rank, held)
-    selectors["iss-topk"] = static_results(static.iss_topk, held)
+    selectors["iss-rank"] = results_from_orderings([static.iss_rank] * len(held), held)
+    selectors["iss-topk"] = results_from_orderings([static.iss_topk] * len(held), held)
     selectors["random"] = results_from_orderings(
         random_orderings(len(held), len(PORTFOLIO), seed=0), held
     )

@@ -2,7 +2,7 @@
 
 Exit codes are a stable scripting contract: 0 on success, 1 on runtime
 failure, 2 on usage errors. All JSON output is canonical (sorted keys), and
-every command accepts ``--seed`` so runs are reproducible. Run configuration
+``train`` accepts ``--seed`` so runs are reproducible. Run configuration
 for ``train`` is a JSON document whose values can be overridden through
 ``VERISEL_<SECTION>_<FIELD>`` environment variables (values parsed as JSON,
 falling back to plain strings).
@@ -197,10 +197,7 @@ def cmd_extract(args) -> int:
     failures = 0
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = []
-            for path_str in args.files:
-                outcomes.append((path_str, pool.submit(run_one, path_str)))
-            results = [(p, f) for p, f in outcomes]
+            results = [(p, pool.submit(run_one, p)) for p in args.files]
     else:
         results = [(p, None) for p in args.files]
 
@@ -331,7 +328,6 @@ def cmd_explain(args) -> int:
         params, graph,
         iters=args.iters, lr=args.lr,
         size_weight=args.size_weight, entropy_weight=args.entropy_weight,
-        seed=args.seed or 0,
         edge_sets=tuple(args.edge_sets.split(",")) if args.edge_sets else None,
     )
     report = top_m_edges(mask, graph, vocab)
@@ -367,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=100_000)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true", help="stats as JSON")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a ranking model")
@@ -387,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True,
                    help="property kind to condition on")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("evaluate", help="score a model on a labeled corpus")
@@ -399,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty-weight", type=float, default=1.0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("explain", help="edge-mask explanation for one graph")
@@ -413,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-weight", type=float, default=0.05)
     p.add_argument("--entropy-weight", type=float, default=0.1)
     p.add_argument("--edge-sets", help="restrict masking, e.g. 'AST,ICFG'")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_explain)
     return parser
 

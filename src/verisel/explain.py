@@ -1,11 +1,11 @@
 """Edge-mask explanations: which edges drive the model's verifier ranking.
 
 Each edge across the masked edge sets gets a logit; its sigmoid multiplies
-the attention message carried over that edge (self-loops stay unmasked, and
-duplicate positions across edge sets multiply together). Gradient descent
-minimizes the squared distance between the masked and original score vectors
-plus a size penalty (mean mask) and a binary-entropy penalty, so edges the
-prediction does not need drift toward zero while load-bearing edges stay
+the model's attention weight on that edge (self-loops stay unmasked unless
+the graph has an (i, i) edge; duplicates across edge sets multiply). Gradient
+descent minimizes the squared distance between the masked and original score
+vectors plus a size penalty (mean mask) and a binary-entropy penalty, so edges
+the prediction does not need drift toward zero while load-bearing edges stay
 high. Scores are sigmoids, hence always strictly inside (0, 1).
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary
-from .model import EmptyGraph, ModelParameters, forward_scores
+from .model import EdgeIndex, EmptyGraph, ModelParameters, forward_scores
 from .tensor import Tensor
 
 
@@ -129,9 +129,9 @@ def explain(
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
-    n = graph.num_nodes
-    rows = [e.dst for e in edges]  # attention matrix is indexed [dst, src]
-    cols = [e.src for e in edges]
+    index = EdgeIndex(graph, params.config.edge_sets)
+    src = np.array([e.src for e in edges], dtype=np.intp)
+    dst = np.array([e.dst for e in edges], dtype=np.intp)
     ones = tz.constant(np.ones((1, len(edges))))
 
     saved = [(t, t.requires_grad) for t in params.trainables()]
@@ -142,8 +142,7 @@ def explain(
         for _ in range(iters):
             logits.zero_grad()
             keep = tz.sigmoid(logits)
-            # duplicate (src, dst) positions multiply: exp of summed logs
-            mask = tz.exp(tz.scatter(tz.log(keep), rows, cols, (n, n)))
+            mask = index.message_mask(keep, src, dst)
             masked = forward_scores(graph, params, message_mask=mask)
             diff = tz.sub(masked, target)
             fidelity = tz.sum_all(tz.elementwise_mul(diff, diff))

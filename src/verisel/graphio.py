@@ -23,8 +23,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 EDGE_SET_NAMES = ("AST", "ICFG", "DFG")
 
 # Every node kind the bundled frontend can emit, in manifest order.
@@ -146,16 +144,6 @@ class TokenVocabulary:
 
 
 _VOCAB_INDEX_CACHE: dict[tuple[str, ...], dict[str, int]] = {}
-
-
-def encode_onehot(kind_index: int, vocab: TokenVocabulary) -> np.ndarray:
-    """One-hot vector of length |T| with the single 1 at ``kind_index``."""
-    size = len(vocab)
-    if not 0 <= kind_index < size:
-        raise IndexError(f"kind index {kind_index} out of range for |T|={size}")
-    vec = np.zeros(size)
-    vec[kind_index] = 1.0
-    return vec
 
 
 @dataclass

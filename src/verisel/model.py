@@ -1,13 +1,13 @@
 """Graph attention ranker: GAT layers, jumping knowledge, attention pooling,
 and the verifier-scoring head.
 
-Message passing runs over the union of the enabled edge sets plus an implicit
-self-loop per node. For an edge (j -> i) the unnormalized attention score is
-``leaky_relu(attn . [W_in h_i || W_out h_j])``; scores are softmax-normalized
-over each node's incoming edges and weight the messages ``W_out h_j``. All of
-it is expressed with the autodiff primitives, so one forward pass serves
-inference, training, and the edge-mask explainer (which supplies a
-multiplicative mask over the attention matrix).
+Message passing runs over an edge list: the enabled edge sets plus one
+self-loop per node, each pair once. For an edge (j -> i) the unnormalized
+attention score is ``leaky_relu(attn . [W_in h_i || W_out h_j])``; scores are
+softmax-normalized over each node's incoming edges and weight the messages
+``W_out h_j``. All of it is expressed with the autodiff primitives, so one
+forward pass serves inference, training, and the edge-mask explainer (which
+supplies a multiplier per edge for the normalized attention weights).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .tensor import Tensor
 
 EDGE_SET_CHOICES = ("AST", "ICFG", "DFG")
 MODEL_FORMAT_VERSION = 1
-_MASKED = -1e30  # additive mask for non-edges inside the softmax
 
 
 class VocabMismatch(Exception):
@@ -51,8 +50,8 @@ class ModelConfig:
     edge_sets: tuple[str, ...] = ("AST", "ICFG", "DFG")
     jumping_knowledge: bool = True
     gat_width: int = 32
-    pool_hidden: tuple[int, int] = (64, 12)
-    head_hidden: tuple[int, int] | None = None  # None: (d_in, d_in // 2)
+    pool_hidden: tuple[int, ...] = (64, 12)
+    head_hidden: tuple[int, ...] | None = None  # None: (d_in, d_in // 2)
     property_encoding: str = "scalar"  # scalar | onehot
     leaky_slope: float = 0.2
 
@@ -233,56 +232,64 @@ def init_parameters(
 # forward pass
 
 
-def union_edges(graph: ProgramGraph, edge_sets: Sequence[str]) -> list[tuple[int, int]]:
-    """Deduplicated union of the enabled edge sets, sorted for determinism."""
-    merged: set[tuple[int, int]] = set()
-    for name in edge_sets:
-        merged.update(graph.edge_sets.get(name, []))
-    return sorted(merged)
+class EdgeIndex:
+    """The edges a model reading ``edge_sets`` passes messages over.
 
+    Each (src, dst) pair once plus a self-loop per node (a graph's own (i, i)
+    edge merges into it), sorted by receiver, so every node sends and receives.
+    """
 
-def _allowed_mask(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Additive softmax mask: 0 on self-loops and edges (row=dst), else -inf-ish."""
-    mask = np.full((n, n), _MASKED)
-    np.fill_diagonal(mask, 0.0)
-    for src, dst in edges:
-        mask[dst, src] = 0.0
-    return mask
+    def __init__(self, graph: ProgramGraph, edge_sets: Sequence[str]):
+        n = self.num_nodes = graph.num_nodes
+        pairs = np.array([v for s in edge_sets for e in graph.edge_sets.get(s, ())
+                          for v in e], dtype=np.intp).reshape(-1, 2)
+        if pairs.size and not (0 <= pairs.min() and pairs.max() < n):
+            raise ValueError(f"graph {graph.id}: edge endpoint out of range")
+        # the key dst * n + src sorts by receiver; repeated keys are dropped
+        keys = np.sort(np.concatenate([
+            np.arange(n, dtype=np.intp) * (n + 1), pairs[:, 1] * n + pairs[:, 0],
+        ]))
+        self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        dst, src = np.divmod(self.keys, n)
+        self.senders, self.receivers = tz.Segments(src, n), tz.Segments(dst, n)
+
+    def message_mask(self, keep: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
+        """Attention multipliers (E x 1) from 1xK keep scores of edges (src, dst).
+
+        Keeps sharing an edge multiply; keeps of unlisted edges are ignored.
+        """
+        e = len(self.keys)
+        keys = dst * self.num_nodes + src
+        pos = np.minimum(np.searchsorted(self.keys, keys), e - 1)
+        slots = np.where(self.keys[pos] == keys, pos, e)
+        summed = tz.scatter(tz.log(keep), slots, np.zeros_like(slots), (e + 1, 1))
+        return tz.slice_rows(tz.exp(summed), 0, e)
 
 
 def gat_layer(
     states: Tensor,
-    edges: Sequence[tuple[int, int]],
+    edges: EdgeIndex,
     params: GatLayerParams,
     *,
     slope: float = 0.2,
     message_mask: Tensor | None = None,
-    allowed_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """One attention layer over the given edges plus implicit self-loops."""
-    n = states.shape[0]
+    """Attention per edge of ``edges``; ``message_mask`` (E x 1) scales the weights."""
     d_out = params.w_in.shape[0]
-    if params.w_in.shape[1] != states.shape[1]:
-        raise tz.ShapeError(
-            f"gat_layer: states width {states.shape[1]} vs W_in {params.w_in.shape}"
-        )
     xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
     xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
     a_in = tz.slice_rows(params.attn, 0, d_out)
     a_out = tz.slice_rows(params.attn, d_out, 2 * d_out)
     s_in = tz.matmul(xin, a_in)    # (n, 1)
     s_out = tz.matmul(xout, a_out)  # (n, 1)
-    ones_row = tz.constant(np.ones((1, n)))
-    ones_col = tz.constant(np.ones((n, 1)))
-    # score[i, j] = s_in[i] + s_out[j] for the edge (j -> i)
-    raw = tz.add(tz.matmul(s_in, ones_row), tz.matmul(ones_col, tz.transpose(s_out)))
-    raw = tz.leaky_relu(raw, slope)
-    if allowed_mask is None:
-        allowed_mask = _allowed_mask(n, edges)
-    attn = tz.softmax_rows(tz.add(raw, tz.constant(allowed_mask)))
+    # score of the edge (j -> i) is s_in[i] + s_out[j]
+    raw = tz.add(tz.gather_rows(s_in, edges.receivers),
+                 tz.gather_rows(s_out, edges.senders))
+    attn = tz.segment_softmax(tz.leaky_relu(raw, slope), edges.receivers)
     if message_mask is not None:
         attn = tz.elementwise_mul(attn, message_mask)
-    return tz.matmul(attn, xout)
+    messages = tz.elementwise_mul(tz.gather_rows(xout, edges.senders), attn)
+    return tz.segment_sum(messages, edges.receivers)
 
 
 def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> Tensor:
@@ -347,15 +354,13 @@ def forward_scores(
     onehot[np.arange(n), graph.node_kinds] = 1.0
     states = tz.constant(onehot)
 
-    edges = union_edges(graph, config.edge_sets)
-    allowed = _allowed_mask(n, edges) if config.num_gat_layers else None
+    edges = EdgeIndex(graph, config.edge_sets)
     outputs = [states]
     for layer in params.gat:
         outputs.append(gat_layer(
             outputs[-1], edges, layer,
             slope=config.leaky_slope,
             message_mask=message_mask,
-            allowed_mask=allowed,
         ))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
@@ -500,8 +505,10 @@ def load_model(path: str | Path) -> ModelParameters:
                        take(f"gat{i}.attn"))
         for i in range(config.num_gat_layers)
     ]
-    pool = [AffineParams(take(f"pool{i}.w"), take(f"pool{i}.b")) for i in range(3)]
-    head = [AffineParams(take(f"head{i}.w"), take(f"head{i}.b")) for i in range(3)]
+    pool = [AffineParams(take(f"pool{i}.w"), take(f"pool{i}.b"))
+            for i in range(len(config.pool_hidden) + 1)]
+    head = [AffineParams(take(f"head{i}.w"), take(f"head{i}.b"))
+            for i in range(len(config.head_hidden or (0, 0)) + 1)]
     if blocks:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
     return ModelParameters(

@@ -14,6 +14,7 @@ shape, so identical inputs produce bit-identical outputs.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -28,19 +29,18 @@ class NotScalar(Exception):
     """Raised when backward() is asked to differentiate a non-1x1 tensor."""
 
 
-_grad_enabled = True
+# a context variable, so a no_grad block in one thread leaves others recording
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Disable recording inside the block (inference fast path)."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _grad_enabled.reset(token)
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -88,7 +88,7 @@ def constant(values) -> Tensor:
 
 def _result(values: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(values)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._inputs = inputs
         out._backward = backward
@@ -140,13 +140,16 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
+    """Elementwise product; ``b`` may also be an Rx1 column scaling each row."""
     av, bv = a.values, b.values
-
-    def bwd(g: np.ndarray):
-        return g * bv, g * av
-
+    if b.shape == a.shape:
+        def bwd(g: np.ndarray):
+            return g * bv, g * av
+    elif b.shape == (a.shape[0], 1):
+        def bwd(g: np.ndarray):
+            return g * bv, (g * av).sum(axis=1, keepdims=True)
+    else:
+        raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
     return _result(av * bv, (a, b), bwd)
 
 
@@ -208,16 +211,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def sum_rows(a: Tensor) -> Tensor:
-    """Collapse rows: (R, C) -> (1, C)."""
-    rows = a.shape[0]
-
-    def bwd(g: np.ndarray):
-        return (np.repeat(g, rows, axis=0),)
-
-    return _result(a.values.sum(axis=0, keepdims=True), (a,), bwd)
-
-
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
 
@@ -257,25 +250,6 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     )
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat_rows: empty input list")
-    cols = tensors[0].shape[1]
-    if any(t.shape[1] != cols for t in tensors):
-        raise ShapeError(
-            f"concat_rows: column mismatch {[t.shape for t in tensors]}"
-        )
-    heights = [t.shape[0] for t in tensors]
-    bounds = np.cumsum([0] + heights)
-
-    def bwd(g: np.ndarray):
-        return tuple(g[bounds[i]:bounds[i + 1], :] for i in range(len(heights)))
-
-    return _result(
-        np.concatenate([t.values for t in tensors], axis=0), tuple(tensors), bwd
-    )
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= a.shape[0]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] of {a.shape}")
@@ -305,6 +279,57 @@ def scatter(values: Tensor, rows: Sequence[int], cols: Sequence[int],
         return (g[r, c].reshape(1, -1),)
 
     return _result(out, (values,), bwd)
+
+
+class Segments:
+    """Rows grouped by ``ids`` into segments 0..count-1, none of them empty."""
+
+    def __init__(self, ids, count: int):
+        self.ids = np.asarray(ids, dtype=np.intp)
+        sizes = np.bincount(self.ids, minlength=count)
+        # reductions reduceat each segment's run of sorted rows: none may be empty
+        if len(sizes) != count or not sizes.all():
+            raise ShapeError(f"segments: ids must cover each of 0..{count - 1}")
+        self.order = np.argsort(self.ids, kind="stable")
+        self.starts = np.cumsum(sizes) - sizes
+
+    def reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """Per-segment reduction of the rows of ``values``: (E, C) -> (count, C)."""
+        if len(values) != len(self.ids):
+            raise ShapeError(f"segments: {values.shape} vs {len(self.ids)} ids")
+        return ufunc.reduceat(values[self.order], self.starts, axis=0)
+
+
+def gather_rows(a: Tensor, rows: Segments) -> Tensor:
+    """Row ``rows.ids[e]`` of ``a`` as row e: (count, C) -> (E, C)."""
+    if a.shape[0] != len(rows.starts):
+        raise ShapeError(f"gather_rows: {a.shape} vs {len(rows.starts)} segments")
+
+    def bwd(g: np.ndarray):
+        return (rows.reduce(np.add, g),)
+
+    return _result(a.values[rows.ids], (a,), bwd)
+
+
+def segment_sum(a: Tensor, segments: Segments) -> Tensor:
+    """Sum the rows of each segment: (E, C) -> (count, C)."""
+
+    def bwd(g: np.ndarray):
+        return (g[segments.ids],)
+
+    return _result(segments.reduce(np.add, a.values), (a,), bwd)
+
+
+def segment_softmax(a: Tensor, segments: Segments) -> Tensor:
+    """Softmax over the rows of each segment, column by column."""
+    ids = segments.ids
+    e = np.exp(a.values - segments.reduce(np.maximum, a.values)[ids])
+    out = e / segments.reduce(np.add, e)[ids]
+
+    def bwd(g: np.ndarray):
+        return (out * (g - segments.reduce(np.add, g * out)[ids]),)
+
+    return _result(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -191,18 +191,6 @@ def random_orderings(num_instances: int, k: int, seed: int) -> list[list[int]]:
     return out
 
 
-def static_results(ordering: Sequence[int], instances: Sequence[LabeledInstance]) -> list[RankingResult]:
-    """Wrap a fixed ordering as per-instance results (scores = k - position)."""
-    k = len(ordering)
-    scores = [0.0] * k
-    for position, verifier in enumerate(ordering):
-        scores[verifier] = float(k - position)
-    return [
-        RankingResult(inst.graph.id, tuple(scores), tuple(ordering))
-        for inst in instances
-    ]
-
-
 def results_from_orderings(orderings: Sequence[Sequence[int]],
                            instances: Sequence[LabeledInstance]) -> list[RankingResult]:
     out = []

@@ -6,7 +6,9 @@ from collections import defaultdict
 
 import numpy as np
 
+from verisel import tensor as tz
 from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
+from verisel.model import _encode_property, attention_pool, jumping_knowledge
 
 
 def random_graph(rng: np.random.Generator, *, max_nodes: int = 12,
@@ -25,10 +27,98 @@ def random_graph(rng: np.random.Generator, *, max_nodes: int = 12,
     return ProgramGraph(graph_id, prop, kinds, edge_sets)
 
 
+def awkward_graph(rng: np.random.Generator, n: int, *,
+                  vocab_size: int = 8) -> ProgramGraph:
+    """A random graph with the cases edge lists must merge or keep apart.
+
+    Every set holds the self-edge (0, 0), AST and DFG also share an edge
+    leaving node 0, and when n > 1 the last node has no edge at all.
+    """
+    linked = max(1, n - 1)
+
+    def pairs() -> set[tuple[int, int]]:
+        count = int(rng.integers(0, 2 * linked))
+        return {(int(rng.integers(0, linked)), int(rng.integers(0, linked)))
+                for _ in range(count)}
+
+    shared = (0, linked - 1)
+    kinds = [int(rng.integers(0, vocab_size)) for _ in range(n)]
+    return ProgramGraph("awkward", PropertyKind.TERMINATION, kinds, {
+        "AST": sorted(pairs() | {shared, (0, 0)}),
+        "ICFG": sorted(pairs() | {(0, 0)}),
+        "DFG": sorted(pairs() | {shared, (0, 0)}),
+    })
+
+
 def random_permutation(rng: np.random.Generator, n: int) -> list[int]:
     perm = list(range(n))
     shuffled = rng.permutation(n)
     return [int(shuffled[i]) for i in perm]
+
+
+# ---------------------------------------------------------------------------
+# Dense attention oracle: the n x n formulation that the edge-list GAT layer
+# replaced. Non-edges get a -1e30 additive mask before a row softmax, so
+# their weight is exactly zero; rows are receivers, columns senders.
+
+_MASKED = -1e30
+
+
+def dense_allowed_mask(n: int, edges) -> np.ndarray:
+    """Additive softmax mask: 0 on self-loops and edges (row=dst), else -inf-ish."""
+    mask = np.full((n, n), _MASKED)
+    np.fill_diagonal(mask, 0.0)
+    for src, dst in edges:
+        mask[dst, src] = 0.0
+    return mask
+
+
+def dense_gat_layer(states, edges, params, *, slope=0.2, message_mask=None,
+                    allowed_mask=None):
+    """One attention layer over the given edges plus implicit self-loops."""
+    n = states.shape[0]
+    d_out = params.w_in.shape[0]
+    xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
+    xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
+    a_in = tz.slice_rows(params.attn, 0, d_out)
+    a_out = tz.slice_rows(params.attn, d_out, 2 * d_out)
+    s_in = tz.matmul(xin, a_in)    # (n, 1)
+    s_out = tz.matmul(xout, a_out)  # (n, 1)
+    ones_row = tz.constant(np.ones((1, n)))
+    ones_col = tz.constant(np.ones((n, 1)))
+    # score[i, j] = s_in[i] + s_out[j] for the edge (j -> i)
+    raw = tz.add(tz.matmul(s_in, ones_row), tz.matmul(ones_col, tz.transpose(s_out)))
+    raw = tz.leaky_relu(raw, slope)
+    if allowed_mask is None:
+        allowed_mask = dense_allowed_mask(n, edges)
+    attn = tz.softmax_rows(tz.add(raw, tz.constant(allowed_mask)))
+    if message_mask is not None:
+        attn = tz.elementwise_mul(attn, message_mask)
+    return tz.matmul(attn, xout)
+
+
+def dense_forward_scores(graph, params, *, message_mask=None):
+    """``model.forward_scores`` over dense layers; ``message_mask`` is n x n."""
+    config = params.config
+    n = graph.num_nodes
+    onehot = np.zeros((n, params.vocab_size))
+    onehot[np.arange(n), graph.node_kinds] = 1.0
+    edges = [pair for name in config.edge_sets for pair in graph.edge_sets[name]]
+    allowed = dense_allowed_mask(n, edges)
+    outputs = [tz.constant(onehot)]
+    for layer in params.gat:
+        outputs.append(dense_gat_layer(
+            outputs[-1], edges, layer, slope=config.leaky_slope,
+            message_mask=message_mask, allowed_mask=allowed,
+        ))
+    collected = jumping_knowledge(outputs, config.jumping_knowledge)
+    graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
+    z = tz.concat_cols([graph_vec, _encode_property(graph.property, config)])
+    for i, layer in enumerate(params.head):
+        z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
+        if i + 1 < len(params.head):
+            z = tz.leaky_relu(z, config.leaky_slope)
+    return z
 
 
 # ---------------------------------------------------------------------------

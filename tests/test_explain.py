@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import awkward_graph, dense_forward_scores
+from verisel import tensor as T
 from verisel.explain import (
     EdgeMask,
     MaskedEdge,
@@ -11,7 +15,14 @@ from verisel.explain import (
     top_m_edges,
 )
 from verisel.graphio import ProgramGraph, PropertyKind
-from verisel.model import EmptyGraph, ModelConfig, init_parameters, predict
+from verisel.model import (
+    EdgeIndex,
+    EmptyGraph,
+    ModelConfig,
+    forward_scores,
+    init_parameters,
+    predict,
+)
 from verisel.synthetic import PORTFOLIO, planted_graph, synthetic_vocabulary
 
 VOCAB = synthetic_vocabulary()
@@ -114,6 +125,38 @@ def test_explain_restricted_edge_sets():
     params = fresh_params()
     mask = explain(params, simple_graph(), iters=0, edge_sets=("DFG",))
     assert [e.edge_set for e in mask.edges] == ["DFG"]
+
+
+def masked_scores_and_keep_gradient(forward, graph, params, keep, mask):
+    keep.zero_grad()
+    scores = forward(graph, params, message_mask=mask)
+    T.backward(T.sum_all(scores))
+    return scores.values, keep.grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9), layers=st.integers(1, 2),
+       read=st.sampled_from([("AST", "ICFG", "DFG"), ("AST", "ICFG"), ("DFG",)]))
+def test_message_mask_matches_dense_mask(seed, n, layers, read):
+    # every set is masked, the model reads only `read`: shared edges and the
+    # (0, 0) self-edge multiply several keeps, unread edges change nothing
+    rng = np.random.default_rng(seed)
+    graph = awkward_graph(rng, n, vocab_size=len(VOCAB))
+    params = fresh_params(seed=seed, num_gat_layers=layers, edge_sets=read)
+    for t in params.trainables():
+        t.requires_grad = False
+    edges = maskable_edges(graph, ("AST", "ICFG", "DFG"))
+    src = np.array([e.src for e in edges])
+    dst = np.array([e.dst for e in edges])
+    keep = T.Tensor(rng.uniform(0.05, 0.95, (1, len(edges))), requires_grad=True)
+    got = masked_scores_and_keep_gradient(
+        forward_scores, graph, params, keep,
+        EdgeIndex(graph, read).message_mask(keep, src, dst))
+    dense = T.exp(T.scatter(T.log(keep), dst, src, (n, n)))
+    want = masked_scores_and_keep_gradient(
+        dense_forward_scores, graph, params, keep, dense)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from verisel.graphio import (
     build_instances,
     compute_label,
     deserialize_graph,
-    encode_onehot,
     read_labels_csv,
     serialize_graph,
     split_dataset,
@@ -27,27 +26,7 @@ def small_vocab(n):
 
 
 # ---------------------------------------------------------------------------
-# vocabulary and one-hot encoding
-
-
-def test_onehot_examples():
-    np.testing.assert_array_equal(encode_onehot(2, small_vocab(4)), [0, 0, 1, 0])
-    np.testing.assert_array_equal(encode_onehot(0, small_vocab(1)), [1])
-
-
-def test_onehot_out_of_range():
-    with pytest.raises(IndexError):
-        encode_onehot(4, small_vocab(4))
-    with pytest.raises(IndexError):
-        encode_onehot(-1, small_vocab(4))
-
-
-def test_onehot_equality_law_exhaustive():
-    vocab = small_vocab(8)
-    for i in range(8):
-        for j in range(8):
-            equal = np.array_equal(encode_onehot(i, vocab), encode_onehot(j, vocab))
-            assert equal == (i == j)
+# vocabulary
 
 
 def test_vocabulary_requires_unknown_first():

@@ -1,11 +1,20 @@
+import sys
+import tempfile
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_graph, random_permutation
+from helpers import awkward_graph, dense_forward_scores, random_graph, random_permutation
 from verisel import tensor as T
 from verisel.graphio import ProgramGraph, PropertyKind, TokenVocabulary
 from verisel.model import (
     AffineParams,
+    EdgeIndex,
     EmptyGraph,
     GatLayerParams,
     LengthMismatch,
@@ -57,7 +66,7 @@ def identity_layer(d):
 
 def test_gat_single_node_identity():
     h = T.constant([[1.0, -2.0, 0.5]])
-    out = gat_layer(h, [], identity_layer(3))
+    out = gat_layer(h, EdgeIndex(graph_of([0]), ()), identity_layer(3))
     np.testing.assert_allclose(out.values, h.values, atol=1e-12)
 
 
@@ -69,8 +78,9 @@ def test_gat_disconnected_nodes_independent_and_equivariant():
         attn=T.Tensor(rng.standard_normal((8, 1))),
     )
     h = T.constant(rng.standard_normal((2, 3)))
-    out = gat_layer(h, [], params)
-    swapped = gat_layer(T.constant(h.values[::-1].copy()), [], params)
+    bare = EdgeIndex(graph_of([0, 0]), ())
+    out = gat_layer(h, bare, params)
+    swapped = gat_layer(T.constant(h.values[::-1].copy()), bare, params)
     np.testing.assert_allclose(out.values, swapped.values[::-1], atol=1e-12)
 
 
@@ -103,7 +113,8 @@ def test_gat_path_graph_matches_dense_oracle():
     )
     h = rng.standard_normal((3, 5))
     edges = [(0, 1), (1, 2)]
-    got = gat_layer(T.constant(h), edges, params).values
+    index = EdgeIndex(graph_of([0] * 3, ast=edges), ("AST",))
+    got = gat_layer(T.constant(h), index, params).values
     np.testing.assert_allclose(got, dense_gat_oracle(h, edges, params), atol=1e-10)
 
 
@@ -123,10 +134,52 @@ def test_gat_random_graphs_match_dense_oracle():
             for _ in range(int(rng.integers(0, 2 * n)))
         })
         h = rng.standard_normal((n, d_in))
-        got = gat_layer(T.constant(h), edges, params).values
+        index = EdgeIndex(graph_of([0] * n, ast=edges), ("AST",))
+        got = gat_layer(T.constant(h), index, params).values
         np.testing.assert_allclose(
             got, dense_gat_oracle(h, edges, params), atol=1e-10
         )
+
+
+def scores_and_gradients(forward, graph, params, mix):
+    params.zero_grad()
+    scores = forward(graph, params)
+    T.backward(T.sum_all(T.elementwise_mul(scores, mix)))
+    return scores.values, [t.grad for t in params.trainables()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9),
+       layers=st.integers(0, 2), jk=st.booleans())
+def test_edge_list_attention_matches_dense_oracle(seed, n, layers, jk):
+    rng = np.random.default_rng(seed)
+    graph = awkward_graph(rng, n, vocab_size=len(VOCAB8))
+    params = tiny_params(seed=seed, num_gat_layers=layers, jumping_knowledge=jk)
+    mix = T.constant(rng.standard_normal((1, len(PORTFOLIO))))
+    got, got_grads = scores_and_gradients(forward_scores, graph, params, mix)
+    want, want_grads = scores_and_gradients(dense_forward_scores, graph, params, mix)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for name, a, b in zip([k for k, _ in params.named()], got_grads, want_grads):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_forward_backward_memory_is_linear_in_edges():
+    # dense n x n attention peaks near 840 MiB here; per-edge stays near 40
+    rng = np.random.default_rng(0)
+    n = 2000
+    vocab = TokenVocabulary.default()
+    kinds = [int(k) for k in rng.integers(0, len(vocab), n)]
+    edge_sets = {name: sorted({(int(a), int(b)) for a, b in rng.integers(0, n, (2000, 2))})
+                 for name in ("AST", "ICFG", "DFG")}
+    graph = ProgramGraph("big", PropertyKind.REACH_SAFETY, kinds, edge_sets)
+    params = init_parameters(ModelConfig(num_gat_layers=2), vocab, PORTFOLIO)
+    tracemalloc.start()
+    try:
+        T.backward(T.sum_all(forward_scores(graph, params)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +314,22 @@ def test_predict_permutation_invariance():
         np.testing.assert_allclose(base.scores, shuffled.scores, atol=1e-9)
 
 
+def test_threaded_predict_leaves_gradients_recorded():
+    rng = np.random.default_rng(37)
+    params = tiny_params(seed=7, num_gat_layers=2)
+    graphs = [random_graph(rng, vocab_size=len(VOCAB8)) for _ in range(50)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda g: predict(g, params), graphs))
+            x = T.Tensor(np.ones((1, 2)), requires_grad=True)
+            assert T.sum_all(x).requires_grad
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_predict_vocab_mismatch():
     params = tiny_params()
     graph = graph_of([len(VOCAB8)])  # kind index out of range
@@ -381,3 +450,18 @@ def test_model_container_rejects_unknown_version(tmp_path):
     path.write_bytes(doctored + b"\n" + rest)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 1000), layers=st.integers(0, 3),
+       pool=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       head=st.none() | st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_model_container_round_trip_over_config_space(seed, layers, pool, head):
+    params = tiny_params(seed=seed, num_gat_layers=layers, pool_hidden=tuple(pool),
+                         head_hidden=tuple(head) if head else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(params, path)
+        again = load_model(path)
+    graph = random_graph(np.random.default_rng(seed), vocab_size=len(VOCAB8))
+    assert predict(graph, params).scores == predict(graph, again).scores

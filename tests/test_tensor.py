@@ -50,6 +50,8 @@ def test_shape_errors_name_the_primitive():
         T.add(T.constant(np.zeros((2, 3))), T.constant(np.zeros((3, 2))))
     with pytest.raises(T.ShapeError, match="elementwise_mul"):
         T.elementwise_mul(T.constant(np.zeros((2, 2))), T.constant(np.zeros((1, 2))))
+    with pytest.raises(T.ShapeError, match="segments"):
+        T.Segments([0, 2, 2], 3)  # segment 1 is empty
 
 
 def test_scatter_accumulates_duplicates():
@@ -157,13 +159,19 @@ def test_grad_check_all_primitives(seed):
         [a], rng, seed,
     )
     _check(T.softmax_rows, [a], rng, seed)
-    _check(T.sum_rows, [a], rng, seed)
     _check(T.sum_all, [a], rng, seed)
     _check(T.transpose, [a], rng, seed)
     _check(lambda x, y: T.concat_cols([x, y]), [a, b], rng, seed)
-    _check(lambda x, y: T.concat_rows([x, y]), [a, b], rng, seed)
     _check(lambda x: T.slice_rows(x, 0, max(1, r - 1)), [a], rng, seed)
     _check(lambda x: T.elementwise_mul(w, x), [a], rng, seed)
+    _check(T.elementwise_mul, [a, rand(rng, r, 1, grad=True)], rng, seed)
+    # segments of r ids, each present, plus repeats: one row per edge
+    ids = np.concatenate([np.arange(r), rng.integers(0, r, int(rng.integers(0, 5)))])
+    segments = T.Segments(rng.permutation(ids), r)
+    per_edge = rand(rng, len(ids), c, grad=True)
+    _check(lambda x: T.gather_rows(x, segments), [a], rng, seed)
+    _check(lambda x: T.segment_sum(x, segments), [per_edge], rng, seed)
+    _check(lambda x: T.segment_softmax(x, segments), [per_edge], rng, seed)
     # leaky_relu away from the kink
     shifted = T.Tensor(a.values + np.where(a.values >= 0, 0.5, -0.5), requires_grad=True)
     _check(lambda x: T.leaky_relu(x, 0.2), [shifted], rng, seed)

@@ -21,7 +21,6 @@ from verisel.trainer import (
     random_orderings,
     results_from_orderings,
     spearman,
-    static_results,
     success_accuracy,
     topk_error,
     train,
@@ -370,8 +369,8 @@ def test_evaluate_rankings_cross_checks_metrics():
     assert report.to_json().startswith("{")
 
 
-def test_static_results_score_shape():
+def test_results_from_orderings_score_shape():
     instances = [instance([1.0, 0.0, 2.0], [True, False, True])]
-    (result,) = static_results([2, 0, 1], instances)
+    (result,) = results_from_orderings([[2, 0, 1]], instances)
     assert result.ordering == (2, 0, 1)
     assert result.scores == (2.0, 1.0, 3.0)
