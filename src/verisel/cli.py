@@ -197,7 +197,9 @@ def cmd_extract(args) -> int:
     failures = 0
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = [(p, pool.submit(run_one, p)) for p in args.files]
+            results = []
+            for path_str in args.files:
+                results.append((path_str, pool.submit(run_one, path_str)))
     else:
         results = [(p, None) for p in args.files]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary
-from .model import EdgeIndex, EmptyGraph, ModelParameters, forward_scores
+from .model import EdgeIndex, EmptyGraph, ModelParameters, edge_pairs, forward_scores
 from .tensor import Tensor
 
 
@@ -129,9 +129,8 @@ def explain(
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
-    index = EdgeIndex(graph, params.config.edge_sets)
-    src = np.array([e.src for e in edges], dtype=np.intp)
-    dst = np.array([e.dst for e in edges], dtype=np.intp)
+    index = EdgeIndex(graph.num_nodes, edge_pairs(graph, params.config.edge_sets))
+    pairs = np.array([(e.src, e.dst) for e in edges], dtype=np.intp)
     ones = tz.constant(np.ones((1, len(edges))))
 
     saved = [(t, t.requires_grad) for t in params.trainables()]
@@ -142,7 +141,7 @@ def explain(
         for _ in range(iters):
             logits.zero_grad()
             keep = tz.sigmoid(logits)
-            mask = index.message_mask(keep, src, dst)
+            mask = index.message_mask(keep, pairs)
             masked = forward_scores(graph, params, message_mask=mask)
             diff = tz.sub(masked, target)
             fidelity = tz.sum_all(tz.elementwise_mul(diff, diff))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -232,34 +233,43 @@ def init_parameters(
 # forward pass
 
 
-class EdgeIndex:
-    """The edges a model reading ``edge_sets`` passes messages over.
+def edge_pairs(graph: ProgramGraph, edge_sets: Sequence[str]) -> np.ndarray:
+    """The (src, dst) pairs of the enabled edge sets as rows, repeats kept."""
+    pairs = chain.from_iterable(graph.edge_sets.get(name, ()) for name in edge_sets)
+    return np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2)
 
-    Each (src, dst) pair once plus a self-loop per node (a graph's own (i, i)
-    edge merges into it), sorted by receiver, so every node sends and receives.
+
+class EdgeIndex:
+    """The edges attention runs over, as sorted keys ``dst * n + src``.
+
+    Each (src, dst) pair is listed once, plus one self-loop per node (a
+    graph's own (i, i) edge merges into it). Sorting by receiver gives every
+    node a non-empty run both as a receiver and as a sender.
     """
 
-    def __init__(self, graph: ProgramGraph, edge_sets: Sequence[str]):
-        n = self.num_nodes = graph.num_nodes
-        pairs = np.array([v for s in edge_sets for e in graph.edge_sets.get(s, ())
-                          for v in e], dtype=np.intp).reshape(-1, 2)
-        if pairs.size and not (0 <= pairs.min() and pairs.max() < n):
-            raise ValueError(f"graph {graph.id}: edge endpoint out of range")
-        # the key dst * n + src sorts by receiver; repeated keys are dropped
-        keys = np.sort(np.concatenate([
-            np.arange(n, dtype=np.intp) * (n + 1), pairs[:, 1] * n + pairs[:, 0],
-        ]))
+    def __init__(self, num_nodes: int, pairs: np.ndarray):
+        self.num_nodes = num_nodes
+        loops = np.arange(num_nodes, dtype=np.intp) * (num_nodes + 1)
+        keys = np.sort(np.concatenate([loops, self._keys(pairs)]))
         self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        dst, src = np.divmod(self.keys, n)
-        self.senders, self.receivers = tz.Segments(src, n), tz.Segments(dst, n)
+        dst, src = np.divmod(self.keys, num_nodes)
+        self.senders = tz.Segments(src, num_nodes)
+        self.receivers = tz.Segments(dst, num_nodes)
 
-    def message_mask(self, keep: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
-        """Attention multipliers (E x 1) from 1xK keep scores of edges (src, dst).
+    def _keys(self, pairs: np.ndarray) -> np.ndarray:
+        """Keys of (src, dst) rows; every endpoint must lie in 0..n-1."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        if pairs.size and not (0 <= pairs.min() and pairs.max() < self.num_nodes):
+            raise ValueError(f"edge endpoint out of range for {self.num_nodes} nodes")
+        return pairs[:, 1] * self.num_nodes + pairs[:, 0]
+
+    def message_mask(self, keep: Tensor, pairs: np.ndarray) -> Tensor:
+        """Attention multipliers (E x 1) from 1xK keep scores of K (src, dst) rows.
 
         Keeps sharing an edge multiply; keeps of unlisted edges are ignored.
         """
         e = len(self.keys)
-        keys = dst * self.num_nodes + src
+        keys = self._keys(pairs)
         pos = np.minimum(np.searchsorted(self.keys, keys), e - 1)
         slots = np.where(self.keys[pos] == keys, pos, e)
         summed = tz.scatter(tz.log(keep), slots, np.zeros_like(slots), (e + 1, 1))
@@ -268,13 +278,21 @@ class EdgeIndex:
 
 def gat_layer(
     states: Tensor,
-    edges: EdgeIndex,
+    edges: np.ndarray | Sequence[tuple[int, int]],
     params: GatLayerParams,
     *,
     slope: float = 0.2,
     message_mask: Tensor | None = None,
+    allowed_mask: EdgeIndex | None = None,
 ) -> Tensor:
-    """Attention per edge of ``edges``; ``message_mask`` (E x 1) scales the weights."""
+    """One attention layer over ``edges`` (src, dst) plus a self-loop per node.
+
+    ``allowed_mask`` is the :class:`EdgeIndex` of those edges, the pairs that
+    attention may use; it is built here when the caller has none, and
+    ``forward_scores`` builds it once for all layers. ``message_mask`` (E x 1,
+    aligned with that index) scales the attention weights.
+    """
+    index = EdgeIndex(states.shape[0], edges) if allowed_mask is None else allowed_mask
     d_out = params.w_in.shape[0]
     xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
     xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
@@ -283,13 +301,13 @@ def gat_layer(
     s_in = tz.matmul(xin, a_in)    # (n, 1)
     s_out = tz.matmul(xout, a_out)  # (n, 1)
     # score of the edge (j -> i) is s_in[i] + s_out[j]
-    raw = tz.add(tz.gather_rows(s_in, edges.receivers),
-                 tz.gather_rows(s_out, edges.senders))
-    attn = tz.segment_softmax(tz.leaky_relu(raw, slope), edges.receivers)
+    raw = tz.add(tz.gather_rows(s_in, index.receivers),
+                 tz.gather_rows(s_out, index.senders))
+    attn = tz.segment_softmax(tz.leaky_relu(raw, slope), index.receivers)
     if message_mask is not None:
         attn = tz.elementwise_mul(attn, message_mask)
-    messages = tz.elementwise_mul(tz.gather_rows(xout, edges.senders), attn)
-    return tz.segment_sum(messages, edges.receivers)
+    messages = tz.elementwise_mul(tz.gather_rows(xout, index.senders), attn)
+    return tz.segment_sum(messages, index.receivers)
 
 
 def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> Tensor:
@@ -354,13 +372,15 @@ def forward_scores(
     onehot[np.arange(n), graph.node_kinds] = 1.0
     states = tz.constant(onehot)
 
-    edges = EdgeIndex(graph, config.edge_sets)
+    edges = edge_pairs(graph, config.edge_sets)
+    index = EdgeIndex(n, edges)
     outputs = [states]
     for layer in params.gat:
         outputs.append(gat_layer(
             outputs[-1], edges, layer,
             slope=config.leaky_slope,
             message_mask=message_mask,
+            allowed_mask=index,
         ))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = attention_pool(collected, params.pool, config.leaky_slope)

@@ -19,6 +19,7 @@ from verisel.model import (
     EdgeIndex,
     EmptyGraph,
     ModelConfig,
+    edge_pairs,
     forward_scores,
     init_parameters,
     predict,
@@ -146,17 +147,26 @@ def test_message_mask_matches_dense_mask(seed, n, layers, read):
     for t in params.trainables():
         t.requires_grad = False
     edges = maskable_edges(graph, ("AST", "ICFG", "DFG"))
-    src = np.array([e.src for e in edges])
-    dst = np.array([e.dst for e in edges])
+    pairs = np.array([(e.src, e.dst) for e in edges]).reshape(-1, 2)
     keep = T.Tensor(rng.uniform(0.05, 0.95, (1, len(edges))), requires_grad=True)
     got = masked_scores_and_keep_gradient(
         forward_scores, graph, params, keep,
-        EdgeIndex(graph, read).message_mask(keep, src, dst))
-    dense = T.exp(T.scatter(T.log(keep), dst, src, (n, n)))
+        EdgeIndex(n, edge_pairs(graph, read)).message_mask(keep, pairs))
+    dense = T.exp(T.scatter(T.log(keep), pairs[:, 1], pairs[:, 0], (n, n)))
     want = masked_scores_and_keep_gradient(
         dense_forward_scores, graph, params, keep, dense)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_out_of_range_edge_in_an_unread_set_is_rejected():
+    # the model reads only AST; the DFG edge (4, 0) has the key of the AST
+    # edge (0, 1), so an unchecked lookup would scale that edge's attention
+    graph = simple_graph()
+    graph.edge_sets["DFG"] = [(4, 0)]
+    params = fresh_params(edge_sets=("AST",))
+    with pytest.raises(ValueError, match="out of range"):
+        explain(params, graph, iters=1, edge_sets=("AST", "DFG"))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from verisel import tensor as T
 from verisel.graphio import ProgramGraph, PropertyKind, TokenVocabulary
 from verisel.model import (
     AffineParams,
-    EdgeIndex,
     EmptyGraph,
     GatLayerParams,
     LengthMismatch,
@@ -66,7 +65,7 @@ def identity_layer(d):
 
 def test_gat_single_node_identity():
     h = T.constant([[1.0, -2.0, 0.5]])
-    out = gat_layer(h, EdgeIndex(graph_of([0]), ()), identity_layer(3))
+    out = gat_layer(h, [], identity_layer(3))
     np.testing.assert_allclose(out.values, h.values, atol=1e-12)
 
 
@@ -78,9 +77,8 @@ def test_gat_disconnected_nodes_independent_and_equivariant():
         attn=T.Tensor(rng.standard_normal((8, 1))),
     )
     h = T.constant(rng.standard_normal((2, 3)))
-    bare = EdgeIndex(graph_of([0, 0]), ())
-    out = gat_layer(h, bare, params)
-    swapped = gat_layer(T.constant(h.values[::-1].copy()), bare, params)
+    out = gat_layer(h, [], params)
+    swapped = gat_layer(T.constant(h.values[::-1].copy()), [], params)
     np.testing.assert_allclose(out.values, swapped.values[::-1], atol=1e-12)
 
 
@@ -113,8 +111,7 @@ def test_gat_path_graph_matches_dense_oracle():
     )
     h = rng.standard_normal((3, 5))
     edges = [(0, 1), (1, 2)]
-    index = EdgeIndex(graph_of([0] * 3, ast=edges), ("AST",))
-    got = gat_layer(T.constant(h), index, params).values
+    got = gat_layer(T.constant(h), edges, params).values
     np.testing.assert_allclose(got, dense_gat_oracle(h, edges, params), atol=1e-10)
 
 
@@ -134,11 +131,16 @@ def test_gat_random_graphs_match_dense_oracle():
             for _ in range(int(rng.integers(0, 2 * n)))
         })
         h = rng.standard_normal((n, d_in))
-        index = EdgeIndex(graph_of([0] * n, ast=edges), ("AST",))
-        got = gat_layer(T.constant(h), index, params).values
+        got = gat_layer(T.constant(h), edges, params).values
         np.testing.assert_allclose(
             got, dense_gat_oracle(h, edges, params), atol=1e-10
         )
+
+
+def test_out_of_range_edge_endpoint_is_rejected():
+    graph = graph_of([0, 0], ast=[(0, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        forward_scores(graph, tiny_params())
 
 
 def scores_and_gradients(forward, graph, params, mix):
