@@ -184,28 +184,15 @@ def cmd_extract(args) -> int:
     if not single_file:
         out.mkdir(parents=True, exist_ok=True)
 
-    def run_one(path_str: str):
-        path = Path(path_str)
-        source = path.read_text(encoding="utf-8")
-        graph, diagnostics = extract_graph(
-            source, vocab, graph_id=path.stem, property=prop,
-            max_nodes=args.max_nodes,
-        )
-        return path, graph, diagnostics
-
     graphs = []
     failures = 0
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = []
-            for path_str in args.files:
-                results.append((path_str, pool.submit(run_one, path_str)))
-    else:
-        results = [(p, None) for p in args.files]
-
-    for path_str, future in results:
+    for path_str in args.files:
+        path = Path(path_str)
         try:
-            path, graph, diagnostics = future.result() if future else run_one(path_str)
+            graph, diagnostics = extract_graph(
+                path.read_text(encoding="utf-8"), vocab, graph_id=path.stem,
+                property=prop, max_nodes=args.max_nodes,
+            )
         except (FrontendError, SchemaError, OSError) as err:
             failures += 1
             print(f"{path_str}: {err}", file=sys.stderr)
@@ -363,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")
     p.add_argument("--max-nodes", type=int, default=100_000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true", help="stats as JSON")
     p.set_defaults(func=cmd_extract)
 

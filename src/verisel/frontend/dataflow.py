@@ -1,4 +1,4 @@
-"""Reaching definitions over the ICFG via a worklist fixpoint.
+"""Reaching definitions over the ICFG as a bit-vector worklist fixpoint.
 
 A definition is a (CFG node, variable) pair created by a declaration, an
 assignment, a compound assignment, or an increment/decrement. Def-use edges
@@ -6,6 +6,14 @@ connect the defining statement node to the *identifier* node that reads the
 variable. Variables are resolved lexically (globals, parameters, block
 locals), so same-named locals in different scopes never interfere. Stores
 through pointers or array elements kill nothing (no alias analysis).
+
+Definitions are numbered once, in CFG-node order, and IN/OUT sets are
+Python-int bitmasks over those numbers (Kildall 1973; Aho et al.,
+*Compilers*, 9.2). Each variable has a mask of all its definitions; a node
+generates its own definitions and kills every definition of the variables
+it writes, so ``out = gen | (in & ~kill)``. A FIFO worklist, seeded with
+every node in order, runs to the fixpoint; the definitions reaching a use
+of ``v`` are the set bits of ``in & var_bits[v]``.
 """
 
 from __future__ import annotations
@@ -219,10 +227,26 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
     nodes = statement_nodes(ast)
     node_set = set(nodes)
 
-    defs: dict[int, set[int]] = {}
+    def_nodes: list[int] = []  # bit i -> defining node
+    writes: dict[int, set[int]] = {}
     uses: dict[int, dict[int, list[int]]] = {}
+    gen: dict[int, int] = {}
+    var_bits: dict[int, int] = {}
     for n in nodes:
-        defs[n], uses[n] = node_defs_uses(ast, res, n)
+        writes[n], uses[n] = node_defs_uses(ast, res, n)
+        bits = 0
+        for var in writes[n]:
+            bit = 1 << len(def_nodes)
+            def_nodes.append(n)
+            var_bits[var] = var_bits.get(var, 0) | bit
+            bits |= bit
+        gen[n] = bits
+    kill: dict[int, int] = {}
+    for n in nodes:
+        bits = 0
+        for var in writes[n]:
+            bits |= var_bits[var]
+        kill[n] = bits
 
     preds: dict[int, list[int]] = {n: [] for n in nodes}
     succs: dict[int, list[int]] = {n: [] for n in nodes}
@@ -231,37 +255,34 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
             preds[edge.dst].append(edge.src)
             succs[edge.src].append(edge.dst)
 
-    in_sets: dict[int, set[tuple[int, int]]] = {n: set() for n in nodes}
-    out_sets: dict[int, set[tuple[int, int]]] = {n: set() for n in nodes}
+    in_bits: dict[int, int] = dict.fromkeys(nodes, 0)
+    out_bits: dict[int, int] = dict.fromkeys(nodes, 0)
 
     worklist = deque(nodes)
     queued = set(nodes)
     while worklist:
         n = worklist.popleft()
         queued.discard(n)
-        incoming: set[tuple[int, int]] = set()
+        incoming = 0
         for p in preds[n]:
-            incoming |= out_sets[p]
-        in_sets[n] = incoming
-        killed = defs[n]
-        out = {(n, v) for v in defs[n]}
-        out |= {(d, v) for (d, v) in incoming if v not in killed}
-        if out != out_sets[n]:
-            out_sets[n] = out
+            incoming |= out_bits[p]
+        in_bits[n] = incoming
+        out = gen[n] | (incoming & ~kill[n])
+        if out != out_bits[n]:
+            out_bits[n] = out
             for s in succs[n]:
                 if s not in queued:
                     queued.add(s)
                     worklist.append(s)
 
-    edges: set[DataEdge] = set()
+    edges: list[tuple[int, int, str]] = []
     for n in nodes:
-        if not uses[n]:
-            continue
-        for def_node, var in in_sets[n]:
-            refs = uses[n].get(var)
-            if refs:
-                name = res.name_of_var.get(var, "")
-                for ref in refs:
-                    edges.add(DataEdge(def_node, ref, name))
-    ordered = sorted(edges, key=lambda e: (e.src, e.dst, e.var))
-    return DataEdges(ordered)
+        for var, refs in uses[n].items():
+            reaching = in_bits[n] & var_bits.get(var, 0)
+            name = res.name_of_var.get(var, "")
+            while reaching:
+                low = reaching & -reaching
+                reaching ^= low
+                def_node = def_nodes[low.bit_length() - 1]
+                edges.extend((def_node, ref, name) for ref in refs)
+    return DataEdges([DataEdge(*edge) for edge in sorted(edges)])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+import re
+from collections import defaultdict, deque
+from typing import NamedTuple
 
 import numpy as np
 
 from verisel import tensor as tz
+from verisel.frontend.cfg import statement_nodes
+from verisel.frontend.dataflow import DataEdge, DataEdges, node_defs_uses, resolve_variables
 from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
 from verisel.model import _encode_property, attention_pool, jumping_knowledge
 
@@ -305,3 +309,198 @@ def oracle_reaching_edges(ast, icfg) -> set[tuple[int, int, str]]:
                     bumped[nxt] = bumped.get(nxt, 0) + 1
                     stack.append((nxt, bumped))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# Set-based reaching definitions: the fixpoint that the bit-vector pass in
+# verisel.frontend.dataflow replaced. IN and OUT are sets of (def node, var
+# id) pairs, rebuilt on every worklist visit.
+
+
+def set_reaching_definitions(ast, icfg) -> DataEdges:
+    """Def-use edges for every definition that reaches a use along the ICFG."""
+    res = resolve_variables(ast)
+    nodes = statement_nodes(ast)
+    node_set = set(nodes)
+
+    defs: dict[int, set[int]] = {}
+    uses: dict[int, dict[int, list[int]]] = {}
+    for n in nodes:
+        defs[n], uses[n] = node_defs_uses(ast, res, n)
+
+    preds: dict[int, list[int]] = {n: [] for n in nodes}
+    succs: dict[int, list[int]] = {n: [] for n in nodes}
+    for edge in icfg.edges:
+        if edge.src in node_set and edge.dst in node_set:
+            preds[edge.dst].append(edge.src)
+            succs[edge.src].append(edge.dst)
+
+    in_sets: dict[int, set[tuple[int, int]]] = {n: set() for n in nodes}
+    out_sets: dict[int, set[tuple[int, int]]] = {n: set() for n in nodes}
+
+    worklist = deque(nodes)
+    queued = set(nodes)
+    while worklist:
+        n = worklist.popleft()
+        queued.discard(n)
+        incoming: set[tuple[int, int]] = set()
+        for p in preds[n]:
+            incoming |= out_sets[p]
+        in_sets[n] = incoming
+        killed = defs[n]
+        out = {(n, v) for v in defs[n]}
+        out |= {(d, v) for (d, v) in incoming if v not in killed}
+        if out != out_sets[n]:
+            out_sets[n] = out
+            for s in succs[n]:
+                if s not in queued:
+                    queued.add(s)
+                    worklist.append(s)
+
+    edges: set[DataEdge] = set()
+    for n in nodes:
+        if not uses[n]:
+            continue
+        for def_node, var in in_sets[n]:
+            refs = uses[n].get(var)
+            if refs:
+                name = res.name_of_var.get(var, "")
+                for ref in refs:
+                    edges.add(DataEdge(def_node, ref, name))
+    ordered = sorted(edges, key=lambda e: (e.src, e.dst, e.var))
+    return DataEdges(ordered)
+
+
+# ---------------------------------------------------------------------------
+# Generated C programs for reaching-definitions property tests: globals,
+# helpers that call earlier helpers, nested if/while/for/switch, compound
+# assignments, increments, stores through a pointer and into an array, and
+# a block local that shadows an outer name.
+
+
+class GeneratedProgram(NamedTuple):
+    """One generated program in two spellings with the same AST shape.
+
+    In ``source`` each block local shadows an outer name. In ``unshadowed``
+    every block local has a fresh name, which suits ``oracle_reaching_edges``
+    (it assumes no shadowing); ``renamed`` maps each fresh name back.
+    """
+
+    source: str
+    unshadowed: str
+    renamed: dict[str, str]
+
+
+def c_programs():
+    """A hypothesis strategy of GeneratedPrograms, small enough for the
+    path-enumeration oracle.
+
+    A program has up to two helpers, and at most five statements that hold
+    nested ones (if, loops, switch, shadowing blocks), at most two deep: the
+    oracle's running time grows with the number of paths.
+    """
+    # Imported here, not at module level: the benchmark's output check loads
+    # this module for the oracle, and importing hypothesis there would raise
+    # its peak memory.
+    from hypothesis import strategies as st
+
+    @st.composite
+    def programs(draw) -> GeneratedProgram:
+        # placeholder such as "${v3}" -> (name in source, name in unshadowed)
+        spellings: dict[str, tuple[str, str]] = {}
+        nested_left = 5
+
+        def variable(name: str, fresh: str | None = None) -> str:
+            placeholder = f"${{v{len(spellings)}}}"
+            spellings[placeholder] = (name, fresh or name)
+            return placeholder
+
+        def expr(scope: list[str]) -> str:
+            atoms = st.sampled_from(scope) | st.integers(0, 3).map(str)
+            left = draw(atoms)
+            if draw(st.booleans()):
+                return left
+            return f"{left} {draw(st.sampled_from('+-*'))} {draw(atoms)}"
+
+        def block(frame: dict, scope: list[str], depth: int) -> list[str]:
+            lines = []
+            for _ in range(draw(st.integers(1, 2))):
+                lines += statement(frame, scope, depth)
+            return lines
+
+        def statement(frame: dict, scope: list[str], depth: int) -> list[str]:
+            nonlocal nested_left
+            kinds = ["assign", "compound", "step", "store"]
+            if frame["callees"]:
+                kinds.append("call")
+            if depth < 2 and nested_left:
+                kinds += ["if", "while", "for", "switch", "shadow"]
+            kind = draw(st.sampled_from(kinds))
+            target = draw(st.sampled_from(scope))
+            if kind == "assign":
+                return [f"{target} = {expr(scope)};"]
+            if kind == "compound":
+                return [f"{target} {draw(st.sampled_from(['+=', '-=']))} {expr(scope)};"]
+            if kind == "step":
+                return [draw(st.sampled_from([f"{target}++;", f"--{target};"]))]
+            if kind == "store":
+                return [draw(st.sampled_from([f"*{frame['ptr']} = {expr(scope)};",
+                                              f"{frame['buf']}[{target}] = {expr(scope)};"]))]
+            if kind == "call":
+                call = f"{draw(st.sampled_from(frame['callees']))}({expr(scope)})"
+                return [draw(st.sampled_from([f"{target} = {call};", f"{call};"]))]
+            inner = depth + 1
+            nested_left -= 1
+            if kind == "if":
+                lines = [f"if ({target} < {expr(scope)}) {{", *block(frame, scope, inner)]
+                if draw(st.booleans()):
+                    lines += ["} else {", *block(frame, scope, inner)]
+                return lines + ["}"]
+            if kind == "while":
+                return [f"while ({target} != {expr(scope)}) {{", *block(frame, scope, inner), "}"]
+            if kind == "for":
+                return [f"for ({target} = 0; {target} < {expr(scope)}; {target}++) {{",
+                        *block(frame, scope, inner), "}"]
+            if kind == "switch":
+                return [f"switch ({target}) {{",
+                        "case 0:", *statement(frame, scope, inner), "break;",
+                        "case 1:", *statement(frame, scope, inner),
+                        "default:", *statement(frame, scope, inner), "}"]
+            # shadow: a block local named like the outer variable `target`
+            outer = [v for v in scope if v != target]
+            local = variable(spellings[target][0], fresh=f"s{len(spellings)}")
+            inside = outer + [local]
+            return ["{", f"int {local} = {expr(outer)};", *block(frame, inside, inner), "}"]
+
+        def function(header: str, params: list[str], globals_: list[str],
+                     callees: list[str]) -> list[str]:
+            first, second = variable("x"), variable("y")
+            frame = {"callees": callees, "ptr": variable("p"), "buf": variable("buf")}
+            scope = globals_ + params + [first, second]
+            return [f"{header} {{",
+                    f"int {first} = {expr(globals_ + params)};",
+                    f"int {second};",
+                    f"int *{frame['ptr']};",
+                    f"int {frame['buf']}[4];",
+                    f"{frame['ptr']} = &{draw(st.sampled_from(scope))};",
+                    *block(frame, scope, 0),
+                    f"return {first};", "}"]
+
+        globals_ = [variable(f"g{i}") for i in range(draw(st.integers(1, 2)))]
+        lines = [f"int {g};" for g in globals_]
+        helpers: list[str] = []
+        for j in range(draw(st.integers(0, 2))):
+            param = variable("n")
+            lines += function(f"int h{j}(int {param})", [param], globals_, list(helpers))
+            helpers.append(f"h{j}")
+        lines += function("int main()", [], globals_, helpers)
+
+        text = "\n".join(lines) + "\n"
+
+        def spell(which: int) -> str:
+            return re.sub(r"\$\{v\d+\}", lambda m: spellings[m[0]][which], text)
+
+        renamed = {fresh: name for name, fresh in spellings.values() if fresh != name}
+        return GeneratedProgram(spell(0), spell(1), renamed)
+
+    return programs()

@@ -121,16 +121,6 @@ def test_extract_respects_property_flag(tmp_path):
     assert load_graph(target).property is PropertyKind.TERMINATION
 
 
-def test_extract_jobs_parallel_same_output(tmp_path):
-    files = sorted(str(p) for p in CORPUS.glob("*.c"))[:6]
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    assert main(["extract", *files, "-o", str(seq)]) == 0
-    assert main(["extract", *files, "-o", str(par), "--jobs", "4"]) == 0
-    for p in sorted(seq.glob("*.json")):
-        assert (par / p.name).read_text() == p.read_text()
-
-
 # ---------------------------------------------------------------------------
 # train
 

@@ -1,7 +1,10 @@
-import pytest
+import importlib.util
 from pathlib import Path
 
-from helpers import oracle_reaching_edges
+import pytest
+from hypothesis import given, settings
+
+from helpers import c_programs, oracle_reaching_edges, set_reaching_definitions
 from verisel.frontend import (
     GraphTooLarge,
     LexError,
@@ -17,6 +20,7 @@ from verisel.frontend import (
 from verisel.graphio import PropertyKind, TokenVocabulary, deserialize_graph, serialize_graph
 
 VOCAB = TokenVocabulary.default()
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 PROP = PropertyKind.REACH_SAFETY
 
 ALIAS_OF_RETURN = """\
@@ -368,6 +372,35 @@ int main() { int t; g = 0; t = touch(); t = touch(); return t; }
         assert got == oracle_reaching_edges(ast, icfg)
 
 
+def test_reaching_equals_set_pass_on_corpus():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        ast, icfg, dfg = pipeline(path.read_text())
+        assert dfg.edges == set_reaching_definitions(ast, icfg).edges, path.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_reaching_matches_set_pass_and_path_oracle_on_generated_programs(program):
+    ast, icfg, dfg = pipeline(program.source)
+    assert dfg.edges == set_reaching_definitions(ast, icfg).edges
+    plain = parse_source(program.unshadowed)
+    want = {(src, dst, program.renamed.get(var, var))
+            for src, dst, var in oracle_reaching_edges(plain, build_icfg(plain))}
+    assert {(e.src, e.dst, e.var) for e in dfg.edges} == want
+
+
+def test_helpers_load_as_an_unregistered_module():
+    # The benchmark's output check loads the path-enumeration oracle this
+    # way, without adding the module to sys.modules.
+    spec = importlib.util.spec_from_file_location(
+        "unregistered_helpers", Path(__file__).with_name("helpers.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.oracle_reaching_edges)
+
+
 def test_reaching_parameter_def_flows_from_header():
     ast, icfg, dfg = pipeline(TWO_FUNCTIONS)
     # f has no parameters; add a program that passes one through
@@ -438,8 +471,7 @@ def test_assemble_unknown_kind_maps_to_reserved_index():
 
 
 def test_corpus_wide_structural_invariants():
-    corpus = Path(__file__).resolve().parent.parent / "corpus"
-    files = sorted(corpus.glob("*.c"))
+    files = sorted(CORPUS.glob("*.c"))
     assert len(files) == 20
     for path in files:
         source = path.read_text(encoding="utf-8")
