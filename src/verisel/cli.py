@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,13 +289,7 @@ def cmd_evaluate(args) -> int:
         graphs, records, params.portfolio,
         time_limit=args.time_limit, penalty_weight=args.penalty_weight,
     )
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda inst: predict(inst.graph, params), instances
-            ))
-    else:
-        results = [predict(inst.graph, params) for inst in instances]
+    results = [predict(inst.graph, params) for inst in instances]
     ks = None
     if args.ks:
         ks = [int(k) for k in args.ks.split(",") if k.strip()]
@@ -379,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", help="comma-separated K values for top-K error")
     p.add_argument("--time-limit", type=float, default=900.0)
     p.add_argument("--penalty-weight", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 

@@ -2,10 +2,20 @@
 
 Whitespace, comments, and preprocessor line markers are dropped; every other
 character must form a token or lexing fails with a position-carrying error.
+
+One compiled pattern does the work. It is an alternation of named groups,
+tried in order at the current position: whitespace and comments (skipped;
+a ``#`` line marker counts as one when it starts a line), an unterminated
+``/*``, identifiers, floats, ints (hex included), char and string literals,
+then the operators longest first and the punctuation. Line and column
+advance once per match, from the newlines inside the matched text. Where
+nothing matches, the character there is an unterminated literal or an
+illegal character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -51,135 +61,44 @@ class Token:
         return f"{self.kind}:{self.text}"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+_PATTERN = re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in (
+    ("skip", r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|(?<![^\n])#[^\n]*)+"),
+    ("unclosed", r"/\*"),
+    ("ident", r"[^\W\d]\w*"),
+    ("float", r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[uUlLfF]*|\d+[eE][+-]?\d+[uUlLfF]*"),
+    ("int", r"(?:0[xX][0-9a-fA-F]*|\d+)[uUlLfF]*"),
+    ("char", r"'(?:[^'\\]|\\.)*'"),
+    ("string", r'"(?:[^"\\]|\\.)*"'),
+    ("op", "|".join(map(re.escape, OPERATORS))),
+    ("punct", "|".join(map(re.escape, PUNCTUATION))),
+)), re.DOTALL)
 
-
-def _is_ident(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _Lexer:
-    def __init__(self, source: str):
-        self.src = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def peek(self, offset: int = 0) -> str:
-        # NUL sentinel at EOF so membership tests on character sets stay false
-        j = self.i + offset
-        return self.src[j] if j < len(self.src) else "\0"
-
-    def startswith(self, text: str) -> bool:
-        return self.src.startswith(text, self.i)
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.src[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def run(self) -> list[Token]:
-        tokens: list[Token] = []
-        while self.i < len(self.src):
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#" and self.col == 1:
-                self.skip_line()
-            elif self.startswith("//"):
-                self.skip_line()
-            elif self.startswith("/*"):
-                self.skip_block_comment()
-            elif _is_ident_start(ch):
-                tokens.append(self.identifier())
-            elif ch.isdigit() or (ch == "." and self.peek(1).isdigit()):
-                tokens.append(self.number())
-            elif ch == "'":
-                tokens.append(self.quoted("'", "char"))
-            elif ch == '"':
-                tokens.append(self.quoted('"', "string"))
-            else:
-                tokens.append(self.operator_or_punct())
-        return tokens
-
-    def skip_line(self) -> None:
-        while self.i < len(self.src) and self.peek() != "\n":
-            self.advance()
-
-    def skip_block_comment(self) -> None:
-        line, col = self.line, self.col
-        self.advance(2)
-        while self.i < len(self.src) and not self.startswith("*/"):
-            self.advance()
-        if self.i >= len(self.src):
-            raise LexError("unterminated comment", line, col)
-        self.advance(2)
-
-    def identifier(self) -> Token:
-        start, line, col = self.i, self.line, self.col
-        while self.i < len(self.src) and _is_ident(self.peek()):
-            self.advance()
-        text = self.src[start:self.i]
-        return Token("kw" if text in KEYWORDS else "ident", text, line, col)
-
-    def number(self) -> Token:
-        start, line, col = self.i, self.line, self.col
-        is_float = False
-        if self.startswith("0x") or self.startswith("0X"):
-            self.advance(2)
-            while self.peek().lower() in "0123456789abcdef":
-                self.advance()
-        else:
-            while self.peek().isdigit():
-                self.advance()
-            if self.peek() == ".":
-                is_float = True
-                self.advance()
-                while self.peek().isdigit():
-                    self.advance()
-            if self.peek() in "eE":
-                offset = 2 if self.peek(1) in "+-" else 1
-                if self.peek(offset).isdigit():
-                    is_float = True
-                    self.advance(offset)
-                    while self.peek().isdigit():
-                        self.advance()
-        while self.peek() in "uUlLfF":
-            self.advance()
-        return Token("float" if is_float else "int", self.src[start:self.i], line, col)
-
-    def quoted(self, quote: str, kind: str) -> Token:
-        start, line, col = self.i, self.line, self.col
-        self.advance()
-        while self.i < len(self.src) and self.peek() != quote:
-            if self.peek() == "\\" and self.i + 1 < len(self.src):
-                self.advance(2)
-            else:
-                self.advance()
-        if self.i >= len(self.src):
-            raise LexError(f"unterminated {kind} literal", line, col)
-        self.advance()
-        return Token(kind, self.src[start:self.i], line, col)
-
-    def operator_or_punct(self) -> Token:
-        for op in OPERATORS:
-            if self.startswith(op):
-                token = Token("op", op, self.line, self.col)
-                self.advance(len(op))
-                return token
-        ch = self.peek()
-        if ch in PUNCTUATION:
-            token = Token("punct", ch, self.line, self.col)
-            self.advance()
-            return token
-        raise LexError(f"illegal character {ch!r}", self.line, self.col)
+# what an error at this first character means ("/" only starts an unclosed /*)
+_UNTERMINATED = {
+    "/": "unterminated comment",
+    "'": "unterminated char literal",
+    '"': "unterminated string literal",
+}
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into tokens, or raise :class:`LexError` with position."""
-    return _Lexer(source).run()
+    tokens: list[Token] = []
+    pos, line, col = 0, 1, 1
+    while pos < len(source):
+        match = _PATTERN.match(source, pos)
+        if match is None or match.lastgroup == "unclosed":
+            ch = source[pos]
+            raise LexError(_UNTERMINATED.get(ch, f"illegal character {ch!r}"), line, col)
+        kind, text, pos = match.lastgroup, match.group(), match.end()
+        if kind != "skip":
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+    return tokens

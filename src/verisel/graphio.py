@@ -20,6 +20,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -114,14 +115,11 @@ class TokenVocabulary:
 
     def index_of(self, kind: str) -> int:
         """Index of a kind name; unknown names map to the reserved index 0."""
-        return self._index().get(kind, 0)
+        return self._index.get(kind, 0)
 
+    @cached_property
     def _index(self) -> dict[str, int]:
-        cached = _VOCAB_INDEX_CACHE.get(self.kinds)
-        if cached is None:
-            cached = {k: i for i, k in enumerate(self.kinds)}
-            _VOCAB_INDEX_CACHE[self.kinds] = cached
-        return cached
+        return {k: i for i, k in enumerate(self.kinds)}
 
     def fingerprint(self) -> str:
         return hashlib.sha256("\n".join(self.kinds).encode("utf-8")).hexdigest()
@@ -141,9 +139,6 @@ class TokenVocabulary:
     @classmethod
     def default(cls) -> "TokenVocabulary":
         return cls(DEFAULT_KINDS)
-
-
-_VOCAB_INDEX_CACHE: dict[tuple[str, ...], dict[str, int]] = {}
 
 
 @dataclass

@@ -368,6 +368,8 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._backward is None:
+            # flow entries may alias each other (they are never written in
+            # place); a leaf's grad gets its own copy
             if node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue
@@ -375,7 +377,7 @@ def backward(loss: Tensor) -> None:
             if not parent.requires_grad or pg is None:
                 continue
             acc = flow.get(id(parent))
-            flow[id(parent)] = pg.copy() if acc is None else acc + pg
+            flow[id(parent)] = pg if acc is None else acc + pg
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 from verisel import tensor as tz
 from verisel.frontend.cfg import statement_nodes
 from verisel.frontend.dataflow import DataEdge, DataEdges, node_defs_uses, resolve_variables
+from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
 from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
 from verisel.model import _encode_property, attention_pool, jumping_knowledge
 
@@ -58,6 +59,150 @@ def random_permutation(rng: np.random.Generator, n: int) -> list[int]:
     perm = list(range(n))
     shuffled = rng.permutation(n)
     return [int(shuffled[i]) for i in perm]
+
+
+# ---------------------------------------------------------------------------
+# Character-at-a-time lexer oracle: the scanner that the single-pattern
+# ``lexer.tokenize`` replaced. It steps one character at a time to track line
+# and column and tries the operator spellings one ``startswith`` at a time.
+# Only characters that are numeric but neither decimal digits nor letters
+# (such as "²" or "½") lex differently: this scanner takes ``str.isdigit``
+# characters as digits, the pattern takes all of them as identifier
+# characters.
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _is_ident(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+class _Scanner:
+    def __init__(self, source: str):
+        self.src = source
+        self.i = 0
+        self.line = 1
+        self.col = 1
+
+    def peek(self, offset: int = 0) -> str:
+        # NUL sentinel at EOF so membership tests on character sets stay false
+        j = self.i + offset
+        return self.src[j] if j < len(self.src) else "\0"
+
+    def startswith(self, text: str) -> bool:
+        return self.src.startswith(text, self.i)
+
+    def advance(self, count: int = 1) -> None:
+        for _ in range(count):
+            if self.src[self.i] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.i += 1
+
+    def run(self) -> list[Token]:
+        tokens: list[Token] = []
+        while self.i < len(self.src):
+            ch = self.peek()
+            if ch in " \t\r\n":
+                self.advance()
+            elif ch == "#" and self.col == 1:
+                self.skip_line()
+            elif self.startswith("//"):
+                self.skip_line()
+            elif self.startswith("/*"):
+                self.skip_block_comment()
+            elif _is_ident_start(ch):
+                tokens.append(self.identifier())
+            elif ch.isdigit() or (ch == "." and self.peek(1).isdigit()):
+                tokens.append(self.number())
+            elif ch == "'":
+                tokens.append(self.quoted("'", "char"))
+            elif ch == '"':
+                tokens.append(self.quoted('"', "string"))
+            else:
+                tokens.append(self.operator_or_punct())
+        return tokens
+
+    def skip_line(self) -> None:
+        while self.i < len(self.src) and self.peek() != "\n":
+            self.advance()
+
+    def skip_block_comment(self) -> None:
+        line, col = self.line, self.col
+        self.advance(2)
+        while self.i < len(self.src) and not self.startswith("*/"):
+            self.advance()
+        if self.i >= len(self.src):
+            raise LexError("unterminated comment", line, col)
+        self.advance(2)
+
+    def identifier(self) -> Token:
+        start, line, col = self.i, self.line, self.col
+        while self.i < len(self.src) and _is_ident(self.peek()):
+            self.advance()
+        text = self.src[start:self.i]
+        return Token("kw" if text in KEYWORDS else "ident", text, line, col)
+
+    def number(self) -> Token:
+        start, line, col = self.i, self.line, self.col
+        is_float = False
+        if self.startswith("0x") or self.startswith("0X"):
+            self.advance(2)
+            while self.peek().lower() in "0123456789abcdef":
+                self.advance()
+        else:
+            while self.peek().isdigit():
+                self.advance()
+            if self.peek() == ".":
+                is_float = True
+                self.advance()
+                while self.peek().isdigit():
+                    self.advance()
+            if self.peek() in "eE":
+                offset = 2 if self.peek(1) in "+-" else 1
+                if self.peek(offset).isdigit():
+                    is_float = True
+                    self.advance(offset)
+                    while self.peek().isdigit():
+                        self.advance()
+        while self.peek() in "uUlLfF":
+            self.advance()
+        return Token("float" if is_float else "int", self.src[start:self.i], line, col)
+
+    def quoted(self, quote: str, kind: str) -> Token:
+        start, line, col = self.i, self.line, self.col
+        self.advance()
+        while self.i < len(self.src) and self.peek() != quote:
+            if self.peek() == "\\" and self.i + 1 < len(self.src):
+                self.advance(2)
+            else:
+                self.advance()
+        if self.i >= len(self.src):
+            raise LexError(f"unterminated {kind} literal", line, col)
+        self.advance()
+        return Token(kind, self.src[start:self.i], line, col)
+
+    def operator_or_punct(self) -> Token:
+        for op in OPERATORS:
+            if self.startswith(op):
+                token = Token("op", op, self.line, self.col)
+                self.advance(len(op))
+                return token
+        ch = self.peek()
+        if ch in PUNCTUATION:
+            token = Token("punct", ch, self.line, self.col)
+            self.advance()
+            return token
+        raise LexError(f"illegal character {ch!r}", self.line, self.col)
+
+
+def scan_tokenize(source: str) -> list[Token]:
+    """``lexer.tokenize`` as the character-at-a-time scanner computes it."""
+    return _Scanner(source).run()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import c_programs, oracle_reaching_edges, set_reaching_definitions
+from helpers import c_programs, oracle_reaching_edges, scan_tokenize, set_reaching_definitions
 from verisel.frontend import (
     GraphTooLarge,
     LexError,
@@ -79,6 +80,62 @@ def test_tokenize_illegal_character_position():
 def test_tokenize_drops_comments_and_line_markers():
     tokens = tokenize("# 1 \"x.c\"\nint a; // tail\n/* block */ a = 1;\n")
     assert [t.text for t in tokens] == ["int", "a", ";", "a", "=", "1", ";"]
+
+
+def lexed(lex, source):
+    """Tokens as (kind, text, line, col), or the LexError as (message, line, col)."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(source)]
+    except LexError as err:
+        return (str(err), err.line, err.col)
+
+
+# spliced into corpus programs: the corpus itself has no comments, markers,
+# literals or lexing errors
+SPLICES = ("/* c\n */", "// c\n", "\n# 1 \"x.c\"\n", "'\\''", '"s\\"\n"', "0x1fUL",
+           "1.5e-3f", ".5", "/*", "'", '"', "$", "\v")
+
+
+def test_tokenize_equals_scanner_on_corpus():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        source = path.read_text()
+        assert lexed(tokenize, source) == lexed(scan_tokenize, source), path.name
+        for cut in (0, len(source) // 3, 2 * len(source) // 3, len(source)):
+            for splice in SPLICES:
+                spliced = source[:cut] + splice + source[cut:]
+                assert lexed(tokenize, spliced) == lexed(scan_tokenize, spliced), spliced
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_tokenize_equals_scanner_on_generated_programs(program):
+    assert lexed(tokenize, program.source) == lexed(scan_tokenize, program.source)
+
+
+LEX_ALPHABET = ([chr(c) for c in range(32, 127)] + list("\t\r\n\v\féßλ")
+                + ["/*", "*/", "//", "0x", "\\'"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(LEX_ALPHABET), max_size=40))
+def test_tokenize_equals_scanner_on_arbitrary_text(marker, pieces):
+    source = ("#" if marker else "") + "".join(pieces)
+    assert lexed(tokenize, source) == lexed(scan_tokenize, source)
+
+
+def test_tokenize_takes_non_decimal_numerals_as_identifier_characters():
+    # The one difference from the scanner: a regex cannot express
+    # str.isdigit and str.isalpha exactly, so numeric characters that are
+    # neither decimal digits nor letters join identifiers. The scanner lexes
+    # "²" (str.isdigit) as a digit and rejects "½" (numeric only).
+    assert lexed(tokenize, "x=²;") == [
+        ("ident", "x", 1, 1), ("op", "=", 1, 2), ("ident", "²", 1, 3), ("punct", ";", 1, 4)]
+    assert lexed(scan_tokenize, "x=²;")[2] == ("int", "²", 1, 3)
+    assert lexed(tokenize, "1² ½") == [
+        ("int", "1", 1, 1), ("ident", "²", 1, 2), ("ident", "½", 1, 4)]
+    assert lexed(scan_tokenize, "1² ½") == ("1:4: illegal character '½'", 1, 4)
 
 
 # ---------------------------------------------------------------------------
