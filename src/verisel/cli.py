@@ -39,7 +39,7 @@ from .model import (
     predict,
     save_model,
 )
-from .trainer import TrainConfig, evaluate_rankings, train
+from .trainer import TrainConfig, evaluate_rankings, format_table, train
 
 ENV_PREFIX = "VERISEL_"
 
@@ -169,10 +169,7 @@ def _stats_table(stats: dict) -> str:
             f"{block['mean_nodes']:.1f}", str(block["max_edges"]),
             f"{block['mean_edges']:.1f}",
         ])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows
-    ) + "\n"
+    return format_table(rows)
 
 
 def cmd_extract(args) -> int:

@@ -1,6 +1,6 @@
 """C-subset frontend: lexing, parsing, control flow, data flow, graphs."""
 
-from .cfg import ControlEdge, ControlEdges, build_icfg, statement_nodes
+from .cfg import ControlEdge, ControlEdges, build_icfg
 from .dataflow import DataEdge, DataEdges, reaching_definitions
 from .graph_build import (
     DEFAULT_MAX_NODES,
@@ -31,6 +31,5 @@ __all__ = [
     "parse",
     "parse_source",
     "reaching_definitions",
-    "statement_nodes",
     "tokenize",
 ]

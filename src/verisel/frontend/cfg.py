@@ -2,7 +2,11 @@
 
 CFG nodes are statement-level AST nodes plus FunctionDecl nodes. Compound
 statements are transparent; label/case wrappers are pass-through nodes that
-flow into their inner statement.
+flow into their inner statement. ``sub_statements`` names the statements
+nested directly in a node; ``owned_expr_roots`` names the expressions a node
+evaluates itself. Wiring a function body walks it once and records its
+statement-level nodes in pre-order, and call/return wiring loops over those
+lists.
 
 Interprocedural wiring, per call site ``cs`` of a function ``f`` defined in
 the same translation unit:
@@ -66,21 +70,17 @@ def function_definitions(ast: Ast) -> list[int]:
     return out
 
 
-def _wrapper_inner(ast: Ast, node: int) -> int | None:
+def sub_statements(ast: Ast, node: int) -> tuple[int, ...]:
+    """Statements nested directly in a node, in source order."""
     kind = ast.kind(node)
     children = ast.children(node)
-    if kind == "CaseStmt":
-        return children[1] if len(children) > 1 else None
-    return children[0] if children else None
-
-
-def statement_nodes(ast: Ast) -> list[int]:
-    """Every CFG node: function decls plus each function's statement spine."""
-    nodes: list[int] = []
-    for fn in function_definitions(ast):
-        nodes.append(fn)
-        nodes.extend(_function_cfg_nodes(ast, fn))
-    return sorted(nodes)
+    if kind in ("CompoundStmt", "LabelStmt", "DefaultStmt"):
+        return children
+    if kind in ("IfStmt", "CaseStmt"):
+        return children[1:]
+    if kind in ("WhileStmt", "ForStmt", "SwitchStmt"):
+        return children[-1:]
+    return ()
 
 
 def owned_expr_roots(ast: Ast, node: int) -> tuple[int, ...]:
@@ -116,31 +116,29 @@ def last_statement(ast: Ast, body: int) -> int | None:
 
 
 class _FunctionWiring:
-    def __init__(self, ast: Ast, fn: int, add_edge, diagnostics: list[str]):
+    def __init__(self, ast: Ast, add_edge, diagnostics: list[str]):
         self.ast = ast
-        self.fn = fn
         self.add_edge = add_edge
         self.diagnostics = diagnostics
+        self.nodes: list[int] = []  # statement-level nodes, pre-order
         self.returns: list[int] = []
         self.loop_stack: list[int] = []
         self.break_stack: list[list[int]] = []
-
-    def wire_body(self) -> list[int]:
-        return self.wire(self.ast.children(self.fn)[-1], [])
 
     def wire(self, stmt: int, preds: list[int]) -> list[int]:
         """Wire ``preds -> stmt`` and internals; return fallthrough exits."""
         ast = self.ast
         kind = ast.kind(stmt)
 
-        if kind == "CompoundStmt":
-            pending = preds
-            for child in ast.children(stmt):
-                pending = self.wire(child, pending)
-            return pending
-
-        for p in preds:
-            self.add_edge(p, stmt, "flow")
+        if kind != "CompoundStmt":
+            self.nodes.append(stmt)
+            for p in preds:
+                self.add_edge(p, stmt, "flow")
+            preds = [stmt]
+        if kind == "CompoundStmt" or kind in WRAPPER_KINDS:
+            for child in sub_statements(ast, stmt):
+                preds = self.wire(child, preds)
+            return preds
 
         if kind == "ReturnStmt":
             self.returns.append(stmt)
@@ -157,9 +155,6 @@ class _FunctionWiring:
             else:
                 self.diagnostics.append(f"node {stmt}: continue outside loop")
             return []
-        if kind in WRAPPER_KINDS:
-            inner = _wrapper_inner(ast, stmt)
-            return self.wire(inner, [stmt]) if inner is not None else [stmt]
         if kind == "IfStmt":
             arms = ast.children(stmt)[1:]
             exits = []
@@ -210,14 +205,11 @@ def _collect_cases(ast: Ast, body: int) -> list[int]:
 
     def visit(stmt: int) -> None:
         kind = ast.kind(stmt)
-        if kind == "CompoundStmt":
-            for child in ast.children(stmt):
-                visit(child)
-        elif kind in ("CaseStmt", "DefaultStmt"):
+        if kind in ("CaseStmt", "DefaultStmt"):
             out.append(stmt)
-            inner = _wrapper_inner(ast, stmt)
-            if inner is not None:
-                visit(inner)
+        if kind in ("CompoundStmt", "CaseStmt", "DefaultStmt"):
+            for child in sub_statements(ast, stmt):
+                visit(child)
 
     visit(body)
     return out
@@ -255,20 +247,24 @@ def build_icfg(ast: Ast) -> ControlEdges:
             continue
         fn_by_name[name] = fn
 
-    info: dict[int, dict] = {}
+    wirings: dict[int, _FunctionWiring] = {}
+    exits: dict[int, list[int]] = {}
     for fn in functions:
-        wiring = _FunctionWiring(ast, fn, add_edge, diagnostics)
-        wiring.wire_body()
         body = ast.children(fn)[-1]
+        wiring = wirings[fn] = _FunctionWiring(ast, add_edge, diagnostics)
+        wiring.wire(body, [])
         last = last_statement(ast, body)
-        entry = _body_entry(ast, body)
-        info[fn] = {"returns": wiring.returns, "last": last, "entry": entry}
-        if not wiring.returns and last is not None:
+        if wiring.returns:
+            exits[fn] = wiring.returns
+        elif last is not None:
+            exits[fn] = [last]
             add_edge(last, fn, "return")  # main-return style self edge
+        else:
+            exits[fn] = [fn]
 
     # call/return wiring
     for fn in functions:
-        for cfg_node in _function_cfg_nodes(ast, fn):
+        for cfg_node in wirings[fn].nodes:
             for name in _call_sites(ast, cfg_node):
                 callee = fn_by_name.get(name)
                 if callee is None:
@@ -277,49 +273,10 @@ def build_icfg(ast: Ast) -> ControlEdges:
                     )
                     continue
                 add_edge(cfg_node, callee, "call")
-                meta = info[callee]
-                if meta["entry"] is not None:
-                    add_edge(callee, meta["entry"], "flow")
-                exit_points = meta["returns"] or (
-                    [meta["last"]] if meta["last"] is not None else [callee]
-                )
-                for ep in exit_points:
+                if wirings[callee].nodes:
+                    add_edge(callee, wirings[callee].nodes[0], "flow")
+                for ep in exits[callee]:
                     add_edge(ep, cfg_node, "return")
 
     ordered = sorted(edges, key=lambda e: (e.src, e.dst, e.tag))
     return ControlEdges(ordered, diagnostics)
-
-
-def _body_entry(ast: Ast, body: int) -> int | None:
-    for child in ast.children(body):
-        if ast.kind(child) == "CompoundStmt":
-            found = _body_entry(ast, child)
-            if found is not None:
-                return found
-            continue
-        return child
-    return None
-
-
-def _function_cfg_nodes(ast: Ast, fn: int) -> list[int]:
-    nodes = []
-
-    def spine(stmt: int) -> None:
-        kind = ast.kind(stmt)
-        if kind == "CompoundStmt":
-            for child in ast.children(stmt):
-                spine(child)
-            return
-        nodes.append(stmt)
-        if kind == "IfStmt":
-            for arm in ast.children(stmt)[1:]:
-                spine(arm)
-        elif kind in ("WhileStmt", "ForStmt", "SwitchStmt"):
-            spine(ast.children(stmt)[-1])
-        elif kind in WRAPPER_KINDS:
-            inner = _wrapper_inner(ast, stmt)
-            if inner is not None:
-                spine(inner)
-
-    spine(ast.children(fn)[-1])
-    return nodes

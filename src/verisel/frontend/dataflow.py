@@ -3,9 +3,11 @@
 A definition is a (CFG node, variable) pair created by a declaration, an
 assignment, a compound assignment, or an increment/decrement. Def-use edges
 connect the defining statement node to the *identifier* node that reads the
-variable. Variables are resolved lexically (globals, parameters, block
-locals), so same-named locals in different scopes never interfere. Stores
-through pointers or array elements kill nothing (no alias analysis).
+variable. One walk over each function body visits the CFG nodes in
+pre-order, resolves names lexically as it goes (globals, parameters, block
+locals), so same-named locals in different scopes never interfere, and
+collects each node's writes and reads. Stores through pointers or array
+elements kill nothing (no alias analysis).
 
 Definitions are numbered once, in CFG-node order, and IN/OUT sets are
 Python-int bitmasks over those numbers (Kildall 1973; Aho et al.,
@@ -19,9 +21,9 @@ of ``v`` are the set bits of ``in & var_bits[v]``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cfg import ControlEdges, function_definitions, owned_expr_roots, statement_nodes
+from .cfg import ControlEdges, function_definitions, owned_expr_roots, sub_statements
 from .parser import Ast
 
 
@@ -41,180 +43,81 @@ class DataEdges:
 
 
 # ---------------------------------------------------------------------------
-# name resolution
+# def/use walk
 
 
-@dataclass
-class _Resolution:
-    # DeclRefExpr id -> declaring node id (VarDecl or ParmVarDecl)
-    var_of_ref: dict[int, int] = field(default_factory=dict)
-    name_of_var: dict[int, str] = field(default_factory=dict)
+def _walk_defs_uses(ast: Ast):
+    """Yield (CFG node, written var ids, {var id: [reading DeclRefExpr ids]}).
 
-
-def resolve_variables(ast: Ast) -> _Resolution:
-    res = _Resolution()
+    One pass over each function body. Names resolve against the scopes as
+    they stand when the walk reaches them: globals, then parameters, then a
+    scope per ``CompoundStmt`` and per ``ForStmt``. A ``VarDecl`` is declared
+    before its initializer is read.
+    """
     global_scope: dict[str, int] = {}
-    functions = set(function_definitions(ast))
+    for child in ast.children(ast.root):
+        if ast.kind(child) == "DeclStmt":
+            for var in ast.children(child):
+                global_scope[ast.text(var) or ""] = var
+    scopes = [global_scope]
 
-    def declare(scopes, var_node: int, name: str) -> None:
-        scopes[-1][name] = var_node
-        res.name_of_var[var_node] = name
-
-    def lookup(scopes, name: str) -> int | None:
+    def lookup(ref: int) -> int | None:
+        name = ast.text(ref) or ""
         for scope in reversed(scopes):
             if name in scope:
                 return scope[name]
         return None
 
-    def resolve_expr(scopes, node: int, *, skip: frozenset[int] = frozenset()) -> None:
-        for current in ast.walk(node):
-            if current in skip:
-                continue
-            kind = ast.kind(current)
-            if kind == "CallExpr":
-                callee = ast.children(current)[0]
-                skip = skip | {callee}
-            elif kind == "DeclRefExpr" and current not in skip:
-                target = lookup(scopes, ast.text(current) or "")
-                if target is not None:
-                    res.var_of_ref[current] = target
+    def gather(root: int, writes: set[int], uses: dict[int, list[int]]) -> None:
+        kind = ast.kind(root)
+        children = ast.children(root)
+        if kind == "VarDecl":
+            scopes[-1][ast.text(root) or ""] = root
+            writes.add(root)
+        elif kind == "DeclRefExpr":
+            var = lookup(root)
+            if var is not None:
+                uses.setdefault(var, []).append(root)
+            return
+        elif kind == "CallExpr":
+            children = children[1:]  # the callee name is not a variable use
+        elif (kind == "CompoundAssignOperator" or (
+                kind == "BinaryOperator" and ast.text(root) == "=") or (
+                kind == "UnaryOperator" and ast.text(root) in ("++", "--"))):
+            # a store through *p or a[i] writes nothing; its operands are reads
+            target = children[0]
+            if ast.kind(target) == "DeclRefExpr":
+                var = lookup(target)
+                if var is not None:
+                    writes.add(var)
+                if kind == "BinaryOperator":  # plain store: no read
+                    children = children[1:]
+        for child in children:
+            gather(child, writes, uses)
 
-    def resolve_stmt(scopes, stmt: int) -> None:
+    def walk(stmt: int):
         kind = ast.kind(stmt)
-        if kind == "CompoundStmt":
+        scoped = kind in ("CompoundStmt", "ForStmt")
+        if scoped:
             scopes.append({})
-            for child in ast.children(stmt):
-                resolve_stmt(scopes, child)
+        if kind != "CompoundStmt":
+            writes: set[int] = set()
+            uses: dict[int, list[int]] = {}
+            for root in owned_expr_roots(ast, stmt):
+                gather(root, writes, uses)
+            yield stmt, writes, uses
+        for child in sub_statements(ast, stmt):
+            yield from walk(child)
+        if scoped:
             scopes.pop()
-        elif kind == "DeclStmt":
-            for var in ast.children(stmt):
-                declare(scopes, var, ast.text(var) or "")
-                for init in ast.children(var):
-                    resolve_expr(scopes, init)
-        elif kind == "ForStmt":
-            scopes.append({})
-            for child in ast.children(stmt):
-                resolve_stmt(scopes, child)
-            scopes.pop()
-        elif kind in ("IfStmt", "WhileStmt", "SwitchStmt"):
-            children = ast.children(stmt)
-            resolve_expr(scopes, children[0])
-            for child in children[1:]:
-                resolve_stmt(scopes, child)
-        elif kind in ("LabelStmt", "DefaultStmt"):
-            for child in ast.children(stmt):
-                resolve_stmt(scopes, child)
-        elif kind == "CaseStmt":
-            children = ast.children(stmt)
-            resolve_expr(scopes, children[0])
-            for child in children[1:]:
-                resolve_stmt(scopes, child)
-        elif kind == "ReturnStmt":
-            for child in ast.children(stmt):
-                resolve_expr(scopes, child)
-        elif kind in ("BreakStmt", "ContinueStmt", "NullStmt", "TypedefDecl"):
-            pass
-        else:
-            resolve_expr(scopes, stmt)
 
-    # pass 1: globals and function names
-    for child in ast.children(ast.root):
-        if ast.kind(child) == "DeclStmt":
-            for var in ast.children(child):
-                global_scope[ast.text(var) or ""] = var
-                res.name_of_var[var] = ast.text(var) or ""
-
-    # pass 2: function bodies
-    for child in ast.children(ast.root):
-        if child not in functions:
-            continue
-        scopes = [global_scope, {}]
-        *params, body = ast.children(child)
-        for param in params:
-            name = ast.text(param)
-            if name:
-                declare(scopes, param, name)
-        resolve_stmt(scopes, body)
-    return res
-
-
-# ---------------------------------------------------------------------------
-# def/use extraction
-
-
-def _gather_expr(ast: Ast, res: _Resolution, root: int, writes: set[int],
-                 reads: list[int]) -> None:
-    """Collect written variables and reading DeclRefExpr nodes under root."""
-    kind = ast.kind(root)
-    children = ast.children(root)
-    if kind == "VarDecl":
-        writes.add(root)
-        for init in children:
-            _gather_expr(ast, res, init, writes, reads)
-        return
-    if kind == "DeclStmt":
-        for var in children:
-            _gather_expr(ast, res, var, writes, reads)
-        return
-    if kind == "BinaryOperator" and ast.text(root) == "=":
-        lhs, rhs = children
-        if ast.kind(lhs) == "DeclRefExpr":
-            target = res.var_of_ref.get(lhs)
-            if target is not None:
-                writes.add(target)
-        else:
-            _gather_expr(ast, res, lhs, writes, reads)  # *p / a[i]: reads only
-        _gather_expr(ast, res, rhs, writes, reads)
-        return
-    if kind == "CompoundAssignOperator":
-        lhs, rhs = children
-        if ast.kind(lhs) == "DeclRefExpr":
-            target = res.var_of_ref.get(lhs)
-            if target is not None:
-                writes.add(target)
-            reads.append(lhs)
-        else:
-            _gather_expr(ast, res, lhs, writes, reads)
-        _gather_expr(ast, res, rhs, writes, reads)
-        return
-    if kind == "UnaryOperator" and ast.text(root) in ("++", "--"):
-        operand = children[0]
-        if ast.kind(operand) == "DeclRefExpr":
-            target = res.var_of_ref.get(operand)
-            if target is not None:
-                writes.add(target)
-            reads.append(operand)
-        else:
-            _gather_expr(ast, res, operand, writes, reads)
-        return
-    if kind == "CallExpr":
-        for arg in children[1:]:  # the callee name is not a variable use
-            _gather_expr(ast, res, arg, writes, reads)
-        return
-    if kind == "DeclRefExpr":
-        reads.append(root)
-        return
-    for child in children:
-        _gather_expr(ast, res, child, writes, reads)
-
-
-def node_defs_uses(ast: Ast, res: _Resolution, cfg_node: int):
-    """(defined var ids, {var id: [reading DeclRefExpr ids]}) for one node."""
-    writes: set[int] = set()
-    reads: list[int] = []
-    if ast.kind(cfg_node) == "FunctionDecl":
-        for child in ast.children(cfg_node):
-            if ast.kind(child) == "ParmVarDecl" and ast.text(child):
-                writes.add(child)
-                res.name_of_var.setdefault(child, ast.text(child) or "")
-    for root in owned_expr_roots(ast, cfg_node):
-        _gather_expr(ast, res, root, writes, reads)
-    uses: dict[int, list[int]] = {}
-    for ref in reads:
-        var = res.var_of_ref.get(ref)
-        if var is not None:
-            uses.setdefault(var, []).append(ref)
-    return writes, uses
+    for fn in function_definitions(ast):
+        *params, body = ast.children(fn)
+        named = [p for p in params if ast.text(p)]
+        yield fn, set(named), {}
+        scopes.append({ast.text(p): p for p in named})
+        yield from walk(body)
+        scopes.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +126,17 @@ def node_defs_uses(ast: Ast, res: _Resolution, cfg_node: int):
 
 def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
     """Def-use edges for every definition that reaches a use along the ICFG."""
-    res = resolve_variables(ast)
-    nodes = statement_nodes(ast)
+    writes: dict[int, set[int]] = {}
+    uses: dict[int, dict[int, list[int]]] = {}
+    for n, node_writes, node_uses in _walk_defs_uses(ast):
+        writes[n], uses[n] = node_writes, node_uses
+    nodes = sorted(writes)  # the walk visits exactly the CFG nodes
     node_set = set(nodes)
 
     def_nodes: list[int] = []  # bit i -> defining node
-    writes: dict[int, set[int]] = {}
-    uses: dict[int, dict[int, list[int]]] = {}
     gen: dict[int, int] = {}
     var_bits: dict[int, int] = {}
     for n in nodes:
-        writes[n], uses[n] = node_defs_uses(ast, res, n)
         bits = 0
         for var in writes[n]:
             bit = 1 << len(def_nodes)
@@ -279,7 +182,7 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
     for n in nodes:
         for var, refs in uses[n].items():
             reaching = in_bits[n] & var_bits.get(var, 0)
-            name = res.name_of_var.get(var, "")
+            name = ast.text(var) or ""
             while reaching:
                 low = reaching & -reaching
                 reaching ^= low

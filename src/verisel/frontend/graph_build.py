@@ -67,6 +67,8 @@ def extract_graph(
 ) -> tuple[ProgramGraph, list[str]]:
     """Full pipeline from C source to graph; returns (graph, diagnostics)."""
     ast = parse(tokenize(source))
+    if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
+        raise GraphTooLarge(len(ast), max_nodes)
     icfg = build_icfg(ast)
     dfg = reaching_definitions(ast, icfg)
     graph = assemble_graph(

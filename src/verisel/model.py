@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -145,28 +145,27 @@ class ModelParameters:
             t.zero_grad()
 
     def copy(self) -> "ModelParameters":
-        def dup_affine(layer: AffineParams) -> AffineParams:
-            return AffineParams(
-                Tensor(layer.w.values.copy(), requires_grad=True),
-                Tensor(layer.b.values.copy(), requires_grad=True),
-            )
+        values = {name: t.values for name, t in self.named()}
+        gat, pool, head = _assemble_layers(
+            self.config, lambda name: Tensor(values[name].copy(), requires_grad=True))
+        return replace(self, gat=gat, pool=pool, head=head)
 
-        return ModelParameters(
-            config=self.config,
-            portfolio=self.portfolio,
-            vocab_fingerprint=self.vocab_fingerprint,
-            vocab_size=self.vocab_size,
-            gat=[
-                GatLayerParams(
-                    Tensor(g.w_in.values.copy(), requires_grad=True),
-                    Tensor(g.w_out.values.copy(), requires_grad=True),
-                    Tensor(g.attn.values.copy(), requires_grad=True),
-                )
-                for g in self.gat
-            ],
-            pool=[dup_affine(p) for p in self.pool],
-            head=[dup_affine(h) for h in self.head],
-        )
+
+def _assemble_layers(config: ModelConfig, take):
+    """GAT, pool and head layer lists, each parameter from ``take(name)``.
+
+    The names are those of :meth:`ModelParameters.named`.
+    """
+    gat = [
+        GatLayerParams(take(f"gat{i}.w_in"), take(f"gat{i}.w_out"),
+                       take(f"gat{i}.attn"))
+        for i in range(config.num_gat_layers)
+    ]
+    pool = [AffineParams(take(f"pool{i}.w"), take(f"pool{i}.b"))
+            for i in range(len(config.pool_hidden) + 1)]
+    head = [AffineParams(take(f"head{i}.w"), take(f"head{i}.b"))
+            for i in range(len(config.head_hidden or (0, 0)) + 1)]
+    return gat, pool, head
 
 
 @dataclass(frozen=True)
@@ -520,15 +519,7 @@ def load_model(path: str | Path) -> ModelParameters:
             raise ModelFormatError(f"missing parameter block: {name}")
         return Tensor(blocks.pop(name), requires_grad=True)
 
-    gat = [
-        GatLayerParams(take(f"gat{i}.w_in"), take(f"gat{i}.w_out"),
-                       take(f"gat{i}.attn"))
-        for i in range(config.num_gat_layers)
-    ]
-    pool = [AffineParams(take(f"pool{i}.w"), take(f"pool{i}.b"))
-            for i in range(len(config.pool_hidden) + 1)]
-    head = [AffineParams(take(f"head{i}.w"), take(f"head{i}.b"))
-            for i in range(len(config.head_hidden or (0, 0)) + 1)]
+    gat, pool, head = _assemble_layers(config, take)
     if blocks:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
     return ModelParameters(

@@ -105,7 +105,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
 
     def bwd(g: np.ndarray):
-        return g @ bv.T, av.T @ g
+        # no gradient for a constant operand: backward skips a None
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
 
     return _result(av @ bv, (a, b), bwd)
 
@@ -144,10 +146,12 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if b.shape == a.shape:
         def bwd(g: np.ndarray):
-            return g * bv, g * av
+            return (g * bv if a.requires_grad else None,
+                    g * av if b.requires_grad else None)
     elif b.shape == (a.shape[0], 1):
         def bwd(g: np.ndarray):
-            return g * bv, (g * av).sum(axis=1, keepdims=True)
+            return (g * bv if a.requires_grad else None,
+                    (g * av).sum(axis=1, keepdims=True) if b.requires_grad else None)
     else:
         raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
     return _result(av * bv, (a, b), bwd)

@@ -245,7 +245,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = []
         ks = sorted(self.overall.topk_error)
         header = ["section", "n", "success", "spearman"] + [f"top{k}" for k in ks]
         rows = [header]
@@ -255,10 +254,15 @@ class EvalReport:
                    f"{block.spearman_mean:.3f}"]
             row += [f"{block.topk_error.get(k, float('nan')):.3f}" for k in ks]
             rows.append(row)
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-        for r in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
-        return "\n".join(lines) + "\n"
+        return format_table(rows)
+
+
+def format_table(rows: list[list[str]]) -> str:
+    """Left-aligned columns, two spaces apart, one line per row."""
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n" for row in rows
+    )
 
 
 def _metric_block(results: Sequence[RankingResult],

@@ -9,8 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 from verisel import tensor as tz
-from verisel.frontend.cfg import statement_nodes
-from verisel.frontend.dataflow import DataEdge, DataEdges, node_defs_uses, resolve_variables
+from verisel.frontend.cfg import function_definitions, owned_expr_roots
+from verisel.frontend.dataflow import DataEdge, DataEdges
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
 from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
 from verisel.model import _encode_property, attention_pool, jumping_knowledge
@@ -457,6 +457,192 @@ def oracle_reaching_edges(ast, icfg) -> set[tuple[int, int, str]]:
 
 
 # ---------------------------------------------------------------------------
+# Two-pass def/use oracle: the passes that the single scoped walk in
+# verisel.frontend.dataflow replaced. ``resolve_variables`` first maps every
+# DeclRefExpr of every function body to its declaration; ``node_defs_uses``
+# then walks one CFG node's expressions again and looks each name up in that
+# table.
+
+
+class _Resolution:
+    def __init__(self):
+        # DeclRefExpr id -> declaring node id (VarDecl or ParmVarDecl)
+        self.var_of_ref: dict[int, int] = {}
+        self.name_of_var: dict[int, str] = {}
+
+
+def resolve_variables(ast) -> _Resolution:
+    res = _Resolution()
+    global_scope: dict[str, int] = {}
+    functions = set(function_definitions(ast))
+
+    def declare(scopes, var_node: int, name: str) -> None:
+        scopes[-1][name] = var_node
+        res.name_of_var[var_node] = name
+
+    def lookup(scopes, name: str) -> int | None:
+        for scope in reversed(scopes):
+            if name in scope:
+                return scope[name]
+        return None
+
+    def resolve_expr(scopes, node: int, *, skip: frozenset[int] = frozenset()) -> None:
+        for current in ast.walk(node):
+            if current in skip:
+                continue
+            kind = ast.kind(current)
+            if kind == "CallExpr":
+                callee = ast.children(current)[0]
+                skip = skip | {callee}
+            elif kind == "DeclRefExpr" and current not in skip:
+                target = lookup(scopes, ast.text(current) or "")
+                if target is not None:
+                    res.var_of_ref[current] = target
+
+    def resolve_stmt(scopes, stmt: int) -> None:
+        kind = ast.kind(stmt)
+        if kind == "CompoundStmt":
+            scopes.append({})
+            for child in ast.children(stmt):
+                resolve_stmt(scopes, child)
+            scopes.pop()
+        elif kind == "DeclStmt":
+            for var in ast.children(stmt):
+                declare(scopes, var, ast.text(var) or "")
+                for init in ast.children(var):
+                    resolve_expr(scopes, init)
+        elif kind == "ForStmt":
+            scopes.append({})
+            for child in ast.children(stmt):
+                resolve_stmt(scopes, child)
+            scopes.pop()
+        elif kind in ("IfStmt", "WhileStmt", "SwitchStmt"):
+            children = ast.children(stmt)
+            resolve_expr(scopes, children[0])
+            for child in children[1:]:
+                resolve_stmt(scopes, child)
+        elif kind in ("LabelStmt", "DefaultStmt"):
+            for child in ast.children(stmt):
+                resolve_stmt(scopes, child)
+        elif kind == "CaseStmt":
+            children = ast.children(stmt)
+            resolve_expr(scopes, children[0])
+            for child in children[1:]:
+                resolve_stmt(scopes, child)
+        elif kind == "ReturnStmt":
+            for child in ast.children(stmt):
+                resolve_expr(scopes, child)
+        elif kind in ("BreakStmt", "ContinueStmt", "NullStmt", "TypedefDecl"):
+            pass
+        else:
+            resolve_expr(scopes, stmt)
+
+    # pass 1: globals and function names
+    for child in ast.children(ast.root):
+        if ast.kind(child) == "DeclStmt":
+            for var in ast.children(child):
+                global_scope[ast.text(var) or ""] = var
+                res.name_of_var[var] = ast.text(var) or ""
+
+    # pass 2: function bodies
+    for child in ast.children(ast.root):
+        if child not in functions:
+            continue
+        scopes = [global_scope, {}]
+        *params, body = ast.children(child)
+        for param in params:
+            name = ast.text(param)
+            if name:
+                declare(scopes, param, name)
+        resolve_stmt(scopes, body)
+    return res
+
+
+def _gather_expr(ast, res: _Resolution, root: int, writes: set[int],
+                 reads: list[int]) -> None:
+    """Collect written variables and reading DeclRefExpr nodes under root."""
+    kind = ast.kind(root)
+    children = ast.children(root)
+    if kind == "VarDecl":
+        writes.add(root)
+        for init in children:
+            _gather_expr(ast, res, init, writes, reads)
+        return
+    if kind == "DeclStmt":
+        for var in children:
+            _gather_expr(ast, res, var, writes, reads)
+        return
+    if kind == "BinaryOperator" and ast.text(root) == "=":
+        lhs, rhs = children
+        if ast.kind(lhs) == "DeclRefExpr":
+            target = res.var_of_ref.get(lhs)
+            if target is not None:
+                writes.add(target)
+        else:
+            _gather_expr(ast, res, lhs, writes, reads)  # *p / a[i]: reads only
+        _gather_expr(ast, res, rhs, writes, reads)
+        return
+    if kind == "CompoundAssignOperator":
+        lhs, rhs = children
+        if ast.kind(lhs) == "DeclRefExpr":
+            target = res.var_of_ref.get(lhs)
+            if target is not None:
+                writes.add(target)
+            reads.append(lhs)
+        else:
+            _gather_expr(ast, res, lhs, writes, reads)
+        _gather_expr(ast, res, rhs, writes, reads)
+        return
+    if kind == "UnaryOperator" and ast.text(root) in ("++", "--"):
+        operand = children[0]
+        if ast.kind(operand) == "DeclRefExpr":
+            target = res.var_of_ref.get(operand)
+            if target is not None:
+                writes.add(target)
+            reads.append(operand)
+        else:
+            _gather_expr(ast, res, operand, writes, reads)
+        return
+    if kind == "CallExpr":
+        for arg in children[1:]:  # the callee name is not a variable use
+            _gather_expr(ast, res, arg, writes, reads)
+        return
+    if kind == "DeclRefExpr":
+        reads.append(root)
+        return
+    for child in children:
+        _gather_expr(ast, res, child, writes, reads)
+
+
+def node_defs_uses(ast, res: _Resolution, cfg_node: int):
+    """(defined var ids, {var id: [reading DeclRefExpr ids]}) for one node."""
+    writes: set[int] = set()
+    reads: list[int] = []
+    if ast.kind(cfg_node) == "FunctionDecl":
+        for child in ast.children(cfg_node):
+            if ast.kind(child) == "ParmVarDecl" and ast.text(child):
+                writes.add(child)
+                res.name_of_var.setdefault(child, ast.text(child) or "")
+    for root in owned_expr_roots(ast, cfg_node):
+        _gather_expr(ast, res, root, writes, reads)
+    uses: dict[int, list[int]] = {}
+    for ref in reads:
+        var = res.var_of_ref.get(ref)
+        if var is not None:
+            uses.setdefault(var, []).append(ref)
+    return writes, uses
+
+
+def oracle_cfg_nodes(ast) -> list[int]:
+    """Every CFG node, sorted: function decls plus each body's statement spine."""
+    nodes = []
+    for fn in _oracle_functions(ast):
+        nodes.append(fn)
+        _oracle_spine(ast, ast.children(fn)[-1], nodes)
+    return sorted(nodes)
+
+
+# ---------------------------------------------------------------------------
 # Set-based reaching definitions: the fixpoint that the bit-vector pass in
 # verisel.frontend.dataflow replaced. IN and OUT are sets of (def node, var
 # id) pairs, rebuilt on every worklist visit.
@@ -465,7 +651,7 @@ def oracle_reaching_edges(ast, icfg) -> set[tuple[int, int, str]]:
 def set_reaching_definitions(ast, icfg) -> DataEdges:
     """Def-use edges for every definition that reaches a use along the ICFG."""
     res = resolve_variables(ast)
-    nodes = statement_nodes(ast)
+    nodes = oracle_cfg_nodes(ast)
     node_set = set(nodes)
 
     defs: dict[int, set[int]] = {}

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import c_programs, oracle_reaching_edges, scan_tokenize, set_reaching_definitions
+from helpers import (
+    c_programs,
+    node_defs_uses,
+    oracle_cfg_nodes,
+    oracle_reaching_edges,
+    resolve_variables,
+    scan_tokenize,
+    set_reaching_definitions,
+)
 from verisel.frontend import (
     GraphTooLarge,
     LexError,
@@ -18,6 +26,8 @@ from verisel.frontend import (
     reaching_definitions,
     tokenize,
 )
+from verisel.frontend import graph_build
+from verisel.frontend.dataflow import _walk_defs_uses
 from verisel.graphio import PropertyKind, TokenVocabulary, deserialize_graph, serialize_graph
 
 VOCAB = TokenVocabulary.default()
@@ -448,6 +458,37 @@ def test_reaching_matches_set_pass_and_path_oracle_on_generated_programs(program
     assert {(e.src, e.dst, e.var) for e in dfg.edges} == want
 
 
+def assert_walk_matches_two_pass_oracle(source):
+    ast = parse_source(source)
+    walked = {n: (writes, uses) for n, writes, uses in _walk_defs_uses(ast)}
+    assert sorted(walked) == oracle_cfg_nodes(ast)
+    res = resolve_variables(ast)
+    for n, got in walked.items():
+        assert got == node_defs_uses(ast, res, n), n
+
+
+def test_def_use_walk_matches_two_pass_oracle_on_corpus():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        assert_walk_matches_two_pass_oracle(path.read_text())
+
+
+def test_def_use_walk_scopes_shadowing_names():
+    assert_walk_matches_two_pass_oracle("""\
+int x;
+int f(int x, int y) { x = y; { int y = x; x = y; } for (int x = 0; x < y; x++) y--; return x; }
+int main() { x = 1; { int x = x + 1; x += 2; } switch (x) { case 1: { int x; x = 3; } default: x++; } return f(x, 2); }
+""")
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_def_use_walk_matches_two_pass_oracle_on_generated_programs(program):
+    assert_walk_matches_two_pass_oracle(program.source)
+    assert_walk_matches_two_pass_oracle(program.unshadowed)
+
+
 def test_helpers_load_as_an_unregistered_module():
     # The benchmark's output check loads the path-enumeration oracle this
     # way, without adding the module to sys.modules.
@@ -517,6 +558,16 @@ def test_assemble_graph_too_large():
     with pytest.raises(GraphTooLarge):
         assemble_graph(ast, icfg, dfg, VOCAB, graph_id="x", property=PROP,
                        max_nodes=3)
+
+
+def test_extract_checks_the_cap_before_the_analyses(monkeypatch):
+    def fail(*args):
+        raise AssertionError("analysis ran on a graph over the cap")
+
+    monkeypatch.setattr(graph_build, "build_icfg", fail)
+    monkeypatch.setattr(graph_build, "reaching_definitions", fail)
+    with pytest.raises(GraphTooLarge):
+        extract_graph(TWO_FUNCTIONS, VOCAB, graph_id="x", property=PROP, max_nodes=3)
 
 
 def test_assemble_unknown_kind_maps_to_reserved_index():

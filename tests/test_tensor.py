@@ -107,6 +107,22 @@ def test_backward_reused_leaf_sums_paths():
     np.testing.assert_allclose(x.grad, [[2.0]])
 
 
+def test_backward_closures_skip_constant_operands():
+    x = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    col = T.Tensor(np.ones((2, 1)), requires_grad=True)
+    c = T.constant(np.full((2, 2), 2.0))
+    g = np.ones((2, 2))
+    for out, constant_side in (
+        (T.matmul(x, c), 1), (T.matmul(c, x), 0),
+        (T.elementwise_mul(x, c), 1), (T.elementwise_mul(c, x), 0),
+        (T.elementwise_mul(x, T.constant(np.ones((2, 1)))), 1),
+        (T.elementwise_mul(c, col), 0),
+    ):
+        grads = out._backward(g)
+        assert grads[constant_side] is None
+        assert grads[1 - constant_side] is not None
+
+
 def test_no_grad_blocks_recording():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with T.no_grad():
