@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary
-from .model import EdgeIndex, EmptyGraph, ModelParameters, edge_pairs, forward_scores
+from .model import EmptyGraph, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
 
@@ -121,15 +121,15 @@ def explain(
     if not edges:
         return EdgeMask(graph.id, [], [], [])
 
+    inp = prepare_input(graph, params)
     with tz.no_grad():
-        original = forward_scores(graph, params)
+        original = forward_scores(inp, params)
     target = tz.constant(original.values.copy())
 
     init = np.zeros((1, len(edges)))
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
-    index = EdgeIndex(graph.num_nodes, edge_pairs(graph, params.config.edge_sets))
     pairs = np.array([(e.src, e.dst) for e in edges], dtype=np.intp)
     ones = tz.constant(np.ones((1, len(edges))))
 
@@ -141,8 +141,8 @@ def explain(
         for _ in range(iters):
             logits.zero_grad()
             keep = tz.sigmoid(logits)
-            mask = index.message_mask(keep, pairs)
-            masked = forward_scores(graph, params, message_mask=mask)
+            mask = inp.index.message_mask(keep, pairs)
+            masked = forward_scores(inp, params, message_mask=mask)
             diff = tz.sub(masked, target)
             fidelity = tz.sum_all(tz.elementwise_mul(diff, diff))
             size = tz.scalar_mul(tz.mean_all(keep), size_weight)

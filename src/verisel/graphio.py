@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -167,14 +168,16 @@ class ProgramGraph:
                 raise SchemaError(f"edges.{name}: unknown edge set")
             if len(set(edges)) != len(edges):
                 raise SchemaError(f"edges.{name}: duplicate edges")
-            for src, dst in edges:
-                if not (0 <= src < n and 0 <= dst < n):
-                    raise SchemaError(
-                        f"edges.{name}: edge endpoint out of range ({src}, {dst})"
-                    )
-        for idx in self.node_kinds:
-            if idx < 0 or (vocab_size is not None and idx >= vocab_size):
-                raise SchemaError(f"node_kinds: index {idx} out of range")
+            ends = list(chain.from_iterable(edges))
+            if ends and (min(ends) < 0 or max(ends) >= n):
+                src, dst = next((s, d) for s, d in edges if not (0 <= s < n and 0 <= d < n))
+                raise SchemaError(
+                    f"edges.{name}: edge endpoint out of range ({src}, {dst})"
+                )
+        kinds = self.node_kinds
+        if kinds and (min(kinds) < 0 or (vocab_size is not None and max(kinds) >= vocab_size)):
+            idx = next(k for k in kinds if k < 0 or (vocab_size is not None and k >= vocab_size))
+            raise SchemaError(f"node_kinds: index {idx} out of range")
 
     def permuted(self, perm: Sequence[int]) -> "ProgramGraph":
         """Relabel nodes: node i becomes perm[i]. Used by invariance tests."""
@@ -190,28 +193,40 @@ class ProgramGraph:
 
 
 def serialize_graph(graph: ProgramGraph) -> str:
-    """Canonical JSON (sorted keys, sorted edges): equal graphs serialize equal."""
+    """Canonical JSON (sorted keys, sorted edges): equal graphs serialize equal.
+
+    The text is what ``json.dumps(..., sort_keys=True, indent=1,
+    separators=(",", ": "))`` gives for the graph file schema, written
+    directly for that fixed shape.
+    """
     graph.validate()
-    payload = {
-        "id": graph.id,
-        "property": graph.property.value,
-        "num_nodes": graph.num_nodes,
-        "node_kinds": list(graph.node_kinds),
-        "edges": {
-            name: sorted([s, d] for s, d in graph.edge_sets.get(name, []))
-            for name in EDGE_SET_NAMES
-        },
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    sets = []
+    for name in sorted(EDGE_SET_NAMES):
+        pairs = sorted(graph.edge_sets.get(name, []))
+        rows = ",\n".join([f"   [\n    {s},\n    {d}\n   ]" for s, d in pairs])
+        sets.append(f'  "{name}": ' + (f"[\n{rows}\n  ]" if pairs else "[]"))
+    kinds = ",\n".join([f"  {k}" for k in graph.node_kinds])
+    return "".join([
+        '{\n "edges": {\n', ",\n".join(sets), "\n },\n",
+        ' "id": ', json.dumps(graph.id), ",\n",
+        ' "node_kinds": ', f"[\n{kinds}\n ]" if kinds else "[]", ",\n",
+        f' "num_nodes": {graph.num_nodes},\n',
+        ' "property": ', json.dumps(graph.property.value), "\n}\n",
+    ])
 
 
 def _expect(obj: dict, key: str, types) -> object:
     if key not in obj:
         raise SchemaError(f"{key}: missing field")
     value = obj[key]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"{key}: expected {types}, got {type(value).__name__}")
     return value
+
+
+def _only_ints(values) -> bool:
+    """Every item is an int (a JSON integer: bool excluded)."""
+    return set(map(type, values)) <= {int}
 
 
 def deserialize_graph(text: str) -> ProgramGraph:
@@ -231,23 +246,17 @@ def deserialize_graph(text: str) -> ProgramGraph:
     node_kinds = _expect(obj, "node_kinds", list)
     if len(node_kinds) != num_nodes:
         raise SchemaError("num_nodes: does not match len(node_kinds)")
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in node_kinds):
+    if not _only_ints(node_kinds):
         raise SchemaError("node_kinds: entries must be integers")
     edges_obj = _expect(obj, "edges", dict)
     edge_sets: dict[str, list[tuple[int, int]]] = {}
     for name in EDGE_SET_NAMES:
         raw = _expect(edges_obj, name, list)
-        pairs: list[tuple[int, int]] = []
-        for item in raw:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-            ):
-                raise SchemaError(f"edges.{name}: edges must be [src, dst] int pairs")
-            pairs.append((item[0], item[1]))
-        edge_sets[name] = pairs
-    graph = ProgramGraph(graph_id, prop, list(node_kinds), edge_sets)
+        if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+                and _only_ints(chain.from_iterable(raw))):
+            raise SchemaError(f"edges.{name}: edges must be [src, dst] int pairs")
+        edge_sets[name] = list(map(tuple, raw))
+    graph = ProgramGraph(graph_id, prop, node_kinds, edge_sets)
     graph.validate()
     return graph
 

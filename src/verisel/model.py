@@ -8,13 +8,20 @@ softmax-normalized over each node's incoming edges and weight the messages
 ``W_out h_j``. All of it is expressed with the autodiff primitives, so one
 forward pass serves inference, training, and the edge-mask explainer (which
 supplies a multiplier per edge for the normalized attention weights).
+
+A graph reaches the model as a :class:`ModelInput`: its one-hot node states,
+the (src, dst) pairs of the enabled edge sets and their :class:`EdgeIndex`,
+built once by :func:`prepare_input` and reused by every pass over that graph
+(training steps, validation, explainer iterations). The trainable parameters
+are views into one float64 vector (:attr:`ModelParameters.vector`), so an
+optimizer updates them all at once and a snapshot is one array copy.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -116,15 +123,34 @@ class AffineParams:
     b: Tensor  # (1, out)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParameters:
+    """Model metadata plus every trainable as a view into ``vector``.
+
+    The views are reshaped slices of the one float64 ``vector``, laid out in
+    :meth:`named` order; writing to a view's ``values`` writes the vector.
+    """
+
     config: ModelConfig
     portfolio: tuple[str, ...]
     vocab_fingerprint: str
     vocab_size: int
-    gat: list[GatLayerParams]
-    pool: list[AffineParams]
-    head: list[AffineParams]
+    vector: np.ndarray
+    gat: list[GatLayerParams] = field(init=False)
+    pool: list[AffineParams] = field(init=False)
+    head: list[AffineParams] = field(init=False)
+
+    def __post_init__(self):
+        views: dict[str, Tensor] = {}
+        offset = 0
+        for name, (rows, cols), _ in _parameter_layout(
+                self.config, self.vocab_size, len(self.portfolio)):
+            block = self.vector[offset:offset + rows * cols].reshape(rows, cols)
+            views[name] = Tensor(block, requires_grad=True)
+            offset += rows * cols
+        if self.vector.shape != (offset,) or self.vector.dtype != np.float64:
+            raise ValueError(f"parameters need a float64 vector of {offset} values")
+        self.gat, self.pool, self.head = _assemble_layers(self.config, views.__getitem__)
 
     def named(self) -> list[tuple[str, Tensor]]:
         out: list[tuple[str, Tensor]] = []
@@ -145,10 +171,31 @@ class ModelParameters:
             t.zero_grad()
 
     def copy(self) -> "ModelParameters":
-        values = {name: t.values for name, t in self.named()}
-        gat, pool, head = _assemble_layers(
-            self.config, lambda name: Tensor(values[name].copy(), requires_grad=True))
-        return replace(self, gat=gat, pool=pool, head=head)
+        return replace(self, vector=self.vector.copy())
+
+
+def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
+                      ) -> list[tuple[str, tuple[int, int], int]]:
+    """(name, shape, fan-in) of every trainable, in :meth:`ModelParameters.named` order."""
+    layout = []
+    d_in = vocab_size
+    for i in range(config.num_gat_layers):
+        d_out = config.gat_width
+        layout += [(f"gat{i}.w_in", (d_out, d_in), d_in),
+                   (f"gat{i}.w_out", (d_out, d_in), d_in),
+                   (f"gat{i}.attn", (2 * d_out, 1), 2 * d_out)]
+        d_in = d_out
+
+    def affine(prefix: str, dims: Sequence[int]) -> None:
+        for i, (a, b) in enumerate(zip(dims, dims[1:])):
+            layout.extend([(f"{prefix}{i}.w", (b, a), a), (f"{prefix}{i}.b", (1, b), a)])
+
+    node_dim = config.node_dim(vocab_size)
+    affine("pool", [node_dim, *config.pool_hidden, 1])
+    head_in = node_dim + config.property_dim
+    hidden = config.head_hidden or (head_in, max(1, head_in // 2))
+    affine("head", [head_in, *hidden, portfolio_size])
+    return layout
 
 
 def _assemble_layers(config: ModelConfig, take):
@@ -187,44 +234,16 @@ def init_parameters(
     if not portfolio:
         raise ValueError("portfolio must be nonempty")
     rng = np.random.default_rng(seed)
-    vocab_size = len(vocab)
-
-    def uniform(rows: int, cols: int, fan_in: int) -> Tensor:
+    parts = []
+    for _, shape, fan_in in _parameter_layout(config, len(vocab), len(portfolio)):
         bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
-                      requires_grad=True)
-
-    gat = []
-    d_in = vocab_size
-    for _ in range(config.num_gat_layers):
-        d_out = config.gat_width
-        gat.append(GatLayerParams(
-            w_in=uniform(d_out, d_in, d_in),
-            w_out=uniform(d_out, d_in, d_in),
-            attn=uniform(2 * d_out, 1, 2 * d_out),
-        ))
-        d_in = d_out
-
-    def affine(dims: Sequence[int]) -> list[AffineParams]:
-        layers = []
-        for a, b in zip(dims, dims[1:]):
-            layers.append(AffineParams(w=uniform(b, a, a),
-                                       b=uniform(1, b, a)))
-        return layers
-
-    node_dim = config.node_dim(vocab_size)
-    pool = affine([node_dim, *config.pool_hidden, 1])
-    head_in = node_dim + config.property_dim
-    hidden = config.head_hidden or (head_in, max(1, head_in // 2))
-    head = affine([head_in, *hidden, len(portfolio)])
+        parts.append(rng.uniform(-bound, bound, size=shape).ravel())
     return ModelParameters(
         config=config,
         portfolio=tuple(portfolio),
         vocab_fingerprint=vocab.fingerprint(),
-        vocab_size=vocab_size,
-        gat=gat,
-        pool=pool,
-        head=head,
+        vocab_size=len(vocab),
+        vector=np.concatenate(parts),
     )
 
 
@@ -351,39 +370,69 @@ def _encode_property(prop: PropertyKind, config: ModelConfig) -> Tensor:
     return tz.constant(row)
 
 
+@dataclass(frozen=True, eq=False)
+class ModelInput:
+    """One graph as the model reads it; built by :func:`prepare_input`.
+
+    It serves every forward pass of a model with the same edge sets and
+    vocabulary size, whatever its parameter values.
+    """
+
+    graph: ProgramGraph
+    states: Tensor                # constant one-hot node kinds, n x |T|
+    edges: np.ndarray             # (src, dst) rows of the enabled edge sets
+    index: EdgeIndex              # those edges plus one self-loop per node
+    edge_sets: tuple[str, ...]    # the enabled edge sets
+
+
+def prepare_input(graph: ProgramGraph, params: ModelParameters) -> ModelInput:
+    """The model input for ``graph`` under ``params``' edge sets and vocabulary."""
+    n = graph.num_nodes
+    if n == 0:
+        raise EmptyGraph(f"graph {graph.id} has no nodes")
+    kinds = np.asarray(graph.node_kinds, dtype=np.intp)
+    if kinds.min() < 0 or kinds.max() >= params.vocab_size:
+        raise VocabMismatch(
+            f"graph {graph.id} has kind indices outside |T|={params.vocab_size}"
+        )
+    onehot = np.zeros((n, params.vocab_size))
+    onehot[np.arange(n), kinds] = 1.0
+    edge_sets = params.config.edge_sets
+    edges = edge_pairs(graph, edge_sets)
+    return ModelInput(graph, tz.constant(onehot), edges, EdgeIndex(n, edges), edge_sets)
+
+
 def forward_scores(
-    graph: ProgramGraph,
+    graph: ProgramGraph | ModelInput,
     params: ModelParameters,
     *,
     prop: PropertyKind | None = None,
     message_mask: Tensor | None = None,
 ) -> Tensor:
-    """Score vector (1, portfolio size) as a differentiable tensor."""
-    n = graph.num_nodes
-    if n == 0:
-        raise EmptyGraph(f"graph {graph.id} has no nodes")
-    if any(k < 0 or k >= params.vocab_size for k in graph.node_kinds):
-        raise VocabMismatch(
-            f"graph {graph.id} has kind indices outside |T|={params.vocab_size}"
-        )
-    config = params.config
-    onehot = np.zeros((n, params.vocab_size))
-    onehot[np.arange(n), graph.node_kinds] = 1.0
-    states = tz.constant(onehot)
+    """Score vector (1, portfolio size) as a differentiable tensor.
 
-    edges = edge_pairs(graph, config.edge_sets)
-    index = EdgeIndex(n, edges)
-    outputs = [states]
+    ``graph`` is a prepared :class:`ModelInput`, or a bare graph that is
+    prepared here.
+    """
+    inp = graph if isinstance(graph, ModelInput) else prepare_input(graph, params)
+    config = params.config
+    if inp.edge_sets != config.edge_sets or inp.states.shape[1] != params.vocab_size:
+        raise ValueError(
+            f"input for graph {inp.graph.id} was prepared for edge sets "
+            f"{inp.edge_sets} and |T|={inp.states.shape[1]}, the model reads "
+            f"{config.edge_sets} and |T|={params.vocab_size}"
+        )
+    outputs = [inp.states]
     for layer in params.gat:
         outputs.append(gat_layer(
-            outputs[-1], edges, layer,
+            outputs[-1], inp.edges, layer,
             slope=config.leaky_slope,
             message_mask=message_mask,
-            allowed_mask=index,
+            allowed_mask=inp.index,
         ))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
-    prop_vec = _encode_property(prop or graph.property, config)
+    prop_vec = _encode_property(prop or inp.graph.property, config)
     z = tz.concat_cols([graph_vec, prop_vec])
     for i, layer in enumerate(params.head):
         z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
@@ -512,14 +561,17 @@ def load_model(path: str | Path) -> ModelParameters:
             offset += count * 8
         except (struct.error, ValueError, UnicodeDecodeError) as err:
             raise ModelFormatError(f"corrupt parameter block: {err}") from err
-        blocks[name] = values.reshape(rows, cols).astype(np.float64)
+        blocks[name] = values.reshape(rows, cols)
 
-    def take(name: str) -> Tensor:
+    parts = []
+    for name, shape, _ in _parameter_layout(config, vocab_size, len(portfolio)):
         if name not in blocks:
             raise ModelFormatError(f"missing parameter block: {name}")
-        return Tensor(blocks.pop(name), requires_grad=True)
-
-    gat, pool, head = _assemble_layers(config, take)
+        block = blocks.pop(name)
+        if block.shape != shape:
+            raise ModelFormatError(
+                f"parameter block {name}: shape {block.shape}, config needs {shape}")
+        parts.append(block.ravel())
     if blocks:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
     return ModelParameters(
@@ -527,7 +579,5 @@ def load_model(path: str | Path) -> ModelParameters:
         portfolio=portfolio,
         vocab_fingerprint=fingerprint,
         vocab_size=vocab_size,
-        gat=gat,
-        pool=pool,
-        head=head,
+        vector=np.concatenate(parts).astype(np.float64, copy=False),
     )

@@ -6,6 +6,11 @@ standard decay constants. After any three consecutive epochs without a
 strictly lower validation loss the learning rate drops by a factor of ten;
 training stops at the epoch cap or once a drop would land below the floor.
 The returned parameters are the snapshot with the best validation loss.
+
+Adam runs over the model's one flat parameter vector: a step concatenates
+the gradients in parameter order and updates every parameter with a few
+elementwise array operations. Each graph's model input is prepared once per
+call to :func:`train` and reused by every epoch.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ from . import tensor as tz
 from .graphio import LabeledInstance
 from .model import (
     LengthMismatch,
+    ModelInput,
     ModelParameters,
     RankingResult,
     forward_scores,
     margin_rank_loss_t,
+    prepare_input,
 )
 
 
@@ -416,41 +423,61 @@ class TrainHistory:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _instance_loss(inst: LabeledInstance, params: ModelParameters, margin: float):
-    scores = forward_scores(inst.graph, params)
-    return margin_rank_loss_t(scores, inst.labels, margin)
+def _instance_loss(graph: ModelInput, labels: Sequence[float],
+                   params: ModelParameters, margin: float):
+    return margin_rank_loss_t(forward_scores(graph, params), labels, margin)
 
 
 class _AdamState:
-    """Per-parameter first/second moment estimates (beta 0.9/0.999)."""
+    """First/second moment estimates (beta 0.9/0.999) over ``params.vector``."""
 
-    def __init__(self, tensors, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.tensors = tensors
+    def __init__(self, params: ModelParameters, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.vector = params.vector
+        self.named = params.named()
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros(t.shape) for t in tensors]
-        self.v = [np.zeros(t.shape) for t in tensors]
+        self.m = np.zeros_like(self.vector)
+        self.v = np.zeros_like(self.vector)
+        # Work arrays for every step: a fresh temporary of the vector's size
+        # is mapped anew and page-faulted in, which costs more than the math.
+        self._grad = np.empty_like(self.vector)
+        self._work = np.empty_like(self.vector)
 
     def step(self, lr: float) -> None:
+        missing = [name for name, t in self.named if t.grad is None]
+        if missing:
+            raise ValueError(f"Adam step without a gradient for {', '.join(missing)}")
+        grad, work = self._grad, self._work
+        np.concatenate([t.grad.ravel() for _, t in self.named], out=grad)
         self.step_count += 1
         correct1 = 1.0 - self.beta1 ** self.step_count
         correct2 = 1.0 - self.beta2 ** self.step_count
-        for i, t in enumerate(self.tensors):
-            if t.grad is None:
-                continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * t.grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * t.grad ** 2
-            t.values -= lr * (self.m[i] / correct1) / (
-                np.sqrt(self.v[i] / correct2) + self.eps
-            )
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g ** 2;
+        # vector -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=work)
+        self.m += work
+        self.v *= self.beta2
+        np.square(grad, out=grad)
+        grad *= 1.0 - self.beta2
+        self.v += grad
+        np.divide(self.m, correct1, out=work)
+        work *= lr
+        np.divide(self.v, correct2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += self.eps
+        work /= grad
+        self.vector -= work
 
 
-def validation_loss(instances: Sequence[LabeledInstance],
+def validation_loss(instances: Sequence[tuple[ModelInput, Sequence[float]]],
                     params: ModelParameters, margin: float) -> float:
+    """Mean loss over (prepared input, labels) pairs, without gradients."""
     with tz.no_grad():
-        losses = [_instance_loss(inst, params, margin).item() for inst in instances]
+        losses = [_instance_loss(graph, labels, params, margin).item()
+                  for graph, labels in instances]
     return float(np.mean(losses))
 
 
@@ -470,7 +497,9 @@ def train(
         )
 
     params = init.copy()
-    optimizer = _AdamState(params.trainables())
+    optimizer = _AdamState(params)
+    train_inputs = [(prepare_input(inst.graph, params), inst.labels) for inst in train_set]
+    val_inputs = [(prepare_input(inst.graph, params), inst.labels) for inst in val_set]
     schedule = PlateauSchedule(
         lr=cfg.initial_lr, patience=cfg.plateau_patience,
         factor=cfg.lr_decay_factor, min_lr=cfg.min_lr,
@@ -486,14 +515,14 @@ def train(
         rng.shuffle(order)
         total = 0.0
         for idx in order:
-            inst = train_set[idx]
+            graph, labels = train_inputs[idx]
             params.zero_grad()
-            loss = _instance_loss(inst, params, cfg.margin)
+            loss = _instance_loss(graph, labels, params, cfg.margin)
             total += loss.item()
             if loss.requires_grad:
                 tz.backward(loss)
                 optimizer.step(lr)
-        val = validation_loss(val_set, params, cfg.margin)
+        val = validation_loss(val_inputs, params, cfg.margin)
         history.append(EpochStats(epoch, total / len(train_set), val, lr))
         decision = schedule.observe(val)
         if decision.improved:

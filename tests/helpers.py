@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 import re
 from collections import defaultdict, deque
 from typing import NamedTuple
@@ -12,8 +14,15 @@ from verisel import tensor as tz
 from verisel.frontend.cfg import function_definitions, owned_expr_roots
 from verisel.frontend.dataflow import DataEdge, DataEdges
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
-from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
-from verisel.model import _encode_property, attention_pool, jumping_knowledge
+from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind, SchemaError
+from verisel.model import (
+    _encode_property,
+    attention_pool,
+    forward_scores,
+    jumping_knowledge,
+    margin_rank_loss_t,
+)
+from verisel.trainer import PlateauSchedule
 
 
 def random_graph(rng: np.random.Generator, *, max_nodes: int = 12,
@@ -268,6 +277,169 @@ def dense_forward_scores(graph, params, *, message_mask=None):
         if i + 1 < len(params.head):
             z = tz.leaky_relu(z, config.leaky_slope)
     return z
+
+
+# ---------------------------------------------------------------------------
+# Training oracles: Adam with one moment array per parameter tensor, updating
+# each tensor in turn, and the training loop that prepares nothing and feeds
+# each bare graph to ``forward_scores`` on every step. ``trainer`` replaced
+# them with one update over the flat parameter vector and model inputs
+# prepared once per call.
+
+
+class PerTensorAdam:
+    """Per-parameter first/second moment estimates (beta 0.9/0.999)."""
+
+    def __init__(self, tensors, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.tensors = tensors
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.m = [np.zeros(t.shape) for t in tensors]
+        self.v = [np.zeros(t.shape) for t in tensors]
+
+    def step(self, lr: float) -> None:
+        self.step_count += 1
+        correct1 = 1.0 - self.beta1 ** self.step_count
+        correct2 = 1.0 - self.beta2 ** self.step_count
+        for i, t in enumerate(self.tensors):
+            if t.grad is None:
+                continue
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * t.grad
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * t.grad ** 2
+            t.values -= lr * (self.m[i] / correct1) / (
+                np.sqrt(self.v[i] / correct2) + self.eps
+            )
+
+
+def reference_train(train_set, val_set, init, cfg):
+    """``trainer.train`` with per-tensor Adam and unprepared graphs.
+
+    Returns the best-validation parameters and the per-epoch
+    (train loss, validation loss, lr) triples.
+    """
+    def loss_of(inst, params):
+        return margin_rank_loss_t(forward_scores(inst.graph, params), inst.labels,
+                                  cfg.margin)
+
+    params = init.copy()
+    optimizer = PerTensorAdam(params.trainables())
+    schedule = PlateauSchedule(lr=cfg.initial_lr, patience=cfg.plateau_patience,
+                               factor=cfg.lr_decay_factor, min_lr=cfg.min_lr)
+    rng = random.Random(cfg.seed)
+    best = params.copy()
+    history = []
+    order = list(range(len(train_set)))
+    for _ in range(cfg.epochs):
+        lr = schedule.lr
+        rng.shuffle(order)
+        total = 0.0
+        for idx in order:
+            params.zero_grad()
+            loss = loss_of(train_set[idx], params)
+            total += loss.item()
+            if loss.requires_grad:
+                tz.backward(loss)
+                optimizer.step(lr)
+        with tz.no_grad():
+            val = float(np.mean([loss_of(inst, params).item() for inst in val_set]))
+        history.append((total / len(train_set), val, lr))
+        decision = schedule.observe(val)
+        if decision.improved:
+            best = params.copy()
+        if decision.stop:
+            break
+    return best, history
+
+
+# ---------------------------------------------------------------------------
+# Graph file oracles: the json-module writer and the item-by-item reader that
+# ``graphio`` replaced with a direct writer for the fixed schema and bulk
+# checks. They keep their own per-edge validation.
+
+
+def oracle_validate_graph(graph) -> None:
+    n = graph.num_nodes
+    for name in EDGE_SET_NAMES:
+        if name not in graph.edge_sets:
+            raise SchemaError(f"edges.{name}: missing edge set")
+    for name, edges in graph.edge_sets.items():
+        if name not in EDGE_SET_NAMES:
+            raise SchemaError(f"edges.{name}: unknown edge set")
+        if len(set(edges)) != len(edges):
+            raise SchemaError(f"edges.{name}: duplicate edges")
+        for src, dst in edges:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise SchemaError(
+                    f"edges.{name}: edge endpoint out of range ({src}, {dst})"
+                )
+    for idx in graph.node_kinds:
+        if idx < 0:
+            raise SchemaError(f"node_kinds: index {idx} out of range")
+
+
+def oracle_serialize_graph(graph) -> str:
+    oracle_validate_graph(graph)
+    payload = {
+        "id": graph.id,
+        "property": graph.property.value,
+        "num_nodes": graph.num_nodes,
+        "node_kinds": list(graph.node_kinds),
+        "edges": {
+            name: sorted([s, d] for s, d in graph.edge_sets.get(name, []))
+            for name in EDGE_SET_NAMES
+        },
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _oracle_expect(obj: dict, key: str, types) -> object:
+    if key not in obj:
+        raise SchemaError(f"{key}: missing field")
+    value = obj[key]
+    if not isinstance(value, types):
+        raise SchemaError(f"{key}: expected {types}, got {type(value).__name__}")
+    return value
+
+
+def oracle_deserialize_graph(text: str):
+    """The item-by-item reader; unlike ``graphio``'s, it accepts a bool num_nodes."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"document: not valid JSON ({err})") from err
+    if not isinstance(obj, dict):
+        raise SchemaError("document: expected a JSON object")
+    graph_id = _oracle_expect(obj, "id", str)
+    prop_name = _oracle_expect(obj, "property", str)
+    try:
+        prop = PropertyKind.from_name(prop_name)
+    except ValueError as err:
+        raise SchemaError(f"property: {err}") from err
+    num_nodes = _oracle_expect(obj, "num_nodes", int)
+    node_kinds = _oracle_expect(obj, "node_kinds", list)
+    if len(node_kinds) != num_nodes:
+        raise SchemaError("num_nodes: does not match len(node_kinds)")
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in node_kinds):
+        raise SchemaError("node_kinds: entries must be integers")
+    edges_obj = _oracle_expect(obj, "edges", dict)
+    edge_sets = {}
+    for name in EDGE_SET_NAMES:
+        raw = _oracle_expect(edges_obj, name, list)
+        pairs = []
+        for item in raw:
+            if (
+                not isinstance(item, list)
+                or len(item) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
+            ):
+                raise SchemaError(f"edges.{name}: edges must be [src, dst] int pairs")
+            pairs.append((item[0], item[1]))
+        edge_sets[name] = pairs
+    graph = ProgramGraph(graph_id, prop, list(node_kinds), edge_sets)
+    oracle_validate_graph(graph)
+    return graph
 
 
 # ---------------------------------------------------------------------------

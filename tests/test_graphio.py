@@ -1,9 +1,14 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph
+from helpers import oracle_deserialize_graph, oracle_serialize_graph, random_graph
+from verisel.frontend import extract_graph
 from verisel.graphio import (
     EmptyStratumWarning,
     LabeledInstance,
@@ -19,6 +24,8 @@ from verisel.graphio import (
     serialize_graph,
     split_dataset,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def small_vocab(n):
@@ -108,6 +115,156 @@ def test_serialize_round_trip_randomized():
             k: sorted(v) for k, v in graph.edge_sets.items()
         }
         assert serialize_graph(back) == text  # canonicality
+
+
+@st.composite
+def graphs(draw):
+    """Valid graphs: no nodes, edge-free ones, empty sets, any Unicode id."""
+    n = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edge_sets = {name: draw(st.lists(pair, max_size=12 if n else 0, unique=True))
+                 for name in ("AST", "ICFG", "DFG")}
+    return ProgramGraph(draw(st.text(max_size=12)), draw(st.sampled_from(PropertyKind)),
+                        kinds, edge_sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=graphs())
+def test_writer_equals_json_module_oracle(graph):
+    text = serialize_graph(graph)
+    assert text == oracle_serialize_graph(graph)
+    assert serialize_graph(deserialize_graph(text)) == text
+
+
+def test_writer_equals_oracle_on_non_ascii_and_empty_cases():
+    cases = [
+        ProgramGraph("héllo \u2603 \U0001f600 \"q\" \\", PropertyKind.OVERFLOW, [3, 0],
+                     {"AST": [(1, 0)], "ICFG": [], "DFG": [(0, 0), (0, 1)]}),
+        ProgramGraph("", PropertyKind.MEM_SAFETY, [], {"AST": [], "ICFG": [], "DFG": []}),
+        empty_graph(),
+    ]
+    for graph in cases:
+        assert serialize_graph(graph) == oracle_serialize_graph(graph)
+
+
+def outcome(read, text):
+    """("ok", re-serialized graph) or ("error", SchemaError message)."""
+    try:
+        return "ok", serialize_graph(read(text))
+    except SchemaError as err:
+        return "error", str(err)
+
+
+def base_document():
+    return {"id": "g", "property": "ReachSafety", "num_nodes": 3, "node_kinds": [1, 2, 0],
+            "edges": {"AST": [[0, 1], [0, 2]], "ICFG": [[1, 2]], "DFG": []}}
+
+
+ODD_VALUES = st.one_of(
+    st.booleans(), st.floats(allow_nan=False, allow_infinity=False), st.none(),
+    st.integers(-2, 4), st.text(max_size=3), st.just([]), st.just({}),
+    st.lists(st.integers(-1, 3), max_size=4),
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one to three fields broken."""
+    doc = base_document()
+    for _ in range(draw(st.integers(1, 3))):
+        field_ = draw(st.sampled_from(
+            ["id", "property", "num_nodes", "node_kinds", "edges", "set", "pair", "end"]))
+        if field_ in ("id", "property", "num_nodes", "node_kinds", "edges"):
+            if draw(st.booleans()):
+                doc.pop(field_, None)
+            else:
+                doc[field_] = draw(ODD_VALUES)
+        elif not isinstance(doc.get("edges"), dict):
+            continue
+        elif field_ == "set":
+            name = draw(st.sampled_from(["AST", "ICFG", "DFG", "XYZ"]))
+            if draw(st.booleans()):
+                doc["edges"].pop(name, None)
+            else:
+                doc["edges"][name] = draw(ODD_VALUES)
+        else:
+            name = draw(st.sampled_from(["AST", "ICFG", "DFG"]))
+            pairs = doc["edges"].get(name)
+            if not isinstance(pairs, list):
+                continue
+            if field_ == "pair":
+                item = draw(st.one_of(
+                    ODD_VALUES, st.lists(st.integers(-1, 3), min_size=1, max_size=1),
+                    st.lists(st.integers(-1, 3), min_size=3, max_size=3),
+                    st.lists(st.one_of(st.booleans(), st.floats(0, 2), st.integers(-1, 3)),
+                             min_size=2, max_size=2)))
+                pairs.insert(draw(st.integers(0, len(pairs))), item)
+            elif pairs and isinstance(pairs[0], list) and pairs[0]:
+                pairs[0][0] = draw(ODD_VALUES)
+    return json.dumps(doc) if draw(st.integers(0, 9)) else draw(
+        st.sampled_from(["", "[]", "{", "3", json.dumps(doc)[:-1]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=malformed_documents())
+def test_reader_matches_item_by_item_oracle(text):
+    got = outcome(deserialize_graph, text)
+    try:
+        num_nodes = json.loads(text).get("num_nodes")
+    except (ValueError, AttributeError):
+        num_nodes = None
+    if isinstance(num_nodes, bool) and "id" in json.loads(text):
+        # the oracle takes a bool num_nodes for an int; the reader does not
+        assert got[0] == "error"
+    else:
+        assert got == outcome(oracle_deserialize_graph, text)
+
+
+def test_reader_rejects_bool_num_nodes():
+    doc = base_document() | {"num_nodes": True, "node_kinds": [1]}
+    doc["edges"] = {"AST": [], "ICFG": [], "DFG": []}
+    with pytest.raises(SchemaError, match="num_nodes: expected .*, got bool"):
+        deserialize_graph(json.dumps(doc))
+    assert oracle_deserialize_graph(json.dumps(doc)).num_nodes == 1
+
+
+# sha256 of the corpus graph files as `verisel extract` wrote them before the
+# direct writer; the benchmark's digests cover graph content, not file bytes
+CORPUS_GRAPH_SHA256 = {
+    "01_straight_line": "b8dba51512853b9252c19c6d90be1e8c0b11a5b04a580f9354e9f560aed576f5",
+    "02_branch_join": "3ae5c8b08d122a4c253a4991a4cb0015aa6ba982a5ea91d29661e778843b9de5",
+    "03_if_else": "0d1e4057863928d15bf4fd67cfaa6a71a6f0f385288f114fce311a08bcb875e8",
+    "04_while_loop": "8767cdb08cbc738ff39d04513b7a6f14087fb10963902f38a7fb1e453d9bcc4e",
+    "05_for_loop": "0ed6e51d6e98235a12e68b5cdf18df8e27cb44a679620738e3d622ab4ae38837",
+    "06_two_functions": "08287f0c4de24b68ba5869ea0e2dfe07e2613e9a7d4fd8661cae2a64bfe17c33",
+    "07_alias_of_return": "704c6013a5c74a71438afabd0dbbe3d6b9a1ef27f1be7183522376163741eb14",
+    "08_switch_fallthrough": "38ccf965e49755348ee5bf7e35322e0e330f0533a8fe5cd82c6b23b8dbf7aba5",
+    "09_break_continue": "ee379030f7b8eabdb1dc5688320d1b3793d4e734266c19bfd3c10d829087b883",
+    "10_nested_loops": "968352dba2ae05614529edf206a865fe631891e9d7ce3e7e56015e5bb0410f0e",
+    "11_typedef": "20c0d3086cbff6de323739f42f8fc6881ffb552ba9dc069c0d345b3bb8cd5224",
+    "12_global_counter": "0f0fd8b6477a26f2791b441d8aa7e62ca16f4bc56ccfd1d354f1a7359c973d8d",
+    "13_pointer_read": "47215dc06d975b9e2dbb26b401a8f88e005f4a90a7f5e37c95434595172042fb",
+    "14_logical_ops": "1365b67b0021ecb51945d2a083adb43a3183380c18cb79f5d6ea9cbce9cb70b8",
+    "15_label_chain": "0f71dd9f1df4ed68d8cd21bd43295500281d2debfd0b99b6758d8b7262722aea",
+    "16_else_if_chain": "4a66c4b122dce0d1d74a6638e531936c491917352fa5fe57a7ae4c624b7afaaa",
+    "17_recursive_sum": "9f41f50f93508e028603f6bc83cb2bc7165175d85f4dd0dfeccfbc0c8799625c",
+    "18_compound_assign": "7e46b8e4005f0a2109e70e3cfdf909f2ce613b96220b24764dc768fb0759d68d",
+    "19_nondet_guard": "70e1533f141ddfd1bac35050096e37d5c7427a9a43fcd8ad2883724230b3328a",
+    "20_mixed_control": "71095a8b04e3f285b160d9976d1880f1ffbcbc69b23e5e06e9e5d60aa1770db9",
+}
+
+
+def test_corpus_graph_files_keep_their_bytes():
+    vocab = TokenVocabulary.default()
+    got = {}
+    for path in sorted(CORPUS.glob("*.c")):
+        graph, _ = extract_graph(path.read_text(encoding="utf-8"), vocab,
+                                 graph_id=path.stem, property=PropertyKind.REACH_SAFETY)
+        text = serialize_graph(graph)
+        assert text == oracle_serialize_graph(graph)
+        got[path.stem] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert got == CORPUS_GRAPH_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from verisel.model import (
     margin_rank_loss_t,
     pool_weights,
     predict,
+    prepare_input,
     save_model,
 )
 
@@ -163,6 +164,37 @@ def test_edge_list_attention_matches_dense_oracle(seed, n, layers, jk):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for name, a, b in zip([k for k, _ in params.named()], got_grads, want_grads):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9), layers=st.integers(0, 2))
+def test_prepared_input_scores_equal_bare_graph(seed, n, layers):
+    rng = np.random.default_rng(seed)
+    graph = awkward_graph(rng, n, vocab_size=len(VOCAB8))
+    params = tiny_params(seed=seed, num_gat_layers=layers)
+    inp = prepare_input(graph, params)
+    mix = T.constant(rng.standard_normal((1, len(PORTFOLIO))))
+    got, got_grads = scores_and_gradients(forward_scores, inp, params, mix)
+    want, want_grads = scores_and_gradients(forward_scores, graph, params, mix)
+    assert np.array_equal(got, want)
+    for a, b in zip(got_grads, want_grads):
+        assert np.array_equal(a, b)
+    mask = T.constant(rng.uniform(0.1, 1.0, (len(inp.index.keys), 1)))
+    assert np.array_equal(forward_scores(inp, params, message_mask=mask).values,
+                          forward_scores(graph, params, message_mask=mask).values)
+
+
+def test_prepared_input_for_another_model_is_rejected():
+    graph = graph_of([1, 2, 3], ast=[(0, 1)], dfg=[(1, 2)])
+    inp = prepare_input(graph, tiny_params())
+    with pytest.raises(ValueError, match="edge sets"):
+        forward_scores(inp, tiny_params(edge_sets=("AST", "ICFG")))
+    wider = TokenVocabulary(VOCAB8.kinds + ("K8",))
+    other = init_parameters(ModelConfig(num_gat_layers=1, gat_width=4, pool_hidden=(5, 3)),
+                            wider, PORTFOLIO)
+    with pytest.raises(ValueError, match=r"\|T\|=8, the model reads .* \|T\|=9"):
+        forward_scores(inp, other)
+    assert forward_scores(prepare_input(graph, other), other).shape == (1, len(PORTFOLIO))
 
 
 def test_forward_backward_memory_is_linear_in_edges():
@@ -467,3 +499,54 @@ def test_model_container_round_trip_over_config_space(seed, layers, pool, head):
         again = load_model(path)
     graph = random_graph(np.random.default_rng(seed), vocab_size=len(VOCAB8))
     assert predict(graph, params).scores == predict(graph, again).scores
+
+
+def assert_backed_by_vector(params):
+    """Every trainable is a view into ``params.vector``, laid out in named() order."""
+    offset = 0
+    for name, t in params.named():
+        assert np.shares_memory(t.values, params.vector), name
+        size = t.values.size
+        assert np.array_equal(t.values.ravel(), params.vector[offset:offset + size]), name
+        offset += size
+    assert offset == params.vector.size
+    params.vector[:] = np.arange(params.vector.size)
+    assert params.trainables()[0].values[0, 0] == 0.0
+    assert params.trainables()[-1].values[0, -1] == params.vector.size - 1
+
+
+def test_trainables_are_views_into_one_vector(tmp_path):
+    params = tiny_params(seed=3, num_gat_layers=2, head_hidden=(4,))
+    save_model(params, tmp_path / "model.bin")
+    for candidate in (params.copy(), load_model(tmp_path / "model.bin"), params):
+        assert_backed_by_vector(candidate)
+
+
+def test_copy_is_independent_of_the_original():
+    params = tiny_params(seed=5)
+    before = params.vector.copy()
+    clone = params.copy()
+    assert not np.shares_memory(clone.vector, params.vector)
+    clone.vector += 1.0
+    clone.trainables()[0].values[0, 0] = 42.0
+    assert np.array_equal(params.vector, before)
+    assert clone.vector[0] == 42.0
+
+
+def test_save_load_save_is_byte_stable(tmp_path):
+    params = tiny_params(seed=7, num_gat_layers=2)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_model(params, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_model_container_rejects_a_block_of_the_wrong_shape(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    doctored = header.replace(b'"vocab_size": 8', b'"vocab_size": 9')
+    assert doctored != header
+    path.write_bytes(doctored + b"\n" + rest)
+    with pytest.raises(ModelFormatError, match="gat0.w_in: shape"):
+        load_model(path)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import PerTensorAdam, reference_train
 from verisel.graphio import LabeledInstance, ProgramGraph, PropertyKind, TokenVocabulary
 from verisel.model import LengthMismatch, ModelConfig, init_parameters, predict
 from verisel.trainer import (
@@ -13,6 +14,7 @@ from verisel.trainer import (
     NoEligibleInstances,
     PlateauSchedule,
     TrainConfig,
+    _AdamState,
     baselines,
     best_verifier,
     borda_ordering,
@@ -346,6 +348,43 @@ def test_train_loss_decreases_on_tiny_overfit():
     assert history.epochs[-1].train_loss < history.epochs[0].train_loss
     result = predict(data[0].graph, params)
     assert len(result.scores) == 3
+
+
+def test_flat_adam_equals_per_tensor_oracle():
+    flat, oracle = small_model(seed=4), small_model(seed=4)
+    adam, reference = _AdamState(flat), PerTensorAdam(oracle.trainables())
+    rng = np.random.default_rng(8)
+    for step in range(50):
+        lr = float(10.0 ** rng.uniform(-4, -1))
+        for a, b in zip(flat.trainables(), oracle.trainables()):
+            a.grad = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
+            b.grad = a.grad.copy()
+        adam.step(lr)
+        reference.step(lr)
+        for (name, a), b in zip(flat.named(), oracle.trainables()):
+            assert np.array_equal(a.values, b.values), (step, name)
+
+
+def test_adam_step_without_a_gradient_raises():
+    params = small_model()
+    adam = _AdamState(params)
+    for t in params.trainables():
+        t.grad = np.ones(t.shape)
+    params.head[-1].b.grad = None
+    before = params.vector.copy()
+    with pytest.raises(ValueError, match="head2.b"):
+        adam.step(1e-3)
+    assert np.array_equal(params.vector, before)
+
+
+def test_train_equals_unprepared_per_tensor_reference_loop():
+    data = training_data(8, seed=5)
+    cfg = TrainConfig(epochs=3, initial_lr=1e-2, seed=3)
+    params, history = train(data[:6], data[6:], small_model(seed=2), cfg)
+    want, want_history = reference_train(data[:6], data[6:], small_model(seed=2), cfg)
+    assert [(e.train_loss, e.val_loss, e.lr) for e in history.epochs] == want_history
+    for (name, a), b in zip(params.named(), want.trainables()):
+        assert np.array_equal(a.values, b.values), name
 
 
 # ---------------------------------------------------------------------------
