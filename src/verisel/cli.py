@@ -11,6 +11,7 @@ falling back to plain strings).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -324,7 +325,10 @@ def cmd_explain(args) -> int:
 # argument wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it as
+    it is and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="verisel",
         description="Rank software verifiers for C programs with a graph "

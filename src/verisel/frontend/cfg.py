@@ -56,9 +56,6 @@ class ControlEdges:
     def pairs(self) -> list[tuple[int, int]]:
         return sorted({(e.src, e.dst) for e in self.edges})
 
-    def tagged(self, tag: str) -> list[ControlEdge]:
-        return [e for e in self.edges if e.tag == tag]
-
 
 def function_definitions(ast: Ast) -> list[int]:
     """FunctionDecl ids that carry a body, in pre-order."""

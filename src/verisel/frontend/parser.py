@@ -3,7 +3,9 @@
 Produces a flat AST with pre-order node numbering. Structural punctuation
 (parentheses, braces, semicolons) is consumed but never materialized as
 nodes; declarations, statements, and expressions become nodes whose kind
-names follow the usual C AST vocabulary.
+names follow the usual C AST vocabulary. Binary operators are parsed by
+precedence climbing: one loop per operand looks each operator's tier up in
+``_BINARY_TIERS``, and every binary operator associates to the left.
 
 Supported: declarations (with pointers and array suffixes), typedefs,
 function definitions and prototypes, if/else, while, for, switch,
@@ -41,6 +43,7 @@ _BINARY_TIERS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_TIERS) for op in ops}
 
 UNARY_OPS = frozenset({"*", "&", "+", "-", "!", "~", "++", "--"})
 
@@ -111,12 +114,12 @@ class _N:
 
 
 def _flatten(root: _N) -> Ast:
-    nodes: list[AstNode] = []
+    nodes: list[AstNode | None] = []
 
     def visit(node: _N) -> int:
         node_id = len(nodes)
-        nodes.append(AstNode(node.kind, (), node.text))  # placeholder
-        child_ids = tuple(visit(child) for child in node.children)
+        nodes.append(None)  # reserves the pre-order id
+        child_ids = tuple([visit(child) for child in node.children])
         nodes[node_id] = AstNode(node.kind, child_ids, node.text)
         return node_id
 
@@ -428,18 +431,19 @@ class _Parser:
             raise UnsupportedConstruct("conditional operator", self.peek())
         return left
 
-    def parse_binary(self, tier: int) -> _N:
-        if tier >= len(_BINARY_TIERS):
-            return self.parse_unary()
-        ops = _BINARY_TIERS[tier]
-        node = self.parse_binary(tier + 1)
+    def parse_binary(self, level: int) -> _N:
+        """Operators of tier ``level`` or tighter, all left-associative."""
+        node = self.parse_unary()
         while True:
             token = self.peek()
-            if token is None or token.kind != "op" or token.text not in ops:
+            if token is None or token.kind != "op":
                 return node
             # '=' handled by parse_assignment; '&&'/'&' etc. disambiguated by text
+            op_level = _BINARY_LEVEL.get(token.text, -1)
+            if op_level < level:
+                return node
             self.take()
-            right = self.parse_binary(tier + 1)
+            right = self.parse_binary(op_level + 1)
             node = _N("BinaryOperator", [node, right], text=token.text)
 
     def parse_unary(self) -> _N:

@@ -125,9 +125,6 @@ class TokenVocabulary:
     def fingerprint(self) -> str:
         return hashlib.sha256("\n".join(self.kinds).encode("utf-8")).hexdigest()
 
-    def to_manifest(self) -> str:
-        return "\n".join(self.kinds) + "\n"
-
     @classmethod
     def from_manifest(cls, text: str) -> "TokenVocabulary":
         kinds = tuple(line.strip() for line in text.splitlines() if line.strip())
@@ -178,18 +175,6 @@ class ProgramGraph:
         if kinds and (min(kinds) < 0 or (vocab_size is not None and max(kinds) >= vocab_size)):
             idx = next(k for k in kinds if k < 0 or (vocab_size is not None and k >= vocab_size))
             raise SchemaError(f"node_kinds: index {idx} out of range")
-
-    def permuted(self, perm: Sequence[int]) -> "ProgramGraph":
-        """Relabel nodes: node i becomes perm[i]. Used by invariance tests."""
-        n = self.num_nodes
-        kinds = [0] * n
-        for old, new in enumerate(perm):
-            kinds[new] = self.node_kinds[old]
-        edge_sets = {
-            name: sorted((perm[s], perm[d]) for s, d in edges)
-            for name, edges in self.edge_sets.items()
-        }
-        return ProgramGraph(self.id, self.property, kinds, edge_sets)
 
 
 def serialize_graph(graph: ProgramGraph) -> str:

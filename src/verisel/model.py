@@ -492,17 +492,6 @@ def margin_rank_loss_t(scores: Tensor, labels: Sequence[float],
     return tz.mean_all(hinge)
 
 
-def margin_rank_loss(scores: Sequence[float], labels: Sequence[float],
-                     margin: float = 1.0) -> float:
-    """Float convenience wrapper over :func:`margin_rank_loss_t`."""
-    if len(scores) != len(labels) or len(scores) < 2:
-        raise LengthMismatch(
-            f"{len(scores)} scores vs {len(labels)} labels (need >= 2)"
-        )
-    with tz.no_grad():
-        return margin_rank_loss_t(tz.constant(list(scores)), labels, margin).item()
-
-
 # ---------------------------------------------------------------------------
 # model container (binary, versioned)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -382,64 +381,3 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = flow.get(id(parent))
             flow[id(parent)] = pg if acc is None else acc + pg
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checking
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    worst_input: int
-    worst_component: tuple[int, int]
-
-
-def grad_check(f, x, step: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare backward gradients of ``f`` against central differences.
-
-    ``x`` is a tensor or a sequence of tensors passed positionally to ``f``,
-    which must return a scalar tensor. Relative error per component is
-    ``|a - n| / max(1, |a|, |n|)``; the report passes iff the worst one is
-    below ``tolerance``.
-    """
-    xs = [x] if isinstance(x, Tensor) else list(x)
-    for t in xs:
-        t.requires_grad = True
-        t.zero_grad()
-    loss = f(*xs)
-    backward(loss)
-    analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros(t.shape) for t in xs
-    ]
-
-    worst = 0.0
-    worst_input = 0
-    worst_component = (0, 0)
-    with no_grad():
-        for idx, t in enumerate(xs):
-            base = t.values
-            for i in range(base.shape[0]):
-                for j in range(base.shape[1]):
-                    orig = base[i, j]
-                    base[i, j] = orig + step
-                    hi = f(*xs).item()
-                    base[i, j] = orig - step
-                    lo = f(*xs).item()
-                    base[i, j] = orig
-                    numeric = (hi - lo) / (2.0 * step)
-                    a = analytic[idx][i, j]
-                    err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                    if err > worst:
-                        worst = err
-                        worst_input = idx
-                        worst_component = (i, j)
-    return GradCheckReport(
-        max_rel_error=worst,
-        tolerance=tolerance,
-        passed=worst < tolerance,
-        worst_input=worst_input,
-        worst_component=worst_component,
-    )

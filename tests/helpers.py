@@ -12,10 +12,20 @@ import numpy as np
 
 from verisel import tensor as tz
 from verisel.frontend.cfg import function_definitions, owned_expr_roots
-from verisel.frontend.dataflow import DataEdge, DataEdges
+from verisel.frontend.dataflow import DataEdge, DataEdges, _walk_defs_uses
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
+from verisel.frontend.parser import (
+    _BINARY_TIERS,
+    ASSIGN_OPS,
+    UNARY_OPS,
+    Ast,
+    AstNode,
+    _N,
+    _Parser,
+)
 from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind, SchemaError
 from verisel.model import (
+    LengthMismatch,
     _encode_property,
     attention_pool,
     forward_scores,
@@ -875,6 +885,78 @@ def set_reaching_definitions(ast, icfg) -> DataEdges:
 
 
 # ---------------------------------------------------------------------------
+# FIFO-worklist reaching definitions: the bit-vector fixpoint that the
+# round-robin sweeps in reverse postorder replaced. Every CFG node is queued
+# once in id order; a node whose OUT changes re-queues its successors.
+
+
+def fifo_reaching_definitions(ast, icfg) -> DataEdges:
+    """Def-use edges for every definition that reaches a use along the ICFG."""
+    writes: dict[int, set[int]] = {}
+    uses: dict[int, dict[int, list[int]]] = {}
+    for n, node_writes, node_uses in _walk_defs_uses(ast):
+        writes[n], uses[n] = node_writes, node_uses
+    nodes = sorted(writes)
+    node_set = set(nodes)
+
+    def_nodes: list[int] = []  # bit i -> defining node
+    gen: dict[int, int] = {}
+    var_bits: dict[int, int] = {}
+    for n in nodes:
+        bits = 0
+        for var in writes[n]:
+            bit = 1 << len(def_nodes)
+            def_nodes.append(n)
+            var_bits[var] = var_bits.get(var, 0) | bit
+            bits |= bit
+        gen[n] = bits
+    kill: dict[int, int] = {}
+    for n in nodes:
+        bits = 0
+        for var in writes[n]:
+            bits |= var_bits[var]
+        kill[n] = bits
+
+    preds: dict[int, list[int]] = {n: [] for n in nodes}
+    succs: dict[int, list[int]] = {n: [] for n in nodes}
+    for edge in icfg.edges:
+        if edge.src in node_set and edge.dst in node_set:
+            preds[edge.dst].append(edge.src)
+            succs[edge.src].append(edge.dst)
+
+    in_bits: dict[int, int] = dict.fromkeys(nodes, 0)
+    out_bits: dict[int, int] = dict.fromkeys(nodes, 0)
+    worklist = deque(nodes)
+    queued = set(nodes)
+    while worklist:
+        n = worklist.popleft()
+        queued.discard(n)
+        incoming = 0
+        for p in preds[n]:
+            incoming |= out_bits[p]
+        in_bits[n] = incoming
+        out = gen[n] | (incoming & ~kill[n])
+        if out != out_bits[n]:
+            out_bits[n] = out
+            for s in succs[n]:
+                if s not in queued:
+                    queued.add(s)
+                    worklist.append(s)
+
+    edges: list[tuple[int, int, str]] = []
+    for n in nodes:
+        for var, refs in uses[n].items():
+            reaching = in_bits[n] & var_bits.get(var, 0)
+            name = ast.text(var) or ""
+            while reaching:
+                low = reaching & -reaching
+                reaching ^= low
+                def_node = def_nodes[low.bit_length() - 1]
+                edges.extend((def_node, ref, name) for ref in refs)
+    return DataEdges([DataEdge(*edge) for edge in sorted(edges)])
+
+
+# ---------------------------------------------------------------------------
 # Generated C programs for reaching-definitions property tests: globals,
 # helpers that call earlier helpers, nested if/while/for/switch, compound
 # assignments, increments, stores through a pointer and into an array, and
@@ -1007,3 +1089,193 @@ def c_programs():
         return GeneratedProgram(spell(0), spell(1), renamed)
 
     return programs()
+
+
+def call_heavy_program(helpers: int = 28) -> str:
+    """C source of a deterministic call-heavy program, about 5k AST nodes.
+
+    Helper ``h{k}`` calls every earlier helper inside a loop, and ``main``
+    calls them all. Return edges then lead back into every loop, so nearly
+    all CFG nodes form one strongly connected component of the ICFG.
+    Operands come from a seeded generator, so the text never changes.
+    """
+    rng = random.Random(helpers)
+    lines = ["int g0;", "int g1;"]
+    for k in range(helpers + 1):
+        names = ["a", "b", "c", "g0", "g1"] + (["n"] if k < helpers else [])
+
+        def operand() -> str:
+            return rng.choice(names + ["1", "2"])
+
+        lines += [f"int h{k}(int n) {{" if k < helpers else "int main() {",
+                  f"int a = {operand()};", "int b = 0;", "int c;", "int i;",
+                  f"for (i = 0; i < {operand()}; i++) {{"]
+        for j in range(k):
+            target = rng.choice(names[:5])
+            lines.append(f"{target} {rng.choice(['=', '+=', '-='])} "
+                         f"h{j}({operand()} {rng.choice('+-*')} {operand()});")
+            if rng.random() < 0.3:
+                lines.append(f"if ({operand()} < {operand()}) {{ {target}++; }} "
+                             f"else {{ g1 = {operand()}; }}")
+        lines += ["}", f"while ({operand()} != {operand()}) {{ b = b - 1; }}",
+                  f"return {operand()};", "}"]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Tier-per-level binary parsing: the recursion that precedence climbing in
+# verisel.frontend.parser replaced. Every operand descends through one call
+# per precedence tier, and the flattening builds each AST node twice.
+
+
+class TierParser(_Parser):
+    def parse_binary(self, tier: int):
+        if tier >= len(_BINARY_TIERS):
+            return self.parse_unary()
+        ops = _BINARY_TIERS[tier]
+        node = self.parse_binary(tier + 1)
+        while True:
+            token = self.peek()
+            if token is None or token.kind != "op" or token.text not in ops:
+                return node
+            self.take()
+            right = self.parse_binary(tier + 1)
+            node = _N("BinaryOperator", [node, right], text=token.text)
+
+
+def tier_parse(tokens) -> Ast:
+    """Parse with ``TierParser`` and flatten into a pre-order ``Ast``."""
+    nodes: list[AstNode] = []
+
+    def visit(node) -> int:
+        node_id = len(nodes)
+        nodes.append(AstNode(node.kind, (), node.text))  # placeholder
+        child_ids = tuple(visit(child) for child in node.children)
+        nodes[node_id] = AstNode(node.kind, child_ids, node.text)
+        return node_id
+
+    visit(TierParser(tokens).parse_translation_unit())
+    return Ast(tuple(nodes))
+
+
+def expression_sources():
+    """A hypothesis strategy of C sources around one generated expression.
+
+    Expressions mix every binary, unary and assignment operator with
+    parentheses, calls, subscripts, ``?:`` and casts (the last two are
+    unsupported). Half the sources are cut after a random token, so parsing
+    may also stop at the end of the input.
+    """
+    from hypothesis import strategies as st
+
+    binary = [op for tier in _BINARY_TIERS for op in tier]
+    assign = ["=", *sorted(ASSIGN_OPS)]
+    atoms = st.sampled_from(["a", "b", "n", "0", "7", "1.5", "'c'", '"s"'])
+
+    def same_tier_chain(ops, i: int, j: int, a: str, b: str, c: str) -> str:
+        return f"{a} {ops[i % len(ops)]} {b} {ops[j % len(ops)]} {c}"
+
+    def compound(inner):
+        return st.one_of(
+            st.builds("{} {} {}".format, inner, st.sampled_from(binary), inner),
+            st.builds(same_tier_chain, st.sampled_from(_BINARY_TIERS), st.integers(0, 3),
+                      st.integers(0, 3), inner, inner, inner),
+            st.builds("{} {}".format, st.sampled_from(sorted(UNARY_OPS)), inner),
+            st.builds("{} {}".format, inner, st.sampled_from(["++", "--"])),
+            st.builds("( {} )".format, inner),
+            st.builds("f ( {} , {} )".format, inner, inner),
+            st.builds("{} [ {} ]".format, inner, inner),
+            st.builds("{} {} {}".format, inner, st.sampled_from(assign), inner),
+            st.builds("{} ? {} : {}".format, inner, inner, inner),
+            st.builds("( int ) {}".format, inner),
+        )
+
+    expressions = st.recursive(atoms, compound, max_leaves=12)
+
+    @st.composite
+    def sources(draw) -> str:
+        expr = draw(expressions)
+        pieces = f"int f ( int n ) ; int main ( ) {{ int a , b ; {expr} ; }}".split(" ")
+        cut = draw(st.just(len(pieces)) | st.integers(0, len(pieces)))
+        return " ".join(pieces[:cut])
+
+    return sources()
+
+
+# ---------------------------------------------------------------------------
+# Conveniences that only tests use: finite-difference gradient checks, the
+# float form of the ranking loss, node relabelling, edges of one ICFG tag,
+# and the vocabulary manifest text.
+
+
+class GradCheck(NamedTuple):
+    max_rel_error: float
+    tolerance: float
+    passed: bool
+    worst_input: int
+    worst_component: tuple[int, int]
+
+
+def grad_check(f, x, step: float = 1e-5, tolerance: float = 1e-4) -> GradCheck:
+    """Compare backward gradients of ``f`` against central differences.
+
+    ``x`` is a tensor or a sequence of tensors passed positionally to ``f``,
+    which must return a scalar tensor. Relative error per component is
+    ``|a - n| / max(1, |a|, |n|)``; the check passes iff the worst one is
+    below ``tolerance``.
+    """
+    xs = [x] if isinstance(x, tz.Tensor) else list(x)
+    for t in xs:
+        t.requires_grad = True
+        t.zero_grad()
+    tz.backward(f(*xs))
+    analytic = [t.grad.copy() if t.grad is not None else np.zeros(t.shape) for t in xs]
+
+    worst = 0.0
+    worst_input = 0
+    worst_component = (0, 0)
+    with tz.no_grad():
+        for idx, t in enumerate(xs):
+            base = t.values
+            for i in range(base.shape[0]):
+                for j in range(base.shape[1]):
+                    orig = base[i, j]
+                    base[i, j] = orig + step
+                    hi = f(*xs).item()
+                    base[i, j] = orig - step
+                    lo = f(*xs).item()
+                    base[i, j] = orig
+                    numeric = (hi - lo) / (2.0 * step)
+                    a = analytic[idx][i, j]
+                    err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+                    if err > worst:
+                        worst, worst_input, worst_component = err, idx, (i, j)
+    return GradCheck(worst, tolerance, worst < tolerance, worst_input, worst_component)
+
+
+def margin_rank_loss(scores, labels, margin: float = 1.0) -> float:
+    """``margin_rank_loss_t`` on plain floats."""
+    if len(scores) != len(labels) or len(scores) < 2:
+        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels (need >= 2)")
+    with tz.no_grad():
+        return margin_rank_loss_t(tz.constant(list(scores)), labels, margin).item()
+
+
+def permuted_graph(graph: ProgramGraph, perm) -> ProgramGraph:
+    """Relabel nodes: node i becomes perm[i]."""
+    kinds = [0] * graph.num_nodes
+    for old, new in enumerate(perm):
+        kinds[new] = graph.node_kinds[old]
+    edge_sets = {name: sorted((perm[s], perm[d]) for s, d in edges)
+                 for name, edges in graph.edge_sets.items()}
+    return ProgramGraph(graph.id, graph.property, kinds, edge_sets)
+
+
+def tagged_edges(icfg, tag: str) -> list:
+    """The ICFG edges with one tag: flow, call, return or loop-back."""
+    return [e for e in icfg.edges if e.tag == tag]
+
+
+def vocabulary_manifest(vocab) -> str:
+    """The manifest text that ``TokenVocabulary.from_manifest`` reads."""
+    return "\n".join(vocab.kinds) + "\n"

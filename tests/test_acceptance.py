@@ -11,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import oracle_reaching_edges, random_graph, random_permutation
+from helpers import (
+    grad_check,
+    oracle_reaching_edges,
+    permuted_graph,
+    random_graph,
+    random_permutation,
+)
 from verisel import tensor as T
 from verisel.explain import explain, report_size, top_m_edges
 from verisel.frontend import build_icfg, parse_source, reaching_definitions
@@ -171,7 +177,7 @@ def test_criterion_3_end_to_end_gradients():
                         scores = forward_scores(graph, params)
                         return T.sum_all(T.elementwise_mul(scores, mix))
 
-                    check = T.grad_check(loss_fn, params.trainables(),
+                    check = grad_check(loss_fn, params.trainables(),
                                          step=1e-5, tolerance=1e-4)
                     assert check.passed, (layers, jk, edge_set, graph.id, check)
                     worst = max(worst, check.max_rel_error)
@@ -194,7 +200,7 @@ def test_criterion_4_permutation_invariance():
                              graph_id=f"perm{i}")
         perm = random_permutation(rng, graph.num_nodes)
         base = predict(graph, params).scores
-        shuffled = predict(graph.permuted(perm), params).scores
+        shuffled = predict(permuted_graph(graph, perm), params).scores
         worst = max(worst, max(abs(a - b) for a, b in zip(base, shuffled)))
     assert worst < 1e-9
     report(4, f"100 permuted graphs, max score delta {worst:.2e}",

@@ -1,10 +1,13 @@
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from verisel.cli import apply_env_overrides, main
+from helpers import permuted_graph
+from verisel.cli import apply_env_overrides, build_parser, main
 from verisel.graphio import (
     PropertyKind,
     TokenVocabulary,
@@ -225,7 +228,7 @@ def test_rank_permuted_graph_same_output(tmp_path, extracted, capsys):
     graph = load_graph(graph_path)
     perm = [int(v) for v in rng.permutation(graph.num_nodes)]
     permuted_path = tmp_path / "permuted.json"
-    save_graph(graph.permuted(perm), permuted_path)
+    save_graph(permuted_graph(graph, perm), permuted_path)
 
     main(["rank", "--model", str(model_path), "--graph", str(graph_path),
           "--property", "Termination", "--json"])
@@ -254,6 +257,47 @@ def test_rank_missing_model_file_is_runtime_error(tmp_path, extracted, capsys):
                  "--graph", str(graph), "--property", "ReachSafety"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_rank_json_flag_does_not_carry_over_to_the_next_call(tmp_path, extracted, capsys):
+    model = zero_model(tmp_path)
+    graph = next(iter(sorted(extracted.glob("*.json"))))
+    argv = ["rank", "--model", str(model), "--graph", str(graph), "--property", "ReachSafety"]
+    assert main([*argv, "--json"]) == 0
+    assert [e["verifier"] for e in json.loads(capsys.readouterr().out)["ranking"]] == list(PORTFOLIO)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["1.", "v0"], ["2.", "v1"], ["3.", "v2"]]
+
+
+def test_parser_is_built_once_and_threads_get_their_own_namespaces():
+    parser = build_parser()
+    assert build_parser() is parser
+    argvs = [["rank", "--model", f"m{i}", "--graph", f"g{i}", "--property", "ReachSafety",
+              *(["--json"] if i % 2 else [])] for i in range(4)]
+    start = threading.Barrier(len(argvs))
+    wrong: list[int] = []
+
+    def parse_many(i: int) -> None:
+        start.wait(timeout=10)
+        for _ in range(200):
+            args = parser.parse_args(argvs[i])
+            if (args.command, args.model, args.graph, args.json) != ("rank", f"m{i}", f"g{i}", bool(i % 2)):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_many, args=(i,)) for i in range(len(argvs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert parser.parse_args(argvs[0]) is not parser.parse_args(argvs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     c_programs,
+    call_heavy_program,
+    expression_sources,
+    fifo_reaching_definitions,
     node_defs_uses,
     oracle_cfg_nodes,
     oracle_reaching_edges,
     resolve_variables,
     scan_tokenize,
     set_reaching_definitions,
+    tagged_edges,
+    tier_parse,
 )
 from verisel.frontend import (
+    DataEdge,
+    DataEdges,
     GraphTooLarge,
     LexError,
     ParseError,
@@ -22,6 +29,7 @@ from verisel.frontend import (
     assemble_graph,
     build_icfg,
     extract_graph,
+    parse,
     parse_source,
     reaching_definitions,
     tokenize,
@@ -217,6 +225,50 @@ def test_parse_ast_is_preorder_tree():
     assert set(seen_parent) == set(range(1, len(ast)))  # a tree rooted at 0
 
 
+def sexpr(ast, node: int) -> str:
+    children = [sexpr(ast, child) for child in ast.children(node)]
+    head = ast.text(node) or ast.kind(node)
+    return f"({head} {' '.join(children)})" if children else head
+
+
+def test_parse_binary_operators_bind_by_tier_and_left_to_right():
+    ast = parse_source("int main(){ x = y = a - b - c * d % e << 1 < 2 == 3 & 4 ^ 5 | 6 && 7 || 8; }")
+    (stmt,) = ast.children(ast.children(ast.find("FunctionDecl")[0])[-1])
+    assert sexpr(ast, stmt) == (
+        "(= x (= y (|| (&& (| (^ (& (== (< (<< (- (- a b) (% (* c d) e)) 1) 2) 3) 4) 5) 6) 7) 8)))")
+
+
+def parsed(parse_fn, tokens):
+    """The AST nodes, or the error's class, message and offending token."""
+    try:
+        return parse_fn(tokens).nodes
+    except (ParseError, UnsupportedConstruct) as err:
+        return type(err).__name__, str(err), getattr(err, "found", None)
+
+
+def test_parse_equals_tier_oracle_on_corpus():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        tokens = tokenize(path.read_text())
+        assert parse(tokens).nodes == tier_parse(tokens).nodes, path.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_parse_equals_tier_oracle_on_generated_programs(program):
+    for source in (program.source, program.unshadowed):
+        tokens = tokenize(source)
+        assert parse(tokens).nodes == tier_parse(tokens).nodes
+
+
+@settings(max_examples=500, deadline=None)
+@given(expression_sources())
+def test_parse_equals_tier_oracle_on_expressions_and_their_errors(source):
+    tokens = tokenize(source)
+    assert parsed(parse, tokens) == parsed(tier_parse, tokens)
+
+
 def test_parse_typedef_registers_type_name():
     ast = parse_source("typedef int myint;\nint main(){ myint x; x = 1; return x; }")
     assert ast.find("TypedefDecl")
@@ -249,7 +301,7 @@ def test_icfg_alias_main_return_convention():
     ast, icfg, _ = pipeline(ALIAS_OF_RETURN)
     main_decl = [f for f in ast.find("FunctionDecl") if ast.text(f) == "main"][0]
     if_stmt = find_stmt(ast, "IfStmt")
-    returns = {(e.src, e.dst) for e in icfg.tagged("return")}
+    returns = {(e.src, e.dst) for e in tagged_edges(icfg, "return")}
     assert (if_stmt, main_decl) in returns  # no return in main: last stmt -> header
 
 
@@ -257,7 +309,7 @@ def test_icfg_entry_edge_for_called_function():
     ast, icfg, _ = pipeline(ALIAS_OF_RETURN)
     err_decl = [f for f in ast.find("FunctionDecl") if ast.text(f) == "err"][0]
     label = find_stmt(ast, "LabelStmt")
-    flows = {(e.src, e.dst) for e in icfg.tagged("flow")}
+    flows = {(e.src, e.dst) for e in tagged_edges(icfg, "flow")}
     assert (err_decl, label) in flows  # function header -> its body
 
 
@@ -283,14 +335,14 @@ def test_icfg_two_functions_exact_edges():
         (f_ret, assign, "return"),
     }
     assert {(e.src, e.dst, e.tag) for e in icfg.edges} == expected
-    assert len(icfg.tagged("call")) == 1
-    assert len(icfg.tagged("return")) == 1
+    assert len(tagged_edges(icfg, "call")) == 1
+    assert len(tagged_edges(icfg, "return")) == 1
 
 
 def test_icfg_unresolved_externals_reported_not_wired():
     source = "int main() { int x; x = __VERIFIER_nondet_int(); return x; }"
     ast, icfg, _ = pipeline(source)
-    assert not icfg.tagged("call")
+    assert not tagged_edges(icfg, "call")
     assert any("__VERIFIER_nondet_int" in d for d in icfg.diagnostics)
 
 
@@ -445,17 +497,39 @@ def test_reaching_equals_set_pass_on_corpus():
     for path in sources:
         ast, icfg, dfg = pipeline(path.read_text())
         assert dfg.edges == set_reaching_definitions(ast, icfg).edges, path.name
+        assert dfg.edges == fifo_reaching_definitions(ast, icfg).edges, path.name
 
 
 @settings(max_examples=100, deadline=None)
 @given(c_programs())
 def test_reaching_matches_set_pass_and_path_oracle_on_generated_programs(program):
-    ast, icfg, dfg = pipeline(program.source)
-    assert dfg.edges == set_reaching_definitions(ast, icfg).edges
+    for source in (program.unshadowed, program.source):
+        ast, icfg, dfg = pipeline(source)
+        assert dfg.edges == set_reaching_definitions(ast, icfg).edges
+        assert dfg.edges == fifo_reaching_definitions(ast, icfg).edges
     plain = parse_source(program.unshadowed)
     want = {(src, dst, program.renamed.get(var, var))
             for src, dst, var in oracle_reaching_edges(plain, build_icfg(plain))}
-    assert {(e.src, e.dst, e.var) for e in dfg.edges} == want
+    assert {(e.src, e.dst, e.var) for e in dfg.edges} == want  # dfg of program.source
+
+
+def test_round_robin_pass_equals_fifo_pass_on_a_call_heavy_program():
+    # nearly every CFG node sits on one ICFG cycle through return edges
+    ast, icfg, dfg = pipeline(call_heavy_program())
+    assert len(ast) > 4500
+    fifo = fifo_reaching_definitions(ast, icfg)
+    assert dfg.edges == fifo.edges
+    assert dfg.pairs() == fifo.pairs()
+
+
+def test_data_edges_pairs_are_sorted_and_distinct_in_any_order():
+    edges = [DataEdge(5, 9, "x"), DataEdge(1, 4, "y"), DataEdge(5, 9, "z"), DataEdge(1, 2, "x")]
+    want = [(1, 2), (1, 4), (5, 9)]
+    assert DataEdges(edges).pairs() == want
+    assert DataEdges(sorted(edges)).pairs() == want
+    assert sorted(edges)[:2] == [DataEdge(1, 2, "x"), DataEdge(1, 4, "y")]
+    assert len(set(edges + edges)) == 4
+    assert (edges[0].src, edges[0].dst, edges[0].var) == (5, 9, "x")
 
 
 def assert_walk_matches_two_pass_oracle(source):

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_deserialize_graph, oracle_serialize_graph, random_graph
+from helpers import (
+    oracle_deserialize_graph,
+    oracle_serialize_graph,
+    random_graph,
+    vocabulary_manifest,
+)
 from verisel.frontend import extract_graph
 from verisel.graphio import (
     EmptyStratumWarning,
@@ -45,7 +50,7 @@ def test_vocabulary_requires_unknown_first():
 
 def test_vocabulary_manifest_round_trip():
     vocab = TokenVocabulary.default()
-    again = TokenVocabulary.from_manifest(vocab.to_manifest())
+    again = TokenVocabulary.from_manifest(vocabulary_manifest(vocab))
     assert again == vocab
     assert again.fingerprint() == vocab.fingerprint()
     assert vocab.index_of("NoSuchKind") == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import grad_check
 from verisel import tensor as T
 
 
@@ -143,7 +144,7 @@ def _check(op, xs, rng, seed):
     def f(*args):
         return T.sum_all(T.elementwise_mul(op(*args), w))
 
-    report = T.grad_check(f, xs, step=1e-5, tolerance=1e-4)
+    report = grad_check(f, xs, step=1e-5, tolerance=1e-4)
     assert report.passed, f"seed={seed}: {report}"
 
 
@@ -201,14 +202,14 @@ def test_grad_check_all_primitives(seed):
 def test_grad_check_exact_for_sum():
     # a zero matrix keeps the central difference exact in floating point
     x = T.Tensor(np.zeros((3, 3)), requires_grad=True)
-    report = T.grad_check(T.sum_all, x)
+    report = grad_check(T.sum_all, x)
     assert report.max_rel_error == 0.0
     y = T.Tensor(np.random.default_rng(3).standard_normal((3, 3)), requires_grad=True)
-    assert T.grad_check(T.sum_all, y).max_rel_error < 1e-9
+    assert grad_check(T.sum_all, y).max_rel_error < 1e-9
 
 
 def test_grad_check_constant_function():
     # softmax rows each sum to 1, so the summed output is constant
     x = T.Tensor(np.random.default_rng(4).standard_normal((3, 4)), requires_grad=True)
-    report = T.grad_check(lambda t: T.sum_all(T.softmax_rows(t)), x)
+    report = grad_check(lambda t: T.sum_all(T.softmax_rows(t)), x)
     assert report.passed
