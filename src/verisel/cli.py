@@ -15,13 +15,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .explain import explain, to_dot, top_m_edges
-from .frontend import FrontendError, extract_graph
+from .explain import UnknownEdgeSets, explain, to_dot, top_m_edges
+from .frontend import DEFAULT_MAX_NODES, FrontendError, extract_graph
 from .graphio import (
     ProgramGraph,
     PropertyKind,
@@ -227,7 +227,7 @@ def cmd_train(args) -> int:
     )
     train_cfg = config.train
     if args.seed is not None:
-        train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed})
+        train_cfg = replace(train_cfg, seed=args.seed)
     init = init_parameters(config.model, vocab, config.portfolio,
                            seed=train_cfg.seed)
     params, history = train(train_set, val_set, init, train_cfg)
@@ -304,12 +304,15 @@ def cmd_explain(args) -> int:
     params = load_model(args.model)
     graph = load_graph(args.graph)
     vocab = _load_vocab(args.vocab)
-    mask = explain(
-        params, graph,
-        iters=args.iters, lr=args.lr,
-        size_weight=args.size_weight, entropy_weight=args.entropy_weight,
-        edge_sets=tuple(args.edge_sets.split(",")) if args.edge_sets else None,
-    )
+    try:
+        mask = explain(
+            params, graph,
+            iters=args.iters, lr=args.lr,
+            size_weight=args.size_weight, entropy_weight=args.entropy_weight,
+            edge_sets=tuple(args.edge_sets.split(",")) if args.edge_sets else None,
+        )
+    except UnknownEdgeSets as err:
+        raise UsageError(f"--edge-sets: {err}") from err
     report = top_m_edges(mask, graph, vocab)
     text = report.to_json()
     if args.out:
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", default="ReachSafety",
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")
-    p.add_argument("--max-nodes", type=int, default=100_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--json", action="store_true", help="stats as JSON")
     p.set_defaults(func=cmd_extract)
 

@@ -23,6 +23,10 @@ from .model import EmptyGraph, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
 
+class UnknownEdgeSets(ValueError):
+    """Edge-set names other than those of ``graphio.EDGE_SET_NAMES``."""
+
+
 @dataclass(frozen=True)
 class MaskedEdge:
     edge_set: str
@@ -111,12 +115,16 @@ def explain(
     """Optimize per-edge keep scores against the model's original prediction.
 
     ``edge_sets`` restricts masking to a subset (default: every edge set the
-    model is configured to read). Deterministic for fixed inputs; ``seed``
-    only matters when ``init_noise`` jitters the initial logits.
+    model is configured to read); an unknown name raises
+    :class:`UnknownEdgeSets`. Deterministic for fixed inputs; ``seed`` only
+    matters when ``init_noise`` jitters the initial logits.
     """
     if graph.num_nodes == 0:
         raise EmptyGraph(f"graph {graph.id} has no nodes")
     sets = tuple(edge_sets) if edge_sets is not None else params.config.edge_sets
+    unknown = sorted(set(sets) - set(EDGE_SET_NAMES))
+    if unknown:
+        raise UnknownEdgeSets(f"unknown edge sets: {', '.join(unknown)}")
     edges = maskable_edges(graph, sets)
     if not edges:
         return EdgeMask(graph.id, [], [], [])

@@ -4,9 +4,13 @@ CFG nodes are statement-level AST nodes plus FunctionDecl nodes. Compound
 statements are transparent; label/case wrappers are pass-through nodes that
 flow into their inner statement. ``sub_statements`` names the statements
 nested directly in a node; ``owned_expr_roots`` names the expressions a node
-evaluates itself. Wiring a function body walks it once and records its
-statement-level nodes in pre-order, and call/return wiring loops over those
-lists.
+evaluates itself. Wiring a function body walks it once. At each
+statement-level node the walk resolves names lexically (globals, then
+parameters, then a scope per ``CompoundStmt`` and per ``ForStmt``) and
+records in ``ControlEdges.accesses`` the variables the node writes and the
+identifier nodes that read each variable. Stores through pointers or array
+elements write nothing (no alias analysis). The same walk records the callee
+names in pre-order, and call/return wiring loops over them.
 
 Interprocedural wiring, per call site ``cs`` of a function ``f`` defined in
 the same translation unit:
@@ -29,6 +33,7 @@ diagnostics list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .parser import Ast
 
@@ -41,8 +46,7 @@ SIMPLE_STMT_KINDS = frozenset({
 WRAPPER_KINDS = frozenset({"LabelStmt", "CaseStmt", "DefaultStmt"})
 
 
-@dataclass(frozen=True)
-class ControlEdge:
+class ControlEdge(NamedTuple):
     src: int
     dst: int
     tag: str  # flow | call | return | loop-back
@@ -51,10 +55,13 @@ class ControlEdge:
 @dataclass
 class ControlEdges:
     edges: list[ControlEdge]
+    # CFG node -> (written var ids, {var id: [reading DeclRefExpr ids]}); a
+    # FunctionDecl writes its named parameters
+    accesses: dict[int, tuple[set[int], dict[int, list[int]]]]
     diagnostics: list[str] = field(default_factory=list)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted({(e.src, e.dst) for e in self.edges})
+        return sorted({(src, dst) for src, dst, _ in self.edges})
 
 
 def function_definitions(ast: Ast) -> list[int]:
@@ -113,11 +120,15 @@ def last_statement(ast: Ast, body: int) -> int | None:
 
 
 class _FunctionWiring:
-    def __init__(self, ast: Ast, add_edge, diagnostics: list[str]):
+    def __init__(self, ast: Ast, add_edge, diagnostics: list[str],
+                 accesses: dict, scopes: list[dict[str, int]]):
         self.ast = ast
         self.add_edge = add_edge
         self.diagnostics = diagnostics
-        self.nodes: list[int] = []  # statement-level nodes, pre-order
+        self.accesses = accesses
+        self.scopes = scopes  # innermost last
+        self.entry: int | None = None  # first statement-level node
+        self.calls: list[tuple[int, str]] = []  # (node, callee name), pre-order
         self.returns: list[int] = []
         self.loop_stack: list[int] = []
         self.break_stack: list[list[int]] = []
@@ -127,12 +138,25 @@ class _FunctionWiring:
         ast = self.ast
         kind = ast.kind(stmt)
 
-        if kind != "CompoundStmt":
-            self.nodes.append(stmt)
-            for p in preds:
-                self.add_edge(p, stmt, "flow")
+        if kind == "CompoundStmt":
+            self.scopes.append({})
+            for child in ast.children(stmt):
+                preds = self.wire(child, preds)
+            self.scopes.pop()
+            return preds
+        if kind == "ForStmt":
+            self.scopes.append({})  # a declaration in the header ends with the body
+        if self.entry is None:
+            self.entry = stmt
+        writes: set[int] = set()
+        uses: dict[int, list[int]] = {}
+        for root in owned_expr_roots(ast, stmt):
+            self.gather(stmt, root, writes, uses)
+        self.accesses[stmt] = (writes, uses)
+        for p in preds:
+            self.add_edge(p, stmt, "flow")
+        if kind in WRAPPER_KINDS:
             preds = [stmt]
-        if kind == "CompoundStmt" or kind in WRAPPER_KINDS:
             for child in sub_statements(ast, stmt):
                 preds = self.wire(child, preds)
             return preds
@@ -165,6 +189,8 @@ class _FunctionWiring:
             self.loop_stack.append(stmt)
             self.break_stack.append([])
             body_exits = self.wire(body, [stmt])
+            if kind == "ForStmt":
+                self.scopes.pop()
             self.loop_stack.pop()
             breaks = self.break_stack.pop()
             for x in body_exits:
@@ -185,6 +211,50 @@ class _FunctionWiring:
             return _dedupe(exits)
         # simple statement
         return [stmt]
+
+    def gather(self, stmt: int, root: int, writes: set[int],
+               uses: dict[int, list[int]]) -> None:
+        """Record the writes, reads and calls of one expression of ``stmt``."""
+        ast = self.ast
+        kind = ast.kind(root)
+        children = ast.children(root)
+        if kind == "VarDecl":
+            self.scopes[-1][ast.text(root) or ""] = root  # before its initializer
+            writes.add(root)
+        elif kind == "DeclRefExpr":
+            var = self.lookup(root)
+            if var is not None:
+                uses.setdefault(var, []).append(root)
+            return
+        elif kind == "CallExpr":
+            callee, *children = children  # the callee name is not a variable use
+            self.calls.append((stmt, _callee_name(ast, root)))
+            if ast.kind(callee) != "DeclRefExpr":
+                # f(x)(2), (*p)(x): reads in the callee go unrecorded, but
+                # the calls it makes still run
+                self.calls.extend((stmt, _callee_name(ast, node))
+                                  for node in ast.walk(callee)
+                                  if ast.kind(node) == "CallExpr")
+        elif (kind == "CompoundAssignOperator" or (
+                kind == "BinaryOperator" and ast.text(root) == "=") or (
+                kind == "UnaryOperator" and ast.text(root) in ("++", "--"))):
+            # a store through *p or a[i] writes nothing; its operands are reads
+            target = children[0]
+            if ast.kind(target) == "DeclRefExpr":
+                var = self.lookup(target)
+                if var is not None:
+                    writes.add(var)
+                if kind == "BinaryOperator":  # plain store: no read
+                    children = children[1:]
+        for child in children:
+            self.gather(stmt, child, writes, uses)
+
+    def lookup(self, ref: int) -> int | None:
+        name = self.ast.text(ref) or ""
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return None
 
 
 def _dedupe(items: list[int]) -> list[int]:
@@ -212,28 +282,20 @@ def _collect_cases(ast: Ast, body: int) -> list[int]:
     return out
 
 
-def _call_sites(ast: Ast, cfg_node: int) -> list[str]:
-    """Callee names invoked by the expressions owned by one CFG node."""
-    names = []
-    for root in owned_expr_roots(ast, cfg_node):
-        for node in ast.walk(root):
-            if ast.kind(node) != "CallExpr":
-                continue
-            callee = ast.children(node)[0]
-            if ast.kind(callee) == "DeclRefExpr":
-                names.append(ast.text(callee) or "")
-            else:
-                names.append("")
-    return names
+def _callee_name(ast: Ast, call: int) -> str:
+    """The function a CallExpr names, or "" when its callee is computed."""
+    callee = ast.children(call)[0]
+    return (ast.text(callee) or "") if ast.kind(callee) == "DeclRefExpr" else ""
 
 
 def build_icfg(ast: Ast) -> ControlEdges:
     """Derive flow, loop-back, call, and return edges for the whole unit."""
-    edges: set[ControlEdge] = set()
+    edges: set[tuple[int, int, str]] = set()
+    accesses: dict[int, tuple[set[int], dict[int, list[int]]]] = {}
     diagnostics: list[str] = []
 
     def add_edge(src: int, dst: int, tag: str) -> None:
-        edges.add(ControlEdge(src, dst, tag))
+        edges.add((src, dst, tag))
 
     functions = function_definitions(ast)
     fn_by_name: dict[str, int] = {}
@@ -243,12 +305,20 @@ def build_icfg(ast: Ast) -> ControlEdges:
             diagnostics.append(f"node {fn}: redefinition of {name}")
             continue
         fn_by_name[name] = fn
+    global_scope: dict[str, int] = {}
+    for child in ast.children(ast.root):
+        if ast.kind(child) == "DeclStmt":
+            for var in ast.children(child):
+                global_scope[ast.text(var) or ""] = var
 
     wirings: dict[int, _FunctionWiring] = {}
     exits: dict[int, list[int]] = {}
     for fn in functions:
-        body = ast.children(fn)[-1]
-        wiring = wirings[fn] = _FunctionWiring(ast, add_edge, diagnostics)
+        *params, body = ast.children(fn)
+        named = [p for p in params if ast.text(p)]
+        accesses[fn] = (set(named), {})
+        scopes = [global_scope, {ast.text(p): p for p in named}]
+        wiring = wirings[fn] = _FunctionWiring(ast, add_edge, diagnostics, accesses, scopes)
         wiring.wire(body, [])
         last = last_statement(ast, body)
         if wiring.returns:
@@ -261,19 +331,19 @@ def build_icfg(ast: Ast) -> ControlEdges:
 
     # call/return wiring
     for fn in functions:
-        for cfg_node in wirings[fn].nodes:
-            for name in _call_sites(ast, cfg_node):
-                callee = fn_by_name.get(name)
-                if callee is None:
-                    diagnostics.append(
-                        f"node {cfg_node}: unresolved call to {name or '<indirect>'}"
-                    )
-                    continue
-                add_edge(cfg_node, callee, "call")
-                if wirings[callee].nodes:
-                    add_edge(callee, wirings[callee].nodes[0], "flow")
-                for ep in exits[callee]:
-                    add_edge(ep, cfg_node, "return")
+        for cfg_node, name in wirings[fn].calls:
+            callee = fn_by_name.get(name)
+            if callee is None:
+                diagnostics.append(
+                    f"node {cfg_node}: unresolved call to {name or '<indirect>'}"
+                )
+                continue
+            add_edge(cfg_node, callee, "call")
+            entry = wirings[callee].entry
+            if entry is not None:
+                add_edge(callee, entry, "flow")
+            for ep in exits[callee]:
+                add_edge(ep, cfg_node, "return")
 
-    ordered = sorted(edges, key=lambda e: (e.src, e.dst, e.tag))
-    return ControlEdges(ordered, diagnostics)
+    ordered = list(map(ControlEdge._make, sorted(edges)))
+    return ControlEdges(ordered, accesses, diagnostics)

@@ -22,17 +22,16 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tz
-from .graphio import NUM_PROPERTIES, ProgramGraph, PropertyKind, TokenVocabulary
+from .graphio import EDGE_SET_NAMES, NUM_PROPERTIES, ProgramGraph, PropertyKind, TokenVocabulary
 from .tensor import Tensor
 
-EDGE_SET_CHOICES = ("AST", "ICFG", "DFG")
 MODEL_FORMAT_VERSION = 1
 
 
@@ -55,7 +54,7 @@ class ModelFormatError(Exception):
 @dataclass(frozen=True)
 class ModelConfig:
     num_gat_layers: int = 1
-    edge_sets: tuple[str, ...] = ("AST", "ICFG", "DFG")
+    edge_sets: tuple[str, ...] = EDGE_SET_NAMES
     jumping_knowledge: bool = True
     gat_width: int = 32
     pool_hidden: tuple[int, ...] = (64, 12)
@@ -66,7 +65,7 @@ class ModelConfig:
     def __post_init__(self):
         if not 0 <= self.num_gat_layers <= 5:
             raise ValueError("num_gat_layers must be in 0..5")
-        bad = set(self.edge_sets) - set(EDGE_SET_CHOICES)
+        bad = set(self.edge_sets) - set(EDGE_SET_NAMES)
         if bad:
             raise ValueError(f"unknown edge sets: {sorted(bad)}")
         if len(set(self.edge_sets)) != len(self.edge_sets):
@@ -103,10 +102,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         kwargs = dict(data)
-        kwargs["edge_sets"] = tuple(kwargs.get("edge_sets", EDGE_SET_CHOICES))
-        kwargs["pool_hidden"] = tuple(kwargs.get("pool_hidden", (64, 12)))
-        if kwargs.get("head_hidden") is not None:
-            kwargs["head_hidden"] = tuple(kwargs["head_hidden"])
+        for key in ("edge_sets", "pool_hidden", "head_hidden"):
+            if kwargs.get(key) is not None:
+                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
 
@@ -139,29 +137,27 @@ class ModelParameters:
     gat: list[GatLayerParams] = field(init=False)
     pool: list[AffineParams] = field(init=False)
     head: list[AffineParams] = field(init=False)
+    _views: dict[str, Tensor] = field(init=False, repr=False)
 
     def __post_init__(self):
-        views: dict[str, Tensor] = {}
+        self._views = {}
         offset = 0
         for name, (rows, cols), _ in _parameter_layout(
                 self.config, self.vocab_size, len(self.portfolio)):
             block = self.vector[offset:offset + rows * cols].reshape(rows, cols)
-            views[name] = Tensor(block, requires_grad=True)
+            self._views[name] = Tensor(block, requires_grad=True)
             offset += rows * cols
         if self.vector.shape != (offset,) or self.vector.dtype != np.float64:
             raise ValueError(f"parameters need a float64 vector of {offset} values")
-        self.gat, self.pool, self.head = _assemble_layers(self.config, views.__getitem__)
+        layers: dict[str, list[list[Tensor]]] = {"gat": [], "pool": [], "head": []}
+        for layer, group in groupby(self._views.items(), key=lambda kv: kv[0].split(".")[0]):
+            layers[layer.rstrip("0123456789")].append([t for _, t in group])
+        self.gat = [GatLayerParams(*tensors) for tensors in layers["gat"]]
+        self.pool = [AffineParams(*tensors) for tensors in layers["pool"]]
+        self.head = [AffineParams(*tensors) for tensors in layers["head"]]
 
     def named(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, layer in enumerate(self.gat):
-            out += [(f"gat{i}.w_in", layer.w_in), (f"gat{i}.w_out", layer.w_out),
-                    (f"gat{i}.attn", layer.attn)]
-        for i, layer in enumerate(self.pool):
-            out += [(f"pool{i}.w", layer.w), (f"pool{i}.b", layer.b)]
-        for i, layer in enumerate(self.head):
-            out += [(f"head{i}.w", layer.w), (f"head{i}.b", layer.b)]
-        return out
+        return list(self._views.items())
 
     def trainables(self) -> list[Tensor]:
         return [t for _, t in self.named()]
@@ -176,7 +172,11 @@ class ModelParameters:
 
 def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
                       ) -> list[tuple[str, tuple[int, int], int]]:
-    """(name, shape, fan-in) of every trainable, in :meth:`ModelParameters.named` order."""
+    """(name, shape, fan-in) of every trainable, in the order of ``vector``.
+
+    A name is ``<layer>.<parameter>``, and each layer lists its parameters in
+    the field order of :class:`GatLayerParams` or :class:`AffineParams`.
+    """
     layout = []
     d_in = vocab_size
     for i in range(config.num_gat_layers):
@@ -196,23 +196,6 @@ def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
     hidden = config.head_hidden or (head_in, max(1, head_in // 2))
     affine("head", [head_in, *hidden, portfolio_size])
     return layout
-
-
-def _assemble_layers(config: ModelConfig, take):
-    """GAT, pool and head layer lists, each parameter from ``take(name)``.
-
-    The names are those of :meth:`ModelParameters.named`.
-    """
-    gat = [
-        GatLayerParams(take(f"gat{i}.w_in"), take(f"gat{i}.w_out"),
-                       take(f"gat{i}.attn"))
-        for i in range(config.num_gat_layers)
-    ]
-    pool = [AffineParams(take(f"pool{i}.w"), take(f"pool{i}.b"))
-            for i in range(len(config.pool_hidden) + 1)]
-    head = [AffineParams(take(f"head{i}.w"), take(f"head{i}.b"))
-            for i in range(len(config.head_hidden or (0, 0)) + 1)]
-    return gat, pool, head
 
 
 @dataclass(frozen=True)
@@ -524,16 +507,21 @@ def load_model(path: str | Path) -> ModelParameters:
         header = json.loads(data[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ModelFormatError(f"bad header: {err}") from err
+    if not isinstance(header, dict):
+        raise ModelFormatError("bad header: not a JSON object")
     version = header.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version: {version!r}")
     try:
         config = ModelConfig.from_dict(header["config"])
-        portfolio = tuple(header["portfolio"])
+        portfolio = header["portfolio"]
         fingerprint = header["vocab_fingerprint"]
         vocab_size = int(header["vocab_size"])
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"bad header: {err}") from err
+    if not (isinstance(portfolio, list) and portfolio
+            and all(isinstance(v, str) for v in portfolio)):
+        raise ModelFormatError("bad header: portfolio must be a non-empty list of strings")
 
     blocks: dict[str, np.ndarray] = {}
     offset = newline + 1
@@ -565,7 +553,7 @@ def load_model(path: str | Path) -> ModelParameters:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
     return ModelParameters(
         config=config,
-        portfolio=portfolio,
+        portfolio=tuple(portfolio),
         vocab_fingerprint=fingerprint,
         vocab_size=vocab_size,
         vector=np.concatenate(parts).astype(np.float64, copy=False),

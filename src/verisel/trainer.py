@@ -341,17 +341,6 @@ class TrainConfig:
         if min(self.initial_lr, self.lr_decay_factor, self.min_lr, self.margin) <= 0:
             raise ValueError("rates, factor, floor, and margin must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "initial_lr": self.initial_lr,
-            "plateau_patience": self.plateau_patience,
-            "lr_decay_factor": self.lr_decay_factor,
-            "min_lr": self.min_lr,
-            "margin": self.margin,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         return cls(**data)
@@ -428,15 +417,17 @@ def _instance_loss(graph: ModelInput, labels: Sequence[float],
     return margin_rank_loss_t(forward_scores(graph, params), labels, margin)
 
 
-class _AdamState:
-    """First/second moment estimates (beta 0.9/0.999) over ``params.vector``."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: ModelParameters, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class _AdamState:
+    """First/second moment estimates over ``params.vector``."""
+
+    def __init__(self, params: ModelParameters):
         self.vector = params.vector
         self.named = params.named()
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros_like(self.vector)
         self.v = np.zeros_like(self.vector)
@@ -452,22 +443,22 @@ class _AdamState:
         grad, work = self._grad, self._work
         np.concatenate([t.grad.ravel() for _, t in self.named], out=grad)
         self.step_count += 1
-        correct1 = 1.0 - self.beta1 ** self.step_count
-        correct2 = 1.0 - self.beta2 ** self.step_count
+        correct1 = 1.0 - ADAM_BETA1 ** self.step_count
+        correct2 = 1.0 - ADAM_BETA2 ** self.step_count
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g ** 2;
         # vector -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
-        self.m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=work)
+        self.m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
         self.m += work
-        self.v *= self.beta2
+        self.v *= ADAM_BETA2
         np.square(grad, out=grad)
-        grad *= 1.0 - self.beta2
+        grad *= 1.0 - ADAM_BETA2
         self.v += grad
         np.divide(self.m, correct1, out=work)
         work *= lr
         np.divide(self.v, correct2, out=grad)
         np.sqrt(grad, out=grad)
-        grad += self.eps
+        grad += ADAM_EPS
         work /= grad
         self.vector -= work
 

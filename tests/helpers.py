@@ -12,7 +12,7 @@ import numpy as np
 
 from verisel import tensor as tz
 from verisel.frontend.cfg import function_definitions, owned_expr_roots
-from verisel.frontend.dataflow import DataEdge, DataEdges, _walk_defs_uses
+from verisel.frontend.dataflow import DataEdge, DataEdges
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
 from verisel.frontend.parser import (
     _BINARY_TIERS,
@@ -639,8 +639,8 @@ def oracle_reaching_edges(ast, icfg) -> set[tuple[int, int, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Two-pass def/use oracle: the passes that the single scoped walk in
-# verisel.frontend.dataflow replaced. ``resolve_variables`` first maps every
+# Two-pass def/use oracle: the passes that the single scoped walk of the
+# ICFG wiring in verisel.frontend.cfg replaced. ``resolve_variables`` first maps every
 # DeclRefExpr of every function body to its declaration; ``node_defs_uses``
 # then walks one CFG node's expressions again and looks each name up in that
 # table.
@@ -815,6 +815,23 @@ def node_defs_uses(ast, res: _Resolution, cfg_node: int):
     return writes, uses
 
 
+def oracle_call_sites(ast, cfg_node: int) -> list[str]:
+    """Callee names invoked by the expressions owned by one CFG node, in
+    pre-order; "" for a computed callee. A separate scan of every owned
+    expression, the one the ICFG wiring walk replaced."""
+    names = []
+    for root in owned_expr_roots(ast, cfg_node):
+        for node in ast.walk(root):
+            if ast.kind(node) != "CallExpr":
+                continue
+            callee = ast.children(node)[0]
+            if ast.kind(callee) == "DeclRefExpr":
+                names.append(ast.text(callee) or "")
+            else:
+                names.append("")
+    return names
+
+
 def oracle_cfg_nodes(ast) -> list[int]:
     """Every CFG node, sorted: function decls plus each body's statement spine."""
     nodes = []
@@ -892,10 +909,8 @@ def set_reaching_definitions(ast, icfg) -> DataEdges:
 
 def fifo_reaching_definitions(ast, icfg) -> DataEdges:
     """Def-use edges for every definition that reaches a use along the ICFG."""
-    writes: dict[int, set[int]] = {}
-    uses: dict[int, dict[int, list[int]]] = {}
-    for n, node_writes, node_uses in _walk_defs_uses(ast):
-        writes[n], uses[n] = node_writes, node_uses
+    writes = {n: node_writes for n, (node_writes, _) in icfg.accesses.items()}
+    uses = {n: node_uses for n, (_, node_uses) in icfg.accesses.items()}
     nodes = sorted(writes)
     node_set = set(nodes)
 

@@ -358,6 +358,17 @@ def test_explain_writes_report_and_dot(tmp_path, extracted):
     assert dot.startswith("digraph") and "->" in dot
 
 
+def test_explain_unknown_edge_set_is_usage_error(tmp_path, extracted, capsys):
+    model = zero_model(tmp_path)
+    graph = sorted(extracted.glob("*.json"))[0]
+    report_path = tmp_path / "report.json"
+    code = main(["explain", "--model", str(model), "--graph", str(graph),
+                 "-o", str(report_path), "--iters", "0", "--edge-sets", "DFX"])
+    assert code == 2
+    assert "unknown edge sets: DFX" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_explain_stdout_by_default(tmp_path, extracted, capsys):
     model = zero_model(tmp_path)
     graph = sorted(extracted.glob("*.json"))[0]

@@ -128,6 +128,13 @@ def test_explain_restricted_edge_sets():
     assert [e.edge_set for e in mask.edges] == ["DFG"]
 
 
+def test_explain_rejects_unknown_edge_sets():
+    params = fresh_params()
+    for sets in (("AST", "DFX"), ("DFX",), ("XYZ", "DFX", "DFG")):
+        with pytest.raises(ValueError, match="unknown edge sets: DFX"):
+            explain(params, simple_graph(), iters=0, edge_sets=sets)
+
+
 def masked_scores_and_keep_gradient(forward, graph, params, keep, mask):
     keep.zero_grad()
     scores = forward(graph, params, message_mask=mask)

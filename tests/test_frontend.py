@@ -11,6 +11,7 @@ from helpers import (
     expression_sources,
     fifo_reaching_definitions,
     node_defs_uses,
+    oracle_call_sites,
     oracle_cfg_nodes,
     oracle_reaching_edges,
     resolve_variables,
@@ -35,7 +36,6 @@ from verisel.frontend import (
     tokenize,
 )
 from verisel.frontend import graph_build
-from verisel.frontend.dataflow import _walk_defs_uses
 from verisel.graphio import PropertyKind, TokenVocabulary, deserialize_graph, serialize_graph
 
 VOCAB = TokenVocabulary.default()
@@ -534,7 +534,7 @@ def test_data_edges_pairs_are_sorted_and_distinct_in_any_order():
 
 def assert_walk_matches_two_pass_oracle(source):
     ast = parse_source(source)
-    walked = {n: (writes, uses) for n, writes, uses in _walk_defs_uses(ast)}
+    walked = build_icfg(ast).accesses
     assert sorted(walked) == oracle_cfg_nodes(ast)
     res = resolve_variables(ast)
     for n, got in walked.items():
@@ -561,6 +561,55 @@ int main() { x = 1; { int x = x + 1; x += 2; } switch (x) { case 1: { int x; x =
 def test_def_use_walk_matches_two_pass_oracle_on_generated_programs(program):
     assert_walk_matches_two_pass_oracle(program.source)
     assert_walk_matches_two_pass_oracle(program.unshadowed)
+
+
+COMPUTED_CALLEES = (
+    "int f(int a){return a;} "
+    "int main(){int x; int *p; x=1; p=&x; f(x)(2); (*p)(x); return 0;}"
+)
+
+
+def assert_calls_match_call_site_oracle(source):
+    ast = parse_source(source)
+    icfg = build_icfg(ast)
+    fn_by_name: dict[str, int] = {}
+    for n in oracle_cfg_nodes(ast):
+        if ast.kind(n) == "FunctionDecl":
+            fn_by_name.setdefault(ast.text(n) or "", n)
+    calls, unresolved = set(), []
+    for n in oracle_cfg_nodes(ast):
+        for name in oracle_call_sites(ast, n):
+            if name in fn_by_name:
+                calls.add((n, fn_by_name[name], "call"))
+            else:
+                unresolved.append(f"node {n}: unresolved call to {name or '<indirect>'}")
+    assert set(tagged_edges(icfg, "call")) == calls
+    assert [d for d in icfg.diagnostics if "unresolved call" in d] == unresolved
+    assert {n for e in icfg.edges for n in e[:2]} <= icfg.accesses.keys()
+
+
+def test_calls_match_call_site_oracle_on_corpus():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        assert_calls_match_call_site_oracle(path.read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_calls_match_call_site_oracle_on_generated_programs(program):
+    assert_calls_match_call_site_oracle(program.source)
+    assert_calls_match_call_site_oracle(program.unshadowed)
+
+
+def test_calls_nested_in_a_computed_callee_are_wired():
+    assert_calls_match_call_site_oracle(COMPUTED_CALLEES)
+    ast, icfg, dfg = pipeline(COMPUTED_CALLEES)
+    assert icfg.pairs() == [(1, 4), (4, 19), (8, 10), (10, 12), (12, 15),
+                            (15, 19), (19, 1), (19, 24), (24, 28)]
+    assert icfg.diagnostics == ["node 19: unresolved call to <indirect>",
+                                "node 24: unresolved call to <indirect>"]
+    assert dfg.pairs() == [(1, 5), (12, 18), (12, 27)]
 
 
 def test_helpers_load_as_an_unregistered_module():

@@ -1,3 +1,4 @@
+import struct
 import sys
 import tempfile
 import tracemalloc
@@ -506,6 +507,74 @@ def test_model_container_round_trip_over_config_space(seed, layers, pool, head):
         again = load_model(path)
     graph = random_graph(np.random.default_rng(seed), vocab_size=len(VOCAB8))
     assert predict(graph, params).scores == predict(graph, again).scores
+
+
+@pytest.mark.parametrize("header", [b"[]", b"1", b'"model"'])
+def test_model_container_rejects_a_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    path.write_bytes(header + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(ModelFormatError, match="not a JSON object"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("portfolio", [b'"abc"', b"[]", b'["alpha", 2, "gamma"]', b"null"])
+def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
+        tmp_path, portfolio):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    doctored = header.replace(b'["alpha", "beta", "gamma"]', portfolio)
+    assert doctored != header
+    path.write_bytes(doctored + b"\n" + rest)
+    with pytest.raises(ModelFormatError, match="portfolio"):
+        load_model(path)
+
+
+SAVED_VOCAB_FINGERPRINT = "d5d7a87817352ecfc35567c73340fc3b719b439b563b90a13f28e464faec56d9"
+
+
+@pytest.mark.parametrize("config, header, blocks", [
+    (ModelConfig(),
+     '{"config": {"edge_sets": ["AST", "ICFG", "DFG"], "gat_width": 32, '
+     '"head_hidden": null, "jumping_knowledge": true, "leaky_slope": 0.2, '
+     '"num_gat_layers": 1, "pool_hidden": [64, 12], "property_encoding": "scalar"}, '
+     '"format_version": 1, "portfolio": ["bmc", "cegar", "symexec"], '
+     f'"vocab_fingerprint": "{SAVED_VOCAB_FINGERPRINT}", "vocab_size": 29}}',
+     [("gat0.w_in", 32, 29), ("gat0.w_out", 32, 29), ("gat0.attn", 64, 1),
+      ("pool0.w", 64, 61), ("pool0.b", 1, 64), ("pool1.w", 12, 64), ("pool1.b", 1, 12),
+      ("pool2.w", 1, 12), ("pool2.b", 1, 1), ("head0.w", 62, 62), ("head0.b", 1, 62),
+      ("head1.w", 31, 62), ("head1.b", 1, 31), ("head2.w", 3, 31), ("head2.b", 1, 3)]),
+    (ModelConfig(num_gat_layers=2, property_encoding="onehot", head_hidden=(16,)),
+     '{"config": {"edge_sets": ["AST", "ICFG", "DFG"], "gat_width": 32, '
+     '"head_hidden": [16], "jumping_knowledge": true, "leaky_slope": 0.2, '
+     '"num_gat_layers": 2, "pool_hidden": [64, 12], "property_encoding": "onehot"}, '
+     '"format_version": 1, "portfolio": ["bmc", "cegar", "symexec"], '
+     f'"vocab_fingerprint": "{SAVED_VOCAB_FINGERPRINT}", "vocab_size": 29}}',
+     [("gat0.w_in", 32, 29), ("gat0.w_out", 32, 29), ("gat0.attn", 64, 1),
+      ("gat1.w_in", 32, 32), ("gat1.w_out", 32, 32), ("gat1.attn", 64, 1),
+      ("pool0.w", 64, 93), ("pool0.b", 1, 64), ("pool1.w", 12, 64), ("pool1.b", 1, 12),
+      ("pool2.w", 1, 12), ("pool2.b", 1, 1), ("head0.w", 16, 97), ("head0.b", 1, 16),
+      ("head1.w", 3, 16), ("head1.b", 1, 3)]),
+])
+def test_saved_container_header_and_block_layout_are_pinned(tmp_path, config, header,
+                                                            blocks):
+    params = init_parameters(config, TokenVocabulary.default(),
+                             ("bmc", "cegar", "symexec"), seed=0)
+    path = tmp_path / "model.bin"
+    save_model(params, path)
+    data = path.read_bytes()
+    newline = data.find(b"\n")
+    assert data[:newline].decode() == header
+    got, offset = [], newline + 1
+    while offset < len(data):
+        (name_len,) = struct.unpack_from("<I", data, offset)
+        name = data[offset + 4:offset + 4 + name_len].decode()
+        rows, cols = struct.unpack_from("<II", data, offset + 4 + name_len)
+        got.append((name, rows, cols))
+        offset += 4 + name_len + 8 + 8 * rows * cols
+    assert got == blocks
+    assert [(name, *t.shape) for name, t in params.named()] == blocks
 
 
 def assert_backed_by_vector(params):
