@@ -62,20 +62,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        portfolio = tuple(data.get("portfolio", ()))
-        if not portfolio:
+        portfolio = data.get("portfolio", ())
+        if isinstance(portfolio, str) or not portfolio:
             raise UsageError("config: portfolio must be a nonempty list")
         split = data.get("split", {})
-        ratios = tuple(split.get("ratios", (0.8, 0.1, 0.1)))
-        if len(ratios) != 3:
-            raise UsageError("config: split.ratios must have three entries")
+        ratios = split.get("ratios", (0.8, 0.1, 0.1))
+        if isinstance(ratios, str) or len(ratios) != 3:
+            raise UsageError("config: split.ratios must be a list of three entries")
+        try:
+            model = ModelConfig.from_dict(data.get("model", {}))
+            train = TrainConfig.from_dict(data.get("train", {}))
+        except (TypeError, ValueError) as err:
+            raise UsageError(f"config: {err}") from err
         penalty = data.get("penalty", {})
         return cls(
             vocabulary=data.get("vocabulary"),
-            portfolio=portfolio,
-            model=ModelConfig.from_dict(data.get("model", {})),
-            train=TrainConfig.from_dict(data.get("train", {})),
-            split_ratios=ratios,  # type: ignore[arg-type]
+            portfolio=tuple(portfolio),
+            model=model,
+            train=train,
+            split_ratios=tuple(ratios),  # type: ignore[arg-type]
             split_seed=int(split.get("seed", 0)),
             time_limit=float(penalty.get("time_limit", 900.0)),
             penalty_weight=float(penalty.get("penalty_weight", 1.0)),

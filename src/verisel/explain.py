@@ -7,12 +7,16 @@ descent minimizes the squared distance between the masked and original score
 vectors plus a size penalty (mean mask) and a binary-entropy penalty, so edges
 the prediction does not need drift toward zero while load-bearing edges stay
 high. Scores are sigmoids, hence always strictly inside (0, 1).
+
+The mask runs over a frozen copy of the caller's parameters, so the caller's
+values and ``requires_grad`` flags are never written, and the masked edges
+are resolved to attention-edge slots once, before the first iteration.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,22 +66,8 @@ class ExplanationReport:
     entries: list[ReportEntry]
 
     def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "m": self.m,
-            "edges": [
-                {
-                    "rank": e.rank,
-                    "edge_set": e.edge_set,
-                    "src": e.src,
-                    "dst": e.dst,
-                    "src_kind": e.src_kind,
-                    "dst_kind": e.dst_kind,
-                    "score": e.score,
-                }
-                for e in self.entries
-            ],
-        }
+        return {"graph_id": self.graph_id, "m": self.m,
+                "edges": [asdict(e) for e in self.entries]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -129,46 +119,42 @@ def explain(
     if not edges:
         return EdgeMask(graph.id, [], [], [])
 
-    inp = prepare_input(graph, params)
+    frozen = params.copy()
+    for t in frozen.trainables():
+        t.requires_grad = False
+    inp = prepare_input(graph, frozen)
     with tz.no_grad():
-        original = forward_scores(inp, params)
+        original = forward_scores(inp, frozen)
     target = tz.constant(original.values.copy())
 
     init = np.zeros((1, len(edges)))
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
-    pairs = np.array([(e.src, e.dst) for e in edges], dtype=np.intp)
+    slots = inp.index.slots(np.array([(e.src, e.dst) for e in edges], dtype=np.intp))
     ones = tz.constant(np.ones((1, len(edges))))
 
-    saved = [(t, t.requires_grad) for t in params.trainables()]
-    for t, _ in saved:
-        t.requires_grad = False
     trace: list[float] = []
-    try:
-        for _ in range(iters):
-            logits.zero_grad()
-            keep = tz.sigmoid(logits)
-            mask = inp.index.message_mask(keep, pairs)
-            masked = forward_scores(inp, params, message_mask=mask)
-            diff = tz.sub(masked, target)
-            fidelity = tz.sum_all(tz.elementwise_mul(diff, diff))
-            size = tz.scalar_mul(tz.mean_all(keep), size_weight)
-            complement = tz.sub(ones, keep)
-            entropy = tz.scalar_mul(
-                tz.sum_all(tz.add(
-                    tz.elementwise_mul(keep, tz.log(keep)),
-                    tz.elementwise_mul(complement, tz.log(complement)),
-                )),
-                -entropy_weight,
-            )
-            loss = tz.add(tz.add(fidelity, size), entropy)
-            tz.backward(loss)
-            trace.append(loss.item())
-            logits.values -= lr * logits.grad
-    finally:
-        for t, was in saved:
-            t.requires_grad = was
+    for _ in range(iters):
+        logits.zero_grad()
+        keep = tz.sigmoid(logits)
+        mask = inp.index.message_mask(keep, slots)
+        masked = forward_scores(inp, frozen, message_mask=mask)
+        diff = tz.sub(masked, target)
+        fidelity = tz.sum_all(tz.elementwise_mul(diff, diff))
+        size = tz.scalar_mul(tz.mean_all(keep), size_weight)
+        complement = tz.sub(ones, keep)
+        entropy = tz.scalar_mul(
+            tz.sum_all(tz.add(
+                tz.elementwise_mul(keep, tz.log(keep)),
+                tz.elementwise_mul(complement, tz.log(complement)),
+            )),
+            -entropy_weight,
+        )
+        loss = tz.add(tz.add(fidelity, size), entropy)
+        tz.backward(loss)
+        trace.append(loss.item())
+        logits.values -= lr * logits.grad
 
     with tz.no_grad():
         scores = tz.sigmoid(logits).values[0]

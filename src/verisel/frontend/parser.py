@@ -198,13 +198,17 @@ class _Parser:
         if not saw_type:
             raise ParseError("type specifier", self.peek())
 
-    def parse_declarator(self) -> str:
+    def parse_declarator(self, named: bool = True) -> str | None:
+        """Pointers, a name and array suffixes; with ``named=False`` (a
+        parameter) the name may be left out, and then None is returned."""
         while self.at("op", "*"):
             self.take()
             while self.at("kw", "const") or self.at("kw", "volatile"):
                 self.take()
         if self.at("punct", "("):
             raise UnsupportedConstruct("function pointer declarator", self.peek())
+        if not named and not self.at("ident"):
+            return None
         name = self.expect("ident").text
         while self.at("punct", "["):
             self.take()
@@ -251,17 +255,7 @@ class _Parser:
             while True:
                 self.reject_unsupported()
                 self.parse_decl_specs()
-                param_name = None
-                while self.at("op", "*"):
-                    self.take()
-                if self.at("ident"):
-                    param_name = self.take().text
-                    while self.at("punct", "["):
-                        self.take()
-                        if not self.at("punct", "]"):
-                            self.expect("int")
-                        self.expect("punct", "]")
-                params.append(_N("ParmVarDecl", text=param_name))
+                params.append(_N("ParmVarDecl", text=self.parse_declarator(named=False)))
                 if self.at("punct", ","):
                     self.take()
                     continue

@@ -72,7 +72,7 @@ class ModelConfig:
             raise ValueError("edge_sets must not repeat")
         if self.property_encoding not in ("scalar", "onehot"):
             raise ValueError("property_encoding must be 'scalar' or 'onehot'")
-        if self.gat_width < 1 or any(w < 1 for w in self.pool_hidden):
+        if any(w < 1 for w in (self.gat_width, *self.pool_hidden, *(self.head_hidden or ()))):
             raise ValueError("widths must be positive")
 
     @property
@@ -103,6 +103,8 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         kwargs = dict(data)
         for key in ("edge_sets", "pool_hidden", "head_hidden"):
+            if isinstance(kwargs.get(key), str):
+                raise ValueError(f"{key} must be a list, not a string")
             if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
@@ -245,7 +247,10 @@ class EdgeIndex:
 
     Each (src, dst) pair is listed once, plus one self-loop per node (a
     graph's own (i, i) edge merges into it). Sorting by receiver gives every
-    node a non-empty run both as a receiver and as a sender.
+    node a non-empty run both as a receiver and as a sender. :meth:`slots`
+    maps (src, dst) rows to their positions in ``keys`` once, and
+    :meth:`message_mask` turns per-row keep scores at those slots into
+    per-edge attention multipliers.
     """
 
     def __init__(self, num_nodes: int, pairs: np.ndarray):
@@ -264,15 +269,20 @@ class EdgeIndex:
             raise ValueError(f"edge endpoint out of range for {self.num_nodes} nodes")
         return pairs[:, 1] * self.num_nodes + pairs[:, 0]
 
-    def message_mask(self, keep: Tensor, pairs: np.ndarray) -> Tensor:
-        """Attention multipliers (E x 1) from 1xK keep scores of K (src, dst) rows.
-
-        Keeps sharing an edge multiply; keeps of unlisted edges are ignored.
-        """
+    def slots(self, pairs: np.ndarray) -> np.ndarray:
+        """Position in ``keys`` of each (src, dst) row, or E for an edge
+        attention does not run over."""
         e = len(self.keys)
         keys = self._keys(pairs)
         pos = np.minimum(np.searchsorted(self.keys, keys), e - 1)
-        slots = np.where(self.keys[pos] == keys, pos, e)
+        return np.where(self.keys[pos] == keys, pos, e)
+
+    def message_mask(self, keep: Tensor, slots: np.ndarray) -> Tensor:
+        """Attention multipliers (E x 1) from 1xK keep scores at K :meth:`slots`.
+
+        Keeps sharing a slot multiply; keeps at slot E are ignored.
+        """
+        e = len(self.keys)
         summed = tz.scatter(tz.log(keep), slots, np.zeros_like(slots), (e + 1, 1))
         return tz.slice_rows(tz.exp(summed), 0, e)
 
@@ -326,17 +336,21 @@ def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> 
     return tz.concat_cols(list(layer_outputs))
 
 
+def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
+    """Affine layers in order, with a leaky ReLU between consecutive ones."""
+    for i, layer in enumerate(layers):
+        z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
+        if i + 1 < len(layers):
+            z = tz.leaky_relu(z, slope)
+    return z
+
+
 def pool_weights(states: Tensor, pool: Sequence[AffineParams],
                  slope: float = 0.2) -> Tensor:
     """Softmax-normalized per-node pooling weights, shape (1, n)."""
     if states.shape[0] < 1:
         raise EmptyGraph("attention pooling needs at least one node")
-    z = states
-    for i, layer in enumerate(pool):
-        z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
-        if i + 1 < len(pool):
-            z = tz.leaky_relu(z, slope)
-    return tz.softmax_rows(tz.transpose(z))
+    return tz.softmax_rows(tz.transpose(_mlp(states, pool, slope)))
 
 
 def attention_pool(states: Tensor, pool: Sequence[AffineParams],
@@ -416,12 +430,7 @@ def forward_scores(
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
     prop_vec = _encode_property(prop or inp.graph.property, config)
-    z = tz.concat_cols([graph_vec, prop_vec])
-    for i, layer in enumerate(params.head):
-        z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
-        if i + 1 < len(params.head):
-            z = tz.leaky_relu(z, config.leaky_slope)
-    return z
+    return _mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope)
 
 
 def ordering_from_scores(scores: Sequence[float]) -> tuple[int, ...]:

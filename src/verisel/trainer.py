@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -392,24 +392,14 @@ class EpochStats:
     val_loss: float
     lr: float
 
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "val_loss": self.val_loss, "lr": self.lr}
-
 
 @dataclass
 class TrainHistory:
     epochs: list[EpochStats]
     stop_reason: str  # epoch_cap | lr_floor
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": [e.to_dict() for e in self.epochs],
-            "stop_reason": self.stop_reason,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _instance_loss(graph: ModelInput, labels: Sequence[float],

@@ -176,6 +176,23 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     assert json.loads(capsys.readouterr().out)["epochs_run"] == 1
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"portfolio": "abc"}, "portfolio must be a nonempty list"),
+    ({"split": {"ratios": "abc"}}, "split.ratios must be a list"),
+    ({"model": {"edge_sets": "AST"}}, "edge_sets must be a list"),
+    ({"model": {"pool_hidden": "8"}}, "pool_hidden must be a list"),
+    ({"model": {"head_hidden": "8"}}, "head_hidden must be a list"),
+    ({"model": {"head_hidden": [0]}}, "widths must be positive"),
+])
+def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
+    config = run_config(tmp_path / "config.json", **overrides)
+    code = main(["train", "--config", str(config), "--graphs", str(tmp_path),
+                 "--labels", str(tmp_path / "labels.csv"), "-o", str(tmp_path / "m.bin")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_apply_env_overrides_parsing():
     data = apply_env_overrides(
         {"train": {"epochs": 9}},

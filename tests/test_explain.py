@@ -14,7 +14,7 @@ from verisel.explain import (
     to_dot,
     top_m_edges,
 )
-from verisel.graphio import ProgramGraph, PropertyKind
+from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
 from verisel.model import (
     EdgeIndex,
     EmptyGraph,
@@ -156,14 +156,55 @@ def test_message_mask_matches_dense_mask(seed, n, layers, read):
     edges = maskable_edges(graph, ("AST", "ICFG", "DFG"))
     pairs = np.array([(e.src, e.dst) for e in edges]).reshape(-1, 2)
     keep = T.Tensor(rng.uniform(0.05, 0.95, (1, len(edges))), requires_grad=True)
+    index = EdgeIndex(n, edge_pairs(graph, read))
     got = masked_scores_and_keep_gradient(
         forward_scores, graph, params, keep,
-        EdgeIndex(n, edge_pairs(graph, read)).message_mask(keep, pairs))
+        index.message_mask(keep, index.slots(pairs)))
     dense = T.exp(T.scatter(T.log(keep), pairs[:, 1], pairs[:, 0], (n, n)))
     want = masked_scores_and_keep_gradient(
         dense_forward_scores, graph, params, keep, dense)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_edge_index_slots_resolve_each_masked_edge():
+    # the index covers AST and ICFG: both list (2, 3), which gets one slot,
+    # and the DFG edge (1, 3) is no attention edge, so it lands at E
+    graph = simple_graph()
+    index = EdgeIndex(4, edge_pairs(graph, ("AST", "ICFG")))
+    pairs = np.array([(e.src, e.dst) for e in maskable_edges(graph, EDGE_SET_NAMES)])
+    slots = index.slots(pairs)
+    e = len(index.keys)
+    assert slots[2] == slots[4] < e
+    assert slots[6] == e
+    assert len(set(slots[:6].tolist())) == 5
+    assert index.keys[slots[:6]].tolist() == (pairs[:6, 1] * 4 + pairs[:6, 0]).tolist()
+    for bad in ([(4, 0)], [(0, -1)]):
+        with pytest.raises(ValueError, match="out of range"):
+            index.slots(np.array(bad))
+
+
+def test_explain_never_writes_the_callers_parameters(monkeypatch):
+    params = fresh_params(seed=2, edge_sets=("AST",))
+    params.trainables()[0].requires_grad = False  # frozen by the caller
+    flags = [t.requires_grad for t in params.trainables()]
+    before = params.vector.tobytes()
+    seen = []
+
+    def watched(*args, **kwargs):
+        seen.append([t.requires_grad for t in params.trainables()])
+        return forward_scores(*args, **kwargs)
+
+    monkeypatch.setattr("verisel.explain.forward_scores", watched)
+    explain(params, simple_graph(), iters=3)
+    graph = simple_graph()
+    graph.edge_sets["DFG"] = [(4, 0)]
+    with pytest.raises(ValueError, match="out of range"):
+        explain(params, graph, iters=3, edge_sets=("AST", "DFG"))
+    assert len(seen) == 5 and all(s == flags for s in seen)
+    assert [t.requires_grad for t in params.trainables()] == flags
+    assert all(t.grad is None for t in params.trainables())
+    assert params.vector.tobytes() == before
 
 
 def test_out_of_range_edge_in_an_unread_set_is_rejected():

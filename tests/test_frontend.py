@@ -208,6 +208,13 @@ def test_parse_unsupported_constructs():
             parse_source(source)
 
 
+def test_parse_parameters_use_the_declaration_declarator():
+    ast = parse_source("int f(int *const p, char *, int a[3][4]);")
+    assert [ast.text(p) for p in ast.find("ParmVarDecl")] == ["p", None, "a"]
+    with pytest.raises(UnsupportedConstruct, match="function pointer declarator"):
+        parse_source("int f(int (*cb)(int));")
+
+
 def test_parse_error_reports_expected_and_found():
     with pytest.raises(ParseError) as err:
         parse_source("int main(){ return 0 }")

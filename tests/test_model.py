@@ -531,6 +531,23 @@ def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
         load_model(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (b'"edge_sets": ["AST", "ICFG", "DFG"]', b'"edge_sets": ""', "edge_sets must be a list"),
+    (b'"pool_hidden": [5, 3]', b'"pool_hidden": "53"', "pool_hidden must be a list"),
+    (b'"head_hidden": null', b'"head_hidden": "8"', "head_hidden must be a list"),
+    (b'"head_hidden": null', b'"head_hidden": [4, 0]', "widths must be positive"),
+])
+def test_model_container_rejects_a_config_with_a_bad_list(tmp_path, field, value, message):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    doctored = header.replace(field, value)
+    assert doctored != header
+    path.write_bytes(doctored + b"\n" + rest)
+    with pytest.raises(ModelFormatError, match=f"bad header: {message}"):
+        load_model(path)
+
+
 SAVED_VOCAB_FINGERPRINT = "d5d7a87817352ecfc35567c73340fc3b719b439b563b90a13f28e464faec56d9"
 
 

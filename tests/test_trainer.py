@@ -324,7 +324,7 @@ def test_train_reproducible_per_seed():
     cfg = TrainConfig(epochs=3, seed=7)
     params_a, hist_a = train(data[:4], data[4:], small_model(), cfg)
     params_b, hist_b = train(data[:4], data[4:], small_model(), cfg)
-    assert [e.to_dict() for e in hist_a.epochs] == [e.to_dict() for e in hist_b.epochs]
+    assert hist_a.epochs == hist_b.epochs
     for (_, ta), (_, tb) in zip(params_a.named(), params_b.named()):
         assert np.array_equal(ta.values, tb.values)
 
