@@ -30,8 +30,10 @@ from .graphio import (
     build_instances,
     load_graph,
     load_labels,
+    portfolio_names,
     save_graph,
     split_dataset,
+    split_ratios,
 )
 from .model import (
     ModelConfig,
@@ -62,29 +64,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        portfolio = data.get("portfolio", ())
-        if isinstance(portfolio, str) or not portfolio:
-            raise UsageError("config: portfolio must be a nonempty list")
         split = data.get("split", {})
-        ratios = split.get("ratios", (0.8, 0.1, 0.1))
-        if isinstance(ratios, str) or len(ratios) != 3:
-            raise UsageError("config: split.ratios must be a list of three entries")
+        penalty = data.get("penalty", {})
         try:
-            model = ModelConfig.from_dict(data.get("model", {}))
-            train = TrainConfig.from_dict(data.get("train", {}))
+            config = cls(
+                vocabulary=data.get("vocabulary"),
+                portfolio=portfolio_names(data.get("portfolio", ())),
+                model=ModelConfig.from_dict(data.get("model", {})),
+                train=TrainConfig.from_dict(data.get("train", {})),
+                split_ratios=split_ratios(split.get("ratios", (0.8, 0.1, 0.1))),
+                split_seed=int(split.get("seed", 0)),
+                time_limit=float(penalty.get("time_limit", 900.0)),
+                penalty_weight=float(penalty.get("penalty_weight", 1.0)),
+            )
+            if not config.time_limit > 0:
+                raise ValueError("penalty.time_limit must be positive")
         except (TypeError, ValueError) as err:
             raise UsageError(f"config: {err}") from err
-        penalty = data.get("penalty", {})
-        return cls(
-            vocabulary=data.get("vocabulary"),
-            portfolio=tuple(portfolio),
-            model=model,
-            train=train,
-            split_ratios=tuple(ratios),  # type: ignore[arg-type]
-            split_seed=int(split.get("seed", 0)),
-            time_limit=float(penalty.get("time_limit", 900.0)),
-            penalty_weight=float(penalty.get("penalty_weight", 1.0)),
-        )
+        return config
 
 
 def apply_env_overrides(data: dict, environ=None) -> dict:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary
+from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary, ordering_from_scores
 from .model import EmptyGraph, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
@@ -166,9 +166,8 @@ def top_m_edges(mask: EdgeMask, graph: ProgramGraph,
     """The m highest-scoring edges (m from :func:`report_size`), best first."""
     n = len(mask.edges)
     m = min(report_size(n), n)
-    order = sorted(range(n), key=lambda i: (-mask.scores[i], i))[:m]
     entries = []
-    for rank, idx in enumerate(order, start=1):
+    for rank, idx in enumerate(ordering_from_scores(mask.scores)[:m], start=1):
         edge = mask.edges[idx]
         entries.append(ReportEntry(
             rank=rank,

@@ -17,9 +17,9 @@ postorder of the ICFG, repeating the sweep until no OUT set changes (Kam &
 Ullman 1976; Cooper, Harvey & Kennedy, "Iterative data-flow analysis,
 revisited", 2004). Return edges make a call-heavy ICFG one large cycle,
 and sweeping it in that order needs far fewer node visits than a worklist.
-Each IN set is then the union of its predecessors' OUT sets; the
-definitions reaching a use of ``v`` are the set bits of ``in &
-var_bits[v]``.
+Each IN set is the union of its predecessors' OUT sets, as the last sweep
+saw them; the definitions reaching a use of ``v`` are the set bits of
+``in & var_bits[v]``.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
     # round-robin sweeps over positions in that order until no OUT changes
     position = {n: i for i, n in enumerate(order)}
     sweep = [(gen[n], ~kill[n], [position[p] for p in preds[n]]) for n in order]
+    # the last sweep changes no OUT set, so the IN sets it stores are final
     out_bits = [0] * len(order)
+    in_bits = [0] * len(order)
     changed = True
     while changed:
         changed = False
@@ -105,22 +107,16 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
             incoming = 0
             for p in node_preds:
                 incoming |= out_bits[p]
+            in_bits[i] = incoming
             out = node_gen | (incoming & keep)
             if out != out_bits[i]:
                 out_bits[i] = out
                 changed = True
 
-    in_bits: dict[int, int] = {}
-    for n, (_, _, node_preds) in zip(order, sweep):
-        incoming = 0
-        for p in node_preds:
-            incoming |= out_bits[p]
-        in_bits[n] = incoming
-
     edges: list[tuple[int, int, str]] = []
     for n in nodes:
         for var, refs in accesses[n][1].items():
-            reaching = in_bits[n] & var_bits.get(var, 0)
+            reaching = in_bits[position[n]] & var_bits.get(var, 0)
             name = ast.text(var) or ""
             while reaching:
                 low = reaching & -reaching

@@ -78,7 +78,7 @@ class PropertyKind(Enum):
     OVERFLOW = "Overflow"
 
     def encode(self) -> int:
-        return _PROPERTY_ORDER.index(self)
+        return _PROPERTY_INDEX[self]
 
     @classmethod
     def from_name(cls, name: str) -> "PropertyKind":
@@ -89,14 +89,31 @@ class PropertyKind(Enum):
         raise ValueError(f"unknown property kind: {name!r}")
 
 
-_PROPERTY_ORDER = (
-    PropertyKind.REACH_SAFETY,
-    PropertyKind.TERMINATION,
-    PropertyKind.MEM_SAFETY,
-    PropertyKind.OVERFLOW,
-)
+_PROPERTY_INDEX = {kind: i for i, kind in enumerate(PropertyKind)}
+NUM_PROPERTIES = len(_PROPERTY_INDEX)
 
-NUM_PROPERTIES = len(_PROPERTY_ORDER)
+
+def ordering_from_scores(scores: Sequence[float]) -> tuple[int, ...]:
+    """Indices sorted by descending score; ties broken by ascending index."""
+    return tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
+
+
+def portfolio_names(value) -> tuple[str, ...]:
+    """A portfolio's verifier names: a nonempty list or tuple of distinct strings."""
+    if not (isinstance(value, (list, tuple)) and value and set(map(type, value)) == {str}
+            and len(set(value)) == len(value)):
+        raise ValueError(f"portfolio must be a nonempty list of distinct names: {value!r}")
+    return tuple(value)
+
+
+def split_ratios(value) -> tuple[float, float, float]:
+    """Train/validation/test ratios: three positive numbers that sum to 1."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(type(r) in (int, float) and r > 0 for r in value)
+            and abs(sum(value) - 1.0) <= 1e-9):
+        raise ValueError(f"split.ratios must be a list of three positive numbers "
+                         f"that sum to 1: {value!r}")
+    return tuple(value)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -276,6 +293,10 @@ class VerifierLabelRecord:
     def __post_init__(self):
         if self.outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}: {self.outcome!r}")
+        for name in ("svcomp_score", "cpu_seconds", "label"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.cpu_seconds < 0:
             raise ValueError("cpu_seconds must be >= 0")
 
@@ -357,8 +378,7 @@ def build_instances(
     Every (graph, verifier) pair must have a record; a precomputed ``label``
     column wins over the score/time formula.
     """
-    if not portfolio:
-        raise ValueError("portfolio must be nonempty")
+    portfolio = portfolio_names(portfolio)
     by_key: dict[tuple[str, PropertyKind, str], VerifierLabelRecord] = {}
     for rec in records:
         by_key[(rec.program_id, rec.property, rec.verifier)] = rec
@@ -389,7 +409,7 @@ def _largest_remainder(total: int, ratios: Sequence[float]) -> list[int]:
     quotas = [total * r for r in ratios]
     sizes = [math.floor(q) for q in quotas]
     leftover = total - sum(sizes)
-    order = sorted(range(len(ratios)), key=lambda i: (-(quotas[i] - sizes[i]), i))
+    order = ordering_from_scores([q - s for q, s in zip(quotas, sizes)])
     for i in order[:leftover]:
         sizes[i] += 1
     return sizes
@@ -401,10 +421,7 @@ def split_dataset(
     seed: int,
 ) -> tuple[list[LabeledInstance], list[LabeledInstance], list[LabeledInstance]]:
     """Stratified (per property) deterministic split into train/val/test."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    ratios = split_ratios(ratios)
     rng = random.Random(seed)
     strata: dict[str, list[LabeledInstance]] = {}
     for inst in instances:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .graphio import EDGE_SET_NAMES, NUM_PROPERTIES, ProgramGraph, PropertyKind, TokenVocabulary
+from .graphio import (
+    EDGE_SET_NAMES,
+    NUM_PROPERTIES,
+    ProgramGraph,
+    PropertyKind,
+    TokenVocabulary,
+    ordering_from_scores,
+    portfolio_names,
+)
 from .tensor import Tensor
 
 MODEL_FORMAT_VERSION = 1
@@ -63,6 +71,8 @@ class ModelConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
+        if not self.head_hidden:  # no hidden widths given: the default shape
+            object.__setattr__(self, "head_hidden", None)
         if not 0 <= self.num_gat_layers <= 5:
             raise ValueError("num_gat_layers must be in 0..5")
         bad = set(self.edge_sets) - set(EDGE_SET_NAMES)
@@ -74,6 +84,8 @@ class ModelConfig:
             raise ValueError("property_encoding must be 'scalar' or 'onehot'")
         if any(w < 1 for w in (self.gat_width, *self.pool_hidden, *(self.head_hidden or ()))):
             raise ValueError("widths must be positive")
+        if type(self.leaky_slope) not in (int, float):
+            raise ValueError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
 
     @property
     def property_dim(self) -> int:
@@ -86,18 +98,6 @@ class ModelConfig:
         if self.jumping_knowledge:
             return vocab_size + self.num_gat_layers * self.gat_width
         return self.gat_width
-
-    def to_dict(self) -> dict:
-        return {
-            "num_gat_layers": self.num_gat_layers,
-            "edge_sets": list(self.edge_sets),
-            "jumping_knowledge": self.jumping_knowledge,
-            "gat_width": self.gat_width,
-            "pool_hidden": list(self.pool_hidden),
-            "head_hidden": list(self.head_hidden) if self.head_hidden else None,
-            "property_encoding": self.property_encoding,
-            "leaky_slope": self.leaky_slope,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -216,8 +216,7 @@ def init_parameters(
     seed: int = 0,
 ) -> ModelParameters:
     """Fresh parameters, uniform in +-1/sqrt(fan_in) from a seeded generator."""
-    if not portfolio:
-        raise ValueError("portfolio must be nonempty")
+    portfolio = portfolio_names(portfolio)
     rng = np.random.default_rng(seed)
     parts = []
     for _, shape, fan_in in _parameter_layout(config, len(vocab), len(portfolio)):
@@ -225,7 +224,7 @@ def init_parameters(
         parts.append(rng.uniform(-bound, bound, size=shape).ravel())
     return ModelParameters(
         config=config,
-        portfolio=tuple(portfolio),
+        portfolio=portfolio,
         vocab_fingerprint=vocab.fingerprint(),
         vocab_size=len(vocab),
         vector=np.concatenate(parts),
@@ -433,11 +432,6 @@ def forward_scores(
     return _mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope)
 
 
-def ordering_from_scores(scores: Sequence[float]) -> tuple[int, ...]:
-    """Indices sorted by descending score; ties broken by ascending index."""
-    return tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
-
-
 def predict(
     graph: ProgramGraph,
     params: ModelParameters,
@@ -491,7 +485,7 @@ def margin_rank_loss_t(scores: Tensor, labels: Sequence[float],
 def save_model(params: ModelParameters, path: str | Path) -> None:
     header = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "portfolio": list(params.portfolio),
         "vocab_fingerprint": params.vocab_fingerprint,
         "vocab_size": params.vocab_size,
@@ -523,14 +517,11 @@ def load_model(path: str | Path) -> ModelParameters:
         raise ModelFormatError(f"unsupported format version: {version!r}")
     try:
         config = ModelConfig.from_dict(header["config"])
-        portfolio = header["portfolio"]
+        portfolio = portfolio_names(header["portfolio"])
         fingerprint = header["vocab_fingerprint"]
         vocab_size = int(header["vocab_size"])
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"bad header: {err}") from err
-    if not (isinstance(portfolio, list) and portfolio
-            and all(isinstance(v, str) for v in portfolio)):
-        raise ModelFormatError("bad header: portfolio must be a non-empty list of strings")
 
     blocks: dict[str, np.ndarray] = {}
     offset = newline + 1
@@ -562,7 +553,7 @@ def load_model(path: str | Path) -> ModelParameters:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
     return ModelParameters(
         config=config,
-        portfolio=tuple(portfolio),
+        portfolio=portfolio,
         vocab_fingerprint=fingerprint,
         vocab_size=vocab_size,
         vector=np.concatenate(parts).astype(np.float64, copy=False),

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .graphio import LabeledInstance
+from .graphio import LabeledInstance, ordering_from_scores
 from .model import (
     LengthMismatch,
     ModelInput,
@@ -62,7 +62,7 @@ class DegenerateRankingWarning(UserWarning):
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n, averaging over ties (rank 1 = largest value)."""
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    order = ordering_from_scores(values)
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):
@@ -97,16 +97,15 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 def ordinal_ranking(labels: Sequence[float]) -> list[int]:
     """Permutation of 1..k: rank 1 = highest label, ties by lower index."""
-    order = sorted(range(len(labels)), key=lambda i: (-labels[i], i))
     ranks = [0] * len(labels)
-    for position, idx in enumerate(order):
+    for position, idx in enumerate(ordering_from_scores(labels)):
         ranks[idx] = position + 1
     return ranks
 
 
 def best_verifier(labels: Sequence[float]) -> int:
     """Index of the top label; ties go to the lowest index."""
-    return max(range(len(labels)), key=lambda i: (labels[i], -i))
+    return ordering_from_scores(labels)[0]
 
 
 def borda_ordering(rankings: Sequence[Sequence[float]], num_verifiers: int) -> list[int]:
@@ -117,7 +116,7 @@ def borda_ordering(rankings: Sequence[Sequence[float]], num_verifiers: int) -> l
             raise InvalidRanking(f"not a permutation of 1..{num_verifiers}: {ranking}")
         for verifier, rank in enumerate(ranking):
             counts[verifier] += num_verifiers - rank
-    return sorted(range(num_verifiers), key=lambda v: (-counts[v], v))
+    return list(ordering_from_scores(counts))
 
 
 def success_accuracy(
@@ -181,9 +180,9 @@ def baselines(train_set: Sequence[LabeledInstance]) -> Baselines:
         best_counts[best_verifier(inst.labels)] += 1
         rankings.append(ordinal_ranking(inst.labels))
     return Baselines(
-        iss_success=max(range(k), key=lambda v: (success_counts[v], -v)),
+        iss_success=ordering_from_scores(success_counts)[0],
         iss_rank=tuple(borda_ordering(rankings, k)),
-        iss_topk=tuple(sorted(range(k), key=lambda v: (-best_counts[v], v))),
+        iss_topk=ordering_from_scores(best_counts),
     )
 
 

@@ -183,6 +183,10 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"model": {"pool_hidden": "8"}}, "pool_hidden must be a list"),
     ({"model": {"head_hidden": "8"}}, "head_hidden must be a list"),
     ({"model": {"head_hidden": [0]}}, "widths must be positive"),
+    ({"portfolio": ["a", "a"]}, "portfolio must be a nonempty list"),
+    ({"split": {"ratios": [0.5, 0.5, "x"]}}, "split.ratios must be a list"),
+    ({"penalty": {"time_limit": -1}}, "penalty.time_limit must be positive"),
+    ({"model": {"leaky_slope": "x"}}, "leaky_slope must be a number"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)

@@ -15,6 +15,7 @@ from helpers import (
 )
 from verisel.frontend import extract_graph
 from verisel.graphio import (
+    LABELS_HEADER,
     EmptyStratumWarning,
     LabeledInstance,
     ProgramGraph,
@@ -346,6 +347,26 @@ def test_build_instances_missing_record():
                          {"AST": [], "ICFG": [], "DFG": []})
     with pytest.raises(KeyError):
         build_instances([graph], read_labels_csv(CSV_TEXT), ["v1"])
+
+
+def test_build_instances_rejects_a_repeated_verifier():
+    graph = ProgramGraph("p1", PropertyKind.REACH_SAFETY, [1],
+                         {"AST": [], "ICFG": [], "DFG": []})
+    with pytest.raises(ValueError, match="distinct names"):
+        build_instances([graph], read_labels_csv(CSV_TEXT), ["v1", "v2", "v1"])
+
+
+@pytest.mark.parametrize("column, row", [
+    ("svcomp_score", "p1,ReachSafety,v2,{},900,unknown,"),
+    ("cpu_seconds", "p1,ReachSafety,v2,0,{},unknown,"),
+    ("label", "p1,ReachSafety,v2,0,900,unknown,{}"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_labels_rejects_a_value_that_is_not_finite(column, row, value):
+    text = (",".join(LABELS_HEADER) + ",label\n"
+            "p1,ReachSafety,v1,2,1.5,correct,\n" + row.format(value) + "\n")
+    with pytest.raises(SchemaError, match=f"line 3: {column} must be finite"):
+        read_labels_csv(text)
 
 
 # ---------------------------------------------------------------------------

@@ -518,7 +518,8 @@ def test_model_container_rejects_a_header_that_is_not_an_object(tmp_path, header
         load_model(path)
 
 
-@pytest.mark.parametrize("portfolio", [b'"abc"', b"[]", b'["alpha", 2, "gamma"]', b"null"])
+@pytest.mark.parametrize("portfolio", [b'"abc"', b"[]", b'["alpha", 2, "gamma"]', b"null",
+                                       b'["alpha", "alpha", "gamma"]'])
 def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
         tmp_path, portfolio):
     path = tmp_path / "model.bin"
@@ -536,6 +537,7 @@ def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
     (b'"pool_hidden": [5, 3]', b'"pool_hidden": "53"', "pool_hidden must be a list"),
     (b'"head_hidden": null', b'"head_hidden": "8"', "head_hidden must be a list"),
     (b'"head_hidden": null', b'"head_hidden": [4, 0]', "widths must be positive"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": "x"', "leaky_slope must be a number"),
 ])
 def test_model_container_rejects_a_config_with_a_bad_list(tmp_path, field, value, message):
     path = tmp_path / "model.bin"
@@ -546,6 +548,18 @@ def test_model_container_rejects_a_config_with_a_bad_list(tmp_path, field, value
     path.write_bytes(doctored + b"\n" + rest)
     with pytest.raises(ModelFormatError, match=f"bad header: {message}"):
         load_model(path)
+
+
+def test_init_parameters_rejects_a_repeated_verifier():
+    with pytest.raises(ValueError, match="distinct names"):
+        init_parameters(ModelConfig(), VOCAB8, ["alpha", "beta", "alpha"])
+
+
+def test_an_empty_head_hidden_is_saved_as_the_default_shape(tmp_path):
+    params = tiny_params(head_hidden=())
+    assert params.config == tiny_params().config
+    save_model(params, tmp_path / "model.bin")
+    assert b'"head_hidden": null' in (tmp_path / "model.bin").read_bytes().split(b"\n")[0]
 
 
 SAVED_VOCAB_FINGERPRINT = "d5d7a87817352ecfc35567c73340fc3b719b439b563b90a13f28e464faec56d9"

@@ -1,10 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import PerTensorAdam, reference_train
-from verisel.graphio import LabeledInstance, ProgramGraph, PropertyKind, TokenVocabulary
+from verisel.graphio import (
+    LabeledInstance,
+    ProgramGraph,
+    PropertyKind,
+    TokenVocabulary,
+    _largest_remainder,
+    ordering_from_scores,
+)
 from verisel.model import LengthMismatch, ModelConfig, init_parameters, predict
 from verisel.trainer import (
     BadK,
@@ -242,6 +252,40 @@ def test_random_orderings_reproducible():
 def test_best_verifier_and_ordinal_ranking_tie_rules():
     assert best_verifier([1.0, 3.0, 3.0]) == 1
     assert ordinal_ranking([1.0, 3.0, 3.0]) == [3, 1, 2]
+
+
+# few distinct values, so that ties are common; NaN included
+TIED_SCORES = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan]),
+                       min_size=1, max_size=8)
+
+
+@given(TIED_SCORES)
+@example([1.0, math.nan, 2.0])
+def test_every_ranking_follows_the_one_ordering(scores):
+    order = ordering_from_scores(scores)
+    assert sorted(order) == list(range(len(scores)))
+    assert best_verifier(scores) == order[0]
+    assert ordinal_ranking(scores) == [order.index(i) + 1 for i in range(len(scores))]
+
+
+def written_out_largest_remainder(total, ratios):
+    """Largest-remainder sizes with the tie rule spelled out: the largest
+    remainders get one more, ties going to the lower index."""
+    quotas = [total * r for r in ratios]
+    sizes = [math.floor(q) for q in quotas]
+    leftover = total - sum(sizes)
+    order = sorted(range(len(ratios)), key=lambda i: (-(quotas[i] - sizes[i]), i))
+    for i in order[:leftover]:
+        sizes[i] += 1
+    return sizes
+
+
+@given(st.integers(0, 60), st.lists(st.sampled_from([1, 2, 3]), min_size=3, max_size=3))
+def test_largest_remainder_matches_the_written_out_rule(total, weights):
+    ratios = [w / sum(weights) for w in weights]
+    sizes = _largest_remainder(total, ratios)
+    assert sizes == written_out_largest_remainder(total, ratios)
+    assert sum(sizes) == total
 
 
 # ---------------------------------------------------------------------------
