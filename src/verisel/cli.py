@@ -64,14 +64,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        split = data.get("split", {})
-        penalty = data.get("penalty", {})
+        sections = {name: data.get(name, {}) for name in ("split", "penalty", "model", "train")}
+        not_objects = [name for name, value in sections.items() if not isinstance(value, dict)]
+        if not_objects:
+            raise UsageError(f"config: {', '.join(not_objects)} must be a JSON object")
+        split, penalty = sections["split"], sections["penalty"]
         try:
             config = cls(
                 vocabulary=data.get("vocabulary"),
                 portfolio=portfolio_names(data.get("portfolio", ())),
-                model=ModelConfig.from_dict(data.get("model", {})),
-                train=TrainConfig.from_dict(data.get("train", {})),
+                model=ModelConfig.from_dict(sections["model"]),
+                train=TrainConfig.from_dict(sections["train"]),
                 split_ratios=split_ratios(split.get("ratios", (0.8, 0.1, 0.1))),
                 split_seed=int(split.get("seed", 0)),
                 time_limit=float(penalty.get("time_limit", 900.0)),
@@ -102,7 +105,10 @@ def apply_env_overrides(data: dict, environ=None) -> dict:
         section, _, field = name.partition("_")
         if not field:
             raise UsageError(f"cannot interpret override {key}")
-        data.setdefault(section, {})[field] = value
+        target = data.setdefault(section, {})
+        if not isinstance(target, dict):
+            raise UsageError(f"cannot apply {key}: {section} is not a JSON object")
+        target[field] = value
     return data
 
 
@@ -111,6 +117,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
+    if not isinstance(data, dict):
+        raise UsageError(f"config {path}: not a JSON object")
     return RunConfig.from_dict(apply_env_overrides(data))
 
 

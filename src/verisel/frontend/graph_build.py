@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from ..graphio import ProgramGraph, PropertyKind, TokenVocabulary
+from ..graphio import DEFAULT_MAX_NODES, ProgramGraph, PropertyKind, TokenVocabulary
 from .cfg import ControlEdges, build_icfg
 from .dataflow import DataEdges, reaching_definitions
 from .lexer import FrontendError, tokenize
 from .parser import Ast, parse
-
-DEFAULT_MAX_NODES = 100_000
 
 
 class GraphTooLarge(FrontendError):

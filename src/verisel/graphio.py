@@ -61,8 +61,16 @@ DEFAULT_KINDS = (
 )
 
 
+# the most nodes a graph may have, in extraction and in a graph file
+DEFAULT_MAX_NODES = 100_000
+
+
 class SchemaError(Exception):
     """A serialized artifact violates its schema; the message names the field."""
+
+
+class GraphFileTooLarge(SchemaError):
+    """A graph file declares more nodes than the cap."""
 
 
 class EmptyStratumWarning(UserWarning):
@@ -232,6 +240,8 @@ def _only_ints(values) -> bool:
 
 
 def deserialize_graph(text: str) -> ProgramGraph:
+    """The graph in ``text``; more than ``DEFAULT_MAX_NODES`` nodes is
+    :class:`GraphFileTooLarge`, raised before any node or edge is converted."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -245,6 +255,8 @@ def deserialize_graph(text: str) -> ProgramGraph:
     except ValueError as err:
         raise SchemaError(f"property: {err}") from err
     num_nodes = _expect(obj, "num_nodes", int)
+    if num_nodes > DEFAULT_MAX_NODES:
+        raise GraphFileTooLarge(f"num_nodes: {num_nodes} nodes, cap is {DEFAULT_MAX_NODES}")
     node_kinds = _expect(obj, "node_kinds", list)
     if len(node_kinds) != num_nodes:
         raise SchemaError("num_nodes: does not match len(node_kinds)")

@@ -5,9 +5,16 @@ Message passing runs over an edge list: the enabled edge sets plus one
 self-loop per node, each pair once. For an edge (j -> i) the unnormalized
 attention score is ``leaky_relu(attn . [W_in h_i || W_out h_j])``; scores are
 softmax-normalized over each node's incoming edges and weight the messages
-``W_out h_j``. All of it is expressed with the autodiff primitives, so one
-forward pass serves inference, training, and the edge-mask explainer (which
-supplies a multiplier per edge for the normalized attention weights).
+``W_out h_j``. One forward pass serves inference, training, and the
+edge-mask explainer (which supplies a multiplier per edge for the normalized
+attention weights).
+
+Each GAT layer (:func:`gat_layer`) and each affine layer (``tz.linear``) is
+one node on the autodiff tape, because on small graphs a training step costs
+more bookkeeping than arithmetic. A fused node runs the same operations as
+the primitive chain it replaced, in the same order, and its gradients reach
+``tz.backward`` in the chain's accumulation order, so scores, gradients and
+saved models are bit-identical to the chain's (kept as the test oracle).
 
 A graph reaches the model as a :class:`ModelInput`: its one-hot node states,
 the (src, dst) pairs of the enabled edge sets and their :class:`EdgeIndex`,
@@ -301,23 +308,77 @@ def gat_layer(
     attention may use; it is built here when the caller has none, and
     ``forward_scores`` builds it once for all layers. ``message_mask`` (E x 1,
     aligned with that index) scales the attention weights.
+
+    The layer is one tape node. Forward and backward run the operations of
+    the primitive chain it replaced (kept as ``tape_gat_layer`` in the test
+    helpers) in the same order. ``states`` is listed twice among the node's
+    inputs, for the receiver and the sender path, so that ``tz.backward``
+    adds those two gradients to the other contributions as the chain did.
     """
     index = EdgeIndex(states.shape[0], edges) if allowed_mask is None else allowed_mask
-    d_out = params.w_in.shape[0]
-    xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
-    xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
-    a_in = tz.slice_rows(params.attn, 0, d_out)
-    a_out = tz.slice_rows(params.attn, d_out, 2 * d_out)
-    s_in = tz.matmul(xin, a_in)    # (n, 1)
-    s_out = tz.matmul(xout, a_out)  # (n, 1)
-    # score of the edge (j -> i) is s_in[i] + s_out[j]
-    raw = tz.add(tz.gather_rows(s_in, index.receivers),
-                 tz.gather_rows(s_out, index.senders))
-    attn = tz.segment_softmax(tz.leaky_relu(raw, slope), index.receivers)
+    recv, send = index.receivers, index.senders
+    w_in, w_out, attn = params.w_in, params.w_out, params.attn
+    d_out = w_in.shape[0]
+    h = states.values
+    if h.shape[1] != w_in.shape[1] or (message_mask is not None
+                                       and message_mask.shape != (len(index.keys), 1)):
+        raise tz.ShapeError(f"gat_layer: states {h.shape} vs w_in {w_in.shape}, "
+                            f"or a mask that is not one column of {len(index.keys)} rows")
+    wt_in = w_in.values.T.copy()
+    wt_out = w_out.values.T.copy()
+    xin = h @ wt_in    # receiver features
+    xout = h @ wt_out  # sender features
+    a_in = attn.values[:d_out].copy()
+    a_out = attn.values[d_out:].copy()
+    # score of the edge (j -> i) is leaky_relu(s_in[i] + s_out[j])
+    raw = (xin @ a_in)[recv.ids] + (xout @ a_out)[send.ids]
+    slopes = np.where(raw >= 0.0, 1.0, float(slope))
+    scores = raw * slopes
+    e = np.exp(scores - recv.reduce(np.maximum, scores)[recv.ids])
+    weights = e / recv.reduce(np.add, e)[recv.ids]  # softmax over each receiver
+    mask = None if message_mask is None else message_mask.values
+    scaled = weights if mask is None else weights * mask
+    gathered = xout[send.ids]
+
+    def bwd(g: np.ndarray):
+        need_h = states.requires_grad
+        need_xin = need_h or w_in.requires_grad
+        need_xout = need_h or w_out.requires_grad
+        need_scores = need_xin or need_xout or attn.requires_grad
+        need_mask = message_mask is not None and message_mask.requires_grad
+        g_msg = g[recv.ids]
+        g_gathered = g_msg * scaled if need_xout else None
+        g_scaled = None
+        if need_scores or need_mask:
+            g_scaled = g_msg * gathered
+            if g_scaled.shape[1] > 1:  # a one-wide product is its own row sum
+                g_scaled = g_scaled.sum(axis=1, keepdims=True)
+        g_mask = g_scaled * weights if need_mask else None
+        if not need_scores:
+            return None, None, None, None, None, g_mask
+        g_weights = g_scaled if mask is None else g_scaled * mask
+        g_scores = weights * (g_weights - recv.reduce(np.add, g_weights * weights)[recv.ids])
+        g_raw = g_scores * slopes
+        g_s_in = recv.reduce(np.add, g_raw)
+        g_s_out = send.reduce(np.add, g_raw)
+        g_xin = g_s_in @ a_in.T if need_xin else None
+        g_xout = send.reduce(np.add, g_gathered) + g_s_out @ a_out.T if need_xout else None
+        g_attn = None
+        if attn.requires_grad:  # the sum of the two halves, each zero-padded
+            top, bottom = np.zeros(attn.shape), np.zeros(attn.shape)
+            top[:d_out] = xin.T @ g_s_in
+            bottom[d_out:] = xout.T @ g_s_out
+            g_attn = top + bottom
+        return (g_xin @ wt_in.T if need_h else None,
+                g_xout @ wt_out.T if need_h else None,
+                (h.T @ g_xin).T if w_in.requires_grad else None,
+                (h.T @ g_xout).T if w_out.requires_grad else None,
+                g_attn, g_mask)
+
+    inputs = (states, states, w_in, w_out, attn)
     if message_mask is not None:
-        attn = tz.elementwise_mul(attn, message_mask)
-    messages = tz.elementwise_mul(tz.gather_rows(xout, index.senders), attn)
-    return tz.segment_sum(messages, index.receivers)
+        inputs += (message_mask,)
+    return tz.record(recv.reduce(np.add, gathered * scaled), inputs, bwd)
 
 
 def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> Tensor:
@@ -338,7 +399,7 @@ def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> 
 def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
     """Affine layers in order, with a leaky ReLU between consecutive ones."""
     for i, layer in enumerate(layers):
-        z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
+        z = tz.linear(z, layer.w, layer.b)
         if i + 1 < len(layers):
             z = tz.leaky_relu(z, slope)
     return z

@@ -9,6 +9,14 @@ reset via :meth:`Tensor.zero_grad`.
 
 Summation is delegated to numpy, whose reduction order is fixed for a given
 shape, so identical inputs produce bit-identical outputs.
+
+A fused node (:func:`linear` here, ``model.gat_layer`` for attention) puts
+one tensor on the tape where a chain of primitives put several, because on
+small graphs a training step costs more bookkeeping than arithmetic. Its
+forward and backward run the numpy operations of the chain it replaces, in
+the same order, and a fused node lists an input once per path that reads it,
+so :func:`backward` adds the contributions to that input in the chain's
+order. Values and gradients are therefore bit-identical to the chain's.
 """
 
 from __future__ import annotations
@@ -85,7 +93,10 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _result(values: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """The result of a primitive: ``values``, recorded with ``inputs`` and
+    ``backward`` (output gradient -> one gradient or None per input) when
+    gradients are enabled and an input requires them."""
     out = Tensor(values)
     if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -108,7 +119,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ bv.T if a.requires_grad else None,
                 av.T @ g if b.requires_grad else None)
 
-    return _result(av @ bv, (a, b), bwd)
+    return record(av @ bv, (a, b), bwd)
+
+
+def linear(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``z @ w.T + b`` (``w`` is out x in, ``b`` a 1 x out row).
+
+    One node for ``add(matmul(z, transpose(w)), b)``, with that chain's
+    operations.
+    """
+    if z.shape[1] != w.shape[1] or b.shape != (1, w.shape[0]):
+        raise ShapeError(f"linear: {z.shape} @ {w.shape}.T + {b.shape}")
+    zv = z.values
+    wt = w.values.T.copy()
+
+    def bwd(g: np.ndarray):
+        # a one-row z passes g on to b as add does; a sum would make -0.0 +0.0
+        return (g @ wt.T if z.requires_grad else None,
+                (zv.T @ g).T if w.requires_grad else None,
+                (g if len(g) == 1 else g.sum(axis=0, keepdims=True))
+                if b.requires_grad else None)
+
+    return record(zv @ wt + b.values, (z, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -124,7 +156,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g, g.sum().reshape(1, 1)
     else:
         raise ShapeError(f"add: {a.shape} + {b.shape}")
-    return _result(a.values + b.values, (a, b), bwd)
+    return record(a.values + b.values, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -137,7 +169,7 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     def bwd(g: np.ndarray):
         return (g * c,)
 
-    return _result(a.values * c, (a,), bwd)
+    return record(a.values * c, (a,), bwd)
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -153,7 +185,7 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
                     (g * av).sum(axis=1, keepdims=True) if b.requires_grad else None)
     else:
         raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
-    return _result(av * bv, (a, b), bwd)
+    return record(av * bv, (a, b), bwd)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -162,7 +194,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     def bwd(g: np.ndarray):
         return (g * mask,)
 
-    return _result(a.values * mask, (a,), bwd)
+    return record(a.values * mask, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -180,7 +212,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g: np.ndarray):
         return (g * out * (1.0 - out),)
 
-    return _result(out, (a,), bwd)
+    return record(out, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -189,7 +221,7 @@ def log(a: Tensor) -> Tensor:
     def bwd(g: np.ndarray):
         return (g / av,)
 
-    return _result(np.log(av), (a,), bwd)
+    return record(np.log(av), (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -198,7 +230,7 @@ def exp(a: Tensor) -> Tensor:
     def bwd(g: np.ndarray):
         return (g * out,)
 
-    return _result(out, (a,), bwd)
+    return record(out, (a,), bwd)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -211,7 +243,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - dot),)
 
-    return _result(out, (a,), bwd)
+    return record(out, (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -220,7 +252,7 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd(g: np.ndarray):
         return (np.full(shape, g[0, 0]),)
 
-    return _result(a.values.sum().reshape(1, 1), (a,), bwd)
+    return record(a.values.sum().reshape(1, 1), (a,), bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -231,7 +263,7 @@ def transpose(a: Tensor) -> Tensor:
     def bwd(g: np.ndarray):
         return (g.T,)
 
-    return _result(a.values.T.copy(), (a,), bwd)
+    return record(a.values.T.copy(), (a,), bwd)
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
@@ -248,7 +280,7 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     def bwd(g: np.ndarray):
         return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(widths)))
 
-    return _result(
+    return record(
         np.concatenate([t.values for t in tensors], axis=1), tuple(tensors), bwd
     )
 
@@ -263,7 +295,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop, :] = g
         return (full,)
 
-    return _result(a.values[start:stop, :].copy(), (a,), bwd)
+    return record(a.values[start:stop, :].copy(), (a,), bwd)
 
 
 def scatter(values: Tensor, rows: Sequence[int], cols: Sequence[int],
@@ -281,7 +313,7 @@ def scatter(values: Tensor, rows: Sequence[int], cols: Sequence[int],
     def bwd(g: np.ndarray):
         return (g[r, c].reshape(1, -1),)
 
-    return _result(out, (values,), bwd)
+    return record(out, (values,), bwd)
 
 
 class Segments:
@@ -293,46 +325,19 @@ class Segments:
         # reductions reduceat each segment's run of sorted rows: none may be empty
         if len(sizes) != count or not sizes.all():
             raise ShapeError(f"segments: ids must cover each of 0..{count - 1}")
+        self.sorted = bool((self.ids[1:] >= self.ids[:-1]).all())
         self.order = np.argsort(self.ids, kind="stable")
         self.starts = np.cumsum(sizes) - sizes
 
     def reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
-        """Per-segment reduction of the rows of ``values``: (E, C) -> (count, C)."""
+        """Per-segment reduction of the rows of ``values``: (E, C) -> (count, C).
+
+        Rows already in segment order are reduced in place of a permuted copy.
+        """
         if len(values) != len(self.ids):
             raise ShapeError(f"segments: {values.shape} vs {len(self.ids)} ids")
-        return ufunc.reduceat(values[self.order], self.starts, axis=0)
-
-
-def gather_rows(a: Tensor, rows: Segments) -> Tensor:
-    """Row ``rows.ids[e]`` of ``a`` as row e: (count, C) -> (E, C)."""
-    if a.shape[0] != len(rows.starts):
-        raise ShapeError(f"gather_rows: {a.shape} vs {len(rows.starts)} segments")
-
-    def bwd(g: np.ndarray):
-        return (rows.reduce(np.add, g),)
-
-    return _result(a.values[rows.ids], (a,), bwd)
-
-
-def segment_sum(a: Tensor, segments: Segments) -> Tensor:
-    """Sum the rows of each segment: (E, C) -> (count, C)."""
-
-    def bwd(g: np.ndarray):
-        return (g[segments.ids],)
-
-    return _result(segments.reduce(np.add, a.values), (a,), bwd)
-
-
-def segment_softmax(a: Tensor, segments: Segments) -> Tensor:
-    """Softmax over the rows of each segment, column by column."""
-    ids = segments.ids
-    e = np.exp(a.values - segments.reduce(np.maximum, a.values)[ids])
-    out = e / segments.reduce(np.add, e)[ids]
-
-    def bwd(g: np.ndarray):
-        return (out * (g - segments.reduce(np.add, g * out)[ids]),)
-
-    return _result(out, (a,), bwd)
+        rows = values if self.sorted else values[self.order]
+        return ufunc.reduceat(rows, self.starts, axis=0)
 
 
 # ---------------------------------------------------------------------------

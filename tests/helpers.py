@@ -26,11 +26,13 @@ from verisel.frontend.parser import (
 from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind, SchemaError
 from verisel.model import (
     LengthMismatch,
+    ModelInput,
     _encode_property,
     attention_pool,
     forward_scores,
     jumping_knowledge,
     margin_rank_loss_t,
+    prepare_input,
 )
 from verisel.trainer import PlateauSchedule
 
@@ -282,11 +284,90 @@ def dense_forward_scores(graph, params, *, message_mask=None):
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
     z = tz.concat_cols([graph_vec, _encode_property(graph.property, config)])
-    for i, layer in enumerate(params.head):
+    return tape_mlp(z, params.head, config.leaky_slope)
+
+
+# ---------------------------------------------------------------------------
+# Tape oracle: the GAT layer and affine layers as chains of autodiff
+# primitives, one tape node per operation, and the per-edge primitives only
+# that chain uses. ``model.gat_layer`` and ``tensor.linear`` replaced them
+# with one node each that runs the same operations, so scores and gradients
+# must be bit-identical.
+
+
+def gather_rows(a, rows):
+    """Row ``rows.ids[e]`` of ``a`` as row e: (count, C) -> (E, C)."""
+    if a.shape[0] != len(rows.starts):
+        raise tz.ShapeError(f"gather_rows: {a.shape} vs {len(rows.starts)} segments")
+
+    def bwd(g):
+        return (rows.reduce(np.add, g),)
+
+    return tz.record(a.values[rows.ids], (a,), bwd)
+
+
+def segment_sum(a, segments):
+    """Sum the rows of each segment: (E, C) -> (count, C)."""
+
+    def bwd(g):
+        return (g[segments.ids],)
+
+    return tz.record(segments.reduce(np.add, a.values), (a,), bwd)
+
+
+def segment_softmax(a, segments):
+    """Softmax over the rows of each segment, column by column."""
+    ids = segments.ids
+    e = np.exp(a.values - segments.reduce(np.maximum, a.values)[ids])
+    out = e / segments.reduce(np.add, e)[ids]
+
+    def bwd(g):
+        return (out * (g - segments.reduce(np.add, g * out)[ids]),)
+
+    return tz.record(out, (a,), bwd)
+
+
+def tape_gat_layer(states, index, params, *, slope=0.2, message_mask=None):
+    """``model.gat_layer`` over an ``EdgeIndex``, 16 or 17 tape nodes."""
+    d_out = params.w_in.shape[0]
+    xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
+    xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
+    a_in = tz.slice_rows(params.attn, 0, d_out)
+    a_out = tz.slice_rows(params.attn, d_out, 2 * d_out)
+    s_in = tz.matmul(xin, a_in)    # (n, 1)
+    s_out = tz.matmul(xout, a_out)  # (n, 1)
+    # score of the edge (j -> i) is s_in[i] + s_out[j]
+    raw = tz.add(gather_rows(s_in, index.receivers), gather_rows(s_out, index.senders))
+    attn = segment_softmax(tz.leaky_relu(raw, slope), index.receivers)
+    if message_mask is not None:
+        attn = tz.elementwise_mul(attn, message_mask)
+    messages = tz.elementwise_mul(gather_rows(xout, index.senders), attn)
+    return segment_sum(messages, index.receivers)
+
+
+def tape_mlp(z, layers, slope):
+    """``model._mlp`` with each affine layer as transpose, matmul and add."""
+    for i, layer in enumerate(layers):
         z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
-        if i + 1 < len(params.head):
-            z = tz.leaky_relu(z, config.leaky_slope)
+        if i + 1 < len(layers):
+            z = tz.leaky_relu(z, slope)
     return z
+
+
+def tape_forward_scores(graph, params, *, prop=None, message_mask=None):
+    """``model.forward_scores`` over the tape oracle's layers."""
+    inp = graph if isinstance(graph, ModelInput) else prepare_input(graph, params)
+    config = params.config
+    outputs = [inp.states]
+    for layer in params.gat:
+        outputs.append(tape_gat_layer(outputs[-1], inp.index, layer,
+                                      slope=config.leaky_slope, message_mask=message_mask))
+    collected = jumping_knowledge(outputs, config.jumping_knowledge)
+    weights = tz.softmax_rows(tz.transpose(tape_mlp(collected, params.pool,
+                                                    config.leaky_slope)))
+    graph_vec = tz.matmul(weights, collected)
+    prop_vec = _encode_property(prop or inp.graph.property, config)
+    return tape_mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope)
 
 
 # ---------------------------------------------------------------------------

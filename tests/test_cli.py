@@ -187,6 +187,10 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"split": {"ratios": [0.5, 0.5, "x"]}}, "split.ratios must be a list"),
     ({"penalty": {"time_limit": -1}}, "penalty.time_limit must be positive"),
     ({"model": {"leaky_slope": "x"}}, "leaky_slope must be a number"),
+    ({"split": [0.8, 0.1, 0.1]}, "split must be a JSON object"),
+    ({"penalty": 900}, "penalty must be a JSON object"),
+    ({"model": []}, "model must be a JSON object"),
+    ({"train": "fast"}, "train must be a JSON object"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)
@@ -195,6 +199,22 @@ def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("document, env, message", [
+    ([], {}, "not a JSON object"),
+    ({"split": [0.8, 0.1, 0.1]}, {"VERISEL_SPLIT_SEED": "3"}, "split is not a JSON object"),
+])
+def test_train_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                             document, env, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document), encoding="utf-8")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(["train", "--config", str(config), "--graphs", str(tmp_path),
+                 "--labels", str(tmp_path / "labels.csv"), "-o", str(tmp_path / "m.bin")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_apply_env_overrides_parsing():

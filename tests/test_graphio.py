@@ -13,10 +13,12 @@ from helpers import (
     random_graph,
     vocabulary_manifest,
 )
+from verisel import frontend, graphio
 from verisel.frontend import extract_graph
 from verisel.graphio import (
     LABELS_HEADER,
     EmptyStratumWarning,
+    GraphFileTooLarge,
     LabeledInstance,
     ProgramGraph,
     PropertyKind,
@@ -169,7 +171,7 @@ def base_document():
 
 ODD_VALUES = st.one_of(
     st.booleans(), st.floats(allow_nan=False, allow_infinity=False), st.none(),
-    st.integers(-2, 4), st.text(max_size=3), st.just([]), st.just({}),
+    st.integers(-2, 4), st.text(max_size=3), st.builds(list), st.builds(dict),
     st.lists(st.integers(-1, 3), max_size=4),
 )
 
@@ -233,6 +235,20 @@ def test_reader_rejects_bool_num_nodes():
     with pytest.raises(SchemaError, match="num_nodes: expected .*, got bool"):
         deserialize_graph(json.dumps(doc))
     assert oracle_deserialize_graph(json.dumps(doc)).num_nodes == 1
+
+
+def test_reader_rejects_a_graph_over_the_node_cap_before_reading_its_nodes(monkeypatch):
+    assert frontend.DEFAULT_MAX_NODES == graphio.DEFAULT_MAX_NODES
+    text = json.dumps(base_document())
+    monkeypatch.setattr(graphio, "DEFAULT_MAX_NODES", 3)
+    assert deserialize_graph(text).num_nodes == 3
+    monkeypatch.setattr(graphio, "DEFAULT_MAX_NODES", 2)
+    with pytest.raises(GraphFileTooLarge, match="num_nodes: 3 nodes, cap is 2"):
+        deserialize_graph(text)
+    # the cap is checked before the node kinds, which here do not match
+    with pytest.raises(GraphFileTooLarge):
+        deserialize_graph(json.dumps(base_document() | {"num_nodes": 4}))
+    assert issubclass(GraphFileTooLarge, SchemaError)
 
 
 # sha256 of the corpus graph files as `verisel extract` wrote them before the

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grad_check
+from helpers import gather_rows, grad_check, segment_softmax, segment_sum
 from verisel import tensor as T
 
 
@@ -163,6 +163,7 @@ def test_grad_check_all_primitives(seed):
     w = T.constant(rng.standard_normal((r, c)))  # fixed mixing weights
 
     _check(T.matmul, [a, m], rng, seed)
+    _check(T.linear, [a, rand(rng, k, c, grad=True), rand(rng, 1, k, grad=True)], rng, seed)
     _check(T.add, [a, b], rng, seed)
     _check(T.add, [a, row], rng, seed)
     _check(T.add, [a, one], rng, seed)
@@ -186,9 +187,9 @@ def test_grad_check_all_primitives(seed):
     ids = np.concatenate([np.arange(r), rng.integers(0, r, int(rng.integers(0, 5)))])
     segments = T.Segments(rng.permutation(ids), r)
     per_edge = rand(rng, len(ids), c, grad=True)
-    _check(lambda x: T.gather_rows(x, segments), [a], rng, seed)
-    _check(lambda x: T.segment_sum(x, segments), [per_edge], rng, seed)
-    _check(lambda x: T.segment_softmax(x, segments), [per_edge], rng, seed)
+    _check(lambda x: gather_rows(x, segments), [a], rng, seed)
+    _check(lambda x: segment_sum(x, segments), [per_edge], rng, seed)
+    _check(lambda x: segment_softmax(x, segments), [per_edge], rng, seed)
     # leaky_relu away from the kink
     shifted = T.Tensor(a.values + np.where(a.values >= 0, 0.5, -0.5), requires_grad=True)
     _check(lambda x: T.leaky_relu(x, 0.2), [shifted], rng, seed)
