@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Cost of one training step on the shipped C corpus, phase by phase.
+"""Cost of one training step and one explainer iteration on the shipped C corpus.
 
 Trains the README default model (2 GAT layers of width 32, jumping
 knowledge) on the 20 corpus graphs, one Adam step per graph as ``train``
 does, and prints the tensors one step puts on the autodiff tape, the median
 microseconds per forward, backward and Adam step, and the minor page faults
-per step. Run it as ``PYTHONPATH=src python scripts/step_report.py``.
+per step. It then explains each corpus graph with the trained model and
+prints the tensors one explainer iteration puts on the tape and the median
+microseconds per iteration (the time of a longer ``explain`` call minus a
+one-iteration call, so the set-up is not counted). Run it as
+``PYTHONPATH=src python scripts/step_report.py``.
 """
 
 import argparse
+import contextlib
 import resource
 import statistics
 import time
 from pathlib import Path
 
 from verisel import tensor as tz
+from verisel.explain import explain
 from verisel.frontend import extract_graph
 from verisel.graphio import PropertyKind, TokenVocabulary
 from verisel.model import (
@@ -32,10 +38,40 @@ CONFIG = ModelConfig(num_gat_layers=2, gat_width=32, jumping_knowledge=True,
 PORTFOLIO = ("bmc-style", "cegar-style", "symexec-style")
 LABELS = (2.0, 1.0, 0.5)
 LEARNING_RATE = 0.002
+EXPLAIN_ITERS = 20
+EXPLAIN_ROUNDS = 3
 
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@contextlib.contextmanager
+def tape_sizes():
+    """Collect the tensors on the tape at each ``tz.backward`` call in the block."""
+    sizes: list[int] = []
+    backward = tz.backward
+    tz.backward = lambda loss: (sizes.append(len(tz._toposort(loss))), backward(loss))
+    try:
+        yield sizes
+    finally:
+        tz.backward = backward
+
+
+def explain_iteration(params, graphs) -> tuple[int, float]:
+    """Tape tensors per explainer iteration and median seconds per iteration."""
+    with tape_sizes() as sizes:
+        explain(params, graphs[0], iters=1)
+    seconds = []
+    for _ in range(EXPLAIN_ROUNDS):
+        for graph in graphs:
+            t0 = time.perf_counter()
+            explain(params, graph, iters=1)
+            t1 = time.perf_counter()
+            explain(params, graph, iters=1 + EXPLAIN_ITERS)
+            t2 = time.perf_counter()
+            seconds.append(((t2 - t1) - (t1 - t0)) / EXPLAIN_ITERS)
+    return sizes[0], statistics.median(seconds)
 
 
 def main() -> int:
@@ -48,10 +84,10 @@ def main() -> int:
 
     vocab = TokenVocabulary.default()
     params = init_parameters(CONFIG, vocab, PORTFOLIO, seed=0)
-    inputs = [prepare_input(extract_graph(path.read_text(encoding="utf-8"), vocab,
-                                          graph_id=path.stem,
-                                          property=PropertyKind.REACH_SAFETY)[0], params)
+    graphs = [extract_graph(path.read_text(encoding="utf-8"), vocab, graph_id=path.stem,
+                            property=PropertyKind.REACH_SAFETY)[0]
               for path in sorted((REPO / "corpus").glob("*.c"))]
+    inputs = [prepare_input(graph, params) for graph in graphs]
     optimizer = _AdamState(params)
     phases: dict[str, list[float]] = {"forward": [], "backward": [], "adam": []}
     tape = steps = faults = 0
@@ -80,6 +116,11 @@ def main() -> int:
     for name, seconds in phases.items():
         print(f"{name} us per step (median): {statistics.median(seconds) * 1e6:.0f}")
     print(f"minor page faults per step: {faults / steps:.1f}")
+    tape, seconds = explain_iteration(params, graphs)
+    print(f"explainer iteration on {len(graphs)} corpus graphs, "
+          f"{EXPLAIN_ROUNDS} x {EXPLAIN_ITERS} timed iterations each")
+    print(f"tape tensors per explainer iteration: {tape}")
+    print(f"us per explainer iteration (median): {seconds * 1e6:.0f}")
     return 0
 
 

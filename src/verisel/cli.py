@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -289,8 +290,24 @@ def cmd_rank(args) -> int:
 # evaluate
 
 
+def _top_ks(spec: str | None, portfolio_size: int) -> list[int] | None:
+    """The K values of ``--ks``, each in 1..portfolio size (None: every K)."""
+    if not spec:
+        return None
+    ks = []
+    for text in filter(str.strip, spec.split(",")):
+        try:
+            ks.append(int(text))
+        except ValueError:
+            raise UsageError(f"--ks: {text.strip()!r} is not an integer") from None
+        if not 1 <= ks[-1] <= portfolio_size:
+            raise UsageError(f"--ks: K={ks[-1]} outside 1..{portfolio_size}")
+    return ks or None
+
+
 def cmd_evaluate(args) -> int:
     params = load_model(args.model)
+    ks = _top_ks(args.ks, len(params.portfolio))
     graphs = _load_graphs(args.graphs)
     records = load_labels(args.labels)
     instances = build_instances(
@@ -298,9 +315,6 @@ def cmd_evaluate(args) -> int:
         time_limit=args.time_limit, penalty_weight=args.penalty_weight,
     )
     results = [predict(inst.graph, params) for inst in instances]
-    ks = None
-    if args.ks:
-        ks = [int(k) for k in args.ks.split(",") if k.strip()]
     report = evaluate_rankings(results, instances, ks)
     _emit(report.to_json() if args.json else report.to_text(), sys.stdout)
     return 0
@@ -338,6 +352,38 @@ def cmd_explain(args) -> int:
 # argument wiring
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type: a finite number (no nan or inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number above zero."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``parse_args`` leaves it as
@@ -356,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", default="ReachSafety",
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_int_at_least(1), default=DEFAULT_MAX_NODES)
     p.add_argument("--json", action="store_true", help="stats as JSON")
     p.set_defaults(func=cmd_extract)
 
@@ -384,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", nargs="+", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--ks", help="comma-separated K values for top-K error")
-    p.add_argument("--time-limit", type=float, default=900.0)
-    p.add_argument("--penalty-weight", type=float, default=1.0)
+    p.add_argument("--time-limit", type=_positive_float, default=900.0)
+    p.add_argument("--penalty-weight", type=_finite_float, default=1.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
@@ -395,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocabulary manifest path")
     p.add_argument("-o", "--out", help="report JSON path (default: stdout)")
     p.add_argument("--dot", help="also write a DOT rendering here")
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--size-weight", type=float, default=0.05)
-    p.add_argument("--entropy-weight", type=float, default=0.1)
+    p.add_argument("--iters", type=_int_at_least(0), default=100)
+    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--size-weight", type=_finite_float, default=0.05)
+    p.add_argument("--entropy-weight", type=_finite_float, default=0.1)
     p.add_argument("--edge-sets", help="restrict masking, e.g. 'AST,ICFG'")
     p.set_defaults(func=cmd_explain)
     return parser

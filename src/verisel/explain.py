@@ -11,6 +11,12 @@ high. Scores are sigmoids, hence always strictly inside (0, 1).
 The mask runs over a frozen copy of the caller's parameters, so the caller's
 values and ``requires_grad`` flags are never written, and the masked edges
 are resolved to attention-edge slots once, before the first iteration.
+
+Like the model's layers, the objective is fused into few tape nodes: the
+size and entropy penalty is one node and the total loss another, each
+running the operations of the primitive chain it replaced in the same order
+(kept as the test oracle), so scores and loss traces are bit-identical to
+the chain's.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ class ExplanationReport:
                 "edges": [asdict(e) for e in self.entries]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_size(num_edges: int) -> int:
@@ -88,6 +94,50 @@ def maskable_edges(graph: ProgramGraph,
         for src, dst in graph.edge_sets.get(name, []):
             out.append(MaskedEdge(name, src, dst))
     return out
+
+
+def _penalty(keep: Tensor, size_weight: float, entropy_weight: float) -> Tensor:
+    """The size and entropy terms (1 x 2) as one tape node: ``size_weight``
+    times the mean keep, and ``entropy_weight`` times the summed binary
+    entropy of the keeps.
+
+    ``keep`` is listed once per path that reads it, in the order the
+    primitive chain added their gradients: the mean, the keep factor of
+    keep * log(keep), that log, then the complement 1 - keep.
+    """
+    kv = keep.values
+    scale = 1.0 / (kv.shape[0] * kv.shape[1])
+    complement = np.ones(kv.shape) + kv * -1.0
+    log_keep, log_complement = np.log(kv), np.log(complement)
+    size = (kv.sum().reshape(1, 1) * scale) * float(size_weight)
+    entropy = ((kv * log_keep + complement * log_complement).sum().reshape(1, 1)
+               * float(-entropy_weight))
+
+    def bwd(g: np.ndarray):
+        g_size = np.full(kv.shape, ((g[:, :1] * float(size_weight)) * scale)[0, 0])
+        g_terms = np.full(kv.shape, (g[:, 1:] * float(-entropy_weight))[0, 0])
+        g_complement = g_terms * log_complement + (g_terms * complement) / complement
+        return (g_size, g_terms * log_keep, (g_terms * kv) / kv, g_complement * -1.0)
+
+    return tz.record(np.concatenate([size, entropy], axis=1), (keep,) * 4, bwd)
+
+
+def _objective(masked: Tensor, target: np.ndarray, penalty: Tensor) -> Tensor:
+    """The explainer loss ``(fidelity + size) + entropy`` as one tape node,
+    where fidelity is the squared distance between ``masked`` and ``target``
+    and ``penalty`` holds the size and entropy terms."""
+    diff = masked.values + target * -1.0
+    terms = penalty.values
+
+    def bwd(g: np.ndarray):
+        g_terms = np.full(terms.shape, g[0, 0])
+        if not masked.requires_grad:  # a model without attention ignores the mask
+            return None, g_terms
+        g_diff = np.full(diff.shape, g[0, 0]) * diff
+        return g_diff + g_diff, g_terms  # one term per factor of diff * diff
+
+    fidelity = (diff * diff).sum().reshape(1, 1)
+    return tz.record((fidelity + terms[:, :1]) + terms[:, 1:], (masked, penalty), bwd)
 
 
 def explain(
@@ -125,33 +175,20 @@ def explain(
     inp = prepare_input(graph, frozen)
     with tz.no_grad():
         original = forward_scores(inp, frozen)
-    target = tz.constant(original.values.copy())
+    target = original.values
 
     init = np.zeros((1, len(edges)))
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
     slots = inp.index.slots(np.array([(e.src, e.dst) for e in edges], dtype=np.intp))
-    ones = tz.constant(np.ones((1, len(edges))))
 
     trace: list[float] = []
     for _ in range(iters):
         logits.zero_grad()
         keep = tz.sigmoid(logits)
-        mask = inp.index.message_mask(keep, slots)
-        masked = forward_scores(inp, frozen, message_mask=mask)
-        diff = tz.sub(masked, target)
-        fidelity = tz.sum_all(tz.elementwise_mul(diff, diff))
-        size = tz.scalar_mul(tz.mean_all(keep), size_weight)
-        complement = tz.sub(ones, keep)
-        entropy = tz.scalar_mul(
-            tz.sum_all(tz.add(
-                tz.elementwise_mul(keep, tz.log(keep)),
-                tz.elementwise_mul(complement, tz.log(complement)),
-            )),
-            -entropy_weight,
-        )
-        loss = tz.add(tz.add(fidelity, size), entropy)
+        masked = forward_scores(inp, frozen, message_mask=inp.index.message_mask(keep, slots))
+        loss = _objective(masked, target, _penalty(keep, size_weight, entropy_weight))
         tz.backward(loss)
         trace.append(loss.item())
         logits.values -= lr * logits.grad

@@ -9,12 +9,15 @@ softmax-normalized over each node's incoming edges and weight the messages
 edge-mask explainer (which supplies a multiplier per edge for the normalized
 attention weights).
 
-Each GAT layer (:func:`gat_layer`) and each affine layer (``tz.linear``) is
-one node on the autodiff tape, because on small graphs a training step costs
-more bookkeeping than arithmetic. A fused node runs the same operations as
-the primitive chain it replaced, in the same order, and its gradients reach
-``tz.backward`` in the chain's accumulation order, so scores, gradients and
-saved models are bit-identical to the chain's (kept as the test oracle).
+Each GAT layer (:func:`gat_layer`), the attention pooling with its MLP
+(:func:`attention_pool`), the head MLP, the message mask
+(:meth:`EdgeIndex.message_mask`) and the ranking loss
+(:func:`margin_rank_loss_t`) is one node on the autodiff tape, because on
+small graphs a training step costs more bookkeeping than arithmetic. A fused
+node runs the same operations as the primitive chain it replaced, in the
+same order, and its gradients reach ``tz.backward`` in the chain's
+accumulation order, so scores, gradients and saved models are bit-identical
+to the chain's (kept as the test oracle).
 
 A graph reaches the model as a :class:`ModelInput`: its one-hot node states,
 the (src, dst) pairs of the enabled edge sets and their :class:`EdgeIndex`,
@@ -286,11 +289,21 @@ class EdgeIndex:
     def message_mask(self, keep: Tensor, slots: np.ndarray) -> Tensor:
         """Attention multipliers (E x 1) from 1xK keep scores at K :meth:`slots`.
 
-        Keeps sharing a slot multiply; keeps at slot E are ignored.
+        Keeps sharing a slot multiply; keeps at slot E are ignored. One tape
+        node for the chain log, scatter-add into E + 1 rows, exp, first E rows.
         """
         e = len(self.keys)
-        summed = tz.scatter(tz.log(keep), slots, np.zeros_like(slots), (e + 1, 1))
-        return tz.slice_rows(tz.exp(summed), 0, e)
+        kv = keep.values
+        summed = np.zeros((e + 1, 1))
+        np.add.at(summed[:, 0], slots, np.log(kv[0]))
+        product = np.exp(summed)
+
+        def bwd(g: np.ndarray):
+            full = np.zeros((e + 1, 1))
+            full[:e] = g
+            return ((full * product)[slots, 0].reshape(1, -1) / kv,)
+
+        return tz.record(product[:e].copy(), (keep,), bwd)
 
 
 def gat_layer(
@@ -396,27 +409,90 @@ def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> 
     return tz.concat_cols(list(layer_outputs))
 
 
+def _mlp_forward(z: np.ndarray, layers: Sequence[AffineParams], slope: float):
+    """Values of the affine layers ``z @ w.T + b`` with a leaky ReLU between
+    consecutive ones, and each layer's (input, ``w.T`` copy, ReLU slopes or
+    None) for :func:`_mlp_backward`."""
+    steps = []
+    for i, layer in enumerate(layers):
+        if z.shape[1] != layer.w.shape[1] or layer.b.shape != (1, layer.w.shape[0]):
+            raise tz.ShapeError(f"mlp layer {i}: {z.shape} @ {layer.w.shape}.T "
+                                f"+ {layer.b.shape}")
+        wt = layer.w.values.T.copy()
+        out = z @ wt + layer.b.values
+        slopes = None
+        if i + 1 < len(layers):
+            slopes = np.where(out >= 0.0, 1.0, float(slope))
+            out = out * slopes
+        steps.append((z, wt, slopes))
+        z = out
+    return z, steps
+
+
+def _mlp_backward(g: np.ndarray, z: Tensor, layers: Sequence[AffineParams],
+                  steps) -> list:
+    """Gradients for ``z, w0, b0, w1, b1, ...`` from the output gradient."""
+    # a layer's input needs a gradient if z or an earlier parameter does
+    need = [z.requires_grad]
+    for layer in layers[:-1]:
+        need.append(need[-1] or layer.w.requires_grad or layer.b.requires_grad)
+    grads: list = [None] * (1 + 2 * len(layers))
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        x, wt, slopes = steps[i]
+        if slopes is not None:
+            g = g * slopes
+        if layer.w.requires_grad:
+            grads[1 + 2 * i] = (x.T @ g).T
+        if layer.b.requires_grad:
+            # a one-row g goes to b as it is: a sum would make -0.0 +0.0
+            grads[2 + 2 * i] = g if len(g) == 1 else g.sum(axis=0, keepdims=True)
+        if not need[i]:
+            break
+        g = g @ wt.T
+        if i == 0:
+            grads[0] = g
+    return grads
+
+
 def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
     """Affine layers in order, with a leaky ReLU between consecutive ones."""
-    for i, layer in enumerate(layers):
-        z = tz.linear(z, layer.w, layer.b)
-        if i + 1 < len(layers):
-            z = tz.leaky_relu(z, slope)
-    return z
+    out, steps = _mlp_forward(z.values, layers, slope)
+
+    def bwd(g: np.ndarray):
+        return _mlp_backward(g, z, layers, steps)
+
+    return tz.record(out, (z, *_affine_tensors(layers)), bwd)
 
 
-def pool_weights(states: Tensor, pool: Sequence[AffineParams],
-                 slope: float = 0.2) -> Tensor:
-    """Softmax-normalized per-node pooling weights, shape (1, n)."""
-    if states.shape[0] < 1:
-        raise EmptyGraph("attention pooling needs at least one node")
-    return tz.softmax_rows(tz.transpose(_mlp(states, pool, slope)))
+def _affine_tensors(layers: Sequence[AffineParams]) -> tuple[Tensor, ...]:
+    return tuple(chain.from_iterable((layer.w, layer.b) for layer in layers))
 
 
 def attention_pool(states: Tensor, pool: Sequence[AffineParams],
                    slope: float = 0.2) -> Tensor:
-    """Collapse node states into one graph vector via learned softmax weights."""
-    return tz.matmul(pool_weights(states, pool, slope), states)
+    """Collapse node states into one graph vector via learned softmax weights.
+
+    The pool MLP scores each node, a softmax over the nodes turns the scores
+    into weights, and the result is the weighted sum of the rows of
+    ``states``. ``states`` is listed twice among the node's inputs, for the
+    sum and for the MLP path.
+    """
+    if states.shape[0] < 1:
+        raise EmptyGraph("attention pooling needs at least one node")
+    h = states.values
+    z, steps = _mlp_forward(h, pool, slope)
+    t = z.T.copy()
+    e = np.exp(t - t.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)  # (1, n)
+
+    def bwd(g: np.ndarray):
+        g_weights = g @ h.T
+        g_t = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
+        return (weights.T @ g if states.requires_grad else None,
+                *_mlp_backward(g_t.T, states, pool, steps))
+
+    return tz.record(weights @ h, (states, states, *_affine_tensors(pool)), bwd)
 
 
 def _encode_property(prop: PropertyKind, config: ModelConfig) -> Tensor:
@@ -520,7 +596,8 @@ def _ranking_pairs(labels: Sequence[float]) -> list[tuple[int, int]]:
 
 def margin_rank_loss_t(scores: Tensor, labels: Sequence[float],
                        margin: float = 1.0) -> Tensor:
-    """Mean hinge over ordered pairs; differentiable in ``scores``."""
+    """Mean hinge over ordered pairs; differentiable in ``scores``, as one
+    tape node (a constant zero when no label beats another)."""
     k = scores.shape[1]
     if scores.shape[0] != 1 or k != len(labels) or k < 2:
         raise LengthMismatch(
@@ -533,10 +610,15 @@ def margin_rank_loss_t(scores: Tensor, labels: Sequence[float],
     for col, (a, b) in enumerate(pairs):
         diff[a, col] = 1.0
         diff[b, col] = -1.0
-    separations = tz.matmul(scores, tz.constant(diff))
-    hinge = tz.relu(tz.add(tz.scalar_mul(separations, -1.0),
-                           tz.constant([[float(margin)]])))
-    return tz.mean_all(hinge)
+    shortfall = (scores.values @ diff) * -1.0 + float(margin)
+    active = np.where(shortfall >= 0.0, 1.0, 0.0)
+    scale = 1.0 / len(pairs)
+
+    def bwd(g: np.ndarray):
+        g_hinge = np.full(shortfall.shape, (g * scale)[0, 0]) * active
+        return ((g_hinge * -1.0) @ diff.T,)
+
+    return tz.record((shortfall * active).sum().reshape(1, 1) * scale, (scores,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ reset via :meth:`Tensor.zero_grad`.
 Summation is delegated to numpy, whose reduction order is fixed for a given
 shape, so identical inputs produce bit-identical outputs.
 
-A fused node (:func:`linear` here, ``model.gat_layer`` for attention) puts
-one tensor on the tape where a chain of primitives put several, because on
-small graphs a training step costs more bookkeeping than arithmetic. Its
-forward and backward run the numpy operations of the chain it replaces, in
-the same order, and a fused node lists an input once per path that reads it,
-so :func:`backward` adds the contributions to that input in the chain's
-order. Values and gradients are therefore bit-identical to the chain's.
+The model and the explainer build their layers and objectives as fused
+nodes through :func:`record` (``model.gat_layer``, ``model.attention_pool``,
+``explain._penalty`` and others), because on small graphs a training step
+costs more bookkeeping than arithmetic; the only primitives left here are
+the ones they still chain (:func:`sigmoid`, :func:`concat_cols`). A fused
+node's forward and backward run the numpy operations of the primitive chain
+it replaces, in the same order, and a fused node lists an input once per
+path that reads it, so :func:`backward` adds the contributions to that input
+in the chain's order. Values and gradients are therefore bit-identical to
+the chain's, which the tests keep with the other primitives as the oracle.
 """
 
 from __future__ import annotations
@@ -109,98 +112,6 @@ def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    av, bv = a.values, b.values
-
-    def bwd(g: np.ndarray):
-        # no gradient for a constant operand: backward skips a None
-        return (g @ bv.T if a.requires_grad else None,
-                av.T @ g if b.requires_grad else None)
-
-    return record(av @ bv, (a, b), bwd)
-
-
-def linear(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``z @ w.T + b`` (``w`` is out x in, ``b`` a 1 x out row).
-
-    One node for ``add(matmul(z, transpose(w)), b)``, with that chain's
-    operations.
-    """
-    if z.shape[1] != w.shape[1] or b.shape != (1, w.shape[0]):
-        raise ShapeError(f"linear: {z.shape} @ {w.shape}.T + {b.shape}")
-    zv = z.values
-    wt = w.values.T.copy()
-
-    def bwd(g: np.ndarray):
-        # a one-row z passes g on to b as add does; a sum would make -0.0 +0.0
-        return (g @ wt.T if z.requires_grad else None,
-                (zv.T @ g).T if w.requires_grad else None,
-                (g if len(g) == 1 else g.sum(axis=0, keepdims=True))
-                if b.requires_grad else None)
-
-    return record(zv @ wt + b.values, (z, w, b), bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also be a 1xC row vector or a 1x1 scalar."""
-    if b.shape == a.shape:
-        def bwd(g: np.ndarray):
-            return g, g
-    elif b.shape == (1, a.shape[1]):
-        def bwd(g: np.ndarray):
-            return g, g.sum(axis=0, keepdims=True)
-    elif b.shape == (1, 1):
-        def bwd(g: np.ndarray):
-            return g, g.sum().reshape(1, 1)
-    else:
-        raise ShapeError(f"add: {a.shape} + {b.shape}")
-    return record(a.values + b.values, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scalar_mul(b, -1.0))
-
-
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bwd(g: np.ndarray):
-        return (g * c,)
-
-    return record(a.values * c, (a,), bwd)
-
-
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; ``b`` may also be an Rx1 column scaling each row."""
-    av, bv = a.values, b.values
-    if b.shape == a.shape:
-        def bwd(g: np.ndarray):
-            return (g * bv if a.requires_grad else None,
-                    g * av if b.requires_grad else None)
-    elif b.shape == (a.shape[0], 1):
-        def bwd(g: np.ndarray):
-            return (g * bv if a.requires_grad else None,
-                    (g * av).sum(axis=1, keepdims=True) if b.requires_grad else None)
-    else:
-        raise ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
-    return record(av * bv, (a, b), bwd)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = np.where(a.values >= 0.0, 1.0, float(slope))
-
-    def bwd(g: np.ndarray):
-        return (g * mask,)
-
-    return record(a.values * mask, (a,), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    return leaky_relu(a, 0.0)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.values
     out = np.empty_like(x)
@@ -213,57 +124,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return record(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    av = a.values
-
-    def bwd(g: np.ndarray):
-        return (g / av,)
-
-    return record(np.log(av), (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-
-    def bwd(g: np.ndarray):
-        return (g * out,)
-
-    return record(out, (a,), bwd)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax; each output row sums to 1."""
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g: np.ndarray):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return record(out, (a,), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def bwd(g: np.ndarray):
-        return (np.full(shape, g[0, 0]),)
-
-    return record(a.values.sum().reshape(1, 1), (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scalar_mul(sum_all(a), 1.0 / (a.shape[0] * a.shape[1]))
-
-
-def transpose(a: Tensor) -> Tensor:
-    def bwd(g: np.ndarray):
-        return (g.T,)
-
-    return record(a.values.T.copy(), (a,), bwd)
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
@@ -283,37 +143,6 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return record(
         np.concatenate([t.values for t in tensors], axis=1), tuple(tensors), bwd
     )
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] of {a.shape}")
-    shape = a.shape
-
-    def bwd(g: np.ndarray):
-        full = np.zeros(shape)
-        full[start:stop, :] = g
-        return (full,)
-
-    return record(a.values[start:stop, :].copy(), (a,), bwd)
-
-
-def scatter(values: Tensor, rows: Sequence[int], cols: Sequence[int],
-            shape: tuple[int, int]) -> Tensor:
-    """Place a 1xK vector into a zero matrix, summing duplicate positions."""
-    if values.shape[0] != 1 or values.shape[1] != len(rows) or len(rows) != len(cols):
-        raise ShapeError(
-            f"scatter: values {values.shape} vs {len(rows)}/{len(cols)} positions"
-        )
-    r = np.asarray(rows, dtype=np.intp)
-    c = np.asarray(cols, dtype=np.intp)
-    out = np.zeros(shape)
-    np.add.at(out, (r, c), values.values[0])
-
-    def bwd(g: np.ndarray):
-        return (g[r, c].reshape(1, -1),)
-
-    return record(out, (values,), bwd)
 
 
 class Segments:

@@ -6,11 +6,12 @@ import json
 import random
 import re
 from collections import defaultdict, deque
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from verisel import tensor as tz
+from verisel.explain import maskable_edges
 from verisel.frontend.cfg import function_definitions, owned_expr_roots
 from verisel.frontend.dataflow import DataEdge, DataEdges
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
@@ -227,6 +228,166 @@ def scan_tokenize(source: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
+# Tape primitives that ``src`` no longer calls: the model and the explainer
+# replaced each chain of them with one fused node, and the chains, built in
+# the tape oracle below, are what those nodes are checked against.
+
+
+def matmul(a: tz.Tensor, b: tz.Tensor) -> tz.Tensor:
+    if a.shape[1] != b.shape[0]:
+        raise tz.ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    av, bv = a.values, b.values
+
+    def bwd(g: np.ndarray):
+        # no gradient for a constant operand: backward skips a None
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
+
+    return tz.record(av @ bv, (a, b), bwd)
+
+
+def add(a: tz.Tensor, b: tz.Tensor) -> tz.Tensor:
+    """Elementwise sum; ``b`` may also be a 1xC row vector or a 1x1 scalar."""
+    if b.shape == a.shape:
+        def bwd(g: np.ndarray):
+            return g, g
+    elif b.shape == (1, a.shape[1]):
+        def bwd(g: np.ndarray):
+            return g, g.sum(axis=0, keepdims=True)
+    elif b.shape == (1, 1):
+        def bwd(g: np.ndarray):
+            return g, g.sum().reshape(1, 1)
+    else:
+        raise tz.ShapeError(f"add: {a.shape} + {b.shape}")
+    return tz.record(a.values + b.values, (a, b), bwd)
+
+
+def sub(a: tz.Tensor, b: tz.Tensor) -> tz.Tensor:
+    return add(a, scalar_mul(b, -1.0))
+
+
+def scalar_mul(a: tz.Tensor, c: float) -> tz.Tensor:
+    c = float(c)
+
+    def bwd(g: np.ndarray):
+        return (g * c,)
+
+    return tz.record(a.values * c, (a,), bwd)
+
+
+def elementwise_mul(a: tz.Tensor, b: tz.Tensor) -> tz.Tensor:
+    """Elementwise product; ``b`` may also be an Rx1 column scaling each row."""
+    av, bv = a.values, b.values
+    if b.shape == a.shape:
+        def bwd(g: np.ndarray):
+            return (g * bv if a.requires_grad else None,
+                    g * av if b.requires_grad else None)
+    elif b.shape == (a.shape[0], 1):
+        def bwd(g: np.ndarray):
+            return (g * bv if a.requires_grad else None,
+                    (g * av).sum(axis=1, keepdims=True) if b.requires_grad else None)
+    else:
+        raise tz.ShapeError(f"elementwise_mul: {a.shape} * {b.shape}")
+    return tz.record(av * bv, (a, b), bwd)
+
+
+def leaky_relu(a: tz.Tensor, slope: float = 0.2) -> tz.Tensor:
+    mask = np.where(a.values >= 0.0, 1.0, float(slope))
+
+    def bwd(g: np.ndarray):
+        return (g * mask,)
+
+    return tz.record(a.values * mask, (a,), bwd)
+
+
+def relu(a: tz.Tensor) -> tz.Tensor:
+    return leaky_relu(a, 0.0)
+
+
+def log(a: tz.Tensor) -> tz.Tensor:
+    av = a.values
+
+    def bwd(g: np.ndarray):
+        return (g / av,)
+
+    return tz.record(np.log(av), (a,), bwd)
+
+
+def exp(a: tz.Tensor) -> tz.Tensor:
+    out = np.exp(a.values)
+
+    def bwd(g: np.ndarray):
+        return (g * out,)
+
+    return tz.record(out, (a,), bwd)
+
+
+def softmax_rows(a: tz.Tensor) -> tz.Tensor:
+    """Row-wise softmax; each output row sums to 1."""
+    shifted = a.values - a.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def bwd(g: np.ndarray):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return tz.record(out, (a,), bwd)
+
+
+def sum_all(a: tz.Tensor) -> tz.Tensor:
+    shape = a.shape
+
+    def bwd(g: np.ndarray):
+        return (np.full(shape, g[0, 0]),)
+
+    return tz.record(a.values.sum().reshape(1, 1), (a,), bwd)
+
+
+def mean_all(a: tz.Tensor) -> tz.Tensor:
+    return scalar_mul(sum_all(a), 1.0 / (a.shape[0] * a.shape[1]))
+
+
+def transpose(a: tz.Tensor) -> tz.Tensor:
+    def bwd(g: np.ndarray):
+        return (g.T,)
+
+    return tz.record(a.values.T.copy(), (a,), bwd)
+
+
+def slice_rows(a: tz.Tensor, start: int, stop: int) -> tz.Tensor:
+    if not (0 <= start <= stop <= a.shape[0]):
+        raise tz.ShapeError(f"slice_rows: [{start}:{stop}] of {a.shape}")
+    shape = a.shape
+
+    def bwd(g: np.ndarray):
+        full = np.zeros(shape)
+        full[start:stop, :] = g
+        return (full,)
+
+    return tz.record(a.values[start:stop, :].copy(), (a,), bwd)
+
+
+def scatter(values: tz.Tensor, rows: Sequence[int], cols: Sequence[int],
+            shape: tuple[int, int]) -> tz.Tensor:
+    """Place a 1xK vector into a zero matrix, summing duplicate positions."""
+    if values.shape[0] != 1 or values.shape[1] != len(rows) or len(rows) != len(cols):
+        raise tz.ShapeError(
+            f"scatter: values {values.shape} vs {len(rows)}/{len(cols)} positions"
+        )
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    out = np.zeros(shape)
+    np.add.at(out, (r, c), values.values[0])
+
+    def bwd(g: np.ndarray):
+        return (g[r, c].reshape(1, -1),)
+
+    return tz.record(out, (values,), bwd)
+
+
+
+# ---------------------------------------------------------------------------
 # Dense attention oracle: the n x n formulation that the edge-list GAT layer
 # replaced. Non-edges get a -1e30 additive mask before a row softmax, so
 # their weight is exactly zero; rows are receivers, columns senders.
@@ -248,23 +409,23 @@ def dense_gat_layer(states, edges, params, *, slope=0.2, message_mask=None,
     """One attention layer over the given edges plus implicit self-loops."""
     n = states.shape[0]
     d_out = params.w_in.shape[0]
-    xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
-    xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
-    a_in = tz.slice_rows(params.attn, 0, d_out)
-    a_out = tz.slice_rows(params.attn, d_out, 2 * d_out)
-    s_in = tz.matmul(xin, a_in)    # (n, 1)
-    s_out = tz.matmul(xout, a_out)  # (n, 1)
+    xin = matmul(states, transpose(params.w_in))    # receiver features
+    xout = matmul(states, transpose(params.w_out))  # sender features
+    a_in = slice_rows(params.attn, 0, d_out)
+    a_out = slice_rows(params.attn, d_out, 2 * d_out)
+    s_in = matmul(xin, a_in)    # (n, 1)
+    s_out = matmul(xout, a_out)  # (n, 1)
     ones_row = tz.constant(np.ones((1, n)))
     ones_col = tz.constant(np.ones((n, 1)))
     # score[i, j] = s_in[i] + s_out[j] for the edge (j -> i)
-    raw = tz.add(tz.matmul(s_in, ones_row), tz.matmul(ones_col, tz.transpose(s_out)))
-    raw = tz.leaky_relu(raw, slope)
+    raw = add(matmul(s_in, ones_row), matmul(ones_col, transpose(s_out)))
+    raw = leaky_relu(raw, slope)
     if allowed_mask is None:
         allowed_mask = dense_allowed_mask(n, edges)
-    attn = tz.softmax_rows(tz.add(raw, tz.constant(allowed_mask)))
+    attn = softmax_rows(add(raw, tz.constant(allowed_mask)))
     if message_mask is not None:
-        attn = tz.elementwise_mul(attn, message_mask)
-    return tz.matmul(attn, xout)
+        attn = elementwise_mul(attn, message_mask)
+    return matmul(attn, xout)
 
 
 def dense_forward_scores(graph, params, *, message_mask=None):
@@ -288,11 +449,11 @@ def dense_forward_scores(graph, params, *, message_mask=None):
 
 
 # ---------------------------------------------------------------------------
-# Tape oracle: the GAT layer and affine layers as chains of autodiff
-# primitives, one tape node per operation, and the per-edge primitives only
-# that chain uses. ``model.gat_layer`` and ``tensor.linear`` replaced them
-# with one node each that runs the same operations, so scores and gradients
-# must be bit-identical.
+# Tape oracle: the GAT layer, attention pooling, MLPs, ranking loss, message
+# mask and explainer objective as chains of the primitives above, one tape
+# node per operation, and the per-edge primitives only the layer uses.
+# ``model`` and ``explain`` replaced each chain with one node that runs the
+# same operations, so scores, gradients and loss traces must be bit-identical.
 
 
 def gather_rows(a, rows):
@@ -330,28 +491,57 @@ def segment_softmax(a, segments):
 def tape_gat_layer(states, index, params, *, slope=0.2, message_mask=None):
     """``model.gat_layer`` over an ``EdgeIndex``, 16 or 17 tape nodes."""
     d_out = params.w_in.shape[0]
-    xin = tz.matmul(states, tz.transpose(params.w_in))    # receiver features
-    xout = tz.matmul(states, tz.transpose(params.w_out))  # sender features
-    a_in = tz.slice_rows(params.attn, 0, d_out)
-    a_out = tz.slice_rows(params.attn, d_out, 2 * d_out)
-    s_in = tz.matmul(xin, a_in)    # (n, 1)
-    s_out = tz.matmul(xout, a_out)  # (n, 1)
+    xin = matmul(states, transpose(params.w_in))    # receiver features
+    xout = matmul(states, transpose(params.w_out))  # sender features
+    a_in = slice_rows(params.attn, 0, d_out)
+    a_out = slice_rows(params.attn, d_out, 2 * d_out)
+    s_in = matmul(xin, a_in)    # (n, 1)
+    s_out = matmul(xout, a_out)  # (n, 1)
     # score of the edge (j -> i) is s_in[i] + s_out[j]
-    raw = tz.add(gather_rows(s_in, index.receivers), gather_rows(s_out, index.senders))
-    attn = segment_softmax(tz.leaky_relu(raw, slope), index.receivers)
+    raw = add(gather_rows(s_in, index.receivers), gather_rows(s_out, index.senders))
+    attn = segment_softmax(leaky_relu(raw, slope), index.receivers)
     if message_mask is not None:
-        attn = tz.elementwise_mul(attn, message_mask)
-    messages = tz.elementwise_mul(gather_rows(xout, index.senders), attn)
+        attn = elementwise_mul(attn, message_mask)
+    messages = elementwise_mul(gather_rows(xout, index.senders), attn)
     return segment_sum(messages, index.receivers)
 
 
 def tape_mlp(z, layers, slope):
     """``model._mlp`` with each affine layer as transpose, matmul and add."""
     for i, layer in enumerate(layers):
-        z = tz.add(tz.matmul(z, tz.transpose(layer.w)), layer.b)
+        z = add(matmul(z, transpose(layer.w)), layer.b)
         if i + 1 < len(layers):
-            z = tz.leaky_relu(z, slope)
+            z = leaky_relu(z, slope)
     return z
+
+
+def tape_attention_pool(states, pool, slope=0.2):
+    """``model.attention_pool`` as the pool MLP, transpose, softmax and matmul."""
+    weights = softmax_rows(transpose(tape_mlp(states, pool, slope)))
+    return matmul(weights, states)
+
+
+def tape_margin_rank_loss(scores, labels, margin=1.0):
+    """``model.margin_rank_loss_t`` as six primitives."""
+    k = scores.shape[1]
+    if scores.shape[0] != 1 or k != len(labels) or k < 2:
+        raise LengthMismatch(f"scores {scores.shape} vs {len(labels)} labels (need >= 2)")
+    pairs = [(a, b) for a in range(k) for b in range(k) if labels[a] > labels[b]]
+    if not pairs:
+        return tz.constant([[0.0]])
+    diff = np.zeros((k, len(pairs)))
+    for col, (a, b) in enumerate(pairs):
+        diff[a, col] = 1.0
+        diff[b, col] = -1.0
+    separations = matmul(scores, tz.constant(diff))
+    return mean_all(relu(add(scalar_mul(separations, -1.0), tz.constant([[float(margin)]]))))
+
+
+def tape_message_mask(index, keep, slots):
+    """``EdgeIndex.message_mask`` as log, scatter, exp and slice."""
+    e = len(index.keys)
+    summed = scatter(log(keep), slots, np.zeros_like(slots), (e + 1, 1))
+    return slice_rows(exp(summed), 0, e)
 
 
 def tape_forward_scores(graph, params, *, prop=None, message_mask=None):
@@ -363,11 +553,46 @@ def tape_forward_scores(graph, params, *, prop=None, message_mask=None):
         outputs.append(tape_gat_layer(outputs[-1], inp.index, layer,
                                       slope=config.leaky_slope, message_mask=message_mask))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
-    weights = tz.softmax_rows(tz.transpose(tape_mlp(collected, params.pool,
-                                                    config.leaky_slope)))
-    graph_vec = tz.matmul(weights, collected)
+    graph_vec = tape_attention_pool(collected, params.pool, config.leaky_slope)
     prop_vec = _encode_property(prop or inp.graph.property, config)
     return tape_mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope)
+
+
+def tape_explain(params, graph, *, iters=100, lr=0.01, size_weight=0.05,
+                 entropy_weight=0.1, seed=0, init_noise=0.0, edge_sets=None):
+    """``explain.explain`` over the tape oracle, with its objective as 16
+    primitives; returns the keep scores and the loss trace as lists."""
+    edges = maskable_edges(graph, params.config.edge_sets if edge_sets is None else edge_sets)
+    frozen = params.copy()
+    for t in frozen.trainables():
+        t.requires_grad = False
+    inp = prepare_input(graph, frozen)
+    with tz.no_grad():
+        target = tz.constant(tape_forward_scores(inp, frozen).values.copy())
+    init = np.zeros((1, len(edges)))
+    if init_noise > 0.0:
+        init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
+    logits = tz.Tensor(init, requires_grad=True)
+    slots = inp.index.slots(np.array([(e.src, e.dst) for e in edges], dtype=np.intp))
+    ones = tz.constant(np.ones((1, len(edges))))
+    trace = []
+    for _ in range(iters):
+        logits.zero_grad()
+        keep = tz.sigmoid(logits)
+        mask = tape_message_mask(inp.index, keep, slots)
+        diff = sub(tape_forward_scores(inp, frozen, message_mask=mask), target)
+        fidelity = sum_all(elementwise_mul(diff, diff))
+        size = scalar_mul(mean_all(keep), size_weight)
+        complement = sub(ones, keep)
+        entropy = scalar_mul(sum_all(add(elementwise_mul(keep, log(keep)),
+                                         elementwise_mul(complement, log(complement)))),
+                             -entropy_weight)
+        loss = add(add(fidelity, size), entropy)
+        tz.backward(loss)
+        trace.append(loss.item())
+        logits.values -= lr * logits.grad
+    with tz.no_grad():
+        return [float(s) for s in tz.sigmoid(logits).values[0]], trace
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    elementwise_mul,
     grad_check,
     oracle_reaching_edges,
     permuted_graph,
     random_graph,
     random_permutation,
+    sum_all,
 )
 from verisel import tensor as T
 from verisel.explain import explain, report_size, top_m_edges
@@ -175,7 +177,7 @@ def test_criterion_3_end_to_end_gradients():
 
                     def loss_fn(*_):
                         scores = forward_scores(graph, params)
-                        return T.sum_all(T.elementwise_mul(scores, mix))
+                        return sum_all(elementwise_mul(scores, mix))
 
                     check = grad_check(loss_fn, params.trainables(),
                                          step=1e-5, tolerance=1e-4)

@@ -124,6 +124,17 @@ def test_extract_respects_property_flag(tmp_path):
     assert load_graph(target).property is PropertyKind.TERMINATION
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_extract_max_nodes_below_one_is_usage_error(tmp_path, limit, capsys):
+    target = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
+              "--max-nodes", limit])
+    assert excinfo.value.code == 2
+    assert "--max-nodes: must be at least 1" in capsys.readouterr().err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -378,6 +389,34 @@ def test_evaluate_topk_curve_non_increasing(tmp_path, extracted, capsys):
     assert curve[-1] == 0.0
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--time-limit", "nan", "must be finite"),
+    ("--time-limit", "0", "must be positive"),
+    ("--penalty-weight", "inf", "must be finite"),
+])
+def test_evaluate_bad_label_formula_is_usage_error(tmp_path, extracted, capsys,
+                                                   option, value, message):
+    # a nan time limit made every label nan, and the report read as perfect
+    ids = [p.stem for p in sorted(extracted.glob("*.json"))]
+    labels_path = labels_csv_for(ids, tmp_path / "labels.csv")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--model", str(zero_model(tmp_path)), "--graphs", str(extracted),
+              "--labels", str(labels_path), f"{option}={value}"])
+    assert excinfo.value.code == 2
+    assert f"{option}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks, message", [("0", "K=0 outside 1..3"), ("9", "K=9 outside 1..3"),
+                                         ("1,abc", "'abc' is not an integer")])
+def test_evaluate_bad_ks_is_usage_error(tmp_path, extracted, capsys, ks, message):
+    ids = [p.stem for p in sorted(extracted.glob("*.json"))]
+    labels_path = labels_csv_for(ids, tmp_path / "labels.csv")
+    code = main(["evaluate", "--model", str(zero_model(tmp_path)), "--graphs", str(extracted),
+                 "--labels", str(labels_path), "--ks", ks])
+    assert code == 2
+    assert f"--ks: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # explain
 
@@ -418,3 +457,21 @@ def test_explain_stdout_by_default(tmp_path, extracted, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert all(e["score"] == 0.5 for e in report["edges"])
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--iters", "-3", "must be at least 0"),
+    ("--lr", "nan", "must be finite"),
+    ("--lr", "-inf", "must be finite"),
+    ("--size-weight", "inf", "must be finite"),
+    ("--entropy-weight", "nan", "must be finite"),
+])
+def test_explain_bad_number_is_usage_error(tmp_path, extracted, capsys, option, value, message):
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["explain", "--model", str(zero_model(tmp_path)),
+              "--graph", str(sorted(extracted.glob("*.json"))[0]),
+              "-o", str(report_path), f"{option}={value}"])
+    assert excinfo.value.code == 2
+    assert f"{option}: {message}" in capsys.readouterr().err
+    assert not report_path.exists()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import awkward_graph, dense_forward_scores
+from helpers import awkward_graph, dense_forward_scores, exp, log, scatter, sum_all
 from verisel import tensor as T
 from verisel.explain import (
     EdgeMask,
@@ -138,7 +138,7 @@ def test_explain_rejects_unknown_edge_sets():
 def masked_scores_and_keep_gradient(forward, graph, params, keep, mask):
     keep.zero_grad()
     scores = forward(graph, params, message_mask=mask)
-    T.backward(T.sum_all(scores))
+    T.backward(sum_all(scores))
     return scores.values, keep.grad
 
 
@@ -160,7 +160,7 @@ def test_message_mask_matches_dense_mask(seed, n, layers, read):
     got = masked_scores_and_keep_gradient(
         forward_scores, graph, params, keep,
         index.message_mask(keep, index.slots(pairs)))
-    dense = T.exp(T.scatter(T.log(keep), pairs[:, 1], pairs[:, 0], (n, n)))
+    dense = exp(scatter(log(keep), pairs[:, 1], pairs[:, 0], (n, n)))
     want = masked_scores_and_keep_gradient(
         dense_forward_scores, graph, params, keep, dense)
     for a, b in zip(got, want):
@@ -297,6 +297,15 @@ def test_report_carries_kind_names():
     report = top_m_edges(mask, graph, VOCAB)
     assert report.entries[0].src_kind == "K1"
     assert report.to_json().startswith("{")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_report_with_a_non_finite_score_is_not_written(bad):
+    # JSON has no nan or inf: such a report could not be read back
+    graph = simple_graph()
+    mask = EdgeMask(graph.id, maskable_edges(graph, ("AST",)), [0.9, bad, 0.7], [])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        top_m_edges(mask, graph, VOCAB).to_json()
 
 
 def test_to_dot_highlights_top_edges():

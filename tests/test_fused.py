@@ -1,6 +1,7 @@
-"""Fused tape nodes (``model.gat_layer``, ``tensor.linear``) against the tape
-oracle in ``helpers``: the same operations in the same order, so scores and
-gradients must match bit for bit, not within a tolerance."""
+"""Fused tape nodes (the GAT layer, attention pooling, MLP head, ranking loss,
+message mask and explainer objective) against the tape oracle in
+``helpers``: the same operations in the same order, so scores, gradients and
+loss traces must match bit for bit, not within a tolerance."""
 
 from functools import lru_cache
 from pathlib import Path
@@ -8,17 +9,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import verisel.explain
 import verisel.trainer
-from helpers import grad_check, random_graph, tape_forward_scores
+from helpers import (
+    elementwise_mul,
+    grad_check,
+    random_graph,
+    sum_all,
+    tape_attention_pool,
+    tape_explain,
+    tape_forward_scores,
+    tape_margin_rank_loss,
+    tape_message_mask,
+    tape_mlp,
+)
 from verisel import tensor as T
-from verisel.explain import explain
+from verisel.explain import _objective, _penalty, explain
 from verisel.frontend import extract_graph
 from verisel.graphio import EDGE_SET_NAMES, LabeledInstance, PropertyKind, TokenVocabulary
 from verisel.model import (
+    AffineParams,
     EdgeIndex,
     GatLayerParams,
     ModelConfig,
+    _mlp,
+    attention_pool,
     edge_pairs,
     forward_scores,
     gat_layer,
@@ -47,7 +61,7 @@ def corpus_params(seed=0, **config):
     return init_parameters(ModelConfig(**config), vocab, PORTFOLIO, seed=seed)
 
 
-def step(forward, inp, params, mask_logits=None):
+def step(forward, loss, inp, params, mask_logits=None):
     """Scores and every leaf gradient of one loss, as raw bytes."""
     params.zero_grad()
     leaves = [t for t in params.trainables() if t.requires_grad]
@@ -57,7 +71,7 @@ def step(forward, inp, params, mask_logits=None):
         leaves.append(mask_logits)
         mask = T.sigmoid(mask_logits)
     scores = forward(inp, params, message_mask=mask)
-    T.backward(margin_rank_loss_t(scores, LABELS))
+    T.backward(loss(scores, LABELS))
     return [scores.values.tobytes()] + [t.grad.tobytes() for t in leaves]
 
 
@@ -77,16 +91,25 @@ def test_scores_and_gradients_equal_the_tape_oracle_on_the_corpus(layers, jk):
         for p, mask in ((params, None), (params, logits), (frozen, logits)):
             if layers == 0 and mask is not None:
                 continue  # no attention to mask
-            assert step(forward_scores, inp, p, mask) == step(tape_forward_scores, inp, p, mask)
+            assert (step(forward_scores, margin_rank_loss_t, inp, p, mask)
+                    == step(tape_forward_scores, tape_margin_rank_loss, inp, p, mask))
 
 
-def test_explain_equals_the_tape_oracle(monkeypatch):
-    params = corpus_params(seed=5, num_gat_layers=2)
-    graphs = corpus_graphs()[1][::4]
-    fused = [explain(params, g, iters=20, init_noise=0.1) for g in graphs]
-    monkeypatch.setattr(verisel.explain, "forward_scores", tape_forward_scores)
-    oracle = [explain(params, g, iters=20, init_noise=0.1) for g in graphs]
-    assert [(m.scores, m.trace) for m in fused] == [(m.scores, m.trace) for m in oracle]
+def test_explain_equals_the_tape_oracle():
+    # 0-3 layers, jumping knowledge on and off, with and without noise on
+    # the initial logits, every edge set or a subset of them
+    graphs = corpus_graphs()[1][::5]
+    for layers in range(4):
+        for jk in (True, False):
+            params = corpus_params(seed=5 + layers, num_gat_layers=layers,
+                                   jumping_knowledge=jk)
+            for i, graph in enumerate(graphs):
+                kwargs = dict(iters=12, lr=0.05, seed=i, init_noise=0.1 * (i % 2),
+                              edge_sets=("AST", "DFG") if i % 3 == 2 else None)
+                mask = explain(params, graph, **kwargs)
+                scores, trace = tape_explain(params, graph, **kwargs)
+                assert np.array(mask.scores).tobytes() == np.array(scores).tobytes()
+                assert np.array(mask.trace).tobytes() == np.array(trace).tobytes()
 
 
 def test_training_equals_the_tape_oracle(monkeypatch):
@@ -97,17 +120,31 @@ def test_training_equals_the_tape_oracle(monkeypatch):
     cfg = TrainConfig(epochs=5, initial_lr=2e-3, seed=0)
     fused, fused_history = train(instances[:14], instances[14:], init, cfg)
     monkeypatch.setattr(verisel.trainer, "forward_scores", tape_forward_scores)
+    monkeypatch.setattr(verisel.trainer, "margin_rank_loss_t", tape_margin_rank_loss)
     oracle, oracle_history = train(instances[:14], instances[14:], init, cfg)
     assert fused.vector.tobytes() == oracle.vector.tobytes()
     assert fused_history == oracle_history
 
 
-def test_one_training_step_puts_41_tensors_on_the_tape():
-    # the benchmark's model: 2 GAT layers of width 32, jumping knowledge
+def test_one_training_step_puts_25_tensors_on_the_tape():
+    # the benchmark's model: 2 GAT layers of width 32, jumping knowledge;
+    # 18 parameters, 2 layers, 2 concatenations, pool, head and loss
     params = corpus_params(num_gat_layers=2, gat_width=32, pool_hidden=(64, 12))
     inp = prepare_input(corpus_graphs()[1][0], params)
     loss = margin_rank_loss_t(forward_scores(inp, params), LABELS)
-    assert len(T._toposort(loss)) == 41
+    assert len(T._toposort(loss)) == 25
+
+
+def test_one_explain_iteration_puts_11_tensors_on_the_tape(monkeypatch):
+    # logits, keep, message mask, 2 layers, 2 concatenations, pool, head,
+    # penalty and loss
+    params = corpus_params(num_gat_layers=2, gat_width=32, pool_hidden=(64, 12))
+    sizes = []
+    backward = T.backward
+    monkeypatch.setattr(T, "backward",
+                        lambda loss: (sizes.append(len(T._toposort(loss))), backward(loss)))
+    explain(params, corpus_graphs()[1][0], iters=2)
+    assert sizes == [11, 11]
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -127,7 +164,7 @@ def test_gat_layer_gradients_match_central_differences(masked):
         out = gat_layer(h, edges, GatLayerParams(wi, wo, a), slope=0.2,
                         message_mask=T.sigmoid(m) if masked else None,
                         allowed_mask=index)
-        return T.sum_all(T.elementwise_mul(out, mix))
+        return sum_all(elementwise_mul(out, mix))
 
     report = grad_check(f, [states, w_in, w_out, attn, logits])
     assert report.passed, report
@@ -146,18 +183,122 @@ def test_sorted_segments_reduce_like_the_permuted_copy():
         assert got.tobytes() == want.tobytes()
 
 
+def affine_layers(rng, widths):
+    return [AffineParams(T.Tensor(rng.standard_normal((b, a)), requires_grad=True),
+                         T.Tensor(rng.standard_normal((1, b)), requires_grad=True))
+            for a, b in zip(widths, widths[1:])]
+
+
+def leaf_bytes(out, leaves, mix):
+    """The output and the gradient of each leaf for sum(out * mix), as bytes."""
+    for t in leaves:
+        t.zero_grad()
+    T.backward(sum_all(elementwise_mul(out, mix)))
+    return [out.values.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+def signed_zeros(shape):
+    """Mixing weights -0.0, 1.5, -0.0, ...: a gradient that numpy's sum would
+    turn from -0.0 into +0.0 shows in the bytes."""
+    return T.constant(np.where(np.arange(np.prod(shape)).reshape(shape) % 2, 1.5, -0.0))
+
+
 @pytest.mark.parametrize("rows", [1, 4])
-def test_linear_equals_the_tape_chain(rows):
+def test_mlp_equals_the_tape_chain(rows):
+    # a one-row z hands b the output gradient unsummed, keeping its -0.0
     rng = np.random.default_rng(rows)
-    z, w, b = (T.Tensor(rng.standard_normal(shape), requires_grad=True)
-               for shape in ((rows, 3), (2, 3), (1, 2)))
-    mix = T.constant(np.where(rng.random((rows, 2)) < 0.5, -0.0, 1.5))  # signed zeros
+    z = T.Tensor(rng.standard_normal((rows, 3)), requires_grad=True)
+    layers = affine_layers(rng, (3, 4, 5, 2))
+    leaves = [z] + [t for layer in layers for t in (layer.w, layer.b)]
+    mix = signed_zeros((rows, 2))
+    assert (leaf_bytes(_mlp(z, layers, 0.2), leaves, mix)
+            == leaf_bytes(tape_mlp(z, layers, 0.2), leaves, mix))
 
-    def grads(affine):
-        for t in (z, w, b):
-            t.zero_grad()
-        out = affine(z, w, b)
-        T.backward(T.sum_all(T.elementwise_mul(out, mix)))
-        return [out.values.tobytes()] + [t.grad.tobytes() for t in (z, w, b)]
 
-    assert grads(T.linear) == grads(lambda z, w, b: T.add(T.matmul(z, T.transpose(w)), b))
+@pytest.mark.parametrize("rows", [1, 5])
+def test_attention_pool_equals_the_tape_chain(rows):
+    rng = np.random.default_rng(10 + rows)
+    states = T.Tensor(rng.standard_normal((rows, 3)), requires_grad=True)
+    pool = affine_layers(rng, (3, 4, 2, 1))
+    leaves = [states] + [t for layer in pool for t in (layer.w, layer.b)]
+    mix = signed_zeros((1, 3))
+    assert (leaf_bytes(attention_pool(states, pool, 0.2), leaves, mix)
+            == leaf_bytes(tape_attention_pool(states, pool, 0.2), leaves, mix))
+    # frozen pool parameters: the gradient reaches the states alone
+    for t in leaves[1:]:
+        t.requires_grad = False
+    assert (leaf_bytes(attention_pool(states, pool, 0.2), [states], mix)
+            == leaf_bytes(tape_attention_pool(states, pool, 0.2), [states], mix))
+
+
+def test_attention_pool_gradients_match_central_differences():
+    rng = np.random.default_rng(4)
+    pool = affine_layers(rng, (3, 4, 1))
+    mix = T.constant(rng.standard_normal((1, 3)))
+
+    def f(h, *params):
+        layers = [AffineParams(w, b) for w, b in zip(params[::2], params[1::2])]
+        return sum_all(elementwise_mul(attention_pool(h, layers, 0.2), mix))
+
+    states = T.Tensor(rng.standard_normal((5, 3)))
+    report = grad_check(f, [states] + [t for layer in pool for t in (layer.w, layer.b)])
+    assert report.passed, report
+
+
+LABEL_SETS = [(2.0, 1.0, 0.5), (1.0, 1.0, 0.0), (0.0, 3.0, 3.0, -1.0), (1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("labels", LABEL_SETS)
+@pytest.mark.parametrize("margin", [1.0, 0.25])
+def test_margin_rank_loss_equals_the_tape_chain(labels, margin):
+    # scores 1 apart sit on the hinge's kink at margin 1; equal labels give
+    # no pairs, a constant zero loss on both sides
+    rng = np.random.default_rng(len(labels))
+    for values in (rng.standard_normal((1, len(labels))), np.arange(len(labels))[None] * 1.0):
+        scores = T.Tensor(values, requires_grad=True)
+        fused = margin_rank_loss_t(scores, labels, margin)
+        chain = tape_margin_rank_loss(scores, labels, margin)
+        assert fused.values.tobytes() == chain.values.tobytes()
+        assert fused.requires_grad == chain.requires_grad == (len(set(labels)) > 1)
+        if fused.requires_grad:
+            grads = []
+            for loss in (fused, chain):
+                scores.zero_grad()
+                T.backward(loss)
+                grads.append(scores.grad.tobytes())
+            assert grads[0] == grads[1]
+
+
+def test_margin_rank_loss_gradients_match_central_differences():
+    # scores far from every kink: separations of 0.3 and more from the margin
+    scores = T.Tensor([[0.1, 2.4, -1.3, 0.75]])
+    report = grad_check(lambda s: margin_rank_loss_t(s, [0.5, 2.0, 0.0, 1.0], 1.0), scores)
+    assert report.passed, report
+
+
+def test_message_mask_equals_the_tape_chain():
+    # repeated slots multiply their keeps, slot E (no attention edge) is dropped
+    rng = np.random.default_rng(6)
+    graph = random_graph(rng, max_nodes=7)
+    index = EdgeIndex(graph.num_nodes, edge_pairs(graph, ("AST", "ICFG")))
+    e = len(index.keys)
+    slots = np.concatenate([rng.integers(0, e, 9), [e, 0, e]])
+    keep = T.Tensor(rng.uniform(0.05, 0.95, (1, len(slots))), requires_grad=True)
+    mix = signed_zeros((e, 1))
+    assert (leaf_bytes(index.message_mask(keep, slots), [keep], mix)
+            == leaf_bytes(tape_message_mask(index, keep, slots), [keep], mix))
+    report = grad_check(
+        lambda k: sum_all(elementwise_mul(index.message_mask(k, slots), mix)), keep)
+    assert report.passed, report
+
+
+def test_explain_objective_gradients_match_central_differences():
+    rng = np.random.default_rng(8)
+    target = rng.standard_normal((1, 3))
+
+    def f(logits, masked):
+        return _objective(masked, target, _penalty(T.sigmoid(logits), 0.3, 0.2))
+
+    report = grad_check(f, [T.Tensor(rng.standard_normal((1, 6))),
+                            T.Tensor(rng.standard_normal((1, 3)))])
+    assert report.passed, report

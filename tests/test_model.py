@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from helpers import (
     awkward_graph,
     dense_forward_scores,
+    elementwise_mul,
     grad_check,
     margin_rank_loss,
     permuted_graph,
     random_graph,
     random_permutation,
+    sum_all,
 )
 from verisel import tensor as T
 from verisel.graphio import ProgramGraph, PropertyKind, TokenVocabulary
@@ -36,7 +38,6 @@ from verisel.model import (
     jumping_knowledge,
     load_model,
     margin_rank_loss_t,
-    pool_weights,
     predict,
     prepare_input,
     save_model,
@@ -155,7 +156,7 @@ def test_out_of_range_edge_endpoint_is_rejected():
 def scores_and_gradients(forward, graph, params, mix):
     params.zero_grad()
     scores = forward(graph, params)
-    T.backward(T.sum_all(T.elementwise_mul(scores, mix)))
+    T.backward(sum_all(elementwise_mul(scores, mix)))
     return scores.values, [t.grad for t in params.trainables()]
 
 
@@ -217,7 +218,7 @@ def test_forward_backward_memory_is_linear_in_edges():
     params = init_parameters(ModelConfig(num_gat_layers=2), vocab, PORTFOLIO)
     tracemalloc.start()
     try:
-        T.backward(T.sum_all(forward_scores(graph, params)))
+        T.backward(sum_all(forward_scores(graph, params)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -291,14 +292,16 @@ def test_pool_two_identical_nodes():
 
 
 def test_pool_weights_are_probabilities():
+    # the last 6 columns of the states are the identity, so those columns of
+    # the pooled vector are the pooling weights themselves
     rng = np.random.default_rng(5)
     pool = [
-        AffineParams(T.Tensor(rng.standard_normal((3, 4))), T.Tensor(rng.standard_normal((1, 3)))),
+        AffineParams(T.Tensor(rng.standard_normal((3, 10))), T.Tensor(rng.standard_normal((1, 3)))),
         AffineParams(T.Tensor(rng.standard_normal((2, 3))), T.Tensor(rng.standard_normal((1, 2)))),
         AffineParams(T.Tensor(rng.standard_normal((1, 2))), T.Tensor(rng.standard_normal((1, 1)))),
     ]
-    states = T.constant(rng.standard_normal((6, 4)))
-    weights = pool_weights(states, pool).values
+    states = T.constant(np.hstack([rng.standard_normal((6, 4)), np.eye(6)]))
+    weights = attention_pool(states, pool).values[0, 4:]
     assert weights.min() >= 0.0
     np.testing.assert_allclose(weights.sum(), 1.0, atol=1e-12)
 
@@ -367,7 +370,7 @@ def test_threaded_predict_leaves_gradients_recorded():
             with ThreadPoolExecutor(max_workers=4) as pool:
                 list(pool.map(lambda g: predict(g, params), graphs))
             x = T.Tensor(np.ones((1, 2)), requires_grad=True)
-            assert T.sum_all(x).requires_grad
+            assert sum_all(x).requires_grad
     finally:
         sys.setswitchinterval(interval)
 
@@ -458,7 +461,7 @@ def test_forward_scores_gradcheck_one_config():
 
     def loss_fn(*_):
         scores = forward_scores(graph, params)
-        return T.sum_all(T.elementwise_mul(scores, mix))
+        return sum_all(elementwise_mul(scores, mix))
 
     report = grad_check(loss_fn, params.trainables(), step=1e-5, tolerance=1e-4)
     assert report.passed, report

