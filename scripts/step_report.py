@@ -8,7 +8,9 @@ microseconds per forward, backward and Adam step, and the minor page faults
 per step. It then explains each corpus graph with the trained model and
 prints the tensors one explainer iteration puts on the tape and the median
 microseconds per iteration (the time of a longer ``explain`` call minus a
-one-iteration call, so the set-up is not counted). Run it as
+one-iteration call, so the set-up is not counted). Last it prints the median
+microseconds per ``predict``, on a freshly loaded model (the call that builds
+the model's frozen parameter view) and on the same model again. Run it as
 ``PYTHONPATH=src python scripts/step_report.py``.
 """
 
@@ -16,6 +18,7 @@ import argparse
 import contextlib
 import resource
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,8 +30,11 @@ from verisel.model import (
     ModelConfig,
     forward_scores,
     init_parameters,
+    load_model,
     margin_rank_loss_t,
+    predict,
     prepare_input,
+    save_model,
 )
 from verisel.trainer import _AdamState
 
@@ -40,6 +46,7 @@ LABELS = (2.0, 1.0, 0.5)
 LEARNING_RATE = 0.002
 EXPLAIN_ITERS = 20
 EXPLAIN_ROUNDS = 3
+PREDICT_ROUNDS = 3
 
 
 def minor_faults() -> int:
@@ -72,6 +79,23 @@ def explain_iteration(params, graphs) -> tuple[int, float]:
             t2 = time.perf_counter()
             seconds.append(((t2 - t1) - (t1 - t0)) / EXPLAIN_ITERS)
     return sizes[0], statistics.median(seconds)
+
+
+def predict_calls(params, graphs) -> tuple[float, float]:
+    """Median seconds of the first ``predict`` on a freshly loaded copy of
+    ``params`` and of a second one on that copy."""
+    first, again = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(params, path)
+        for _ in range(PREDICT_ROUNDS):
+            for graph in graphs:
+                loaded = load_model(path)
+                for seconds in (first, again):
+                    t0 = time.perf_counter()
+                    predict(graph, loaded)
+                    seconds.append(time.perf_counter() - t0)
+    return statistics.median(first), statistics.median(again)
 
 
 def main() -> int:
@@ -121,6 +145,9 @@ def main() -> int:
           f"{EXPLAIN_ROUNDS} x {EXPLAIN_ITERS} timed iterations each")
     print(f"tape tensors per explainer iteration: {tape}")
     print(f"us per explainer iteration (median): {seconds * 1e6:.0f}")
+    first, again = predict_calls(params, graphs)
+    print(f"us per predict on a freshly loaded model (median): {first * 1e6:.0f}")
+    print(f"us per predict on a model already used (median): {again * 1e6:.0f}")
     return 0
 
 

@@ -29,6 +29,7 @@ from .graphio import (
     SchemaError,
     TokenVocabulary,
     build_instances,
+    label_penalty,
     load_graph,
     load_labels,
     portfolio_names,
@@ -71,21 +72,20 @@ class RunConfig:
             raise UsageError(f"config: {', '.join(not_objects)} must be a JSON object")
         split, penalty = sections["split"], sections["penalty"]
         try:
-            config = cls(
+            time_limit, penalty_weight = label_penalty(
+                penalty.get("time_limit", 900.0), penalty.get("penalty_weight", 1.0))
+            return cls(
                 vocabulary=data.get("vocabulary"),
                 portfolio=portfolio_names(data.get("portfolio", ())),
                 model=ModelConfig.from_dict(sections["model"]),
                 train=TrainConfig.from_dict(sections["train"]),
                 split_ratios=split_ratios(split.get("ratios", (0.8, 0.1, 0.1))),
                 split_seed=int(split.get("seed", 0)),
-                time_limit=float(penalty.get("time_limit", 900.0)),
-                penalty_weight=float(penalty.get("penalty_weight", 1.0)),
+                time_limit=time_limit,
+                penalty_weight=penalty_weight,
             )
-            if not config.time_limit > 0:
-                raise ValueError("penalty.time_limit must be positive")
         except (TypeError, ValueError) as err:
             raise UsageError(f"config: {err}") from err
-        return config
 
 
 def apply_env_overrides(data: dict, environ=None) -> dict:

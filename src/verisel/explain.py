@@ -8,9 +8,10 @@ vectors plus a size penalty (mean mask) and a binary-entropy penalty, so edges
 the prediction does not need drift toward zero while load-bearing edges stay
 high. Scores are sigmoids, hence always strictly inside (0, 1).
 
-The mask runs over a frozen copy of the caller's parameters, so the caller's
-values and ``requires_grad`` flags are never written, and the masked edges
-are resolved to attention-edge slots once, before the first iteration.
+The mask runs over the parameters' frozen view (``params.frozen``), so the
+tape reaches the mask logits alone and the caller's values, flags and grads
+are never written; the masked edges are resolved to attention-edge slots
+once, before the first iteration.
 
 Like the model's layers, the objective is fused into few tape nodes: the
 size and entropy penalty is one node and the total loss another, each
@@ -169,13 +170,9 @@ def explain(
     if not edges:
         return EdgeMask(graph.id, [], [], [])
 
-    frozen = params.copy()
-    for t in frozen.trainables():
-        t.requires_grad = False
+    frozen = params.frozen
     inp = prepare_input(graph, frozen)
-    with tz.no_grad():
-        original = forward_scores(inp, frozen)
-    target = original.values
+    target = forward_scores(inp, frozen).values
 
     init = np.zeros((1, len(edges)))
     if init_noise > 0.0:
@@ -193,8 +190,7 @@ def explain(
         trace.append(loss.item())
         logits.values -= lr * logits.grad
 
-    with tz.no_grad():
-        scores = tz.sigmoid(logits).values[0]
+    scores = tz.sigmoid(tz.constant(logits.values)).values[0]
     return EdgeMask(graph.id, edges, [float(s) for s in scores], trace)
 
 

@@ -124,6 +124,16 @@ def split_ratios(value) -> tuple[float, float, float]:
     return tuple(value)  # type: ignore[return-value]
 
 
+def label_penalty(time_limit, penalty_weight) -> tuple[float, float]:
+    """The label formula's time limit (finite, above 0) and penalty weight (finite)."""
+    limit, weight = float(time_limit), float(penalty_weight)
+    if not (math.isfinite(limit) and limit > 0):
+        raise ValueError(f"penalty.time_limit must be positive and finite: {time_limit!r}")
+    if not math.isfinite(weight):
+        raise ValueError(f"penalty.penalty_weight must be finite: {penalty_weight!r}")
+    return limit, weight
+
+
 @dataclass(frozen=True)
 class TokenVocabulary:
     """Ordered set of AST token kinds; index 0 is the reserved Unknown."""
@@ -317,8 +327,7 @@ def compute_label(
     record: VerifierLabelRecord, time_limit: float, penalty_weight: float
 ) -> float:
     """Competition score minus a linear penalty for capped normalized time."""
-    if time_limit <= 0:
-        raise ValueError("time_limit must be positive")
+    time_limit, penalty_weight = label_penalty(time_limit, penalty_weight)
     capped = min(record.cpu_seconds, time_limit)
     return record.svcomp_score - penalty_weight * capped / time_limit
 
@@ -372,10 +381,6 @@ class LabeledInstance:
     labels: list[float]
     successes: list[bool] = field(default_factory=list)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.graph.id, self.graph.property.value)
-
 
 def build_instances(
     graphs: Iterable[ProgramGraph],
@@ -391,6 +396,7 @@ def build_instances(
     column wins over the score/time formula.
     """
     portfolio = portfolio_names(portfolio)
+    time_limit, penalty_weight = label_penalty(time_limit, penalty_weight)
     by_key: dict[tuple[str, PropertyKind, str], VerifierLabelRecord] = {}
     for rec in records:
         by_key[(rec.program_id, rec.property, rec.verifier)] = rec

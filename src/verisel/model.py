@@ -25,6 +25,8 @@ built once by :func:`prepare_input` and reused by every pass over that graph
 (training steps, validation, explainer iterations). The trainable parameters
 are views into one float64 vector (:attr:`ModelParameters.vector`), so an
 optimizer updates them all at once and a snapshot is one array copy.
+Inference, validation and the explainer read them through views that record
+nothing (:attr:`ModelParameters.frozen`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Sequence
@@ -83,6 +86,11 @@ class ModelConfig:
     def __post_init__(self):
         if not self.head_hidden:  # no hidden widths given: the default shape
             object.__setattr__(self, "head_hidden", None)
+        sizes = (self.num_gat_layers, self.gat_width, *self.pool_hidden, *(self.head_hidden or ()))
+        if any(type(v) is not int for v in sizes):
+            raise ValueError(f"num_gat_layers and widths must be integers, got {sizes}")
+        if type(self.jumping_knowledge) is not bool:
+            raise ValueError("jumping_knowledge must be true or false")
         if not 0 <= self.num_gat_layers <= 5:
             raise ValueError("num_gat_layers must be in 0..5")
         bad = set(self.edge_sets) - set(EDGE_SET_NAMES)
@@ -92,7 +100,7 @@ class ModelConfig:
             raise ValueError("edge_sets must not repeat")
         if self.property_encoding not in ("scalar", "onehot"):
             raise ValueError("property_encoding must be 'scalar' or 'onehot'")
-        if any(w < 1 for w in (self.gat_width, *self.pool_hidden, *(self.head_hidden or ()))):
+        if any(w < 1 for w in sizes[1:]):
             raise ValueError("widths must be positive")
         if type(self.leaky_slope) not in (int, float):
             raise ValueError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
@@ -180,6 +188,14 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return replace(self, vector=self.vector.copy())
+
+    @cached_property
+    def frozen(self) -> "ModelParameters":
+        """Views over the same ``vector`` that require no gradients, built once."""
+        view = replace(self)
+        for t in view.trainables():
+            t.requires_grad = False
+        return view
 
 
 def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
@@ -395,15 +411,10 @@ def gat_layer(
 
 
 def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> Tensor:
-    """Concatenate per-layer node states column-wise (or keep the last)."""
+    """Concatenate per-layer node states column-wise (``tz.concat_cols``
+    checks that their node counts agree), or keep the last."""
     if not layer_outputs:
         raise tz.ShapeError("jumping_knowledge: no layer outputs")
-    rows = layer_outputs[0].shape[0]
-    if any(t.shape[0] != rows for t in layer_outputs):
-        raise tz.ShapeError(
-            f"jumping_knowledge: node counts differ "
-            f"{[t.shape for t in layer_outputs]}"
-        )
     if not enabled or len(layer_outputs) == 1:
         return layer_outputs[-1]
     return tz.concat_cols(list(layer_outputs))
@@ -576,11 +587,10 @@ def predict(
     prop: PropertyKind | None = None,
     vocab: TokenVocabulary | None = None,
 ) -> RankingResult:
-    """Rank the portfolio for one graph (inference only, no gradients)."""
+    """Rank the portfolio for one graph on ``params.frozen`` (nothing is recorded)."""
     if vocab is not None and vocab.fingerprint() != params.vocab_fingerprint:
         raise VocabMismatch("vocabulary fingerprint differs from the model's")
-    with tz.no_grad():
-        scores = forward_scores(graph, params, prop=prop)
+    scores = forward_scores(graph, params.frozen, prop=prop)
     flat = tuple(float(v) for v in scores.values[0])
     return RankingResult(graph.id, flat, ordering_from_scores(flat))
 

@@ -5,7 +5,8 @@ record their inputs and a local-gradient closure on the output tensor; a
 call to :func:`backward` linearizes the recorded applications in topological
 order and accumulates gradients into the ``grad`` field of every leaf that
 requires them. Gradients accumulate across repeated backward calls until
-reset via :meth:`Tensor.zero_grad`.
+reset via :meth:`Tensor.zero_grad`. A primitive records only when an input
+requires gradients, so a pass over frozen parameters builds no tape.
 
 Summation is delegated to numpy, whose reduction order is fixed for a given
 shape, so identical inputs produce bit-identical outputs.
@@ -24,9 +25,7 @@ the chain's, which the tests keep with the other primitives as the oracle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,20 +36,6 @@ class ShapeError(Exception):
 
 class NotScalar(Exception):
     """Raised when backward() is asked to differentiate a non-1x1 tensor."""
-
-
-# a context variable, so a no_grad block in one thread leaves others recording
-_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable recording inside the block (inference fast path)."""
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -98,10 +83,10 @@ def constant(values) -> Tensor:
 
 def record(values: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """The result of a primitive: ``values``, recorded with ``inputs`` and
-    ``backward`` (output gradient -> one gradient or None per input) when
-    gradients are enabled and an input requires them."""
+    ``backward`` (output gradient -> one gradient or None per input) when an
+    input requires gradients."""
     out = Tensor(values)
-    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._inputs = inputs
         out._backward = backward

@@ -335,6 +335,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.epochs, self.plateau_patience, self.seed)):
+            raise ValueError("epochs, plateau_patience and seed must be integers")
         if self.epochs < 1 or self.plateau_patience < 1:
             raise ValueError("epochs and patience must be >= 1")
         if min(self.initial_lr, self.lr_decay_factor, self.min_lr, self.margin) <= 0:
@@ -454,10 +456,9 @@ class _AdamState:
 
 def validation_loss(instances: Sequence[tuple[ModelInput, Sequence[float]]],
                     params: ModelParameters, margin: float) -> float:
-    """Mean loss over (prepared input, labels) pairs, without gradients."""
-    with tz.no_grad():
-        losses = [_instance_loss(graph, labels, params, margin).item()
-                  for graph, labels in instances]
+    """Mean loss over (prepared input, labels) pairs, on ``params.frozen``."""
+    losses = [_instance_loss(graph, labels, params.frozen, margin).item()
+              for graph, labels in instances]
     return float(np.mean(losses))
 
 

@@ -567,8 +567,7 @@ def tape_explain(params, graph, *, iters=100, lr=0.01, size_weight=0.05,
     for t in frozen.trainables():
         t.requires_grad = False
     inp = prepare_input(graph, frozen)
-    with tz.no_grad():
-        target = tz.constant(tape_forward_scores(inp, frozen).values.copy())
+    target = tz.constant(tape_forward_scores(inp, frozen).values.copy())
     init = np.zeros((1, len(edges)))
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
@@ -591,8 +590,7 @@ def tape_explain(params, graph, *, iters=100, lr=0.01, size_weight=0.05,
         tz.backward(loss)
         trace.append(loss.item())
         logits.values -= lr * logits.grad
-    with tz.no_grad():
-        return [float(s) for s in tz.sigmoid(logits).values[0]], trace
+    return [float(s) for s in tz.sigmoid(logits).values[0]], trace
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +656,7 @@ def reference_train(train_set, val_set, init, cfg):
             if loss.requires_grad:
                 tz.backward(loss)
                 optimizer.step(lr)
-        with tz.no_grad():
-            val = float(np.mean([loss_of(inst, params).item() for inst in val_set]))
+        val = float(np.mean([loss_of(inst, params).item() for inst in val_set]))
         history.append((total / len(train_set), val, lr))
         decision = schedule.observe(val)
         if decision.improved:
@@ -1555,22 +1552,21 @@ def grad_check(f, x, step: float = 1e-5, tolerance: float = 1e-4) -> GradCheck:
     worst = 0.0
     worst_input = 0
     worst_component = (0, 0)
-    with tz.no_grad():
-        for idx, t in enumerate(xs):
-            base = t.values
-            for i in range(base.shape[0]):
-                for j in range(base.shape[1]):
-                    orig = base[i, j]
-                    base[i, j] = orig + step
-                    hi = f(*xs).item()
-                    base[i, j] = orig - step
-                    lo = f(*xs).item()
-                    base[i, j] = orig
-                    numeric = (hi - lo) / (2.0 * step)
-                    a = analytic[idx][i, j]
-                    err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                    if err > worst:
-                        worst, worst_input, worst_component = err, idx, (i, j)
+    for idx, t in enumerate(xs):
+        base = t.values
+        for i in range(base.shape[0]):
+            for j in range(base.shape[1]):
+                orig = base[i, j]
+                base[i, j] = orig + step
+                hi = f(*xs).item()
+                base[i, j] = orig - step
+                lo = f(*xs).item()
+                base[i, j] = orig
+                numeric = (hi - lo) / (2.0 * step)
+                a = analytic[idx][i, j]
+                err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+                if err > worst:
+                    worst, worst_input, worst_component = err, idx, (i, j)
     return GradCheck(worst, tolerance, worst < tolerance, worst_input, worst_component)
 
 
@@ -1578,8 +1574,7 @@ def margin_rank_loss(scores, labels, margin: float = 1.0) -> float:
     """``margin_rank_loss_t`` on plain floats."""
     if len(scores) != len(labels) or len(scores) < 2:
         raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels (need >= 2)")
-    with tz.no_grad():
-        return margin_rank_loss_t(tz.constant(list(scores)), labels, margin).item()
+    return margin_rank_loss_t(tz.constant(list(scores)), labels, margin).item()
 
 
 def permuted_graph(graph: ProgramGraph, perm) -> ProgramGraph:

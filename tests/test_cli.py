@@ -202,6 +202,20 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"penalty": 900}, "penalty must be a JSON object"),
     ({"model": []}, "model must be a JSON object"),
     ({"train": "fast"}, "train must be a JSON object"),
+    ({"penalty": {"time_limit": float("nan")}}, "penalty.time_limit must be positive and finite"),
+    ({"penalty": {"time_limit": float("inf")}}, "penalty.time_limit must be positive and finite"),
+    ({"penalty": {"penalty_weight": float("nan")}}, "penalty.penalty_weight must be finite"),
+    ({"penalty": {"penalty_weight": float("-inf")}}, "penalty.penalty_weight must be finite"),
+    ({"model": {"num_gat_layers": 1.5}}, "num_gat_layers and widths must be integers"),
+    ({"model": {"num_gat_layers": True}}, "num_gat_layers and widths must be integers"),
+    ({"model": {"gat_width": 8.5}}, "num_gat_layers and widths must be integers"),
+    ({"model": {"pool_hidden": [4.5]}}, "num_gat_layers and widths must be integers"),
+    ({"model": {"head_hidden": [True]}}, "num_gat_layers and widths must be integers"),
+    ({"model": {"jumping_knowledge": "no"}}, "jumping_knowledge must be true or false"),
+    ({"train": {"epochs": 2.5}}, "epochs, plateau_patience and seed must be integers"),
+    ({"train": {"epochs": True}}, "epochs, plateau_patience and seed must be integers"),
+    ({"train": {"plateau_patience": 1.5}}, "epochs, plateau_patience and seed must be integers"),
+    ({"train": {"seed": "x"}}, "epochs, plateau_patience and seed must be integers"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)

@@ -323,6 +323,25 @@ def test_label_monotone_in_time(t1, t2, weight):
     assert b <= a + 1e-12
 
 
+@pytest.mark.parametrize("time_limit, penalty_weight, message", [
+    (float("nan"), 1.0, "time_limit must be positive and finite"),
+    (float("inf"), 1.0, "time_limit must be positive and finite"),
+    (0.0, 1.0, "time_limit must be positive and finite"),
+    (900.0, float("nan"), "penalty_weight must be finite"),
+    (900.0, float("inf"), "penalty_weight must be finite"),
+    (900.0, float("-inf"), "penalty_weight must be finite"),
+])
+def test_label_formula_needs_finite_parameters(time_limit, penalty_weight, message):
+    graph = ProgramGraph("p", PropertyKind.REACH_SAFETY, [0], {"AST": [], "ICFG": [], "DFG": []})
+    # checked before any record is read, so precomputed labels do not hide it
+    for rec in (record(), record(label=1.0)):
+        with pytest.raises(ValueError, match=message):
+            build_instances([graph], [rec], ["v"], time_limit=time_limit,
+                            penalty_weight=penalty_weight)
+    with pytest.raises(ValueError, match=message):
+        compute_label(record(), time_limit, penalty_weight)
+
+
 CSV_TEXT = """program_id,property,verifier,svcomp_score,cpu_seconds,outcome
 p1,ReachSafety,v1,2,1.5,correct
 p1,ReachSafety,v2,0,900,unknown
@@ -412,10 +431,10 @@ def test_split_deterministic_and_partitioning():
     instances = make_instances(23) + make_instances(17, PropertyKind.TERMINATION, "t")
     first = split_dataset(instances, (0.6, 0.2, 0.2), seed=9)
     second = split_dataset(instances, (0.6, 0.2, 0.2), seed=9)
-    key = lambda part: [inst.key for inst in part]
+    key = lambda part: [(inst.graph.id, inst.graph.property.value) for inst in part]
     assert [key(p) for p in first] == [key(p) for p in second]
-    everything = [inst.key for part in first for inst in part]
-    assert sorted(everything) == sorted(inst.key for inst in instances)
+    everything = [k for part in first for k in key(part)]
+    assert sorted(everything) == sorted(key(instances))
     assert len(set(everything)) == len(everything)
 
 

@@ -251,12 +251,16 @@ def test_jumping_knowledge_disabled_returns_last():
     np.testing.assert_array_equal(out.values, b.values)
 
 
+def test_jumping_knowledge_rejects_differing_node_counts():
+    with pytest.raises(T.ShapeError, match="row mismatch"):
+        jumping_knowledge([T.constant(np.ones((2, 2))), T.constant(np.ones((3, 2)))])
+
+
 def test_zero_gat_layers_pool_over_onehot():
     params = tiny_params(num_gat_layers=0)
     kinds = [1, 3, 5]
     graph = graph_of(kinds, ast=[(0, 1), (0, 2)])
-    with T.no_grad():
-        scores = forward_scores(graph, params)
+    scores = forward_scores(graph, params.frozen)
     assert scores.shape == (1, len(PORTFOLIO))
 
 
@@ -371,6 +375,7 @@ def test_threaded_predict_leaves_gradients_recorded():
                 list(pool.map(lambda g: predict(g, params), graphs))
             x = T.Tensor(np.ones((1, 2)), requires_grad=True)
             assert sum_all(x).requires_grad
+            assert all(t.requires_grad for t in params.trainables())
     finally:
         sys.setswitchinterval(interval)
 
@@ -541,6 +546,14 @@ def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
     (b'"head_hidden": null', b'"head_hidden": "8"', "head_hidden must be a list"),
     (b'"head_hidden": null', b'"head_hidden": [4, 0]', "widths must be positive"),
     (b'"leaky_slope": 0.2', b'"leaky_slope": "x"', "leaky_slope must be a number"),
+    (b'"num_gat_layers": 1', b'"num_gat_layers": 1.5',
+     "num_gat_layers and widths must be integers"),
+    (b'"gat_width": 4', b'"gat_width": 4.0',
+     "num_gat_layers and widths must be integers"),
+    (b'"pool_hidden": [5, 3]', b'"pool_hidden": [5, true]',
+     "num_gat_layers and widths must be integers"),
+    (b'"jumping_knowledge": true', b'"jumping_knowledge": "no"',
+     "jumping_knowledge must be true or false"),
 ])
 def test_model_container_rejects_a_config_with_a_bad_list(tmp_path, field, value, message):
     path = tmp_path / "model.bin"
@@ -630,6 +643,23 @@ def test_trainables_are_views_into_one_vector(tmp_path):
     save_model(params, tmp_path / "model.bin")
     for candidate in (params.copy(), load_model(tmp_path / "model.bin"), params):
         assert_backed_by_vector(candidate)
+
+
+def test_frozen_view_shares_the_vector_and_records_nothing():
+    params = tiny_params(seed=4, num_gat_layers=2)
+    graph = graph_of([1, 2, 3], ast=[(0, 1), (0, 2)], icfg=[(1, 2)])
+    frozen = params.frozen
+    assert params.frozen is frozen
+    assert frozen.vector is params.vector
+    assert all(np.shares_memory(a.values, b.values)
+               for a, b in zip(frozen.trainables(), params.trainables()))
+    assert not any(t.requires_grad for t in frozen.trainables())
+    assert all(t.requires_grad for t in params.trainables())
+    params.vector *= 0.5  # an in-place update, as Adam's, reaches the view
+    scores = forward_scores(graph, frozen)
+    assert not scores.requires_grad and scores._inputs == ()
+    assert np.array_equal(scores.values, forward_scores(graph, params).values)
+    assert params.copy().frozen.vector is not params.vector
 
 
 def test_copy_is_independent_of_the_original():

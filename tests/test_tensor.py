@@ -142,11 +142,13 @@ def test_backward_closures_skip_constant_operands():
         assert grads[1 - constant_side] is not None
 
 
-def test_no_grad_blocks_recording():
+def test_record_needs_an_input_that_requires_grad():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
-    with T.no_grad():
-        y = sum_all(x)
-    assert not y.requires_grad
+    c = T.constant(np.ones((2, 2)))
+    y = sum_all(c)
+    assert not y.requires_grad and y._inputs == () and y._backward is None
+    z = add(c, x)
+    assert z.requires_grad and z._inputs == (c, x)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +157,7 @@ def test_no_grad_blocks_recording():
 
 def _check(op, xs, rng, seed):
     """Gradient-check a weighted sum of op's output with frozen weights."""
-    with T.no_grad():
-        out_shape = op(*xs).shape
+    out_shape = op(*xs).shape
     w = T.constant(rng.standard_normal(out_shape))
 
     def f(*args):

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import PerTensorAdam, reference_train
+from verisel.explain import explain
 from verisel.graphio import (
     LabeledInstance,
     ProgramGraph,
@@ -15,7 +16,7 @@ from verisel.graphio import (
     _largest_remainder,
     ordering_from_scores,
 )
-from verisel.model import LengthMismatch, ModelConfig, init_parameters, predict
+from verisel.model import LengthMismatch, ModelConfig, init_parameters, predict, prepare_input
 from verisel.trainer import (
     BadK,
     DegenerateRankingWarning,
@@ -36,6 +37,7 @@ from verisel.trainer import (
     success_accuracy,
     topk_error,
     train,
+    validation_loss,
 )
 
 # ---------------------------------------------------------------------------
@@ -429,6 +431,30 @@ def test_train_equals_unprepared_per_tensor_reference_loop():
     assert [(e.train_loss, e.val_loss, e.lr) for e in history.epochs] == want_history
     for (name, a), b in zip(params.named(), want.trainables()):
         assert np.array_equal(a.values, b.values), name
+
+
+@pytest.mark.parametrize("run", [
+    lambda params, inst: predict(inst.graph, params),
+    lambda params, inst: validation_loss(
+        [(prepare_input(inst.graph, params), inst.labels)], params, 1.0),
+    lambda params, inst: explain(params, inst.graph, iters=3),
+], ids=["predict", "validation_loss", "explain"])
+def test_inference_leaves_the_callers_flags_and_grads(run):
+    params = small_model(seed=6)
+    params.trainables()[0].requires_grad = False  # frozen by the caller
+    for t in params.trainables()[1:]:
+        t.grad = np.full(t.shape, 7.0)
+    flags = [t.requires_grad for t in params.trainables()]
+    grads = [t.grad for t in params.trainables()]
+    before = params.vector.copy()
+    inst = training_data(1, seed=2)[0]
+    run(params, inst)
+    run(params, inst)  # the second call reuses the view
+    assert [t.requires_grad for t in params.trainables()] == flags
+    assert all(t.grad is g for t, g in zip(params.trainables(), grads))
+    assert all((t.grad == 7.0).all() for t in params.trainables()[1:])
+    assert np.array_equal(params.vector, before)
+    assert not any(t.requires_grad for t in params.frozen.trainables())
 
 
 # ---------------------------------------------------------------------------
