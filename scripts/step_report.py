@@ -6,9 +6,11 @@ knowledge) on the 20 corpus graphs, one Adam step per graph as ``train``
 does, and prints the tensors one step puts on the autodiff tape, the median
 microseconds per forward, backward and Adam step, and the minor page faults
 per step. It then explains each corpus graph with the trained model and
-prints the tensors one explainer iteration puts on the tape and the median
+prints the tensors one explainer iteration puts on the tape, the median
 microseconds per iteration (the time of a longer ``explain`` call minus a
-one-iteration call, so the set-up is not counted). Last it prints the median
+one-iteration call, so the set-up is not counted) and the median
+microseconds of that one-iteration call, which holds the set-up that runs
+once per ``explain`` call. Last it prints the median
 microseconds per ``predict``, on a freshly loaded model (the call that builds
 the model's frozen parameter view) and on the same model again. Run it as
 ``PYTHONPATH=src python scripts/step_report.py``.
@@ -65,11 +67,12 @@ def tape_sizes():
         tz.backward = backward
 
 
-def explain_iteration(params, graphs) -> tuple[int, float]:
-    """Tape tensors per explainer iteration and median seconds per iteration."""
+def explain_iteration(params, graphs) -> tuple[int, float, float]:
+    """Tape tensors per explainer iteration, median seconds per iteration and
+    median seconds of a one-iteration ``explain`` call."""
     with tape_sizes() as sizes:
         explain(params, graphs[0], iters=1)
-    seconds = []
+    seconds, single = [], []
     for _ in range(EXPLAIN_ROUNDS):
         for graph in graphs:
             t0 = time.perf_counter()
@@ -78,7 +81,8 @@ def explain_iteration(params, graphs) -> tuple[int, float]:
             explain(params, graph, iters=1 + EXPLAIN_ITERS)
             t2 = time.perf_counter()
             seconds.append(((t2 - t1) - (t1 - t0)) / EXPLAIN_ITERS)
-    return sizes[0], statistics.median(seconds)
+            single.append(t1 - t0)
+    return sizes[0], statistics.median(seconds), statistics.median(single)
 
 
 def predict_calls(params, graphs) -> tuple[float, float]:
@@ -140,11 +144,12 @@ def main() -> int:
     for name, seconds in phases.items():
         print(f"{name} us per step (median): {statistics.median(seconds) * 1e6:.0f}")
     print(f"minor page faults per step: {faults / steps:.1f}")
-    tape, seconds = explain_iteration(params, graphs)
+    tape, seconds, single = explain_iteration(params, graphs)
     print(f"explainer iteration on {len(graphs)} corpus graphs, "
           f"{EXPLAIN_ROUNDS} x {EXPLAIN_ITERS} timed iterations each")
     print(f"tape tensors per explainer iteration: {tape}")
     print(f"us per explainer iteration (median): {seconds * 1e6:.0f}")
+    print(f"us per 1-iteration explain call (median): {single * 1e6:.0f}")
     first, again = predict_calls(params, graphs)
     print(f"us per predict on a freshly loaded model (median): {first * 1e6:.0f}")
     print(f"us per predict on a model already used (median): {again * 1e6:.0f}")

@@ -71,6 +71,9 @@ class RunConfig:
         if not_objects:
             raise UsageError(f"config: {', '.join(not_objects)} must be a JSON object")
         split, penalty = sections["split"], sections["penalty"]
+        split_seed = split.get("seed", 0)
+        if type(split_seed) is not int:
+            raise UsageError(f"config: split.seed must be an integer, got {split_seed!r}")
         try:
             time_limit, penalty_weight = label_penalty(
                 penalty.get("time_limit", 900.0), penalty.get("penalty_weight", 1.0))
@@ -80,7 +83,7 @@ class RunConfig:
                 model=ModelConfig.from_dict(sections["model"]),
                 train=TrainConfig.from_dict(sections["train"]),
                 split_ratios=split_ratios(split.get("ratios", (0.8, 0.1, 0.1))),
-                split_seed=int(split.get("seed", 0)),
+                split_seed=split_seed,
                 time_limit=time_limit,
                 penalty_weight=penalty_weight,
             )

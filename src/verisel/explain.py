@@ -10,8 +10,11 @@ high. Scores are sigmoids, hence always strictly inside (0, 1).
 
 The mask runs over the parameters' frozen view (``params.frozen``), so the
 tape reaches the mask logits alone and the caller's values, flags and grads
-are never written; the masked edges are resolved to attention-edge slots
-once, before the first iteration.
+are never written. The target scores come from ``forward_scores``. What no
+mask can change is done once, before the first iteration: the masked edges
+are resolved to attention-edge slots, and a ``model.MaskScorer`` computes
+layer 0's attention, the weight copies of every layer and the property row,
+so each iteration runs only the mask-dependent part of the forward pass.
 
 Like the model's layers, the objective is fused into few tape nodes: the
 size and entropy penalty is one node and the total loss another, each
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary, ordering_from_scores
-from .model import EmptyGraph, ModelParameters, forward_scores, prepare_input
+from .model import EmptyGraph, MaskScorer, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
 
@@ -179,12 +182,13 @@ def explain(
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
     slots = inp.index.slots(np.array([(e.src, e.dst) for e in edges], dtype=np.intp))
+    score = MaskScorer(inp, frozen)
 
     trace: list[float] = []
     for _ in range(iters):
         logits.zero_grad()
         keep = tz.sigmoid(logits)
-        masked = forward_scores(inp, frozen, message_mask=inp.index.message_mask(keep, slots))
+        masked = score(inp.index.message_mask(keep, slots))
         loss = _objective(masked, target, _penalty(keep, size_weight, entropy_weight))
         tz.backward(loss)
         trace.append(loss.item())

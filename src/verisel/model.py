@@ -27,10 +27,19 @@ are views into one float64 vector (:attr:`ModelParameters.vector`), so an
 optimizer updates them all at once and a snapshot is one array copy.
 Inference, validation and the explainer read them through views that record
 nothing (:attr:`ModelParameters.frozen`).
+
+A GAT layer is a mask-independent step (:func:`_gat_attention`: projections,
+edge scores, softmax, sender gather) followed by the tape node that applies
+the message mask and aggregates (:func:`_gat_node`). Under fixed parameters
+the explainer changes only the mask, so :class:`MaskScorer` runs layer 0's
+step, the weight copies of every layer and the property row once per
+``explain`` call, and then the same steps and readout as
+:func:`forward_scores` for each mask.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 from dataclasses import asdict, dataclass, field, replace
@@ -191,10 +200,17 @@ class ModelParameters:
 
     @cached_property
     def frozen(self) -> "ModelParameters":
-        """Views over the same ``vector`` that require no gradients, built once."""
-        view = replace(self)
-        for t in view.trainables():
-            t.requires_grad = False
+        """Views over the same ``vector`` that require no gradients, built once,
+        from these views' arrays and layers (the layout is not derived again)."""
+        twin = {id(t): Tensor(t.values) for t in self.trainables()}
+
+        def layers(group: list) -> list:
+            return [type(layer)(*(twin[id(t)] for t in vars(layer).values()))
+                    for layer in group]
+
+        view = copy.copy(self)
+        view._views = {name: twin[id(t)] for name, t in self._views.items()}
+        view.gat, view.pool, view.head = layers(self.gat), layers(self.pool), layers(self.head)
         return view
 
 
@@ -338,36 +354,69 @@ def gat_layer(
     ``forward_scores`` builds it once for all layers. ``message_mask`` (E x 1,
     aligned with that index) scales the attention weights.
 
-    The layer is one tape node. Forward and backward run the operations of
-    the primitive chain it replaced (kept as ``tape_gat_layer`` in the test
-    helpers) in the same order. ``states`` is listed twice among the node's
-    inputs, for the receiver and the sender path, so that ``tz.backward``
-    adds those two gradients to the other contributions as the chain did.
+    The layer runs its mask-independent step (:func:`_gat_attention`) and
+    then its tape node (:func:`_gat_node`). Together they run the operations
+    of the primitive chain they replaced (kept as ``tape_gat_layer`` in the
+    test helpers) in the same order.
     """
     index = EdgeIndex(states.shape[0], edges) if allowed_mask is None else allowed_mask
+    copies = _gat_copies(params)
+    attention = _gat_attention(states.values, index, copies, slope)
+    return _gat_node(states, index, params, copies, attention, message_mask)
+
+
+def _gat_copies(params: GatLayerParams) -> tuple[np.ndarray, ...]:
+    """Contiguous copies of ``w_in.T``, ``w_out.T`` and the receiver and
+    sender halves of ``attn``, as the primitive chain multiplied by them (a
+    product with a transposed view can round differently)."""
+    d_out = params.w_in.shape[0]
+    attn = params.attn.values
+    return (params.w_in.values.T.copy(), params.w_out.values.T.copy(),
+            attn[:d_out].copy(), attn[d_out:].copy())
+
+
+def _gat_attention(h: np.ndarray, index: EdgeIndex, copies: tuple[np.ndarray, ...],
+                   slope: float) -> tuple[np.ndarray, ...]:
+    """The mask-independent step of a GAT layer over node states ``h``, with
+    the weight copies of :func:`_gat_copies`: the receiver and sender
+    features, the leaky-ReLU slope of each edge score, the softmax of the
+    scores over each receiver, and the sender features of each edge."""
+    wt_in, wt_out, a_in, a_out = copies
+    if h.shape[1] != wt_in.shape[0]:
+        raise tz.ShapeError(f"gat_layer: states {h.shape} vs w_in {wt_in.T.shape}")
     recv, send = index.receivers, index.senders
-    w_in, w_out, attn = params.w_in, params.w_out, params.attn
-    d_out = w_in.shape[0]
-    h = states.values
-    if h.shape[1] != w_in.shape[1] or (message_mask is not None
-                                       and message_mask.shape != (len(index.keys), 1)):
-        raise tz.ShapeError(f"gat_layer: states {h.shape} vs w_in {w_in.shape}, "
-                            f"or a mask that is not one column of {len(index.keys)} rows")
-    wt_in = w_in.values.T.copy()
-    wt_out = w_out.values.T.copy()
-    xin = h @ wt_in    # receiver features
-    xout = h @ wt_out  # sender features
-    a_in = attn.values[:d_out].copy()
-    a_out = attn.values[d_out:].copy()
+    xin = h @ wt_in
+    xout = h @ wt_out
     # score of the edge (j -> i) is leaky_relu(s_in[i] + s_out[j])
     raw = (xin @ a_in)[recv.ids] + (xout @ a_out)[send.ids]
     slopes = np.where(raw >= 0.0, 1.0, float(slope))
     scores = raw * slopes
     e = np.exp(scores - recv.reduce(np.maximum, scores)[recv.ids])
-    weights = e / recv.reduce(np.add, e)[recv.ids]  # softmax over each receiver
+    weights = e / recv.reduce(np.add, e)[recv.ids]
+    return xin, xout, slopes, weights, xout[send.ids]
+
+
+def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
+              copies: tuple[np.ndarray, ...], attention: tuple[np.ndarray, ...],
+              message_mask: Tensor | None) -> Tensor:
+    """The tape node of a GAT layer: the weights of :func:`_gat_attention`,
+    scaled by ``message_mask``, sum the gathered messages into each receiver.
+
+    ``states`` is listed twice among the node's inputs, for the receiver and
+    the sender path, so that ``tz.backward`` adds those two gradients to the
+    other contributions as the primitive chain did.
+    """
+    recv, send = index.receivers, index.senders
+    w_in, w_out, attn = params.w_in, params.w_out, params.attn
+    wt_in, wt_out, a_in, a_out = copies
+    xin, xout, slopes, weights, gathered = attention
+    d_out = w_in.shape[0]
+    h = states.values
     mask = None if message_mask is None else message_mask.values
+    if mask is not None and mask.shape != weights.shape:
+        raise tz.ShapeError(f"gat_layer: a mask of shape {mask.shape}, "
+                            f"not one column of {len(weights)} rows")
     scaled = weights if mask is None else weights * mask
-    gathered = xout[send.ids]
 
     def bwd(g: np.ndarray):
         need_h = states.requires_grad
@@ -420,16 +469,23 @@ def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> 
     return tz.concat_cols(list(layer_outputs))
 
 
-def _mlp_forward(z: np.ndarray, layers: Sequence[AffineParams], slope: float):
+def _transposed(layers: Sequence[AffineParams]) -> list[np.ndarray]:
+    """A contiguous copy of each layer's ``w.T``, as the primitive chain
+    multiplied by (a product with a transposed view can round differently)."""
+    return [layer.w.values.T.copy() for layer in layers]
+
+
+def _mlp_forward(z: np.ndarray, layers: Sequence[AffineParams],
+                 copies: Sequence[np.ndarray], slope: float):
     """Values of the affine layers ``z @ w.T + b`` with a leaky ReLU between
-    consecutive ones, and each layer's (input, ``w.T`` copy, ReLU slopes or
-    None) for :func:`_mlp_backward`."""
+    consecutive ones, given the layers' :func:`_transposed` copies, and each
+    layer's (input, ``w.T`` copy, ReLU slopes or None) for
+    :func:`_mlp_backward`."""
     steps = []
-    for i, layer in enumerate(layers):
+    for i, (layer, wt) in enumerate(zip(layers, copies)):
         if z.shape[1] != layer.w.shape[1] or layer.b.shape != (1, layer.w.shape[0]):
             raise tz.ShapeError(f"mlp layer {i}: {z.shape} @ {layer.w.shape}.T "
                                 f"+ {layer.b.shape}")
-        wt = layer.w.values.T.copy()
         out = z @ wt + layer.b.values
         slopes = None
         if i + 1 < len(layers):
@@ -466,9 +522,11 @@ def _mlp_backward(g: np.ndarray, z: Tensor, layers: Sequence[AffineParams],
     return grads
 
 
-def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
-    """Affine layers in order, with a leaky ReLU between consecutive ones."""
-    out, steps = _mlp_forward(z.values, layers, slope)
+def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float,
+         copies: Sequence[np.ndarray]) -> Tensor:
+    """Affine layers in order, with a leaky ReLU between consecutive ones,
+    given the layers' :func:`_transposed` copies."""
+    out, steps = _mlp_forward(z.values, layers, copies, slope)
 
     def bwd(g: np.ndarray):
         return _mlp_backward(g, z, layers, steps)
@@ -486,13 +544,20 @@ def attention_pool(states: Tensor, pool: Sequence[AffineParams],
 
     The pool MLP scores each node, a softmax over the nodes turns the scores
     into weights, and the result is the weighted sum of the rows of
-    ``states``. ``states`` is listed twice among the node's inputs, for the
-    sum and for the MLP path.
+    ``states``.
     """
+    return _attention_pool(states, pool, slope, _transposed(pool))
+
+
+def _attention_pool(states: Tensor, pool: Sequence[AffineParams], slope: float,
+                    copies: Sequence[np.ndarray]) -> Tensor:
+    """:func:`attention_pool` given the pool's :func:`_transposed` copies.
+    ``states`` is listed twice among the node's inputs, for the sum and for
+    the MLP path."""
     if states.shape[0] < 1:
         raise EmptyGraph("attention pooling needs at least one node")
     h = states.values
-    z, steps = _mlp_forward(h, pool, slope)
+    z, steps = _mlp_forward(h, pool, copies, slope)
     t = z.T.copy()
     e = np.exp(t - t.max(axis=1, keepdims=True))
     weights = e / e.sum(axis=1, keepdims=True)  # (1, n)
@@ -546,6 +611,20 @@ def prepare_input(graph: ProgramGraph, params: ModelParameters) -> ModelInput:
     return ModelInput(graph, tz.constant(onehot), edges, EdgeIndex(n, edges), edge_sets)
 
 
+def _checked_input(graph: ProgramGraph | ModelInput, params: ModelParameters) -> ModelInput:
+    """``graph`` if it is an input prepared for ``params``' edge sets and
+    vocabulary size, else a new input for it."""
+    inp = graph if isinstance(graph, ModelInput) else prepare_input(graph, params)
+    config = params.config
+    if inp.edge_sets != config.edge_sets or inp.states.shape[1] != params.vocab_size:
+        raise ValueError(
+            f"input for graph {inp.graph.id} was prepared for edge sets "
+            f"{inp.edge_sets} and |T|={inp.states.shape[1]}, the model reads "
+            f"{config.edge_sets} and |T|={params.vocab_size}"
+        )
+    return inp
+
+
 def forward_scores(
     graph: ProgramGraph | ModelInput,
     params: ModelParameters,
@@ -558,14 +637,8 @@ def forward_scores(
     ``graph`` is a prepared :class:`ModelInput`, or a bare graph that is
     prepared here.
     """
-    inp = graph if isinstance(graph, ModelInput) else prepare_input(graph, params)
+    inp = _checked_input(graph, params)
     config = params.config
-    if inp.edge_sets != config.edge_sets or inp.states.shape[1] != params.vocab_size:
-        raise ValueError(
-            f"input for graph {inp.graph.id} was prepared for edge sets "
-            f"{inp.edge_sets} and |T|={inp.states.shape[1]}, the model reads "
-            f"{config.edge_sets} and |T|={params.vocab_size}"
-        )
     outputs = [inp.states]
     for layer in params.gat:
         outputs.append(gat_layer(
@@ -577,7 +650,43 @@ def forward_scores(
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
     prop_vec = _encode_property(prop or inp.graph.property, config)
-    return _mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope)
+    return _mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope,
+                _transposed(params.head))
+
+
+class MaskScorer:
+    """``forward_scores(inp, params, message_mask=mask)`` for one mask per
+    call, with the work no mask can change done once, when it is built.
+
+    That work is layer 0's attention (its input, the one-hot node kinds, is
+    constant), the weight copies of every GAT, pool and head layer, and the
+    property row. The explainer builds one per ``explain`` call over the
+    frozen view; the scores are valid while the parameter values stay as
+    they were when it was built.
+    """
+
+    def __init__(self, inp: ModelInput, params: ModelParameters):
+        self.inp = inp = _checked_input(inp, params)
+        self.params = params
+        self.gat = [_gat_copies(layer) for layer in params.gat]
+        self.first = None if not self.gat else _gat_attention(
+            inp.states.values, inp.index, self.gat[0], params.config.leaky_slope)
+        self.pool = _transposed(params.pool)
+        self.head = _transposed(params.head)
+        self.prop = _encode_property(inp.graph.property, params.config)
+
+    def __call__(self, message_mask: Tensor) -> Tensor:
+        inp, params = self.inp, self.params
+        slope = params.config.leaky_slope
+        outputs = [inp.states]
+        for i, (layer, copies) in enumerate(zip(params.gat, self.gat)):
+            attention = self.first if i == 0 else _gat_attention(
+                outputs[-1].values, inp.index, copies, slope)
+            outputs.append(_gat_node(outputs[-1], inp.index, layer, copies, attention,
+                                     message_mask))
+        collected = jumping_knowledge(outputs, params.config.jumping_knowledge)
+        graph_vec = _attention_pool(collected, params.pool, slope, self.pool)
+        return _mlp(tz.concat_cols([graph_vec, self.prop]), params.head, slope, self.head)
 
 
 def predict(

@@ -216,6 +216,9 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"train": {"epochs": True}}, "epochs, plateau_patience and seed must be integers"),
     ({"train": {"plateau_patience": 1.5}}, "epochs, plateau_patience and seed must be integers"),
     ({"train": {"seed": "x"}}, "epochs, plateau_patience and seed must be integers"),
+    ({"split": {"seed": 1.5}}, "split.seed must be an integer"),
+    ({"split": {"seed": True}}, "split.seed must be an integer"),
+    ({"split": {"seed": "7"}}, "split.seed must be an integer"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verisel.model
 from helpers import awkward_graph, dense_forward_scores, exp, log, scatter, sum_all
 from verisel import tensor as T
 from verisel.explain import (
@@ -18,6 +21,7 @@ from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
 from verisel.model import (
     EdgeIndex,
     EmptyGraph,
+    MaskScorer,
     ModelConfig,
     edge_pairs,
     forward_scores,
@@ -191,11 +195,15 @@ def test_explain_never_writes_the_callers_parameters(monkeypatch):
     before = params.vector.tobytes()
     seen = []
 
-    def watched(*args, **kwargs):
-        seen.append([t.requires_grad for t in params.trainables()])
-        return forward_scores(*args, **kwargs)
+    def watch(forward):
+        def watched(*args, **kwargs):
+            seen.append([t.requires_grad for t in params.trainables()])
+            return forward(*args, **kwargs)
+        return watched
 
-    monkeypatch.setattr("verisel.explain.forward_scores", watched)
+    # the target goes through forward_scores, each iteration through the scorer
+    monkeypatch.setattr("verisel.explain.forward_scores", watch(forward_scores))
+    monkeypatch.setattr(MaskScorer, "__call__", watch(MaskScorer.__call__))
     explain(params, simple_graph(), iters=3)
     graph = simple_graph()
     graph.edge_sets["DFG"] = [(4, 0)]
@@ -205,6 +213,32 @@ def test_explain_never_writes_the_callers_parameters(monkeypatch):
     assert [t.requires_grad for t in params.trainables()] == flags
     assert all(t.grad is None for t in params.trainables())
     assert params.vector.tobytes() == before
+
+
+def test_mask_independent_work_runs_once_per_call(monkeypatch):
+    # layer 0's attention and every weight copy are made for the target and
+    # once for the scorer, however many iterations follow; layer 1's
+    # attention depends on the mask and is made again in every iteration
+    params = fresh_params(seed=3, num_gat_layers=2)
+    assert params.vocab_size != params.config.gat_width
+    calls = Counter()
+
+    def counted(name, key):
+        target = getattr(verisel.model, name)
+
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return target(*args)
+        monkeypatch.setattr(verisel.model, name, wrapper)
+
+    counted("_gat_attention",
+            lambda h, *rest: "layer 0" if h.shape[1] == params.vocab_size else "layer 1")
+    counted("_gat_copies", lambda layer: "gat copies")
+    counted("_transposed", lambda layers: "mlp copies")
+    for iters in (1, 6):
+        calls.clear()
+        explain(params, simple_graph(), iters=iters)
+        assert calls == {"layer 0": 2, "layer 1": 1 + iters, "gat copies": 4, "mlp copies": 4}
 
 
 def test_out_of_range_edge_in_an_unread_set_is_rejected():

@@ -662,6 +662,22 @@ def test_frozen_view_shares_the_vector_and_records_nothing():
     assert params.copy().frozen.vector is not params.vector
 
 
+def test_frozen_view_shares_every_array_and_keeps_the_layers():
+    params = tiny_params(seed=4, num_gat_layers=2)
+    frozen = params.frozen
+    assert [name for name, _ in frozen.named()] == [name for name, _ in params.named()]
+    for (_, a), (_, b) in zip(frozen.named(), params.named()):
+        assert a is not b and a.values is b.values and a.shape == b.shape
+    views = dict(frozen.named())
+    for kind in ("gat", "pool", "head"):
+        layers, originals = getattr(frozen, kind), getattr(params, kind)
+        assert len(layers) == len(originals)
+        for i, (layer, original) in enumerate(zip(layers, originals)):
+            assert type(layer) is type(original)
+            for name, t in vars(layer).items():
+                assert t is views[f"{kind}{i}.{name}"]
+
+
 def test_copy_is_independent_of_the_original():
     params = tiny_params(seed=5)
     before = params.vector.copy()
