@@ -4,19 +4,21 @@ Whitespace, comments, and preprocessor line markers are dropped; every other
 character must form a token or lexing fails with a position-carrying error.
 
 One compiled pattern does the work. It is an alternation of named groups,
-tried in order at the current position: whitespace and comments (skipped;
-a ``#`` line marker counts as one when it starts a line), an unterminated
-``/*``, identifiers, floats, ints (hex included), char and string literals,
-then the operators longest first and the punctuation. Line and column
-advance once per match, from the newlines inside the matched text. Where
-nothing matches, the character there is an unterminated literal or an
-illegal character.
+tried in order at each position: whitespace and comments (skipped; a ``#``
+line marker counts as one when it starts a line), an unterminated ``/*``,
+identifiers, floats, ints (hex included), char and string literals, then the
+operators longest first and the punctuation. ``tokenize`` walks the matches
+of one ``finditer`` scan over the file; each must start where the previous
+one ended. A gap before a match, an unterminated ``/*`` match, or text left
+after the last match is an unterminated literal or an illegal character at
+that position. A token's column is its offset from the last newline seen.
+Tokens are named tuples.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class FrontendError(Exception):
@@ -50,8 +52,7 @@ OPERATORS = (
 PUNCTUATION = ("(", ")", "{", "}", "[", "]", ";", ",", ".")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # kw | ident | int | float | char | string | op | punct
     text: str
     line: int
@@ -84,21 +85,23 @@ _UNTERMINATED = {
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into tokens, or raise :class:`LexError` with position."""
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(source):
-        match = _PATTERN.match(source, pos)
-        if match is None or match.lastgroup == "unclosed":
-            ch = source[pos]
-            raise LexError(_UNTERMINATED.get(ch, f"illegal character {ch!r}"), line, col)
-        kind, text, pos = match.lastgroup, match.group(), match.end()
+    append = tokens.append
+    pos, line, last_newline = 0, 1, -1
+    for match in _PATTERN.finditer(source):
+        kind, start = match.lastgroup, match.start()
+        if start != pos or kind == "unclosed":
+            break
+        text = match.group()
+        pos = match.end()
         if kind != "skip":
             if kind == "ident" and text in KEYWORDS:
                 kind = "kw"
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+            append(Token(kind, text, line, start - last_newline))
+        if "\n" in text:
+            line += text.count("\n")
+            last_newline = start + text.rfind("\n")
+    if pos < len(source):
+        ch = source[pos]
+        message = _UNTERMINATED.get(ch, f"illegal character {ch!r}")
+        raise LexError(message, line, pos - last_newline)
     return tokens

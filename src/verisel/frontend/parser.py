@@ -7,6 +7,13 @@ names follow the usual C AST vocabulary. Binary operators are parsed by
 precedence climbing: one loop per operand looks each operator's tier up in
 ``_BINARY_TIERS``, and every binary operator associates to the left.
 
+The parser does little Python work per token. Each token method reads
+``tokens[j]`` after one bounds check against the length stored at the
+start; the hot grammar rules read the next token once and compare its kind
+and text in place; and the statement-keyword, literal-kind and type-start
+tables are built once, at import. Tokens and AST nodes are named tuples,
+and the tree under construction is made of ``__slots__`` objects.
+
 Supported: declarations (with pointers and array suffixes), typedefs,
 function definitions and prototypes, if/else, while, for, switch,
 return/break/continue, labeled statements, compound statements, and
@@ -17,7 +24,8 @@ arithmetic, logical, and bitwise operators. Everything else raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexer import FrontendError, Token, tokenize
 
@@ -26,6 +34,7 @@ TYPE_KEYWORDS = frozenset({
     "float", "double",
 })
 QUALIFIERS = frozenset({"const", "volatile", "static", "extern"})
+_TYPE_START_KEYWORDS = TYPE_KEYWORDS | QUALIFIERS
 UNSUPPORTED_KEYWORDS = frozenset({"goto", "do", "struct", "union", "enum", "sizeof"})
 
 ASSIGN_OPS = frozenset({"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
@@ -47,6 +56,13 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_TIERS) for op in 
 
 UNARY_OPS = frozenset({"*", "&", "+", "-", "!", "~", "++", "--"})
 
+_LITERAL_KINDS = {
+    "int": "IntegerLiteral",
+    "float": "FloatingLiteral",
+    "char": "CharacterLiteral",
+    "string": "StringLiteral",
+}
+
 
 class ParseError(FrontendError):
     def __init__(self, expected: str, found: Token | None):
@@ -64,8 +80,7 @@ class UnsupportedConstruct(FrontendError):
         self.construct = construct
 
 
-@dataclass(frozen=True)
-class AstNode:
+class AstNode(NamedTuple):
     kind: str
     children: tuple[int, ...]
     text: str | None = None
@@ -106,11 +121,13 @@ class Ast:
             stack.extend(reversed(self.nodes[current].children))
 
 
-@dataclass
 class _N:
-    kind: str
-    children: list["_N"] = field(default_factory=list)
-    text: str | None = None
+    __slots__ = ("kind", "children", "text")
+
+    def __init__(self, kind: str, children: list[_N] | None = None, text: str | None = None):
+        self.kind = kind
+        self.children = [] if children is None else children
+        self.text = text
 
 
 def _flatten(root: _N) -> Ast:
@@ -119,7 +136,8 @@ def _flatten(root: _N) -> Ast:
     def visit(node: _N) -> int:
         node_id = len(nodes)
         nodes.append(None)  # reserves the pre-order id
-        child_ids = tuple([visit(child) for child in node.children])
+        children = node.children
+        child_ids = tuple([visit(child) for child in children]) if children else ()
         nodes[node_id] = AstNode(node.kind, child_ids, node.text)
         return node_id
 
@@ -130,48 +148,56 @@ def _flatten(root: _N) -> Ast:
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.count = len(tokens)
         self.pos = 0
         self.typedefs: set[str] = set()
 
     # -- token plumbing ----------------------------------------------------
+    # Each method bounds-checks its index once and reads the token itself:
+    # these run several times per token.
 
     def peek(self, offset: int = 0) -> Token | None:
         j = self.pos + offset
-        return self.tokens[j] if j < len(self.tokens) else None
+        return self.tokens[j] if j < self.count else None
 
     def at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return (
-            token is not None
-            and token.kind == kind
-            and (text is None or token.text == text)
-        )
+        j = self.pos + offset
+        if j >= self.count:
+            return False
+        token = self.tokens[j]
+        return token.kind == kind and (text is None or token.text == text)
 
     def take(self) -> Token:
-        token = self.peek()
-        if token is None:
+        j = self.pos
+        if j >= self.count:
             raise ParseError("more input", None)
-        self.pos += 1
-        return token
+        self.pos = j + 1
+        return self.tokens[j]
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            raise ParseError(text or kind, self.peek())
-        return self.take()
+        j = self.pos
+        token = self.tokens[j] if j < self.count else None
+        if token is None or token.kind != kind or (text is not None and token.text != text):
+            raise ParseError(text or kind, token)
+        self.pos = j + 1
+        return token
 
     def reject_unsupported(self) -> None:
-        token = self.peek()
-        if token is not None and token.kind == "kw" and token.text in UNSUPPORTED_KEYWORDS:
-            raise UnsupportedConstruct(token.text, token)
+        j = self.pos
+        if j < self.count:
+            token = self.tokens[j]
+            if token.kind == "kw" and token.text in UNSUPPORTED_KEYWORDS:
+                raise UnsupportedConstruct(token.text, token)
 
     # -- type machinery ----------------------------------------------------
 
     def at_type_start(self, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        if token is None:
+        j = self.pos + offset
+        if j >= self.count:
             return False
-        if token.kind == "kw" and token.text in (TYPE_KEYWORDS | QUALIFIERS):
-            return True
+        token = self.tokens[j]
+        if token.kind == "kw":
+            return token.text in _TYPE_START_KEYWORDS
         return token.kind == "ident" and token.text in self.typedefs
 
     def parse_decl_specs(self) -> None:
@@ -308,20 +334,9 @@ class _Parser:
             self.take()
             return _N("NullStmt")
         if token.kind == "kw":
-            handler = {
-                "if": self.parse_if,
-                "while": self.parse_while,
-                "for": self.parse_for,
-                "switch": self.parse_switch,
-                "return": self.parse_return,
-                "break": lambda: self.parse_jump("break", "BreakStmt"),
-                "continue": lambda: self.parse_jump("continue", "ContinueStmt"),
-                "case": self.parse_case,
-                "default": self.parse_default,
-                "typedef": self.parse_typedef,
-            }.get(token.text)
+            handler = _STATEMENT_KEYWORDS.get(token.text)
             if handler is not None:
-                return handler()
+                return handler(self)
         if self.at_type_start():
             self.parse_decl_specs()
             return self.parse_declstmt_rest(self.parse_declarator())
@@ -410,19 +425,21 @@ class _Parser:
 
     def parse_assignment(self) -> _N:
         left = self.parse_binary(0)
-        if self.at("op", "="):
+        token = self.peek()
+        if token is None or token.kind != "op":
+            return left
+        if token.text == "=":
             self.take()
             return _N("BinaryOperator", [left, self.parse_assignment()], text="=")
-        token = self.peek()
-        if token is not None and token.kind == "op" and token.text in ASSIGN_OPS:
+        if token.text in ASSIGN_OPS:
             self.take()
             return _N(
                 "CompoundAssignOperator",
                 [left, self.parse_assignment()],
                 text=token.text,
             )
-        if self.at("op", "?"):
-            raise UnsupportedConstruct("conditional operator", self.peek())
+        if token.text == "?":
+            raise UnsupportedConstruct("conditional operator", token)
         return left
 
     def parse_binary(self, level: int) -> _N:
@@ -451,7 +468,10 @@ class _Parser:
     def parse_postfix(self) -> _N:
         node = self.parse_primary()
         while True:
-            if self.at("punct", "("):
+            token = self.peek()
+            if token is None:
+                return node
+            if token.kind == "punct" and token.text == "(":
                 self.take()
                 call = _N("CallExpr", [node])
                 if not self.at("punct", ")"):
@@ -463,13 +483,14 @@ class _Parser:
                         break
                 self.expect("punct", ")")
                 node = call
-            elif self.at("punct", "["):
+            elif token.kind == "punct" and token.text == "[":
                 self.take()
                 index = self.parse_expression()
                 self.expect("punct", "]")
                 node = _N("ArraySubscriptExpr", [node, index])
-            elif self.at("op", "++") or self.at("op", "--"):
-                node = _N("UnaryOperator", [node], text=self.take().text)
+            elif token.kind == "op" and (token.text == "++" or token.text == "--"):
+                self.take()
+                node = _N("UnaryOperator", [node], text=token.text)
             else:
                 return node
 
@@ -480,14 +501,9 @@ class _Parser:
             raise ParseError("expression", None)
         if token.kind == "ident":
             return _N("DeclRefExpr", text=self.take().text)
-        literal_kinds = {
-            "int": "IntegerLiteral",
-            "float": "FloatingLiteral",
-            "char": "CharacterLiteral",
-            "string": "StringLiteral",
-        }
-        if token.kind in literal_kinds:
-            return _N(literal_kinds[token.kind], text=self.take().text)
+        literal = _LITERAL_KINDS.get(token.kind)
+        if literal is not None:
+            return _N(literal, text=self.take().text)
         if token.kind == "punct" and token.text == "(":
             if self.at_type_start(offset=1):
                 raise UnsupportedConstruct("cast", token)
@@ -496,6 +512,21 @@ class _Parser:
             self.expect("punct", ")")
             return inner  # parentheses are structural, no node
         raise ParseError("expression", token)
+
+
+# statement keyword -> the _Parser method that parses the statement
+_STATEMENT_KEYWORDS = {
+    "if": _Parser.parse_if,
+    "while": _Parser.parse_while,
+    "for": _Parser.parse_for,
+    "switch": _Parser.parse_switch,
+    "return": _Parser.parse_return,
+    "break": lambda parser: parser.parse_jump("break", "BreakStmt"),
+    "continue": lambda parser: parser.parse_jump("continue", "ContinueStmt"),
+    "case": _Parser.parse_case,
+    "default": _Parser.parse_default,
+    "typedef": _Parser.parse_typedef,
+}
 
 
 def parse(tokens: list[Token]) -> Ast:

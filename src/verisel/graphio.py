@@ -90,14 +90,14 @@ class PropertyKind(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "PropertyKind":
-        key = name.strip().replace("_", "").replace("-", "").lower()
-        for kind in cls:
-            if kind.value.lower() == key:
-                return kind
-        raise ValueError(f"unknown property kind: {name!r}")
+        kind = _PROPERTY_BY_KEY.get(name.strip().replace("_", "").replace("-", "").lower())
+        if kind is None:
+            raise ValueError(f"unknown property kind: {name!r}")
+        return kind
 
 
 _PROPERTY_INDEX = {kind: i for i, kind in enumerate(PropertyKind)}
+_PROPERTY_BY_KEY = {kind.value.lower(): kind for kind in PropertyKind}
 NUM_PROPERTIES = len(_PROPERTY_INDEX)
 
 

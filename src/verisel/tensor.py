@@ -25,6 +25,7 @@ the chain's, which the tests keep with the other primitives as the oracle.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,11 +120,10 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
         raise ShapeError(
             f"concat_cols: row mismatch {[t.shape for t in tensors]}"
         )
-    widths = [t.shape[1] for t in tensors]
-    bounds = np.cumsum([0] + widths)
+    bounds = list(accumulate((t.shape[1] for t in tensors), initial=0))
 
     def bwd(g: np.ndarray):
-        return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(widths)))
+        return tuple(g[:, start:stop] for start, stop in zip(bounds, bounds[1:]))
 
     return record(
         np.concatenate([t.values for t in tensors], axis=1), tuple(tensors), bwd

@@ -18,9 +18,14 @@ from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, T
 from verisel.frontend.parser import (
     _BINARY_TIERS,
     ASSIGN_OPS,
+    QUALIFIERS,
+    TYPE_KEYWORDS,
     UNARY_OPS,
+    UNSUPPORTED_KEYWORDS,
     Ast,
     AstNode,
+    ParseError,
+    UnsupportedConstruct,
     _N,
     _Parser,
 )
@@ -1461,8 +1466,7 @@ class TierParser(_Parser):
             node = _N("BinaryOperator", [node, right], text=token.text)
 
 
-def tier_parse(tokens) -> Ast:
-    """Parse with ``TierParser`` and flatten into a pre-order ``Ast``."""
+def _preorder_ast(root) -> Ast:
     nodes: list[AstNode] = []
 
     def visit(node) -> int:
@@ -1472,8 +1476,167 @@ def tier_parse(tokens) -> Ast:
         nodes[node_id] = AstNode(node.kind, child_ids, node.text)
         return node_id
 
-    visit(TierParser(tokens).parse_translation_unit())
+    visit(root)
     return Ast(tuple(nodes))
+
+
+def tier_parse(tokens) -> Ast:
+    """Parse with ``TierParser`` and flatten into a pre-order ``Ast``."""
+    return _preorder_ast(TierParser(tokens).parse_translation_unit())
+
+
+# ---------------------------------------------------------------------------
+# Token plumbing that calls itself: the parser's token methods before they
+# each read ``tokens[j]`` after one bounds check, with the statement-keyword
+# table, the literal kinds and the type-start keywords built again on every
+# call, and assignments and postfix operators found by one ``at`` call per
+# candidate operator.
+
+
+class PlumbingParser(_Parser):
+    def peek(self, offset: int = 0):
+        j = self.pos + offset
+        return self.tokens[j] if j < len(self.tokens) else None
+
+    def at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
+        token = self.peek(offset)
+        return (
+            token is not None
+            and token.kind == kind
+            and (text is None or token.text == text)
+        )
+
+    def take(self):
+        token = self.peek()
+        if token is None:
+            raise ParseError("more input", None)
+        self.pos += 1
+        return token
+
+    def expect(self, kind: str, text: str | None = None):
+        if not self.at(kind, text):
+            raise ParseError(text or kind, self.peek())
+        return self.take()
+
+    def reject_unsupported(self) -> None:
+        token = self.peek()
+        if token is not None and token.kind == "kw" and token.text in UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstruct(token.text, token)
+
+    def at_type_start(self, offset: int = 0) -> bool:
+        token = self.peek(offset)
+        if token is None:
+            return False
+        if token.kind == "kw" and token.text in (TYPE_KEYWORDS | QUALIFIERS):
+            return True
+        return token.kind == "ident" and token.text in self.typedefs
+
+    def parse_statement(self):
+        self.reject_unsupported()
+        token = self.peek()
+        if token is None:
+            raise ParseError("statement", None)
+        if token.kind == "punct" and token.text == "{":
+            return self.parse_compound()
+        if token.kind == "punct" and token.text == ";":
+            self.take()
+            return _N("NullStmt")
+        if token.kind == "kw":
+            handler = {
+                "if": self.parse_if,
+                "while": self.parse_while,
+                "for": self.parse_for,
+                "switch": self.parse_switch,
+                "return": self.parse_return,
+                "break": lambda: self.parse_jump("break", "BreakStmt"),
+                "continue": lambda: self.parse_jump("continue", "ContinueStmt"),
+                "case": self.parse_case,
+                "default": self.parse_default,
+                "typedef": self.parse_typedef,
+            }.get(token.text)
+            if handler is not None:
+                return handler()
+        if self.at_type_start():
+            self.parse_decl_specs()
+            return self.parse_declstmt_rest(self.parse_declarator())
+        if token.kind == "ident" and self.at("op", ":", offset=1):
+            label = self.take().text
+            self.take()
+            return _N("LabelStmt", [self.parse_statement()], text=label)
+        expr = self.parse_expression()
+        self.expect("punct", ";")
+        return expr
+
+    def parse_assignment(self):
+        left = self.parse_binary(0)
+        if self.at("op", "="):
+            self.take()
+            return _N("BinaryOperator", [left, self.parse_assignment()], text="=")
+        token = self.peek()
+        if token is not None and token.kind == "op" and token.text in ASSIGN_OPS:
+            self.take()
+            return _N(
+                "CompoundAssignOperator",
+                [left, self.parse_assignment()],
+                text=token.text,
+            )
+        if self.at("op", "?"):
+            raise UnsupportedConstruct("conditional operator", self.peek())
+        return left
+
+    def parse_postfix(self):
+        node = self.parse_primary()
+        while True:
+            if self.at("punct", "("):
+                self.take()
+                call = _N("CallExpr", [node])
+                if not self.at("punct", ")"):
+                    while True:
+                        call.children.append(self.parse_assignment())
+                        if self.at("punct", ","):
+                            self.take()
+                            continue
+                        break
+                self.expect("punct", ")")
+                node = call
+            elif self.at("punct", "["):
+                self.take()
+                index = self.parse_expression()
+                self.expect("punct", "]")
+                node = _N("ArraySubscriptExpr", [node, index])
+            elif self.at("op", "++") or self.at("op", "--"):
+                node = _N("UnaryOperator", [node], text=self.take().text)
+            else:
+                return node
+
+    def parse_primary(self):
+        self.reject_unsupported()
+        token = self.peek()
+        if token is None:
+            raise ParseError("expression", None)
+        if token.kind == "ident":
+            return _N("DeclRefExpr", text=self.take().text)
+        literal_kinds = {
+            "int": "IntegerLiteral",
+            "float": "FloatingLiteral",
+            "char": "CharacterLiteral",
+            "string": "StringLiteral",
+        }
+        if token.kind in literal_kinds:
+            return _N(literal_kinds[token.kind], text=self.take().text)
+        if token.kind == "punct" and token.text == "(":
+            if self.at_type_start(offset=1):
+                raise UnsupportedConstruct("cast", token)
+            self.take()
+            inner = self.parse_expression()
+            self.expect("punct", ")")
+            return inner  # parentheses are structural, no node
+        raise ParseError("expression", token)
+
+
+def plumbing_parse(tokens) -> Ast:
+    """Parse with ``PlumbingParser`` and flatten into a pre-order ``Ast``."""
+    return _preorder_ast(PlumbingParser(tokens).parse_translation_unit())
 
 
 def expression_sources():

@@ -14,6 +14,7 @@ from helpers import (
     oracle_call_sites,
     oracle_cfg_nodes,
     oracle_reaching_edges,
+    plumbing_parse,
     resolve_variables,
     scan_tokenize,
     set_reaching_definitions,
@@ -21,11 +22,13 @@ from helpers import (
     tier_parse,
 )
 from verisel.frontend import (
+    AstNode,
     DataEdge,
     DataEdges,
     GraphTooLarge,
     LexError,
     ParseError,
+    Token,
     UnsupportedConstruct,
     assemble_graph,
     build_icfg,
@@ -141,6 +144,22 @@ LEX_ALPHABET = ([chr(c) for c in range(32, 127)] + list("\t\r\n\v\féßλ")
 def test_tokenize_equals_scanner_on_arbitrary_text(marker, pieces):
     source = ("#" if marker else "") + "".join(pieces)
     assert lexed(tokenize, source) == lexed(scan_tokenize, source)
+
+
+def test_token_and_ast_node_are_immutable_hashable_named_tuples():
+    token = tokenize("x")[0]
+    node = parse_source("int x;").nodes[-1]
+    assert Token._fields == ("kind", "text", "line", "col")
+    assert AstNode._fields == ("kind", "children", "text")
+    assert (token.kind, token.text, token.line, token.col) == ("ident", "x", 1, 1)
+    assert (node.kind, node.children, node.text) == ("VarDecl", (), "x")
+    assert AstNode("NullStmt", ()).text is None
+    assert repr(token) == "ident:x"
+    for value, field in ((token, "text"), (node, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, "y")
+    assert {token: 1, node: 2}[Token("ident", "x", 1, 1)] == 1
+    assert {token: 1, node: 2}[AstNode("VarDecl", (), "x")] == 2
 
 
 def test_tokenize_takes_non_decimal_numerals_as_identifier_characters():
@@ -261,6 +280,24 @@ def test_parse_equals_tier_oracle_on_corpus():
         assert parse(tokens).nodes == tier_parse(tokens).nodes, path.name
 
 
+def test_parse_equals_plumbing_oracle_on_corpus_cut_at_every_token():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        tokens = tokenize(path.read_text())
+        for cut in range(len(tokens) + 1):
+            prefix = tokens[:cut]
+            assert parsed(parse, prefix) == parsed(plumbing_parse, prefix), (path.name, cut)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_parse_equals_plumbing_oracle_on_generated_programs(program):
+    for source in (program.source, program.unshadowed):
+        tokens = tokenize(source)
+        assert parsed(parse, tokens) == parsed(plumbing_parse, tokens)
+
+
 @settings(max_examples=100, deadline=None)
 @given(c_programs())
 def test_parse_equals_tier_oracle_on_generated_programs(program):
@@ -273,7 +310,7 @@ def test_parse_equals_tier_oracle_on_generated_programs(program):
 @given(expression_sources())
 def test_parse_equals_tier_oracle_on_expressions_and_their_errors(source):
     tokens = tokenize(source)
-    assert parsed(parse, tokens) == parsed(tier_parse, tokens)
+    assert parsed(parse, tokens) == parsed(tier_parse, tokens) == parsed(plumbing_parse, tokens)
 
 
 def test_parse_typedef_registers_type_name():

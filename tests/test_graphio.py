@@ -76,6 +76,29 @@ def test_property_encoding_bijection():
     assert PropertyKind.from_name("reach_safety") is PropertyKind.REACH_SAFETY
 
 
+@pytest.mark.parametrize("name, kind", [
+    ("ReachSafety", PropertyKind.REACH_SAFETY),
+    ("REACH_SAFETY", PropertyKind.REACH_SAFETY),
+    ("reach-safety", PropertyKind.REACH_SAFETY),
+    ("  Reach_Safety\n", PropertyKind.REACH_SAFETY),
+    ("mem-safety", PropertyKind.MEM_SAFETY),
+    ("MEMSAFETY", PropertyKind.MEM_SAFETY),
+    ("termination", PropertyKind.TERMINATION),
+    ("over_flow", PropertyKind.OVERFLOW),
+    ("Over-Flow", PropertyKind.OVERFLOW),
+    ("TERMINATION_", PropertyKind.TERMINATION),
+])
+def test_property_from_name_ignores_case_underscores_and_hyphens(name, kind):
+    assert PropertyKind.from_name(name) is kind
+
+
+@pytest.mark.parametrize("name", ["", "reach", "ReachSafety2", "reach safety", "Reach.Safety"])
+def test_property_from_name_rejects_an_unknown_name(name):
+    with pytest.raises(ValueError) as err:
+        PropertyKind.from_name(name)
+    assert str(err.value) == f"unknown property kind: {name!r}"
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
