@@ -71,6 +71,13 @@ class RunConfig:
         if not_objects:
             raise UsageError(f"config: {', '.join(not_objects)} must be a JSON object")
         split, penalty = sections["split"], sections["penalty"]
+        # a misspelt key would otherwise leave its default in force unnoticed
+        fields = {"split": {"ratios", "seed"}, "penalty": {"time_limit", "penalty_weight"}}
+        unknown = sorted(set(data) - {"vocabulary", "portfolio", *sections})
+        unknown += sorted(f"{name}.{key}" for name, known in fields.items()
+                          for key in set(sections[name]) - known)
+        if unknown:
+            raise UsageError(f"config: unknown keys: {', '.join(unknown)}")
         split_seed = split.get("seed", 0)
         if type(split_seed) is not int:
             raise UsageError(f"config: split.seed must be an integer, got {split_seed!r}")
@@ -355,8 +362,8 @@ def cmd_explain(args) -> int:
 # argument wiring
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an integer no smaller than ``low``, nor larger than ``high``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -364,6 +371,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -405,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", default="ReachSafety",
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")
-    p.add_argument("--max-nodes", type=_int_at_least(1), default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_int_at_least(1, DEFAULT_MAX_NODES),
+                   default=DEFAULT_MAX_NODES)
     p.add_argument("--json", action="store_true", help="stats as JSON")
     p.set_defaults(func=cmd_extract)
 

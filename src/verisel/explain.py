@@ -13,8 +13,8 @@ tape reaches the mask logits alone and the caller's values, flags and grads
 are never written. The target scores come from ``forward_scores``. What no
 mask can change is done once, before the first iteration: the masked edges
 are resolved to attention-edge slots, and a ``model.MaskScorer`` computes
-layer 0's attention, the weight copies of every layer and the property row,
-so each iteration runs only the mask-dependent part of the forward pass.
+layer 0's attention and the property row, so each iteration runs only the
+rest of the forward sequence ``forward_scores`` runs.
 
 Like the model's layers, the objective is fused into few tape nodes: the
 size and entropy penalty is one node and the total loss another, each

@@ -16,6 +16,12 @@ class GraphTooLarge(FrontendError):
         self.max_nodes = max_nodes
 
 
+def _check_cap(max_nodes: int) -> None:
+    if max_nodes > DEFAULT_MAX_NODES:  # a graph no graph file reader accepts
+        raise ValueError(f"max_nodes is {max_nodes}, graph files hold at most "
+                         f"{DEFAULT_MAX_NODES} nodes")
+
+
 def assemble_graph(
     ast: Ast,
     icfg: ControlEdges,
@@ -32,6 +38,7 @@ def assemble_graph(
     return, and loop-back edges merged, set 2 the def-use edges. Node features
     are vocabulary indices; kinds outside the vocabulary map to Unknown.
     """
+    _check_cap(max_nodes)
     n = len(ast)
     if n > max_nodes:
         raise GraphTooLarge(n, max_nodes)
@@ -64,6 +71,7 @@ def extract_graph(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[ProgramGraph, list[str]]:
     """Full pipeline from C source to graph; returns (graph, diagnostics)."""
+    _check_cap(max_nodes)
     ast = parse(tokenize(source))
     if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
         raise GraphTooLarge(len(ast), max_nodes)

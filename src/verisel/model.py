@@ -28,13 +28,18 @@ optimizer updates them all at once and a snapshot is one array copy.
 Inference, validation and the explainer read them through views that record
 nothing (:attr:`ModelParameters.frozen`).
 
+Each weight matrix ``W`` (out x in) is held as ``W.T`` (in x out), the
+operand ``h @ W.T`` reads: a contiguous view multiplies exactly like the
+chain's contiguous copy of ``W.T``, where a transposed view can round
+differently. Model files keep ``(out, in)`` blocks; :func:`save_model` and
+:func:`load_model` transpose the blocks :func:`_parameter_layout` marks.
+
 A GAT layer is a mask-independent step (:func:`_gat_attention`: projections,
 edge scores, softmax, sender gather) followed by the tape node that applies
-the message mask and aggregates (:func:`_gat_node`). Under fixed parameters
-the explainer changes only the mask, so :class:`MaskScorer` runs layer 0's
-step, the weight copies of every layer and the property row once per
-``explain`` call, and then the same steps and readout as
-:func:`forward_scores` for each mask.
+the message mask and aggregates (:func:`_gat_node`). One sequence,
+:func:`_scores`, runs the layers, jumping knowledge, pooling and head for
+:func:`forward_scores` and for :class:`MaskScorer`, which hands it layer 0's
+attention and the property row computed once per ``explain`` call.
 """
 
 from __future__ import annotations
@@ -113,6 +118,8 @@ class ModelConfig:
             raise ValueError("widths must be positive")
         if type(self.leaky_slope) not in (int, float):
             raise ValueError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
+        if not np.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
 
     @property
     def property_dim(self) -> int:
@@ -139,14 +146,14 @@ class ModelConfig:
 
 @dataclass
 class GatLayerParams:
-    w_in: Tensor   # (d_out, d_in), attention transform of the receiver
-    w_out: Tensor  # (d_out, d_in), sender transform carried by messages
+    w_in: Tensor   # (d_in, d_out), transposed attention transform of the receiver
+    w_out: Tensor  # (d_in, d_out), transposed sender transform carried by messages
     attn: Tensor   # (2 * d_out, 1)
 
 
 @dataclass
 class AffineParams:
-    w: Tensor  # (out, in)
+    w: Tensor  # (in, out), the transposed weight
     b: Tensor  # (1, out)
 
 
@@ -171,8 +178,9 @@ class ModelParameters:
     def __post_init__(self):
         self._views = {}
         offset = 0
-        for name, (rows, cols), _ in _parameter_layout(
+        for name, shape, _, transposed in _parameter_layout(
                 self.config, self.vocab_size, len(self.portfolio)):
+            rows, cols = shape[::-1] if transposed else shape
             block = self.vector[offset:offset + rows * cols].reshape(rows, cols)
             self._views[name] = Tensor(block, requires_grad=True)
             offset += rows * cols
@@ -215,8 +223,9 @@ class ModelParameters:
 
 
 def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
-                      ) -> list[tuple[str, tuple[int, int], int]]:
-    """(name, shape, fan-in) of every trainable, in the order of ``vector``.
+                      ) -> list[tuple[str, tuple[int, int], int, bool]]:
+    """(name, file shape, fan-in, held transposed) of every trainable, in the
+    order of ``vector``; a weight's file shape is ``(out, in)``.
 
     A name is ``<layer>.<parameter>``, and each layer lists its parameters in
     the field order of :class:`GatLayerParams` or :class:`AffineParams`.
@@ -225,14 +234,15 @@ def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
     d_in = vocab_size
     for i in range(config.num_gat_layers):
         d_out = config.gat_width
-        layout += [(f"gat{i}.w_in", (d_out, d_in), d_in),
-                   (f"gat{i}.w_out", (d_out, d_in), d_in),
-                   (f"gat{i}.attn", (2 * d_out, 1), 2 * d_out)]
+        layout += [(f"gat{i}.w_in", (d_out, d_in), d_in, True),
+                   (f"gat{i}.w_out", (d_out, d_in), d_in, True),
+                   (f"gat{i}.attn", (2 * d_out, 1), 2 * d_out, False)]
         d_in = d_out
 
     def affine(prefix: str, dims: Sequence[int]) -> None:
         for i, (a, b) in enumerate(zip(dims, dims[1:])):
-            layout.extend([(f"{prefix}{i}.w", (b, a), a), (f"{prefix}{i}.b", (1, b), a)])
+            layout.extend([(f"{prefix}{i}.w", (b, a), a, True),
+                           (f"{prefix}{i}.b", (1, b), a, False)])
 
     node_dim = config.node_dim(vocab_size)
     affine("pool", [node_dim, *config.pool_hidden, 1])
@@ -257,13 +267,15 @@ def init_parameters(
     portfolio: Sequence[str],
     seed: int = 0,
 ) -> ModelParameters:
-    """Fresh parameters, uniform in +-1/sqrt(fan_in) from a seeded generator."""
+    """Fresh parameters, uniform in +-1/sqrt(fan_in) from a seeded generator,
+    drawn block by block in the ``(out, in)`` order of the model file."""
     portfolio = portfolio_names(portfolio)
     rng = np.random.default_rng(seed)
     parts = []
-    for _, shape, fan_in in _parameter_layout(config, len(vocab), len(portfolio)):
+    for _, shape, fan_in, transposed in _parameter_layout(config, len(vocab), len(portfolio)):
         bound = 1.0 / np.sqrt(fan_in)
-        parts.append(rng.uniform(-bound, bound, size=shape).ravel())
+        block = rng.uniform(-bound, bound, size=shape)
+        parts.append((block.T if transposed else block).ravel())
     return ModelParameters(
         config=config,
         portfolio=portfolio,
@@ -353,42 +365,27 @@ def gat_layer(
     attention may use; it is built here when the caller has none, and
     ``forward_scores`` builds it once for all layers. ``message_mask`` (E x 1,
     aligned with that index) scales the attention weights.
-
-    The layer runs its mask-independent step (:func:`_gat_attention`) and
-    then its tape node (:func:`_gat_node`). Together they run the operations
-    of the primitive chain they replaced (kept as ``tape_gat_layer`` in the
-    test helpers) in the same order.
     """
     index = EdgeIndex(states.shape[0], edges) if allowed_mask is None else allowed_mask
-    copies = _gat_copies(params)
-    attention = _gat_attention(states.values, index, copies, slope)
-    return _gat_node(states, index, params, copies, attention, message_mask)
+    attention = _gat_attention(states.values, index, params, slope)
+    return _gat_node(states, index, params, attention, message_mask)
 
 
-def _gat_copies(params: GatLayerParams) -> tuple[np.ndarray, ...]:
-    """Contiguous copies of ``w_in.T``, ``w_out.T`` and the receiver and
-    sender halves of ``attn``, as the primitive chain multiplied by them (a
-    product with a transposed view can round differently)."""
-    d_out = params.w_in.shape[0]
-    attn = params.attn.values
-    return (params.w_in.values.T.copy(), params.w_out.values.T.copy(),
-            attn[:d_out].copy(), attn[d_out:].copy())
-
-
-def _gat_attention(h: np.ndarray, index: EdgeIndex, copies: tuple[np.ndarray, ...],
+def _gat_attention(h: np.ndarray, index: EdgeIndex, params: GatLayerParams,
                    slope: float) -> tuple[np.ndarray, ...]:
-    """The mask-independent step of a GAT layer over node states ``h``, with
-    the weight copies of :func:`_gat_copies`: the receiver and sender
-    features, the leaky-ReLU slope of each edge score, the softmax of the
-    scores over each receiver, and the sender features of each edge."""
-    wt_in, wt_out, a_in, a_out = copies
-    if h.shape[1] != wt_in.shape[0]:
-        raise tz.ShapeError(f"gat_layer: states {h.shape} vs w_in {wt_in.T.shape}")
+    """The mask-independent step of a GAT layer over node states ``h``: the
+    receiver and sender features, the leaky-ReLU slope of each edge score,
+    the softmax of the scores over each receiver, and the sender features of
+    each edge."""
+    w_in, w_out, attn = params.w_in.values, params.w_out.values, params.attn.values
+    if h.shape[1] != w_in.shape[0]:
+        raise tz.ShapeError(f"gat_layer: states {h.shape} vs w_in {w_in.T.shape}")
+    d_out = w_in.shape[1]
     recv, send = index.receivers, index.senders
-    xin = h @ wt_in
-    xout = h @ wt_out
+    xin = h @ w_in
+    xout = h @ w_out
     # score of the edge (j -> i) is leaky_relu(s_in[i] + s_out[j])
-    raw = (xin @ a_in)[recv.ids] + (xout @ a_out)[send.ids]
+    raw = (xin @ attn[:d_out])[recv.ids] + (xout @ attn[d_out:])[send.ids]
     slopes = np.where(raw >= 0.0, 1.0, float(slope))
     scores = raw * slopes
     e = np.exp(scores - recv.reduce(np.maximum, scores)[recv.ids])
@@ -397,8 +394,7 @@ def _gat_attention(h: np.ndarray, index: EdgeIndex, copies: tuple[np.ndarray, ..
 
 
 def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
-              copies: tuple[np.ndarray, ...], attention: tuple[np.ndarray, ...],
-              message_mask: Tensor | None) -> Tensor:
+              attention: tuple[np.ndarray, ...], message_mask: Tensor | None) -> Tensor:
     """The tape node of a GAT layer: the weights of :func:`_gat_attention`,
     scaled by ``message_mask``, sum the gathered messages into each receiver.
 
@@ -408,9 +404,8 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
     """
     recv, send = index.receivers, index.senders
     w_in, w_out, attn = params.w_in, params.w_out, params.attn
-    wt_in, wt_out, a_in, a_out = copies
     xin, xout, slopes, weights, gathered = attention
-    d_out = w_in.shape[0]
+    d_out = w_in.shape[1]
     h = states.values
     mask = None if message_mask is None else message_mask.values
     if mask is not None and mask.shape != weights.shape:
@@ -439,18 +434,19 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
         g_raw = g_scores * slopes
         g_s_in = recv.reduce(np.add, g_raw)
         g_s_out = send.reduce(np.add, g_raw)
-        g_xin = g_s_in @ a_in.T if need_xin else None
-        g_xout = send.reduce(np.add, g_gathered) + g_s_out @ a_out.T if need_xout else None
+        a = attn.values
+        g_xin = g_s_in @ a[:d_out].T if need_xin else None
+        g_xout = send.reduce(np.add, g_gathered) + g_s_out @ a[d_out:].T if need_xout else None
         g_attn = None
         if attn.requires_grad:  # the sum of the two halves, each zero-padded
             top, bottom = np.zeros(attn.shape), np.zeros(attn.shape)
             top[:d_out] = xin.T @ g_s_in
             bottom[d_out:] = xout.T @ g_s_out
             g_attn = top + bottom
-        return (g_xin @ wt_in.T if need_h else None,
-                g_xout @ wt_out.T if need_h else None,
-                (h.T @ g_xin).T if w_in.requires_grad else None,
-                (h.T @ g_xout).T if w_out.requires_grad else None,
+        return (g_xin @ w_in.values.T if need_h else None,
+                g_xout @ w_out.values.T if need_h else None,
+                h.T @ g_xin if w_in.requires_grad else None,
+                h.T @ g_xout if w_out.requires_grad else None,
                 g_attn, g_mask)
 
     inputs = (states, states, w_in, w_out, attn)
@@ -469,29 +465,21 @@ def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> 
     return tz.concat_cols(list(layer_outputs))
 
 
-def _transposed(layers: Sequence[AffineParams]) -> list[np.ndarray]:
-    """A contiguous copy of each layer's ``w.T``, as the primitive chain
-    multiplied by (a product with a transposed view can round differently)."""
-    return [layer.w.values.T.copy() for layer in layers]
-
-
-def _mlp_forward(z: np.ndarray, layers: Sequence[AffineParams],
-                 copies: Sequence[np.ndarray], slope: float):
-    """Values of the affine layers ``z @ w.T + b`` with a leaky ReLU between
-    consecutive ones, given the layers' :func:`_transposed` copies, and each
-    layer's (input, ``w.T`` copy, ReLU slopes or None) for
-    :func:`_mlp_backward`."""
+def _mlp_forward(z: np.ndarray, layers: Sequence[AffineParams], slope: float):
+    """Values of the affine layers ``z @ w + b`` (``w`` held transposed) with
+    a leaky ReLU between consecutive ones, and each layer's (input, ReLU
+    slopes or None) for :func:`_mlp_backward`."""
     steps = []
-    for i, (layer, wt) in enumerate(zip(layers, copies)):
-        if z.shape[1] != layer.w.shape[1] or layer.b.shape != (1, layer.w.shape[0]):
-            raise tz.ShapeError(f"mlp layer {i}: {z.shape} @ {layer.w.shape}.T "
-                                f"+ {layer.b.shape}")
-        out = z @ wt + layer.b.values
+    for i, layer in enumerate(layers):
+        w = layer.w.values
+        if z.shape[1] != w.shape[0] or layer.b.shape != (1, w.shape[1]):
+            raise tz.ShapeError(f"mlp layer {i}: {z.shape} @ {w.shape} + {layer.b.shape}")
+        out = z @ w + layer.b.values
         slopes = None
         if i + 1 < len(layers):
             slopes = np.where(out >= 0.0, 1.0, float(slope))
             out = out * slopes
-        steps.append((z, wt, slopes))
+        steps.append((z, slopes))
         z = out
     return z, steps
 
@@ -506,27 +494,25 @@ def _mlp_backward(g: np.ndarray, z: Tensor, layers: Sequence[AffineParams],
     grads: list = [None] * (1 + 2 * len(layers))
     for i in reversed(range(len(layers))):
         layer = layers[i]
-        x, wt, slopes = steps[i]
+        x, slopes = steps[i]
         if slopes is not None:
             g = g * slopes
         if layer.w.requires_grad:
-            grads[1 + 2 * i] = (x.T @ g).T
+            grads[1 + 2 * i] = x.T @ g
         if layer.b.requires_grad:
             # a one-row g goes to b as it is: a sum would make -0.0 +0.0
             grads[2 + 2 * i] = g if len(g) == 1 else g.sum(axis=0, keepdims=True)
         if not need[i]:
             break
-        g = g @ wt.T
+        g = g @ layer.w.values.T
         if i == 0:
             grads[0] = g
     return grads
 
 
-def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float,
-         copies: Sequence[np.ndarray]) -> Tensor:
-    """Affine layers in order, with a leaky ReLU between consecutive ones,
-    given the layers' :func:`_transposed` copies."""
-    out, steps = _mlp_forward(z.values, layers, copies, slope)
+def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
+    """Affine layers in order, with a leaky ReLU between consecutive ones."""
+    out, steps = _mlp_forward(z.values, layers, slope)
 
     def bwd(g: np.ndarray):
         return _mlp_backward(g, z, layers, steps)
@@ -544,20 +530,13 @@ def attention_pool(states: Tensor, pool: Sequence[AffineParams],
 
     The pool MLP scores each node, a softmax over the nodes turns the scores
     into weights, and the result is the weighted sum of the rows of
-    ``states``.
+    ``states``. ``states`` is listed twice among the node's inputs, for the
+    sum and for the MLP path.
     """
-    return _attention_pool(states, pool, slope, _transposed(pool))
-
-
-def _attention_pool(states: Tensor, pool: Sequence[AffineParams], slope: float,
-                    copies: Sequence[np.ndarray]) -> Tensor:
-    """:func:`attention_pool` given the pool's :func:`_transposed` copies.
-    ``states`` is listed twice among the node's inputs, for the sum and for
-    the MLP path."""
     if states.shape[0] < 1:
         raise EmptyGraph("attention pooling needs at least one node")
     h = states.values
-    z, steps = _mlp_forward(h, pool, copies, slope)
+    z, steps = _mlp_forward(h, pool, slope)
     t = z.T.copy()
     e = np.exp(t - t.max(axis=1, keepdims=True))
     weights = e / e.sum(axis=1, keepdims=True)  # (1, n)
@@ -625,6 +604,24 @@ def _checked_input(graph: ProgramGraph | ModelInput, params: ModelParameters) ->
     return inp
 
 
+def _scores(inp: ModelInput, params: ModelParameters, prop_row: Tensor,
+            message_mask: Tensor | None, first: tuple | None = None) -> Tensor:
+    """GAT layers, jumping knowledge, pooling, and the head over the pooled
+    vector and ``prop_row``; ``first`` is layer 0's :func:`_gat_attention`
+    when the caller holds it."""
+    slope = params.config.leaky_slope
+    outputs = [inp.states]
+    for i, layer in enumerate(params.gat):
+        if i == 0 and first is not None:
+            outputs.append(_gat_node(outputs[-1], inp.index, layer, first, message_mask))
+        else:
+            outputs.append(gat_layer(outputs[-1], inp.edges, layer, slope=slope,
+                                     message_mask=message_mask, allowed_mask=inp.index))
+    collected = jumping_knowledge(outputs, params.config.jumping_knowledge)
+    graph_vec = attention_pool(collected, params.pool, slope)
+    return _mlp(tz.concat_cols([graph_vec, prop_row]), params.head, slope)
+
+
 def forward_scores(
     graph: ProgramGraph | ModelInput,
     params: ModelParameters,
@@ -638,20 +635,8 @@ def forward_scores(
     prepared here.
     """
     inp = _checked_input(graph, params)
-    config = params.config
-    outputs = [inp.states]
-    for layer in params.gat:
-        outputs.append(gat_layer(
-            outputs[-1], inp.edges, layer,
-            slope=config.leaky_slope,
-            message_mask=message_mask,
-            allowed_mask=inp.index,
-        ))
-    collected = jumping_knowledge(outputs, config.jumping_knowledge)
-    graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
-    prop_vec = _encode_property(prop or inp.graph.property, config)
-    return _mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope,
-                _transposed(params.head))
+    prop_row = _encode_property(prop or inp.graph.property, params.config)
+    return _scores(inp, params, prop_row, message_mask)
 
 
 class MaskScorer:
@@ -659,34 +644,20 @@ class MaskScorer:
     call, with the work no mask can change done once, when it is built.
 
     That work is layer 0's attention (its input, the one-hot node kinds, is
-    constant), the weight copies of every GAT, pool and head layer, and the
-    property row. The explainer builds one per ``explain`` call over the
-    frozen view; the scores are valid while the parameter values stay as
-    they were when it was built.
+    constant) and the property row. The explainer builds one per ``explain``
+    call over the frozen view; the scores are valid while the parameter
+    values stay as they were when it was built.
     """
 
     def __init__(self, inp: ModelInput, params: ModelParameters):
         self.inp = inp = _checked_input(inp, params)
         self.params = params
-        self.gat = [_gat_copies(layer) for layer in params.gat]
-        self.first = None if not self.gat else _gat_attention(
-            inp.states.values, inp.index, self.gat[0], params.config.leaky_slope)
-        self.pool = _transposed(params.pool)
-        self.head = _transposed(params.head)
+        self.first = None if not params.gat else _gat_attention(
+            inp.states.values, inp.index, params.gat[0], params.config.leaky_slope)
         self.prop = _encode_property(inp.graph.property, params.config)
 
     def __call__(self, message_mask: Tensor) -> Tensor:
-        inp, params = self.inp, self.params
-        slope = params.config.leaky_slope
-        outputs = [inp.states]
-        for i, (layer, copies) in enumerate(zip(params.gat, self.gat)):
-            attention = self.first if i == 0 else _gat_attention(
-                outputs[-1].values, inp.index, copies, slope)
-            outputs.append(_gat_node(outputs[-1], inp.index, layer, copies, attention,
-                                     message_mask))
-        collected = jumping_knowledge(outputs, params.config.jumping_knowledge)
-        graph_vec = _attention_pool(collected, params.pool, slope, self.pool)
-        return _mlp(tz.concat_cols([graph_vec, self.prop]), params.head, slope, self.head)
+        return _scores(self.inp, self.params, self.prop, message_mask, self.first)
 
 
 def predict(
@@ -753,13 +724,14 @@ def save_model(params: ModelParameters, path: str | Path) -> None:
         "vocab_size": params.vocab_size,
     }
     chunks = [json.dumps(header, sort_keys=True).encode("utf-8"), b"\n"]
-    for name, t in params.named():
+    layout = _parameter_layout(params.config, params.vocab_size, len(params.portfolio))
+    for (name, t), (_, _, _, transposed) in zip(params.named(), layout):
         blob = name.encode("utf-8")
-        rows, cols = t.shape
+        values = t.values.T if transposed else t.values
         chunks.append(struct.pack("<I", len(blob)))
         chunks.append(blob)
-        chunks.append(struct.pack("<II", rows, cols))
-        chunks.append(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
+        chunks.append(struct.pack("<II", *values.shape))
+        chunks.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -803,14 +775,14 @@ def load_model(path: str | Path) -> ModelParameters:
         blocks[name] = values.reshape(rows, cols)
 
     parts = []
-    for name, shape, _ in _parameter_layout(config, vocab_size, len(portfolio)):
+    for name, shape, _, transposed in _parameter_layout(config, vocab_size, len(portfolio)):
         if name not in blocks:
             raise ModelFormatError(f"missing parameter block: {name}")
         block = blocks.pop(name)
         if block.shape != shape:
             raise ModelFormatError(
                 f"parameter block {name}: shape {block.shape}, config needs {shape}")
-        parts.append(block.ravel())
+        parts.append((block.T if transposed else block).ravel())
     if blocks:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
     return ModelParameters(

@@ -17,10 +17,11 @@ nodes through :func:`record` (``model.gat_layer``, ``model.attention_pool``,
 costs more bookkeeping than arithmetic; the only primitives left here are
 the ones they still chain (:func:`sigmoid`, :func:`concat_cols`). A fused
 node's forward and backward run the numpy operations of the primitive chain
-it replaces, in the same order, and a fused node lists an input once per
-path that reads it, so :func:`backward` adds the contributions to that input
-in the chain's order. Values and gradients are therefore bit-identical to
-the chain's, which the tests keep with the other primitives as the oracle.
+it replaces, in the same order and on contiguous operands (the model holds
+each weight as the ``W.T`` the chain copies), and a fused node lists an
+input once per path that reads it, so :func:`backward` adds the
+contributions to that input in the chain's order. Values and gradients are
+bit-identical to the chain's, which the tests keep as the oracle.
 """
 
 from __future__ import annotations

@@ -339,8 +339,11 @@ class TrainConfig:
             raise ValueError("epochs, plateau_patience and seed must be integers")
         if self.epochs < 1 or self.plateau_patience < 1:
             raise ValueError("epochs and patience must be >= 1")
-        if min(self.initial_lr, self.lr_decay_factor, self.min_lr, self.margin) <= 0:
-            raise ValueError("rates, factor, floor, and margin must be positive")
+        rates = (self.initial_lr, self.lr_decay_factor, self.min_lr, self.margin)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf
+               for v in rates):
+            raise ValueError("initial_lr, lr_decay_factor, min_lr and margin must be "
+                             f"finite positive numbers, got {rates}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

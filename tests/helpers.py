@@ -34,8 +34,6 @@ from verisel.model import (
     LengthMismatch,
     ModelInput,
     _encode_property,
-    attention_pool,
-    forward_scores,
     jumping_knowledge,
     margin_rank_loss_t,
     prepare_input,
@@ -360,6 +358,19 @@ def transpose(a: tz.Tensor) -> tz.Tensor:
     return tz.record(a.values.T.copy(), (a,), bwd)
 
 
+def out_in(w: tz.Tensor) -> tz.Tensor:
+    """The ``(out, in)`` weight of a model file, as a tape node over the
+    ``(in, out)`` transpose the model holds.
+
+    The oracles below multiply by ``transpose(out_in(w))``: a contiguous copy
+    of ``W.T`` taken from the ``(out, in)`` weight, as the model did before
+    it held ``W.T``, while the model multiplies by its view into the
+    parameter vector. Their gradients reach ``w`` through this transpose,
+    so the two sides are compared on the same leaves.
+    """
+    return transpose(w)
+
+
 def slice_rows(a: tz.Tensor, start: int, stop: int) -> tz.Tensor:
     if not (0 <= start <= stop <= a.shape[0]):
         raise tz.ShapeError(f"slice_rows: [{start}:{stop}] of {a.shape}")
@@ -413,9 +424,9 @@ def dense_gat_layer(states, edges, params, *, slope=0.2, message_mask=None,
                     allowed_mask=None):
     """One attention layer over the given edges plus implicit self-loops."""
     n = states.shape[0]
-    d_out = params.w_in.shape[0]
-    xin = matmul(states, transpose(params.w_in))    # receiver features
-    xout = matmul(states, transpose(params.w_out))  # sender features
+    d_out = params.w_in.shape[1]
+    xin = matmul(states, transpose(out_in(params.w_in)))    # receiver features
+    xout = matmul(states, transpose(out_in(params.w_out)))  # sender features
     a_in = slice_rows(params.attn, 0, d_out)
     a_out = slice_rows(params.attn, d_out, 2 * d_out)
     s_in = matmul(xin, a_in)    # (n, 1)
@@ -448,7 +459,7 @@ def dense_forward_scores(graph, params, *, message_mask=None):
             message_mask=message_mask, allowed_mask=allowed,
         ))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
-    graph_vec = attention_pool(collected, params.pool, config.leaky_slope)
+    graph_vec = tape_attention_pool(collected, params.pool, config.leaky_slope)
     z = tz.concat_cols([graph_vec, _encode_property(graph.property, config)])
     return tape_mlp(z, params.head, config.leaky_slope)
 
@@ -495,9 +506,9 @@ def segment_softmax(a, segments):
 
 def tape_gat_layer(states, index, params, *, slope=0.2, message_mask=None):
     """``model.gat_layer`` over an ``EdgeIndex``, 16 or 17 tape nodes."""
-    d_out = params.w_in.shape[0]
-    xin = matmul(states, transpose(params.w_in))    # receiver features
-    xout = matmul(states, transpose(params.w_out))  # sender features
+    d_out = params.w_in.shape[1]
+    xin = matmul(states, transpose(out_in(params.w_in)))    # receiver features
+    xout = matmul(states, transpose(out_in(params.w_out)))  # sender features
     a_in = slice_rows(params.attn, 0, d_out)
     a_out = slice_rows(params.attn, d_out, 2 * d_out)
     s_in = matmul(xin, a_in)    # (n, 1)
@@ -514,7 +525,7 @@ def tape_gat_layer(states, index, params, *, slope=0.2, message_mask=None):
 def tape_mlp(z, layers, slope):
     """``model._mlp`` with each affine layer as transpose, matmul and add."""
     for i, layer in enumerate(layers):
-        z = add(matmul(z, transpose(layer.w)), layer.b)
+        z = add(matmul(z, transpose(out_in(layer.w))), layer.b)
         if i + 1 < len(layers):
             z = leaky_relu(z, slope)
     return z
@@ -601,9 +612,9 @@ def tape_explain(params, graph, *, iters=100, lr=0.01, size_weight=0.05,
 # ---------------------------------------------------------------------------
 # Training oracles: Adam with one moment array per parameter tensor, updating
 # each tensor in turn, and the training loop that prepares nothing and feeds
-# each bare graph to ``forward_scores`` on every step. ``trainer`` replaced
-# them with one update over the flat parameter vector and model inputs
-# prepared once per call.
+# each bare graph to the tape oracle's forward pass on every step. ``trainer``
+# replaced them with one update over the flat parameter vector and model
+# inputs prepared once per call.
 
 
 class PerTensorAdam:
@@ -633,14 +644,15 @@ class PerTensorAdam:
 
 
 def reference_train(train_set, val_set, init, cfg):
-    """``trainer.train`` with per-tensor Adam and unprepared graphs.
+    """``trainer.train`` with per-tensor Adam, unprepared graphs and the tape
+    oracle's forward pass and loss.
 
     Returns the best-validation parameters and the per-epoch
     (train loss, validation loss, lr) triples.
     """
     def loss_of(inst, params):
-        return margin_rank_loss_t(forward_scores(inst.graph, params), inst.labels,
-                                  cfg.margin)
+        return tape_margin_rank_loss(tape_forward_scores(inst.graph, params), inst.labels,
+                                     cfg.margin)
 
     params = init.copy()
     optimizer = PerTensorAdam(params.trainables())

@@ -135,6 +135,21 @@ def test_extract_max_nodes_below_one_is_usage_error(tmp_path, limit, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("limit", ["100001", "200000"])
+def test_extract_max_nodes_above_the_graph_file_cap_is_usage_error(tmp_path, limit, capsys):
+    # a graph over DEFAULT_MAX_NODES could be written but never loaded again
+    target = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
+              "--max-nodes", limit])
+    assert excinfo.value.code == 2
+    assert "--max-nodes: must be at most 100000" in capsys.readouterr().err
+    assert not target.exists()
+    assert main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
+                 "--max-nodes", "100000"]) == 0
+    assert load_graph(target).num_nodes > 0
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -219,6 +234,20 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"split": {"seed": 1.5}}, "split.seed must be an integer"),
     ({"split": {"seed": True}}, "split.seed must be an integer"),
     ({"split": {"seed": "7"}}, "split.seed must be an integer"),
+    ({"train": {"initial_lr": float("nan")}}, "must be finite positive numbers"),
+    ({"train": {"initial_lr": float("inf")}}, "must be finite positive numbers"),
+    ({"train": {"initial_lr": True}}, "must be finite positive numbers"),
+    ({"train": {"lr_decay_factor": float("nan")}}, "must be finite positive numbers"),
+    ({"train": {"min_lr": float("-inf")}}, "must be finite positive numbers"),
+    ({"train": {"margin": False}}, "must be finite positive numbers"),
+    ({"train": {"margin": "1"}}, "must be finite positive numbers"),
+    ({"model": {"leaky_slope": float("nan")}}, "leaky_slope must be finite"),
+    ({"model": {"leaky_slope": float("-inf")}}, "leaky_slope must be finite"),
+    ({"model": {"leaky_slope": True}}, "leaky_slope must be a number"),
+    ({"trian": {"epochs": 3}}, "unknown keys: trian"),
+    ({"vocab": None, "seed": 1}, "unknown keys: seed, vocab"),
+    ({"split": {"ratios": [0.6, 0.2, 0.2], "sed": 3}}, "unknown keys: split.sed"),
+    ({"penalty": {"time_limt": 5.0}}, "unknown keys: penalty.time_limt"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)
@@ -243,6 +272,26 @@ def test_train_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, mon
                  "--labels", str(tmp_path / "labels.csv"), "-o", str(tmp_path / "m.bin")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, message", [
+    ({"VERISEL_TRIAN_EPOCHS": "3"}, "unknown keys: trian"),
+    ({"VERISEL_SPLIT_SED": "3"}, "unknown keys: split.sed"),
+    ({"VERISEL_TRAIN_INITIAL_LR": "NaN"}, "must be finite positive numbers"),
+    ({"VERISEL_TRAIN_INITIAL_LR": "Infinity"}, "must be finite positive numbers"),
+    ({"VERISEL_TRAIN_INITIAL_LR": "true"}, "must be finite positive numbers"),
+    ({"VERISEL_MODEL_LEAKY_SLOPE": "NaN"}, "leaky_slope must be finite"),
+])
+def test_train_override_that_is_misspelt_or_not_finite_is_usage_error(
+        tmp_path, capsys, monkeypatch, env, message):
+    config = run_config(tmp_path / "config.json")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(["train", "--config", str(config), "--graphs", str(tmp_path),
+                 "--labels", str(tmp_path / "labels.csv"), "-o", str(tmp_path / "m.bin")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_apply_env_overrides_parsing():

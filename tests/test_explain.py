@@ -216,9 +216,9 @@ def test_explain_never_writes_the_callers_parameters(monkeypatch):
 
 
 def test_mask_independent_work_runs_once_per_call(monkeypatch):
-    # layer 0's attention and every weight copy are made for the target and
-    # once for the scorer, however many iterations follow; layer 1's
-    # attention depends on the mask and is made again in every iteration
+    # layer 0's attention is made for the target and once for the scorer,
+    # however many iterations follow; layer 1's attention depends on the mask
+    # and is made again in every iteration
     params = fresh_params(seed=3, num_gat_layers=2)
     assert params.vocab_size != params.config.gat_width
     calls = Counter()
@@ -233,12 +233,10 @@ def test_mask_independent_work_runs_once_per_call(monkeypatch):
 
     counted("_gat_attention",
             lambda h, *rest: "layer 0" if h.shape[1] == params.vocab_size else "layer 1")
-    counted("_gat_copies", lambda layer: "gat copies")
-    counted("_transposed", lambda layers: "mlp copies")
     for iters in (1, 6):
         calls.clear()
         explain(params, simple_graph(), iters=iters)
-        assert calls == {"layer 0": 2, "layer 1": 1 + iters, "gat copies": 4, "mlp copies": 4}
+        assert calls == {"layer 0": 2, "layer 1": 1 + iters}
 
 
 def test_out_of_range_edge_in_an_unread_set_is_rejected():

@@ -22,6 +22,7 @@ from helpers import (
     tier_parse,
 )
 from verisel.frontend import (
+    DEFAULT_MAX_NODES,
     AstNode,
     DataEdge,
     DataEdges,
@@ -735,6 +736,21 @@ def test_extract_checks_the_cap_before_the_analyses(monkeypatch):
     monkeypatch.setattr(graph_build, "reaching_definitions", fail)
     with pytest.raises(GraphTooLarge):
         extract_graph(TWO_FUNCTIONS, VOCAB, graph_id="x", property=PROP, max_nodes=3)
+
+
+def test_a_cap_above_the_graph_file_limit_is_refused(monkeypatch):
+    # deserialize_graph refuses more than DEFAULT_MAX_NODES nodes, so no
+    # larger cap may let a graph through
+    ast, icfg, dfg = pipeline(TWO_FUNCTIONS)
+    monkeypatch.setattr(graph_build, "tokenize", lambda source: 1 / 0)
+    for cap in (DEFAULT_MAX_NODES + 1, 10 * DEFAULT_MAX_NODES):
+        with pytest.raises(ValueError, match=f"max_nodes is {cap}"):
+            extract_graph(TWO_FUNCTIONS, VOCAB, graph_id="x", property=PROP, max_nodes=cap)
+        with pytest.raises(ValueError, match=f"max_nodes is {cap}"):
+            assemble_graph(ast, icfg, dfg, VOCAB, graph_id="x", property=PROP, max_nodes=cap)
+    graph = assemble_graph(ast, icfg, dfg, VOCAB, graph_id="x", property=PROP,
+                           max_nodes=DEFAULT_MAX_NODES)
+    assert graph.num_nodes == len(ast)
 
 
 def test_assemble_unknown_kind_maps_to_reserved_index():

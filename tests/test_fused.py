@@ -1,7 +1,11 @@
 """Fused tape nodes (the GAT layer, attention pooling, MLP head, ranking loss,
 message mask and explainer objective) against the tape oracle in
 ``helpers``: the same operations in the same order, so scores, gradients and
-loss traces must match bit for bit, not within a tolerance."""
+loss traces must match bit for bit, not within a tolerance. The oracle
+multiplies by contiguous copies of ``W.T`` taken from the ``(out, in)``
+weights (``helpers.out_in``) and the model by its views of the ``W.T`` it
+holds, so these tests also check that the two round alike on the platform
+they run on."""
 
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +36,6 @@ from verisel.model import (
     GatLayerParams,
     ModelConfig,
     _mlp,
-    _transposed,
     attention_pool,
     edge_pairs,
     forward_scores,
@@ -159,7 +162,7 @@ def test_gat_layer_gradients_match_central_differences(masked):
     edges = edge_pairs(graph, EDGE_SET_NAMES)
     index = EdgeIndex(n, edges)
     states = T.Tensor(rng.standard_normal((n, 3)))
-    w_in, w_out = (T.Tensor(rng.standard_normal((4, 3))) for _ in range(2))
+    w_in, w_out = (T.Tensor(rng.standard_normal((3, 4))) for _ in range(2))
     attn = T.Tensor(rng.standard_normal((8, 1)))
     logits = T.Tensor(rng.standard_normal((len(index.keys), 1)))
     mix = T.constant(rng.standard_normal((n, 4)))
@@ -188,7 +191,8 @@ def test_sorted_segments_reduce_like_the_permuted_copy():
 
 
 def affine_layers(rng, widths):
-    return [AffineParams(T.Tensor(rng.standard_normal((b, a)), requires_grad=True),
+    """Affine layers between consecutive ``widths``, each weight held (in, out)."""
+    return [AffineParams(T.Tensor(rng.standard_normal((a, b)), requires_grad=True),
                          T.Tensor(rng.standard_normal((1, b)), requires_grad=True))
             for a, b in zip(widths, widths[1:])]
 
@@ -215,7 +219,7 @@ def test_mlp_equals_the_tape_chain(rows):
     layers = affine_layers(rng, (3, 4, 5, 2))
     leaves = [z] + [t for layer in layers for t in (layer.w, layer.b)]
     mix = signed_zeros((rows, 2))
-    assert (leaf_bytes(_mlp(z, layers, 0.2, _transposed(layers)), leaves, mix)
+    assert (leaf_bytes(_mlp(z, layers, 0.2), leaves, mix)
             == leaf_bytes(tape_mlp(z, layers, 0.2), leaves, mix))
 
 

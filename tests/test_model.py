@@ -82,8 +82,8 @@ def test_gat_single_node_identity():
 def test_gat_disconnected_nodes_independent_and_equivariant():
     rng = np.random.default_rng(0)
     params = GatLayerParams(
-        w_in=T.Tensor(rng.standard_normal((4, 3))),
-        w_out=T.Tensor(rng.standard_normal((4, 3))),
+        w_in=T.Tensor(rng.standard_normal((3, 4))),
+        w_out=T.Tensor(rng.standard_normal((3, 4))),
         attn=T.Tensor(rng.standard_normal((8, 1))),
     )
     h = T.constant(rng.standard_normal((2, 3)))
@@ -96,10 +96,10 @@ def dense_gat_oracle(h, edges, params, slope=0.2):
     """Per-node recomputation with explicit neighbor lists."""
     n, _ = h.shape
     w_in, w_out, attn = params.w_in.values, params.w_out.values, params.attn.values
-    d = w_in.shape[0]
+    d = w_in.shape[1]
     a_in, a_out = attn[:d, 0], attn[d:, 0]
-    xin = h @ w_in.T
-    xout = h @ w_out.T
+    xin = h @ w_in
+    xout = h @ w_out
     out = np.zeros((n, d))
     for i in range(n):
         senders = sorted({j for (j, dst) in edges if dst == i} | {i})
@@ -115,8 +115,8 @@ def dense_gat_oracle(h, edges, params, slope=0.2):
 def test_gat_path_graph_matches_dense_oracle():
     rng = np.random.default_rng(7)
     params = GatLayerParams(
-        w_in=T.Tensor(rng.standard_normal((4, 5))),
-        w_out=T.Tensor(rng.standard_normal((4, 5))),
+        w_in=T.Tensor(rng.standard_normal((5, 4))),
+        w_out=T.Tensor(rng.standard_normal((5, 4))),
         attn=T.Tensor(rng.standard_normal((8, 1))),
     )
     h = rng.standard_normal((3, 5))
@@ -132,8 +132,8 @@ def test_gat_random_graphs_match_dense_oracle():
         d_in = int(rng.integers(1, 5))
         d_out = int(rng.integers(1, 5))
         params = GatLayerParams(
-            w_in=T.Tensor(rng.standard_normal((d_out, d_in))),
-            w_out=T.Tensor(rng.standard_normal((d_out, d_in))),
+            w_in=T.Tensor(rng.standard_normal((d_in, d_out))),
+            w_out=T.Tensor(rng.standard_normal((d_in, d_out))),
             attn=T.Tensor(rng.standard_normal((2 * d_out, 1))),
         )
         edges = sorted({
@@ -274,9 +274,9 @@ def test_pool_single_node_identity():
     v = rng.standard_normal((1, 5))
     states = T.constant(v)
     pool = [
-        AffineParams(T.Tensor(rng.standard_normal((4, 5))), T.Tensor(np.zeros((1, 4)))),
-        AffineParams(T.Tensor(rng.standard_normal((2, 4))), T.Tensor(np.zeros((1, 2)))),
-        AffineParams(T.Tensor(rng.standard_normal((1, 2))), T.Tensor(np.zeros((1, 1)))),
+        AffineParams(T.Tensor(rng.standard_normal((5, 4))), T.Tensor(np.zeros((1, 4)))),
+        AffineParams(T.Tensor(rng.standard_normal((4, 2))), T.Tensor(np.zeros((1, 2)))),
+        AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(np.zeros((1, 1)))),
     ]
     out = attention_pool(states, pool)
     np.testing.assert_allclose(out.values, v, atol=1e-12)
@@ -287,9 +287,9 @@ def test_pool_two_identical_nodes():
     v = rng.standard_normal(5)
     states = T.constant(np.stack([v, v]))
     pool = [
-        AffineParams(T.Tensor(rng.standard_normal((3, 5))), T.Tensor(np.zeros((1, 3)))),
-        AffineParams(T.Tensor(rng.standard_normal((2, 3))), T.Tensor(np.zeros((1, 2)))),
-        AffineParams(T.Tensor(rng.standard_normal((1, 2))), T.Tensor(np.zeros((1, 1)))),
+        AffineParams(T.Tensor(rng.standard_normal((5, 3))), T.Tensor(np.zeros((1, 3)))),
+        AffineParams(T.Tensor(rng.standard_normal((3, 2))), T.Tensor(np.zeros((1, 2)))),
+        AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(np.zeros((1, 1)))),
     ]
     out = attention_pool(states, pool)
     np.testing.assert_allclose(out.values[0], v, atol=1e-12)
@@ -300,9 +300,9 @@ def test_pool_weights_are_probabilities():
     # the pooled vector are the pooling weights themselves
     rng = np.random.default_rng(5)
     pool = [
-        AffineParams(T.Tensor(rng.standard_normal((3, 10))), T.Tensor(rng.standard_normal((1, 3)))),
-        AffineParams(T.Tensor(rng.standard_normal((2, 3))), T.Tensor(rng.standard_normal((1, 2)))),
-        AffineParams(T.Tensor(rng.standard_normal((1, 2))), T.Tensor(rng.standard_normal((1, 1)))),
+        AffineParams(T.Tensor(rng.standard_normal((10, 3))), T.Tensor(rng.standard_normal((1, 3)))),
+        AffineParams(T.Tensor(rng.standard_normal((3, 2))), T.Tensor(rng.standard_normal((1, 2)))),
+        AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(rng.standard_normal((1, 1)))),
     ]
     states = T.constant(np.hstack([rng.standard_normal((6, 4)), np.eye(6)]))
     weights = attention_pool(states, pool).values[0, 4:]
@@ -313,9 +313,9 @@ def test_pool_weights_are_probabilities():
 def test_pool_permutation_invariance():
     rng = np.random.default_rng(6)
     pool = [
-        AffineParams(T.Tensor(rng.standard_normal((3, 4))), T.Tensor(rng.standard_normal((1, 3)))),
-        AffineParams(T.Tensor(rng.standard_normal((2, 3))), T.Tensor(rng.standard_normal((1, 2)))),
-        AffineParams(T.Tensor(rng.standard_normal((1, 2))), T.Tensor(rng.standard_normal((1, 1)))),
+        AffineParams(T.Tensor(rng.standard_normal((4, 3))), T.Tensor(rng.standard_normal((1, 3)))),
+        AffineParams(T.Tensor(rng.standard_normal((3, 2))), T.Tensor(rng.standard_normal((1, 2)))),
+        AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(rng.standard_normal((1, 1)))),
     ]
     states = rng.standard_normal((6, 4))
     base = attention_pool(T.constant(states), pool).values
@@ -324,7 +324,7 @@ def test_pool_permutation_invariance():
 
 
 def test_pool_empty_graph():
-    pool = [AffineParams(T.Tensor(np.ones((1, 2))), T.Tensor(np.zeros((1, 1))))]
+    pool = [AffineParams(T.Tensor(np.ones((2, 1))), T.Tensor(np.zeros((1, 1))))]
     with pytest.raises(EmptyGraph):
         attention_pool(T.Tensor(np.zeros((0, 2))), pool)
 
@@ -546,6 +546,9 @@ def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
     (b'"head_hidden": null', b'"head_hidden": "8"', "head_hidden must be a list"),
     (b'"head_hidden": null', b'"head_hidden": [4, 0]', "widths must be positive"),
     (b'"leaky_slope": 0.2', b'"leaky_slope": "x"', "leaky_slope must be a number"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": true', "leaky_slope must be a number"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": NaN', "leaky_slope must be finite"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": -Infinity', "leaky_slope must be finite"),
     (b'"num_gat_layers": 1', b'"num_gat_layers": 1.5',
      "num_gat_layers and widths must be integers"),
     (b'"gat_width": 4', b'"gat_width": 4.0',
@@ -621,7 +624,10 @@ def test_saved_container_header_and_block_layout_are_pinned(tmp_path, config, he
         got.append((name, rows, cols))
         offset += 4 + name_len + 8 + 8 * rows * cols
     assert got == blocks
-    assert [(name, *t.shape) for name, t in params.named()] == blocks
+    # the parameter vector holds each weight transposed, (in, out)
+    assert [(name, *t.shape) for name, t in params.named()] == [
+        (name, cols, rows) if name.split(".")[1].startswith("w") else (name, rows, cols)
+        for name, rows, cols in blocks]
 
 
 def assert_backed_by_vector(params):
@@ -687,6 +693,28 @@ def test_copy_is_independent_of_the_original():
     clone.trainables()[0].values[0, 0] = 42.0
     assert np.array_equal(params.vector, before)
     assert clone.vector[0] == 42.0
+
+
+@pytest.mark.parametrize("layers, head", [(0, None), (2, (5, 4)), (3, ())])
+def test_load_reproduces_vector_bytes_from_out_in_file_blocks(tmp_path, layers, head):
+    # the vector holds each weight transposed, (in, out); the file holds the
+    # (out, in) matrix, and a load transposes it back, bit for bit
+    params = tiny_params(seed=11, num_gat_layers=layers, head_hidden=head)
+    path = tmp_path / "model.bin"
+    save_model(params, path)
+    data = path.read_bytes()
+    blocks, offset = {}, data.find(b"\n") + 1
+    while offset < len(data):
+        (name_len,) = struct.unpack_from("<I", data, offset)
+        name = data[offset + 4:offset + 4 + name_len].decode()
+        rows, cols = struct.unpack_from("<II", data, offset + 4 + name_len)
+        offset += 4 + name_len + 8
+        blocks[name] = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
+        offset += 8 * rows * cols
+    for name, t in params.named():
+        weight = name.split(".")[1].startswith("w")
+        assert np.array_equal(blocks[name], t.values.T if weight else t.values), name
+    assert load_model(path).vector.tobytes() == params.vector.tobytes()
 
 
 def test_save_load_save_is_byte_stable(tmp_path):
