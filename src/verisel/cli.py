@@ -196,7 +196,6 @@ def _stats_table(stats: dict) -> str:
 
 def cmd_extract(args) -> int:
     vocab = _load_vocab(args.vocab)
-    prop = PropertyKind.from_name(args.property)
     out = Path(args.out)
     single_file = len(args.files) == 1 and out.suffix == ".json"
     if not single_file:
@@ -209,9 +208,9 @@ def cmd_extract(args) -> int:
         try:
             graph, diagnostics = extract_graph(
                 path.read_text(encoding="utf-8"), vocab, graph_id=path.stem,
-                property=prop, max_nodes=args.max_nodes,
+                property=args.property, max_nodes=args.max_nodes,
             )
-        except (FrontendError, SchemaError, OSError) as err:
+        except (FrontendError, SchemaError, OSError, UnicodeDecodeError) as err:
             failures += 1
             print(f"{path_str}: {err}", file=sys.stderr)
             continue
@@ -276,12 +275,11 @@ def cmd_train(args) -> int:
 def cmd_rank(args) -> int:
     params = load_model(args.model)
     graph = load_graph(args.graph)
-    prop = PropertyKind.from_name(args.property)
-    result = predict(graph, params, prop=prop)
+    result = predict(graph, params, prop=args.property)
     if args.json:
         payload = {
             "graph_id": result.graph_id,
-            "property": prop.value,
+            "property": args.property.value,
             "ranking": [
                 {"rank": i + 1, "verifier": params.portfolio[v],
                  "score": result.scores[v]}
@@ -377,6 +375,14 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
+def _property_kind(text: str) -> PropertyKind:
+    """An argparse type: a property kind, by any name ``PropertyKind.from_name`` reads."""
+    try:
+        return PropertyKind.from_name(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _finite_float(text: str) -> float:
     """An argparse type: a finite number (no nan or inf)."""
     try:
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", help="C source files")
     p.add_argument("-o", "--out", required=True,
                    help="output graph file (single input) or directory")
-    p.add_argument("--property", default="ReachSafety",
+    p.add_argument("--property", type=_property_kind, default="ReachSafety",
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")
     p.add_argument("--max-nodes", type=_int_at_least(1, DEFAULT_MAX_NODES),
@@ -427,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="model output path")
     p.add_argument("--history", help="write per-epoch history JSON here")
     p.add_argument("--vocab", help="override the config vocabulary path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", help="rank the portfolio for one graph")
     p.add_argument("--model", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--property", required=True,
+    p.add_argument("--property", type=_property_kind, required=True,
                    help="property kind to condition on")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rank)

@@ -7,12 +7,14 @@ names follow the usual C AST vocabulary. Binary operators are parsed by
 precedence climbing: one loop per operand looks each operator's tier up in
 ``_BINARY_TIERS``, and every binary operator associates to the left.
 
-The parser does little Python work per token. Each token method reads
-``tokens[j]`` after one bounds check against the length stored at the
-start; the hot grammar rules read the next token once and compare its kind
-and text in place; and the statement-keyword, literal-kind and type-start
-tables are built once, at import. Tokens and AST nodes are named tuples,
-and the tree under construction is made of ``__slots__`` objects.
+The parser does little Python work per token. The token list ends in two
+end markers, so the token methods index it with no bounds check, and a rule
+reads the end of input as a token whose kind matches nothing; only where
+the end has its own message or ends a loop is the marker tested. The hot
+rules read the next token once and compare its kind and text in place, and
+the keyword, literal-kind and type-start tables are built at import. Tokens
+and AST nodes are named tuples, and the tree under construction is made of
+``__slots__`` objects.
 
 Supported: declarations (with pointers and array suffixes), typedefs,
 function definitions and prototypes, if/else, while, for, switch,
@@ -63,9 +65,12 @@ _LITERAL_KINDS = {
     "string": "StringLiteral",
 }
 
+_END = Token("end", "", 0, 0)  # read past the last token; ParseError shows None
+
 
 class ParseError(FrontendError):
     def __init__(self, expected: str, found: Token | None):
+        found = None if found is _END else found
         where = f"{found.line}:{found.col}" if found else "end of input"
         shown = found.text if found else "<eof>"
         super().__init__(f"{where}: expected {expected}, found {shown!r}")
@@ -147,55 +152,43 @@ def _flatten(root: _N) -> Ast:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.count = len(tokens)
+        self.tokens = [*tokens, _END, _END]  # pos stops at the first; peek(1) reads on
         self.pos = 0
         self.typedefs: set[str] = set()
 
     # -- token plumbing ----------------------------------------------------
-    # Each method bounds-checks its index once and reads the token itself:
-    # these run several times per token.
+    # These run several times per token, so each reads the token itself.
 
-    def peek(self, offset: int = 0) -> Token | None:
-        j = self.pos + offset
-        return self.tokens[j] if j < self.count else None
+    def peek(self, offset: int = 0) -> Token:
+        return self.tokens[self.pos + offset]
 
     def at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
-        j = self.pos + offset
-        if j >= self.count:
-            return False
-        token = self.tokens[j]
+        token = self.tokens[self.pos + offset]
         return token.kind == kind and (text is None or token.text == text)
 
     def take(self) -> Token:
-        j = self.pos
-        if j >= self.count:
+        token = self.tokens[self.pos]
+        if token is _END:
             raise ParseError("more input", None)
-        self.pos = j + 1
-        return self.tokens[j]
+        self.pos += 1
+        return token
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        j = self.pos
-        token = self.tokens[j] if j < self.count else None
-        if token is None or token.kind != kind or (text is not None and token.text != text):
+        token = self.tokens[self.pos]
+        if token.kind != kind or (text is not None and token.text != text):
             raise ParseError(text or kind, token)
-        self.pos = j + 1
+        self.pos += 1
         return token
 
     def reject_unsupported(self) -> None:
-        j = self.pos
-        if j < self.count:
-            token = self.tokens[j]
-            if token.kind == "kw" and token.text in UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstruct(token.text, token)
+        token = self.tokens[self.pos]
+        if token.kind == "kw" and token.text in UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstruct(token.text, token)
 
     # -- type machinery ----------------------------------------------------
 
     def at_type_start(self, offset: int = 0) -> bool:
-        j = self.pos + offset
-        if j >= self.count:
-            return False
-        token = self.tokens[j]
+        token = self.tokens[self.pos + offset]
         if token.kind == "kw":
             return token.text in _TYPE_START_KEYWORDS
         return token.kind == "ident" and token.text in self.typedefs
@@ -205,8 +198,6 @@ class _Parser:
         saw_type = False
         while True:
             token = self.peek()
-            if token is None:
-                break
             if token.kind == "kw" and token.text in QUALIFIERS:
                 self.take()
             elif token.kind == "kw" and token.text in TYPE_KEYWORDS:
@@ -247,7 +238,7 @@ class _Parser:
 
     def parse_translation_unit(self) -> _N:
         root = _N("TranslationUnit")
-        while self.peek() is not None:
+        while self.peek() is not _END:
             root.children.append(self.parse_external_decl())
         return root
 
@@ -317,7 +308,7 @@ class _Parser:
         self.expect("punct", "{")
         block = _N("CompoundStmt")
         while not self.at("punct", "}"):
-            if self.peek() is None:
+            if self.peek() is _END:
                 raise ParseError("'}'", None)
             block.children.append(self.parse_statement())
         self.expect("punct", "}")
@@ -326,7 +317,7 @@ class _Parser:
     def parse_statement(self) -> _N:
         self.reject_unsupported()
         token = self.peek()
-        if token is None:
+        if token is _END:
             raise ParseError("statement", None)
         if token.kind == "punct" and token.text == "{":
             return self.parse_compound()
@@ -426,7 +417,7 @@ class _Parser:
     def parse_assignment(self) -> _N:
         left = self.parse_binary(0)
         token = self.peek()
-        if token is None or token.kind != "op":
+        if token.kind != "op":
             return left
         if token.text == "=":
             self.take()
@@ -447,7 +438,7 @@ class _Parser:
         node = self.parse_unary()
         while True:
             token = self.peek()
-            if token is None or token.kind != "op":
+            if token.kind != "op":
                 return node
             # '=' handled by parse_assignment; '&&'/'&' etc. disambiguated by text
             op_level = _BINARY_LEVEL.get(token.text, -1)
@@ -460,7 +451,7 @@ class _Parser:
     def parse_unary(self) -> _N:
         self.reject_unsupported()
         token = self.peek()
-        if token is not None and token.kind == "op" and token.text in UNARY_OPS:
+        if token.kind == "op" and token.text in UNARY_OPS:
             self.take()
             return _N("UnaryOperator", [self.parse_unary()], text=token.text)
         return self.parse_postfix()
@@ -469,8 +460,6 @@ class _Parser:
         node = self.parse_primary()
         while True:
             token = self.peek()
-            if token is None:
-                return node
             if token.kind == "punct" and token.text == "(":
                 self.take()
                 call = _N("CallExpr", [node])
@@ -497,8 +486,6 @@ class _Parser:
     def parse_primary(self) -> _N:
         self.reject_unsupported()
         token = self.peek()
-        if token is None:
-            raise ParseError("expression", None)
         if token.kind == "ident":
             return _N("DeclRefExpr", text=self.take().text)
         literal = _LITERAL_KINDS.get(token.kind)

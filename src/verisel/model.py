@@ -24,7 +24,8 @@ the (src, dst) pairs of the enabled edge sets and their :class:`EdgeIndex`,
 built once by :func:`prepare_input` and reused by every pass over that graph
 (training steps, validation, explainer iterations). The trainable parameters
 are views into one float64 vector (:attr:`ModelParameters.vector`), so an
-optimizer updates them all at once and a snapshot is one array copy.
+optimizer updates them all at once and a snapshot is one array copy. Each
+layer is a named tuple of its views, grouped by position in the layout.
 Inference, validation and the explainer read them through views that record
 nothing (:attr:`ModelParameters.frozen`).
 
@@ -49,9 +50,9 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,15 +145,13 @@ class ModelConfig:
         return cls(**kwargs)
 
 
-@dataclass
-class GatLayerParams:
+class GatLayerParams(NamedTuple):
     w_in: Tensor   # (d_in, d_out), transposed attention transform of the receiver
     w_out: Tensor  # (d_in, d_out), transposed sender transform carried by messages
     attn: Tensor   # (2 * d_out, 1)
 
 
-@dataclass
-class AffineParams:
+class AffineParams(NamedTuple):
     w: Tensor  # (in, out), the transposed weight
     b: Tensor  # (1, out)
 
@@ -173,31 +172,34 @@ class ModelParameters:
     gat: list[GatLayerParams] = field(init=False)
     pool: list[AffineParams] = field(init=False)
     head: list[AffineParams] = field(init=False)
-    _views: dict[str, Tensor] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._views = {}
-        offset = 0
-        for name, shape, _, transposed in _parameter_layout(
-                self.config, self.vocab_size, len(self.portfolio)):
+        views, offset = [], 0
+        for _, shape, _, transposed in self._layout():
             rows, cols = shape[::-1] if transposed else shape
-            block = self.vector[offset:offset + rows * cols].reshape(rows, cols)
-            self._views[name] = Tensor(block, requires_grad=True)
+            views.append(self.vector[offset:offset + rows * cols].reshape(rows, cols))
             offset += rows * cols
         if self.vector.shape != (offset,) or self.vector.dtype != np.float64:
             raise ValueError(f"parameters need a float64 vector of {offset} values")
-        layers: dict[str, list[list[Tensor]]] = {"gat": [], "pool": [], "head": []}
-        for layer, group in groupby(self._views.items(), key=lambda kv: kv[0].split(".")[0]):
-            layers[layer.rstrip("0123456789")].append([t for _, t in group])
-        self.gat = [GatLayerParams(*tensors) for tensors in layers["gat"]]
-        self.pool = [AffineParams(*tensors) for tensors in layers["pool"]]
-        self.head = [AffineParams(*tensors) for tensors in layers["head"]]
+        self._bind([Tensor(view, requires_grad=True) for view in views])
+
+    def _layout(self) -> list[tuple[str, tuple[int, int], int, bool]]:
+        return _parameter_layout(self.config, self.vocab_size, len(self.portfolio))
+
+    def _bind(self, tensors: list[Tensor]) -> None:
+        """Group the trainables, in ``vector`` order, into layers: 3 per GAT
+        layer, then 2 per pool layer, then 2 per head layer."""
+        pool_at = 3 * self.config.num_gat_layers
+        head_at = pool_at + 2 * (len(self.config.pool_hidden) + 1)
+        self.gat = [GatLayerParams(*tensors[i:i + 3]) for i in range(0, pool_at, 3)]
+        self.pool = [AffineParams(*tensors[i:i + 2]) for i in range(pool_at, head_at, 2)]
+        self.head = [AffineParams(*tensors[i:i + 2]) for i in range(head_at, len(tensors), 2)]
 
     def named(self) -> list[tuple[str, Tensor]]:
-        return list(self._views.items())
+        return [(name, t) for (name, *_), t in zip(self._layout(), self.trainables())]
 
     def trainables(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
+        return list(chain(*self.gat, *self.pool, *self.head))
 
     def zero_grad(self) -> None:
         for t in self.trainables():
@@ -209,16 +211,9 @@ class ModelParameters:
     @cached_property
     def frozen(self) -> "ModelParameters":
         """Views over the same ``vector`` that require no gradients, built once,
-        from these views' arrays and layers (the layout is not derived again)."""
-        twin = {id(t): Tensor(t.values) for t in self.trainables()}
-
-        def layers(group: list) -> list:
-            return [type(layer)(*(twin[id(t)] for t in vars(layer).values()))
-                    for layer in group]
-
+        over these views' arrays (the layout is not derived again)."""
         view = copy.copy(self)
-        view._views = {name: twin[id(t)] for name, t in self._views.items()}
-        view.gat, view.pool, view.head = layers(self.gat), layers(self.pool), layers(self.head)
+        view._bind([Tensor(t.values) for t in self.trainables()])
         return view
 
 
@@ -228,7 +223,8 @@ def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
     order of ``vector``; a weight's file shape is ``(out, in)``.
 
     A name is ``<layer>.<parameter>``, and each layer lists its parameters in
-    the field order of :class:`GatLayerParams` or :class:`AffineParams`.
+    the field order of :class:`GatLayerParams` or :class:`AffineParams`, the
+    order :meth:`ModelParameters._bind` groups them in.
     """
     layout = []
     d_in = vocab_size
@@ -517,11 +513,7 @@ def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
     def bwd(g: np.ndarray):
         return _mlp_backward(g, z, layers, steps)
 
-    return tz.record(out, (z, *_affine_tensors(layers)), bwd)
-
-
-def _affine_tensors(layers: Sequence[AffineParams]) -> tuple[Tensor, ...]:
-    return tuple(chain.from_iterable((layer.w, layer.b) for layer in layers))
+    return tz.record(out, (z, *chain(*layers)), bwd)
 
 
 def attention_pool(states: Tensor, pool: Sequence[AffineParams],
@@ -547,7 +539,7 @@ def attention_pool(states: Tensor, pool: Sequence[AffineParams],
         return (weights.T @ g if states.requires_grad else None,
                 *_mlp_backward(g_t.T, states, pool, steps))
 
-    return tz.record(weights @ h, (states, states, *_affine_tensors(pool)), bwd)
+    return tz.record(weights @ h, (states, states, *chain(*pool)), bwd)
 
 
 def _encode_property(prop: PropertyKind, config: ModelConfig) -> Tensor:
@@ -724,8 +716,7 @@ def save_model(params: ModelParameters, path: str | Path) -> None:
         "vocab_size": params.vocab_size,
     }
     chunks = [json.dumps(header, sort_keys=True).encode("utf-8"), b"\n"]
-    layout = _parameter_layout(params.config, params.vocab_size, len(params.portfolio))
-    for (name, t), (_, _, _, transposed) in zip(params.named(), layout):
+    for (name, _, _, transposed), t in zip(params._layout(), params.trainables()):
         blob = name.encode("utf-8")
         values = t.values.T if transposed else t.values
         chunks.append(struct.pack("<I", len(blob)))

@@ -339,6 +339,8 @@ class TrainConfig:
             raise ValueError("epochs, plateau_patience and seed must be integers")
         if self.epochs < 1 or self.plateau_patience < 1:
             raise ValueError("epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         rates = (self.initial_lr, self.lr_decay_factor, self.min_lr, self.margin)
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf
                for v in rates):

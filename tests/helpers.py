@@ -16,6 +16,7 @@ from verisel.frontend.cfg import function_definitions, owned_expr_roots
 from verisel.frontend.dataflow import DataEdge, DataEdges
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
 from verisel.frontend.parser import (
+    _BINARY_LEVEL,
     _BINARY_TIERS,
     ASSIGN_OPS,
     QUALIFIERS,
@@ -1498,14 +1499,21 @@ def tier_parse(tokens) -> Ast:
 
 
 # ---------------------------------------------------------------------------
-# Token plumbing that calls itself: the parser's token methods before they
-# each read ``tokens[j]`` after one bounds check, with the statement-keyword
-# table, the literal kinds and the type-start keywords built again on every
-# call, and assignments and postfix operators found by one ``at`` call per
+# Token plumbing that calls itself: the parser before its token list ended in
+# end markers and before its token methods each read ``tokens[j]`` after one
+# bounds check. ``peek`` returns None past the last token, and every grammar
+# rule that reads a token tests it for None. The statement-keyword table, the
+# literal kinds and the type-start keywords are built again on every call,
+# and assignments and postfix operators are found by one ``at`` call per
 # candidate operator.
 
 
 class PlumbingParser(_Parser):
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.typedefs = set()
+
     def peek(self, offset: int = 0):
         j = self.pos + offset
         return self.tokens[j] if j < len(self.tokens) else None
@@ -1534,6 +1542,45 @@ class PlumbingParser(_Parser):
         token = self.peek()
         if token is not None and token.kind == "kw" and token.text in UNSUPPORTED_KEYWORDS:
             raise UnsupportedConstruct(token.text, token)
+
+    def parse_decl_specs(self) -> None:
+        saw_type = False
+        while True:
+            token = self.peek()
+            if token is None:
+                break
+            if token.kind == "kw" and token.text in QUALIFIERS:
+                self.take()
+            elif token.kind == "kw" and token.text in TYPE_KEYWORDS:
+                saw_type = True
+                self.take()
+            elif (
+                not saw_type
+                and token.kind == "ident"
+                and token.text in self.typedefs
+            ):
+                saw_type = True
+                self.take()
+            else:
+                break
+        if not saw_type:
+            raise ParseError("type specifier", self.peek())
+
+    def parse_translation_unit(self):
+        root = _N("TranslationUnit")
+        while self.peek() is not None:
+            root.children.append(self.parse_external_decl())
+        return root
+
+    def parse_compound(self):
+        self.expect("punct", "{")
+        block = _N("CompoundStmt")
+        while not self.at("punct", "}"):
+            if self.peek() is None:
+                raise ParseError("'}'", None)
+            block.children.append(self.parse_statement())
+        self.expect("punct", "}")
+        return block
 
     def at_type_start(self, offset: int = 0) -> bool:
         token = self.peek(offset)
@@ -1595,6 +1642,27 @@ class PlumbingParser(_Parser):
         if self.at("op", "?"):
             raise UnsupportedConstruct("conditional operator", self.peek())
         return left
+
+    def parse_binary(self, level: int):
+        node = self.parse_unary()
+        while True:
+            token = self.peek()
+            if token is None or token.kind != "op":
+                return node
+            op_level = _BINARY_LEVEL.get(token.text, -1)
+            if op_level < level:
+                return node
+            self.take()
+            right = self.parse_binary(op_level + 1)
+            node = _N("BinaryOperator", [node, right], text=token.text)
+
+    def parse_unary(self):
+        self.reject_unsupported()
+        token = self.peek()
+        if token is not None and token.kind == "op" and token.text in UNARY_OPS:
+            self.take()
+            return _N("UnaryOperator", [self.parse_unary()], text=token.text)
+        return self.parse_postfix()
 
     def parse_postfix(self):
         node = self.parse_primary()

@@ -110,6 +110,20 @@ def test_extract_mixed_failure_exit_code(tmp_path, capsys):
     assert not (out / "bad.json").exists()
 
 
+def test_extract_skips_a_source_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_bytes(b"int main(){ /* \xff */ return 0; }\n")
+    out = tmp_path / "graphs"
+    code = main(["extract", str(CORPUS / "01_straight_line.c"), str(bad),
+                 str(CORPUS / "02_branch_join.c"), "-o", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in captured.err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "01_straight_line.json", "02_branch_join.json"]
+    assert "overall      2" in captured.out
+
+
 def test_extract_reports_unresolved_calls_to_stderr(tmp_path, capsys):
     out = tmp_path / "graphs"
     code = main(["extract", str(CORPUS / "02_branch_join.c"), "-o", str(out)])
@@ -122,6 +136,22 @@ def test_extract_respects_property_flag(tmp_path):
     main(["extract", str(CORPUS / "04_while_loop.c"), "-o", str(target),
           "--property", "Termination"])
     assert load_graph(target).property is PropertyKind.TERMINATION
+
+
+@pytest.mark.parametrize("command", ["extract", "rank"])
+def test_unknown_property_is_usage_error(tmp_path, capsys, command):
+    # refused while the arguments are parsed, before any file is read (rank's
+    # missing model file would be a runtime failure, exit 1)
+    target = tmp_path / "g.json"
+    argv = {
+        "extract": ["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target)],
+        "rank": ["rank", "--model", str(tmp_path / "missing.bin"), "--graph", str(target)],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--property", "Foo"])
+    assert excinfo.value.code == 2
+    assert "--property: unknown property kind: 'Foo'" in capsys.readouterr().err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
@@ -189,6 +219,21 @@ def test_train_seed_reproducible(tmp_path, extracted):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "must be at least 0, got -1"),
+    ("x", "not an integer: 'x'"),
+])
+def test_train_bad_seed_flag_is_usage_error(tmp_path, capsys, seed, message):
+    config = run_config(tmp_path / "config.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", "--config", str(config), "--graphs", str(tmp_path),
+              "--labels", str(tmp_path / "labels.csv"), "-o", str(tmp_path / "m.bin"),
+              "--seed", seed])
+    assert excinfo.value.code == 2
+    assert f"--seed: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypatch):
     ids = [p.stem for p in sorted(extracted.glob("*.json"))]
     labels = labels_csv_for(ids, tmp_path / "labels.csv")
@@ -231,6 +276,7 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"train": {"epochs": True}}, "epochs, plateau_patience and seed must be integers"),
     ({"train": {"plateau_patience": 1.5}}, "epochs, plateau_patience and seed must be integers"),
     ({"train": {"seed": "x"}}, "epochs, plateau_patience and seed must be integers"),
+    ({"train": {"seed": -1}}, "seed must be >= 0, got -1"),
     ({"split": {"seed": 1.5}}, "split.seed must be an integer"),
     ({"split": {"seed": True}}, "split.seed must be an integer"),
     ({"split": {"seed": "7"}}, "split.seed must be an integer"),
@@ -281,6 +327,7 @@ def test_train_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, mon
     ({"VERISEL_TRAIN_INITIAL_LR": "Infinity"}, "must be finite positive numbers"),
     ({"VERISEL_TRAIN_INITIAL_LR": "true"}, "must be finite positive numbers"),
     ({"VERISEL_MODEL_LEAKY_SLOPE": "NaN"}, "leaky_slope must be finite"),
+    ({"VERISEL_TRAIN_SEED": "-3"}, "seed must be >= 0, got -3"),
 ])
 def test_train_override_that_is_misspelt_or_not_finite_is_usage_error(
         tmp_path, capsys, monkeypatch, env, message):

@@ -241,6 +241,26 @@ def test_parse_error_reports_expected_and_found():
     assert "expected" in str(err.value) and "}" in str(err.value)
 
 
+@pytest.mark.parametrize("source, expected", [
+    ("int x", ";"),                                # a declaration
+    ("int", "ident"),
+    ("const", "type specifier"),
+    ("int x =", "expression"),
+    ("int main(){ x = 1 +", "expression"),         # an expression
+    ("int main(){ x = (a", ")"),
+    ("int main(){ a[1", "]"),
+    ("int main(){ x = 1;", "'}'"),                 # a block
+    ("int main(){ if (x)", "statement"),
+    ("int main(){ f(1,", "expression"),            # a call's arguments
+    ("int main(){ f(1", ")"),
+])
+def test_parse_error_at_the_end_of_input_names_no_token(source, expected):
+    with pytest.raises(ParseError) as err:
+        parse_source(source)
+    assert str(err.value) == f"end of input: expected {expected}, found '<eof>'"
+    assert err.value.expected == expected and err.value.found is None
+
+
 def test_parse_ast_is_preorder_tree():
     ast = parse_source(ALIAS_OF_RETURN)
     seen_parent = {}

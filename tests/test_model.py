@@ -31,6 +31,7 @@ from verisel.model import (
     ModelConfig,
     ModelFormatError,
     VocabMismatch,
+    _parameter_layout,
     attention_pool,
     forward_scores,
     gat_layer,
@@ -668,20 +669,38 @@ def test_frozen_view_shares_the_vector_and_records_nothing():
     assert params.copy().frozen.vector is not params.vector
 
 
-def test_frozen_view_shares_every_array_and_keeps_the_layers():
-    params = tiny_params(seed=4, num_gat_layers=2)
+def assert_layers_bind_the_named_views(params):
+    """``named()`` gives the layout's names in order, each layer field is the
+    view of that name, and the frozen view has the same layers over new
+    tensors on the same arrays."""
+    layout = _parameter_layout(params.config, params.vocab_size, len(params.portfolio))
     frozen = params.frozen
-    assert [name for name, _ in frozen.named()] == [name for name, _ in params.named()]
+    for view in (params, frozen):
+        assert [name for name, _ in view.named()] == [name for name, *_ in layout]
+        views = dict(view.named())
+        for kind in ("gat", "pool", "head"):
+            for i, layer in enumerate(getattr(view, kind)):
+                for name, t in layer._asdict().items():
+                    assert t is views[f"{kind}{i}.{name}"]
     for (_, a), (_, b) in zip(frozen.named(), params.named()):
         assert a is not b and a.values is b.values and a.shape == b.shape
-    views = dict(frozen.named())
     for kind in ("gat", "pool", "head"):
         layers, originals = getattr(frozen, kind), getattr(params, kind)
-        assert len(layers) == len(originals)
-        for i, (layer, original) in enumerate(zip(layers, originals)):
-            assert type(layer) is type(original)
-            for name, t in vars(layer).items():
-                assert t is views[f"{kind}{i}.{name}"]
+        assert [type(layer) for layer in layers] == [type(layer) for layer in originals]
+
+
+def test_frozen_view_shares_every_array_and_keeps_the_layers():
+    assert_layers_bind_the_named_views(tiny_params(seed=4, num_gat_layers=2))
+
+
+@pytest.mark.parametrize("config", [
+    dict(num_gat_layers=0),
+    dict(num_gat_layers=3, jumping_knowledge=False, property_encoding="onehot",
+         head_hidden=(5, 4)),
+    dict(pool_hidden=(6,)),
+])
+def test_layers_bind_the_views_the_layout_names(config):
+    assert_layers_bind_the_named_views(tiny_params(seed=6, **config))
 
 
 def test_copy_is_independent_of_the_original():
