@@ -276,7 +276,6 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"train": {"epochs": True}}, "epochs, plateau_patience and seed must be integers"),
     ({"train": {"plateau_patience": 1.5}}, "epochs, plateau_patience and seed must be integers"),
     ({"train": {"seed": "x"}}, "epochs, plateau_patience and seed must be integers"),
-    ({"train": {"seed": -1}}, "seed must be >= 0, got -1"),
     ({"split": {"seed": 1.5}}, "split.seed must be an integer"),
     ({"split": {"seed": True}}, "split.seed must be an integer"),
     ({"split": {"seed": "7"}}, "split.seed must be an integer"),
@@ -294,6 +293,7 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"vocab": None, "seed": 1}, "unknown keys: seed, vocab"),
     ({"split": {"ratios": [0.6, 0.2, 0.2], "sed": 3}}, "unknown keys: split.sed"),
     ({"penalty": {"time_limt": 5.0}}, "unknown keys: penalty.time_limt"),
+    ({"train": {"seed": -1}}, "seed must be >= 0, got -1"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)
