@@ -199,6 +199,13 @@ def cmd_extract(args) -> int:
     out = Path(args.out)
     single_file = len(args.files) == 1 and out.suffix == ".json"
     if not single_file:
+        first_with_stem: dict[str, str] = {}
+        for path_str in args.files:
+            stem = Path(path_str).stem
+            if stem in first_with_stem:
+                raise UsageError(f"{first_with_stem[stem]} and {path_str} "
+                                 f"would both write {stem}.json")
+            first_with_stem[stem] = path_str
         out.mkdir(parents=True, exist_ok=True)
 
     graphs = []

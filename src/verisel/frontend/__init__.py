@@ -1,7 +1,7 @@
 """C-subset frontend: lexing, parsing, control flow, data flow, graphs."""
 
 from .cfg import ControlEdge, ControlEdges, build_icfg
-from .dataflow import DataEdge, DataEdges, reaching_definitions
+from .dataflow import DataEdges, reaching_definitions
 from .graph_build import (
     DEFAULT_MAX_NODES,
     GraphTooLarge,
@@ -16,7 +16,6 @@ __all__ = [
     "AstNode",
     "ControlEdge",
     "ControlEdges",
-    "DataEdge",
     "DataEdges",
     "DEFAULT_MAX_NODES",
     "FrontendError",

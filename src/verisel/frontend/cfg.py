@@ -216,38 +216,40 @@ class _FunctionWiring:
                uses: dict[int, list[int]]) -> None:
         """Record the writes, reads and calls of one expression of ``stmt``."""
         ast = self.ast
-        kind = ast.kind(root)
-        children = ast.children(root)
-        if kind == "VarDecl":
-            self.scopes[-1][ast.text(root) or ""] = root  # before its initializer
-            writes.add(root)
-        elif kind == "DeclRefExpr":
-            var = self.lookup(root)
-            if var is not None:
-                uses.setdefault(var, []).append(root)
-            return
-        elif kind == "CallExpr":
-            callee, *children = children  # the callee name is not a variable use
-            self.calls.append((stmt, _callee_name(ast, root)))
-            if ast.kind(callee) != "DeclRefExpr":
-                # f(x)(2), (*p)(x): reads in the callee go unrecorded, but
-                # the calls it makes still run
-                self.calls.extend((stmt, _callee_name(ast, node))
-                                  for node in ast.walk(callee)
-                                  if ast.kind(node) == "CallExpr")
-        elif (kind == "CompoundAssignOperator" or (
-                kind == "BinaryOperator" and ast.text(root) == "=") or (
-                kind == "UnaryOperator" and ast.text(root) in ("++", "--"))):
-            # a store through *p or a[i] writes nothing; its operands are reads
-            target = children[0]
-            if ast.kind(target) == "DeclRefExpr":
-                var = self.lookup(target)
+        nodes = ast.nodes
+        stack = [root]  # pre-order; a long operator chain is too deep to recurse
+        while stack:
+            node = stack.pop()
+            kind, children, text = nodes[node]
+            if kind == "VarDecl":
+                self.scopes[-1][text or ""] = node  # before its initializer
+                writes.add(node)
+            elif kind == "DeclRefExpr":
+                var = self.lookup(node)
                 if var is not None:
-                    writes.add(var)
-                if kind == "BinaryOperator":  # plain store: no read
-                    children = children[1:]
-        for child in children:
-            self.gather(stmt, child, writes, uses)
+                    uses.setdefault(var, []).append(node)
+                continue
+            elif kind == "CallExpr":
+                callee, *children = children  # the callee name is not a variable use
+                self.calls.append((stmt, _callee_name(ast, node)))
+                if nodes[callee].kind != "DeclRefExpr":
+                    # f(x)(2), (*p)(x): reads in the callee go unrecorded, but
+                    # the calls it makes still run
+                    self.calls.extend((stmt, _callee_name(ast, inner))
+                                      for inner in ast.walk(callee)
+                                      if nodes[inner].kind == "CallExpr")
+            elif (kind == "CompoundAssignOperator" or (
+                    kind == "BinaryOperator" and text == "=") or (
+                    kind == "UnaryOperator" and text in ("++", "--"))):
+                # a store through *p or a[i] writes nothing; its operands are reads
+                target = children[0]
+                if nodes[target].kind == "DeclRefExpr":
+                    var = self.lookup(target)
+                    if var is not None:
+                        writes.add(var)
+                    if kind == "BinaryOperator":  # plain store: no read
+                        children = children[1:]
+            stack.extend(reversed(children))
 
     def lookup(self, ref: int) -> int | None:
         name = self.ast.text(ref) or ""

@@ -1,9 +1,10 @@
 """Reaching definitions over the ICFG as a round-robin bit-vector fixpoint.
 
 A definition is a (CFG node, variable) pair created by a declaration, an
-assignment, a compound assignment, or an increment/decrement. Def-use edges
-connect the defining statement node to the *identifier* node that reads the
-variable. The pass reads each CFG node's writes and reads from
+assignment, a compound assignment, or an increment/decrement. A def-use edge
+is a (definition, use) pair of node ids: the defining statement node and the
+*identifier* node that reads the variable, so the variable is the use's
+identifier text. The pass reads each CFG node's writes and reads from
 ``icfg.accesses``, which the ICFG wiring records as it walks each function
 body with names already resolved lexically, so same-named locals in
 different scopes never interfere.
@@ -25,28 +26,19 @@ saw them; the definitions reaching a use of ``v`` are the set bits of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .cfg import ControlEdges
 from .parser import Ast
 
 
-class DataEdge(NamedTuple):
-    src: int  # defining statement-level node
-    dst: int  # using DeclRefExpr node
-    var: str
-
-
 @dataclass
 class DataEdges:
-    edges: list[DataEdge]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted({(src, dst) for src, dst, _ in self.edges})
+    edges: list[tuple[int, int]]  # sorted, distinct (def node, use node) pairs
 
 
 def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
-    """Def-use edges for every definition that reaches a use along the ICFG."""
+    """Def-use pairs for every definition that reaches a use along the ICFG."""
+    # ast goes unread; perfbench/tracing.py wraps this function by parameter name
     accesses = icfg.accesses
     nodes = sorted(accesses)
 
@@ -113,16 +105,15 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
                 out_bits[i] = out
                 changed = True
 
-    edges: list[tuple[int, int, str]] = []
+    edges: list[tuple[int, int]] = []
     for n in nodes:
         for var, refs in accesses[n][1].items():
             reaching = in_bits[position[n]] & var_bits.get(var, 0)
-            name = ast.text(var) or ""
             while reaching:
                 low = reaching & -reaching
                 reaching ^= low
                 def_node = def_nodes[low.bit_length() - 1]
                 for ref in refs:
-                    edges.append((def_node, ref, name))
+                    edges.append((def_node, ref))
     edges.sort()
-    return DataEdges(list(map(DataEdge._make, edges)))
+    return DataEdges(edges)

@@ -55,7 +55,7 @@ def assemble_graph(
         edge_sets={
             "AST": ast_edges,
             "ICFG": icfg.pairs(),
-            "DFG": dfg.pairs(),
+            "DFG": dfg.edges,
         },
     )
     graph.validate(vocab_size=len(vocab))

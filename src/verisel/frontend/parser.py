@@ -136,18 +136,24 @@ class _N:
 
 
 def _flatten(root: _N) -> Ast:
-    nodes: list[AstNode | None] = []
-
-    def visit(node: _N) -> int:
-        node_id = len(nodes)
-        nodes.append(None)  # reserves the pre-order id
+    """Number the tree in pre-order, on an explicit stack: a long operator
+    chain is a left-deep tree too deep for the interpreter's own."""
+    order = []  # (node, its child ids), in pre-order
+    stack = [(root, None)]  # (node, its parent's child ids)
+    push = stack.append
+    while stack:
+        node, siblings = stack.pop()
+        if siblings is not None:
+            siblings.append(len(order))
         children = node.children
-        child_ids = tuple([visit(child) for child in children]) if children else ()
-        nodes[node_id] = AstNode(node.kind, child_ids, node.text)
-        return node_id
-
-    visit(root)
-    return Ast(tuple(nodes))
+        if children:
+            child_ids = []
+            order.append((node, child_ids))
+            for child in reversed(children):
+                push((child, child_ids))
+        else:
+            order.append((node, ()))
+    return Ast(tuple([AstNode(node.kind, tuple(ids), node.text) for node, ids in order]))
 
 
 class _Parser:

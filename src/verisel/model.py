@@ -763,6 +763,8 @@ def load_model(path: str | Path) -> ModelParameters:
             offset += count * 8
         except (struct.error, ValueError, UnicodeDecodeError) as err:
             raise ModelFormatError(f"corrupt parameter block: {err}") from err
+        if name in blocks:
+            raise ModelFormatError(f"duplicate parameter block: {name}")
         blocks[name] = values.reshape(rows, cols)
 
     parts = []

@@ -12,8 +12,14 @@ import numpy as np
 
 from verisel import tensor as tz
 from verisel.explain import maskable_edges
-from verisel.frontend.cfg import function_definitions, owned_expr_roots
-from verisel.frontend.dataflow import DataEdge, DataEdges
+from verisel.frontend import cfg as cfg_module
+from verisel.frontend.cfg import (
+    ControlEdges,
+    _callee_name,
+    _FunctionWiring,
+    function_definitions,
+    owned_expr_roots,
+)
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
 from verisel.frontend.parser import (
     _BINARY_LEVEL,
@@ -1162,14 +1168,21 @@ def oracle_cfg_nodes(ast) -> list[int]:
     return sorted(nodes)
 
 
+def named_edges(ast, pairs) -> list[tuple[int, int, str]]:
+    """(def node, use node, variable name) triples for def-use pairs, sorted;
+    a use node is the identifier that reads the variable, so its text names it."""
+    return sorted((src, dst, ast.text(dst)) for src, dst in pairs)
+
+
 # ---------------------------------------------------------------------------
 # Set-based reaching definitions: the fixpoint that the bit-vector pass in
 # verisel.frontend.dataflow replaced. IN and OUT are sets of (def node, var
 # id) pairs, rebuilt on every worklist visit.
 
 
-def set_reaching_definitions(ast, icfg) -> DataEdges:
-    """Def-use edges for every definition that reaches a use along the ICFG."""
+def set_reaching_definitions(ast, icfg) -> list[tuple[int, int, str]]:
+    """Sorted (def node, use node, variable name) triples for every definition
+    that reaches a use along the ICFG."""
     res = resolve_variables(ast)
     nodes = oracle_cfg_nodes(ast)
     node_set = set(nodes)
@@ -1208,7 +1221,7 @@ def set_reaching_definitions(ast, icfg) -> DataEdges:
                     queued.add(s)
                     worklist.append(s)
 
-    edges: set[DataEdge] = set()
+    edges: set[tuple[int, int, str]] = set()
     for n in nodes:
         if not uses[n]:
             continue
@@ -1217,9 +1230,8 @@ def set_reaching_definitions(ast, icfg) -> DataEdges:
             if refs:
                 name = res.name_of_var.get(var, "")
                 for ref in refs:
-                    edges.add(DataEdge(def_node, ref, name))
-    ordered = sorted(edges, key=lambda e: (e.src, e.dst, e.var))
-    return DataEdges(ordered)
+                    edges.add((def_node, ref, name))
+    return sorted(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1228,8 +1240,9 @@ def set_reaching_definitions(ast, icfg) -> DataEdges:
 # once in id order; a node whose OUT changes re-queues its successors.
 
 
-def fifo_reaching_definitions(ast, icfg) -> DataEdges:
-    """Def-use edges for every definition that reaches a use along the ICFG."""
+def fifo_reaching_definitions(ast, icfg) -> list[tuple[int, int, str]]:
+    """Sorted (def node, use node, variable name) triples for every definition
+    that reaches a use along the ICFG."""
     writes = {n: node_writes for n, (node_writes, _) in icfg.accesses.items()}
     uses = {n: node_uses for n, (_, node_uses) in icfg.accesses.items()}
     nodes = sorted(writes)
@@ -1289,7 +1302,7 @@ def fifo_reaching_definitions(ast, icfg) -> DataEdges:
                 reaching ^= low
                 def_node = def_nodes[low.bit_length() - 1]
                 edges.extend((def_node, ref, name) for ref in refs)
-    return DataEdges([DataEdge(*edge) for edge in sorted(edges)])
+    return sorted(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1717,6 +1730,71 @@ class PlumbingParser(_Parser):
 def plumbing_parse(tokens) -> Ast:
     """Parse with ``PlumbingParser`` and flatten into a pre-order ``Ast``."""
     return _preorder_ast(PlumbingParser(tokens).parse_translation_unit())
+
+
+# ---------------------------------------------------------------------------
+# Recursive tree walks: the AST numbering and the ICFG wiring's expression
+# walk before each kept its own stack. Both recurse once per tree level, so a
+# long operator chain (a left-deep tree) exhausts the interpreter's stack.
+
+
+def recursive_parse(tokens) -> Ast:
+    """``parse`` with the recursive pre-order numbering (``_preorder_ast``)."""
+    return _preorder_ast(_Parser(tokens).parse_translation_unit())
+
+
+class RecursiveWiring(_FunctionWiring):
+    def gather(self, stmt, root, writes, uses):
+        ast = self.ast
+        kind = ast.kind(root)
+        children = ast.children(root)
+        if kind == "VarDecl":
+            self.scopes[-1][ast.text(root) or ""] = root  # before its initializer
+            writes.add(root)
+        elif kind == "DeclRefExpr":
+            var = self.lookup(root)
+            if var is not None:
+                uses.setdefault(var, []).append(root)
+            return
+        elif kind == "CallExpr":
+            callee, *children = children  # the callee name is not a variable use
+            self.calls.append((stmt, _callee_name(ast, root)))
+            if ast.kind(callee) != "DeclRefExpr":
+                self.calls.extend((stmt, _callee_name(ast, node))
+                                  for node in ast.walk(callee)
+                                  if ast.kind(node) == "CallExpr")
+        elif (kind == "CompoundAssignOperator" or (
+                kind == "BinaryOperator" and ast.text(root) == "=") or (
+                kind == "UnaryOperator" and ast.text(root) in ("++", "--"))):
+            target = children[0]
+            if ast.kind(target) == "DeclRefExpr":
+                var = self.lookup(target)
+                if var is not None:
+                    writes.add(var)
+                if kind == "BinaryOperator":  # plain store: no read
+                    children = children[1:]
+        for child in children:
+            self.gather(stmt, child, writes, uses)
+
+
+def wired(ast, wiring=_FunctionWiring) -> tuple[ControlEdges, list[list[tuple[int, str]]]]:
+    """``build_icfg(ast)`` run with the given wiring class, and the calls
+    each function's wiring recorded, in wiring order."""
+    wirings = []
+
+    class Recording(wiring):
+        def __init__(self, *args):
+            super().__init__(*args)
+            wirings.append(self)
+
+    # not unittest.mock: perfbench loads this file, and that import adds
+    # about 10 MiB to the benchmark's peak RSS
+    cfg_module._FunctionWiring = Recording
+    try:
+        icfg = cfg_module.build_icfg(ast)
+    finally:
+        cfg_module._FunctionWiring = _FunctionWiring
+    return icfg, [w.calls for w in wirings]
 
 
 def expression_sources():

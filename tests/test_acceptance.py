@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     elementwise_mul,
     grad_check,
+    named_edges,
     oracle_reaching_edges,
     permuted_graph,
     random_graph,
@@ -219,7 +220,7 @@ def test_criterion_5_reaching_definitions_oracle():
     for path in paths:
         ast = parse_source(path.read_text(encoding="utf-8"))
         icfg = build_icfg(ast)
-        got = {(e.src, e.dst, e.var) for e in reaching_definitions(ast, icfg).edges}
+        got = set(named_edges(ast, reaching_definitions(ast, icfg).edges))
         want = oracle_reaching_edges(ast, icfg)
         assert got == want, path.name
     report(5, "worklist = path-enumeration oracle on all 20 corpus programs",

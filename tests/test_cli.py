@@ -110,6 +110,21 @@ def test_extract_mixed_failure_exit_code(tmp_path, capsys):
     assert not (out / "bad.json").exists()
 
 
+def test_extract_refuses_sources_that_share_a_stem(tmp_path, capsys):
+    copy = tmp_path / "b" / "01_straight_line.c"
+    copy.parent.mkdir()
+    copy.write_text("int main(){ return 0; }", encoding="utf-8")
+    first = CORPUS / "01_straight_line.c"
+    out = tmp_path / "graphs"
+    code = main(["extract", str(CORPUS / "02_branch_join.c"), str(first), str(copy),
+                 "-o", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"{first} and {copy} would both write 01_straight_line.json" in captured.err
+    assert captured.out == ""
+    assert not out.exists()  # refused before anything is extracted
+
+
 def test_extract_skips_a_source_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_bytes(b"int main(){ /* \xff */ return 0; }\n")

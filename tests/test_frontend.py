@@ -10,22 +10,24 @@ from helpers import (
     call_heavy_program,
     expression_sources,
     fifo_reaching_definitions,
+    named_edges,
     node_defs_uses,
     oracle_call_sites,
     oracle_cfg_nodes,
     oracle_reaching_edges,
     plumbing_parse,
+    recursive_parse,
+    RecursiveWiring,
     resolve_variables,
     scan_tokenize,
     set_reaching_definitions,
     tagged_edges,
     tier_parse,
+    wired,
 )
 from verisel.frontend import (
     DEFAULT_MAX_NODES,
     AstNode,
-    DataEdge,
-    DataEdges,
     GraphTooLarge,
     LexError,
     ParseError,
@@ -480,9 +482,15 @@ int main() {
 # reaching definitions
 
 
+def assert_sorted_distinct_int_pairs(edges):
+    assert all(type(edge) is tuple and len(edge) == 2 for edge in edges)
+    assert all(type(src) is int and type(dst) is int for src, dst in edges)
+    assert edges == sorted(set(edges))
+
+
 def use_edges_into(ast, dfg, var):
     """(def node, use ref node) pairs for uses of the named variable."""
-    return {(e.src, e.dst) for e in dfg.edges if e.var == var}
+    return {(src, dst) for src, dst, name in named_edges(ast, dfg.edges) if name == var}
 
 
 def test_reaching_straight_line_single_def():
@@ -552,8 +560,7 @@ int main() { int t; g = 0; t = touch(); t = touch(); return t; }
 """,
     ):
         ast, icfg, dfg = pipeline(source)
-        got = {(e.src, e.dst, e.var) for e in dfg.edges}
-        assert got == oracle_reaching_edges(ast, icfg)
+        assert set(named_edges(ast, dfg.edges)) == oracle_reaching_edges(ast, icfg)
 
 
 def test_reaching_equals_set_pass_on_corpus():
@@ -561,8 +568,10 @@ def test_reaching_equals_set_pass_on_corpus():
     assert len(sources) == 20
     for path in sources:
         ast, icfg, dfg = pipeline(path.read_text())
-        assert dfg.edges == set_reaching_definitions(ast, icfg).edges, path.name
-        assert dfg.edges == fifo_reaching_definitions(ast, icfg).edges, path.name
+        assert_sorted_distinct_int_pairs(dfg.edges)
+        named = named_edges(ast, dfg.edges)
+        assert named == set_reaching_definitions(ast, icfg), path.name
+        assert named == fifo_reaching_definitions(ast, icfg), path.name
 
 
 @settings(max_examples=100, deadline=None)
@@ -570,36 +579,31 @@ def test_reaching_equals_set_pass_on_corpus():
 def test_reaching_matches_set_pass_and_path_oracle_on_generated_programs(program):
     for source in (program.unshadowed, program.source):
         ast, icfg, dfg = pipeline(source)
-        assert dfg.edges == set_reaching_definitions(ast, icfg).edges
-        assert dfg.edges == fifo_reaching_definitions(ast, icfg).edges
+        assert_sorted_distinct_int_pairs(dfg.edges)
+        named = named_edges(ast, dfg.edges)
+        assert named == set_reaching_definitions(ast, icfg)
+        assert named == fifo_reaching_definitions(ast, icfg)
     plain = parse_source(program.unshadowed)
     want = {(src, dst, program.renamed.get(var, var))
             for src, dst, var in oracle_reaching_edges(plain, build_icfg(plain))}
-    assert {(e.src, e.dst, e.var) for e in dfg.edges} == want  # dfg of program.source
+    assert set(named) == want  # dfg of program.source
 
 
 def test_round_robin_pass_equals_fifo_pass_on_a_call_heavy_program():
     # nearly every CFG node sits on one ICFG cycle through return edges
     ast, icfg, dfg = pipeline(call_heavy_program())
     assert len(ast) > 4500
-    fifo = fifo_reaching_definitions(ast, icfg)
-    assert dfg.edges == fifo.edges
-    assert dfg.pairs() == fifo.pairs()
+    assert_sorted_distinct_int_pairs(dfg.edges)
+    assert named_edges(ast, dfg.edges) == fifo_reaching_definitions(ast, icfg)
 
 
-def test_data_edges_pairs_are_sorted_and_distinct_in_any_order():
-    edges = [DataEdge(5, 9, "x"), DataEdge(1, 4, "y"), DataEdge(5, 9, "z"), DataEdge(1, 2, "x")]
-    want = [(1, 2), (1, 4), (5, 9)]
-    assert DataEdges(edges).pairs() == want
-    assert DataEdges(sorted(edges)).pairs() == want
-    assert sorted(edges)[:2] == [DataEdge(1, 2, "x"), DataEdge(1, 4, "y")]
-    assert len(set(edges + edges)) == 4
-    assert (edges[0].src, edges[0].dst, edges[0].var) == (5, 9, "x")
-
-
-def assert_walk_matches_two_pass_oracle(source):
-    ast = parse_source(source)
-    walked = build_icfg(ast).accesses
+def assert_walks_match_oracles(source):
+    tokens = tokenize(source)
+    ast = parse(tokens)
+    assert ast.nodes == recursive_parse(tokens).nodes
+    icfg, calls = wired(ast)
+    assert (icfg, calls) == wired(ast, RecursiveWiring)
+    walked = icfg.accesses
     assert sorted(walked) == oracle_cfg_nodes(ast)
     res = resolve_variables(ast)
     for n, got in walked.items():
@@ -610,11 +614,11 @@ def test_def_use_walk_matches_two_pass_oracle_on_corpus():
     sources = sorted(CORPUS.glob("*.c"))
     assert len(sources) == 20
     for path in sources:
-        assert_walk_matches_two_pass_oracle(path.read_text())
+        assert_walks_match_oracles(path.read_text())
 
 
 def test_def_use_walk_scopes_shadowing_names():
-    assert_walk_matches_two_pass_oracle("""\
+    assert_walks_match_oracles("""\
 int x;
 int f(int x, int y) { x = y; { int y = x; x = y; } for (int x = 0; x < y; x++) y--; return x; }
 int main() { x = 1; { int x = x + 1; x += 2; } switch (x) { case 1: { int x; x = 3; } default: x++; } return f(x, 2); }
@@ -624,8 +628,25 @@ int main() { x = 1; { int x = x + 1; x += 2; } switch (x) { case 1: { int x; x =
 @settings(max_examples=100, deadline=None)
 @given(c_programs())
 def test_def_use_walk_matches_two_pass_oracle_on_generated_programs(program):
-    assert_walk_matches_two_pass_oracle(program.source)
-    assert_walk_matches_two_pass_oracle(program.unshadowed)
+    assert_walks_match_oracles(program.source)
+    assert_walks_match_oracles(program.unshadowed)
+
+
+def operator_chain(op, terms):
+    expr = f" {op} ".join(["x"] * terms)
+    return f"int main() {{ int x; x = 1; if ({expr}) x = {expr}; return x; }}"
+
+
+@pytest.mark.parametrize("op", ["&&", "+"])
+def test_long_operator_chains_extract(op):
+    # short enough for the recursive oracles, then far past the interpreter's
+    # recursion limit, which used to end extraction with RecursionError
+    assert_walks_match_oracles(operator_chain(op, 300))
+    graph, diagnostics = extract(operator_chain(op, 10_000))
+    assert diagnostics == []
+    assert len(graph.node_kinds) > 40_000
+    # x = 1 reaches all 20,000 reads of the chains; return x reads both stores
+    assert len(graph.edge_sets["DFG"]) == 20_002
 
 
 COMPUTED_CALLEES = (
@@ -674,7 +695,7 @@ def test_calls_nested_in_a_computed_callee_are_wired():
                             (15, 19), (19, 1), (19, 24), (24, 28)]
     assert icfg.diagnostics == ["node 19: unresolved call to <indirect>",
                                 "node 24: unresolved call to <indirect>"]
-    assert dfg.pairs() == [(1, 5), (12, 18), (12, 27)]
+    assert dfg.edges == [(1, 5), (12, 18), (12, 27)]
 
 
 def test_helpers_load_as_an_unregistered_module():

@@ -753,3 +753,16 @@ def test_model_container_rejects_a_block_of_the_wrong_shape(tmp_path):
     path.write_bytes(doctored + b"\n" + rest)
     with pytest.raises(ModelFormatError, match="gat0.w_in: shape"):
         load_model(path)
+
+
+def test_model_container_rejects_a_repeated_parameter_block(tmp_path):
+    path = tmp_path / "model.bin"
+    params = tiny_params()
+    save_model(params, path)
+    rows, cols = params.gat[0].w_in.values.T.shape
+    name = b"gat0.w_in"
+    copy = (struct.pack("<I", len(name)) + name + struct.pack("<II", rows, cols)
+            + np.full(rows * cols, 9.0, dtype="<f8").tobytes())
+    path.write_bytes(path.read_bytes() + copy)
+    with pytest.raises(ModelFormatError, match="duplicate parameter block: gat0.w_in"):
+        load_model(path)
