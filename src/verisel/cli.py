@@ -197,7 +197,10 @@ def _stats_table(stats: dict) -> str:
 def cmd_extract(args) -> int:
     vocab = _load_vocab(args.vocab)
     out = Path(args.out)
-    single_file = len(args.files) == 1 and out.suffix == ".json"
+    single_file = out.suffix == ".json"
+    if single_file and len(args.files) > 1:
+        raise UsageError(f"-o {out} names a graph file, but {len(args.files)} "
+                         f"sources need an output directory")
     if not single_file:
         first_with_stem: dict[str, str] = {}
         for path_str in args.files:
@@ -423,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="convert C sources into graph JSON")
     p.add_argument("files", nargs="+", help="C source files")
     p.add_argument("-o", "--out", required=True,
-                   help="output graph file (single input) or directory")
+                   help="output graph file (single input) or directory; "
+                        "with several inputs, a name ending in .json is refused")
     p.add_argument("--property", type=_property_kind, default="ReachSafety",
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")

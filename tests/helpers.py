@@ -477,6 +477,18 @@ def dense_forward_scores(graph, params, *, message_mask=None):
 # node per operation, and the per-edge primitives only the layer uses.
 # ``model`` and ``explain`` replaced each chain with one node that runs the
 # same operations, so scores, gradients and loss traces must be bit-identical.
+# The per-edge primitives reduce through ``segment_reduce``, the
+# ``reduceat`` path that ``tz.Segments.reduce`` replaced for wide sums over
+# many rows, so these comparisons also check its rank-step plan.
+
+
+def segment_reduce(segments, ufunc, values):
+    """``tz.Segments.reduce`` as ``ufunc.reduceat`` over the rows of each
+    segment in segment order, whatever the width and row count."""
+    if len(values) != len(segments.ids):
+        raise tz.ShapeError(f"segments: {values.shape} vs {len(segments.ids)} ids")
+    rows = values if segments.sorted else values[segments.order]
+    return ufunc.reduceat(rows, segments.starts, axis=0)
 
 
 def gather_rows(a, rows):
@@ -485,7 +497,7 @@ def gather_rows(a, rows):
         raise tz.ShapeError(f"gather_rows: {a.shape} vs {len(rows.starts)} segments")
 
     def bwd(g):
-        return (rows.reduce(np.add, g),)
+        return (segment_reduce(rows, np.add, g),)
 
     return tz.record(a.values[rows.ids], (a,), bwd)
 
@@ -496,17 +508,17 @@ def segment_sum(a, segments):
     def bwd(g):
         return (g[segments.ids],)
 
-    return tz.record(segments.reduce(np.add, a.values), (a,), bwd)
+    return tz.record(segment_reduce(segments, np.add, a.values), (a,), bwd)
 
 
 def segment_softmax(a, segments):
     """Softmax over the rows of each segment, column by column."""
     ids = segments.ids
-    e = np.exp(a.values - segments.reduce(np.maximum, a.values)[ids])
-    out = e / segments.reduce(np.add, e)[ids]
+    e = np.exp(a.values - segment_reduce(segments, np.maximum, a.values)[ids])
+    out = e / segment_reduce(segments, np.add, e)[ids]
 
     def bwd(g):
-        return (out * (g - segments.reduce(np.add, g * out)[ids]),)
+        return (out * (g - segment_reduce(segments, np.add, g * out)[ids]),)
 
     return tz.record(out, (a,), bwd)
 

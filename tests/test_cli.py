@@ -125,6 +125,17 @@ def test_extract_refuses_sources_that_share_a_stem(tmp_path, capsys):
     assert not out.exists()  # refused before anything is extracted
 
 
+def test_extract_refuses_a_json_output_for_several_sources(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = main(["extract", str(CORPUS / "01_straight_line.c"),
+                 str(CORPUS / "02_branch_join.c"), "-o", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"-o {out} names a graph file, but 2 sources need an output directory" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_extract_skips_a_source_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_bytes(b"int main(){ /* \xff */ return 0; }\n")

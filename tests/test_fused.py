@@ -15,6 +15,7 @@ import pytest
 
 import verisel.trainer
 from helpers import (
+    call_heavy_program,
     elementwise_mul,
     grad_check,
     random_graph,
@@ -60,6 +61,16 @@ def corpus_graphs():
         for path in sorted(CORPUS.glob("*.c")))
 
 
+@lru_cache(maxsize=None)
+def large_graph():
+    """A 473-node call-heavy program: 1,609 attention rows, so its wide
+    segment sums go by the rank-step plan (the corpus graphs have at most
+    130), with runs of more than 8 rows among both receivers and senders."""
+    vocab, _ = corpus_graphs()
+    return extract_graph(call_heavy_program(6), vocab, graph_id="call_heavy",
+                         property=PropertyKind.REACH_SAFETY)[0]
+
+
 def corpus_params(seed=0, **config):
     vocab, _ = corpus_graphs()
     return init_parameters(ModelConfig(**config), vocab, PORTFOLIO, seed=seed)
@@ -86,7 +97,7 @@ def test_scores_and_gradients_equal_the_tape_oracle_on_the_corpus(layers, jk):
     frozen = params.copy()
     for t in frozen.trainables():
         t.requires_grad = False
-    for graph in corpus_graphs()[1]:
+    for graph in corpus_graphs()[1] + (large_graph(),):
         inp = prepare_input(graph, params)
         logits = T.Tensor(np.linspace(-2.0, 2.0, len(inp.index.keys)).reshape(-1, 1),
                           requires_grad=True)
@@ -103,13 +114,13 @@ def test_explain_equals_the_tape_oracle():
     # 0-3 layers, jumping knowledge on and off, with and without noise on
     # the initial logits, every edge set or a subset of them; every corpus
     # graph for the README model (2 layers, jumping knowledge), every fifth
-    # for the others
+    # for the others; and the large graph for each
     _, corpus = corpus_graphs()
     for layers in range(4):
         for jk in (True, False):
             params = corpus_params(seed=5 + layers, num_gat_layers=layers,
                                    jumping_knowledge=jk)
-            graphs = corpus if (layers, jk) == (2, True) else corpus[::5]
+            graphs = (corpus if (layers, jk) == (2, True) else corpus[::5]) + (large_graph(),)
             for i, graph in enumerate(graphs):
                 kwargs = dict(iters=12, lr=0.05, seed=i, init_noise=0.1 * (i % 2),
                               edge_sets=("AST", "DFG") if i % 3 == 2 else None)
@@ -122,13 +133,16 @@ def test_explain_equals_the_tape_oracle():
 def test_training_equals_the_tape_oracle(monkeypatch):
     _, graphs = corpus_graphs()
     rng = np.random.default_rng(3)
-    instances = [LabeledInstance(g, list(rng.permutation(LABELS))) for g in graphs]
+    instances = [LabeledInstance(g, list(rng.permutation(LABELS)))
+                 for g in graphs + (large_graph(),)]
+    # the large graph trains, the last six corpus graphs validate
+    train_set, val_set = instances[:14] + instances[-1:], instances[14:-1]
     init = corpus_params(seed=1, num_gat_layers=2)
     cfg = TrainConfig(epochs=5, initial_lr=2e-3, seed=0)
-    fused, fused_history = train(instances[:14], instances[14:], init, cfg)
+    fused, fused_history = train(train_set, val_set, init, cfg)
     monkeypatch.setattr(verisel.trainer, "forward_scores", tape_forward_scores)
     monkeypatch.setattr(verisel.trainer, "margin_rank_loss_t", tape_margin_rank_loss)
-    oracle, oracle_history = train(instances[:14], instances[14:], init, cfg)
+    oracle, oracle_history = train(train_set, val_set, init, cfg)
     assert fused.vector.tobytes() == oracle.vector.tobytes()
     assert fused_history == oracle_history
 
@@ -178,16 +192,18 @@ def test_gat_layer_gradients_match_central_differences(masked):
 
 
 def test_sorted_segments_reduce_like_the_permuted_copy():
+    # 26 rows sum by reduceat, 340 (above T.PLAN_MIN_ROWS) by the rank-step plan
     rng = np.random.default_rng(2)
-    ids = np.sort(np.concatenate([np.arange(6), rng.integers(0, 6, 20)]))
-    values = rng.standard_normal((len(ids), 40))[:, ::2]  # a strided view too
-    segments = T.Segments(ids, 6)
-    assert segments.sorted
-    assert not T.Segments(ids[::-1], 6).sorted
-    for ufunc in (np.add, np.maximum):
-        got = segments.reduce(ufunc, values)
-        want = ufunc.reduceat(values[segments.order], segments.starts, axis=0)
-        assert got.tobytes() == want.tobytes()
+    for count, extra in ((6, 20), (40, 300)):
+        ids = np.sort(np.concatenate([np.arange(count), rng.integers(0, count, extra)]))
+        values = rng.standard_normal((len(ids), 40))[:, ::2]  # a strided view too
+        segments = T.Segments(ids, count)
+        assert segments.sorted
+        assert not T.Segments(ids[::-1], count).sorted
+        for ufunc in (np.add, np.maximum):
+            got = segments.reduce(ufunc, values)
+            want = ufunc.reduceat(values[segments.order], segments.starts, axis=0)
+            assert got.tobytes() == want.tobytes()
 
 
 def affine_layers(rng, widths):

@@ -14,6 +14,7 @@ from helpers import (
     matmul,
     scalar_mul,
     scatter,
+    segment_reduce,
     segment_softmax,
     segment_sum,
     slice_rows,
@@ -71,6 +72,28 @@ def test_shape_errors_name_the_primitive():
         elementwise_mul(T.constant(np.zeros((2, 2))), T.constant(np.zeros((1, 2))))
     with pytest.raises(T.ShapeError, match="segments"):
         T.Segments([0, 2, 2], 3)  # segment 1 is empty
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12) | st.integers(1, 300), min_size=1, max_size=40),
+       width=st.sampled_from([1, 2, 32, 64]), strided=st.booleans(),
+       permuted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_segment_reduce_equals_the_reduceat_oracle(sizes, width, strided, permuted, seed):
+    # segments of 1-300 rows cross numpy's 8-row and 128-row summation
+    # blocks, and row counts fall on both sides of T.PLAN_MIN_ROWS
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    if permuted:
+        ids = rng.permutation(ids)
+    step = 2 if strided else 1
+    values = rng.standard_normal((len(ids), width * step))[:, ::step]
+    values *= 10.0 ** rng.integers(-8, 9, values.shape)  # sums that round apart by order
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[rng.random(values.shape) < 0.1] = 0.0
+    segments = T.Segments(ids, len(sizes))
+    for ufunc in (np.add, np.maximum):
+        got = segments.reduce(ufunc, values)
+        assert got.tobytes() == segment_reduce(segments, ufunc, values).tobytes()
 
 
 def test_scatter_accumulates_duplicates():
