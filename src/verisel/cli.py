@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +66,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        sections = {name: data.get(name, {}) for name in ("split", "penalty", "model", "train")}
+        # a misspelt key would otherwise leave its default in force unnoticed
+        known = {"split": {"ratios", "seed"}, "penalty": {"time_limit", "penalty_weight"},
+                 "model": {f.name for f in fields(ModelConfig)},
+                 "train": {f.name for f in fields(TrainConfig)}}
+        sections = {name: data.get(name, {}) for name in known}
         not_objects = [name for name, value in sections.items() if not isinstance(value, dict)]
         if not_objects:
             raise UsageError(f"config: {', '.join(not_objects)} must be a JSON object")
         split, penalty = sections["split"], sections["penalty"]
-        # a misspelt key would otherwise leave its default in force unnoticed
-        fields = {"split": {"ratios", "seed"}, "penalty": {"time_limit", "penalty_weight"}}
         unknown = sorted(set(data) - {"vocabulary", "portfolio", *sections})
-        unknown += sorted(f"{name}.{key}" for name, known in fields.items()
-                          for key in set(sections[name]) - known)
+        unknown += sorted(f"{name}.{key}" for name, keys in known.items()
+                          for key in set(sections[name]) - keys)
         if unknown:
             raise UsageError(f"config: unknown keys: {', '.join(unknown)}")
         split_seed = split.get("seed", 0)
@@ -107,7 +109,7 @@ def apply_env_overrides(data: dict, environ=None) -> dict:
             continue
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             value = raw
         name = key[len(ENV_PREFIX):].lower()
         if name in top_level:
@@ -126,7 +128,7 @@ def apply_env_overrides(data: dict, environ=None) -> dict:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, json.JSONDecodeError, RecursionError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: not a JSON object")

@@ -5,6 +5,7 @@ from .dataflow import DataEdges, reaching_definitions
 from .graph_build import (
     DEFAULT_MAX_NODES,
     GraphTooLarge,
+    NestingTooDeep,
     assemble_graph,
     extract_graph,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "FrontendError",
     "GraphTooLarge",
     "LexError",
+    "NestingTooDeep",
     "ParseError",
     "Token",
     "UnsupportedConstruct",

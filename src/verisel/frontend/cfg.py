@@ -2,15 +2,18 @@
 
 CFG nodes are statement-level AST nodes plus FunctionDecl nodes. Compound
 statements are transparent; label/case wrappers are pass-through nodes that
-flow into their inner statement. ``sub_statements`` names the statements
-nested directly in a node; ``owned_expr_roots`` names the expressions a node
-evaluates itself. Wiring a function body walks it once. At each
-statement-level node the walk resolves names lexically (globals, then
-parameters, then a scope per ``CompoundStmt`` and per ``ForStmt``) and
-records in ``ControlEdges.accesses`` the variables the node writes and the
-identifier nodes that read each variable. Stores through pointers or array
-elements write nothing (no alias analysis). The same walk records the callee
-names in pre-order, and call/return wiring loops over them.
+flow into their inner statement. ``STATEMENT_SHAPES`` states once, per
+statement kind, which children are expressions the node evaluates itself
+(``owned_expr_roots``) and which are the statements nested directly in it
+(``sub_statements``); any other kind, such as an expression statement, a
+declaration or a jump, evaluates its own subtree. Wiring a function body
+walks it once. At each statement-level node the walk resolves names
+lexically (globals, then parameters, then a scope per ``CompoundStmt`` and
+per ``ForStmt``) and records in ``ControlEdges.accesses`` the variables the
+node writes and the identifier nodes that read each variable. Stores
+through pointers or array elements write nothing (no alias analysis). The
+same walk records the callee names in pre-order, and call/return wiring
+loops over them.
 
 Interprocedural wiring, per call site ``cs`` of a function ``f`` defined in
 the same translation unit:
@@ -37,11 +40,21 @@ from typing import NamedTuple
 
 from .parser import Ast
 
-SIMPLE_STMT_KINDS = frozenset({
-    "BinaryOperator", "CompoundAssignOperator", "UnaryOperator", "CallExpr",
-    "DeclRefExpr", "ArraySubscriptExpr", "IntegerLiteral", "FloatingLiteral",
-    "CharacterLiteral", "StringLiteral", "DeclStmt", "NullStmt", "TypedefDecl",
-})
+_NONE, _ALL, _HEAD, _REST = slice(0), slice(None), slice(1), slice(1, None)
+
+# statement kind -> (the expressions it evaluates, the statements nested in
+# it), each a slice of its children; any other kind evaluates its own subtree
+STATEMENT_SHAPES = {
+    "CompoundStmt": (_NONE, _ALL),
+    "LabelStmt": (_NONE, _ALL),
+    "DefaultStmt": (_NONE, _ALL),
+    "CaseStmt": (_HEAD, _REST),
+    "IfStmt": (_HEAD, _REST),
+    "WhileStmt": (_HEAD, _REST),
+    "SwitchStmt": (_HEAD, _REST),
+    "ForStmt": (slice(-1), slice(-1, None)),  # up to three header parts, then the body
+    "FunctionDecl": (_NONE, _NONE),  # build_icfg writes its parameters
+}
 
 WRAPPER_KINDS = frozenset({"LabelStmt", "CaseStmt", "DefaultStmt"})
 
@@ -74,36 +87,21 @@ def function_definitions(ast: Ast) -> list[int]:
     return out
 
 
+def statement_parts(ast: Ast, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(``owned_expr_roots``, ``sub_statements``) of a node, by one lookup."""
+    kind, children, _ = ast.nodes[node]
+    shape = STATEMENT_SHAPES.get(kind)
+    return (children[shape[0]], children[shape[1]]) if shape else ((node,), ())
+
+
 def sub_statements(ast: Ast, node: int) -> tuple[int, ...]:
     """Statements nested directly in a node, in source order."""
-    kind = ast.kind(node)
-    children = ast.children(node)
-    if kind in ("CompoundStmt", "LabelStmt", "DefaultStmt"):
-        return children
-    if kind in ("IfStmt", "CaseStmt"):
-        return children[1:]
-    if kind in ("WhileStmt", "ForStmt", "SwitchStmt"):
-        return children[-1:]
-    return ()
+    return statement_parts(ast, node)[1]
 
 
 def owned_expr_roots(ast: Ast, node: int) -> tuple[int, ...]:
     """Expression subtrees evaluated *at* this CFG node (no nested statements)."""
-    kind = ast.kind(node)
-    children = ast.children(node)
-    if kind in ("IfStmt", "WhileStmt", "SwitchStmt"):
-        return (children[0],)
-    if kind == "ForStmt":
-        return children[:-1]
-    if kind == "CaseStmt":
-        return (children[0],)
-    if kind in ("LabelStmt", "DefaultStmt", "FunctionDecl"):
-        return ()
-    if kind == "ReturnStmt":
-        return children
-    if kind in SIMPLE_STMT_KINDS:
-        return (node,)
-    return ()
+    return statement_parts(ast, node)[0]
 
 
 def last_statement(ast: Ast, body: int) -> int | None:
@@ -137,10 +135,11 @@ class _FunctionWiring:
         """Wire ``preds -> stmt`` and internals; return fallthrough exits."""
         ast = self.ast
         kind = ast.kind(stmt)
+        exprs, nested = statement_parts(ast, stmt)
 
         if kind == "CompoundStmt":
             self.scopes.append({})
-            for child in ast.children(stmt):
+            for child in nested:
                 preds = self.wire(child, preds)
             self.scopes.pop()
             return preds
@@ -150,16 +149,14 @@ class _FunctionWiring:
             self.entry = stmt
         writes: set[int] = set()
         uses: dict[int, list[int]] = {}
-        for root in owned_expr_roots(ast, stmt):
+        for root in exprs:
             self.gather(stmt, root, writes, uses)
         self.accesses[stmt] = (writes, uses)
         for p in preds:
             self.add_edge(p, stmt, "flow")
         if kind in WRAPPER_KINDS:
-            preds = [stmt]
-            for child in sub_statements(ast, stmt):
-                preds = self.wire(child, preds)
-            return preds
+            (inner,) = nested
+            return self.wire(inner, [stmt])
 
         if kind == "ReturnStmt":
             self.returns.append(stmt)
@@ -177,15 +174,14 @@ class _FunctionWiring:
                 self.diagnostics.append(f"node {stmt}: continue outside loop")
             return []
         if kind == "IfStmt":
-            arms = ast.children(stmt)[1:]
             exits = []
-            for arm in arms:
+            for arm in nested:
                 exits.extend(self.wire(arm, [stmt]))
-            if len(arms) < 2:
+            if len(nested) < 2:
                 exits.append(stmt)  # false branch falls to the successor
-            return _dedupe(exits)
+            return list(dict.fromkeys(exits))
         if kind in ("WhileStmt", "ForStmt"):
-            body = ast.children(stmt)[-1]
+            (body,) = nested
             self.loop_stack.append(stmt)
             self.break_stack.append([])
             body_exits = self.wire(body, [stmt])
@@ -196,19 +192,17 @@ class _FunctionWiring:
             for x in body_exits:
                 if x != stmt:
                     self.add_edge(x, stmt, "loop-back")
-            return _dedupe([stmt] + breaks)
+            return list(dict.fromkeys([stmt] + breaks))
         if kind == "SwitchStmt":
-            body = ast.children(stmt)[-1]
+            (body,) = nested
             case_nodes = _collect_cases(ast, body)
             for case in case_nodes:
                 self.add_edge(stmt, case, "flow")
             self.break_stack.append([])
-            fallthrough = self.wire(body, [])
-            breaks = self.break_stack.pop()
-            exits = list(fallthrough) + breaks
+            exits = self.wire(body, []) + self.break_stack.pop()
             if not any(ast.kind(c) == "DefaultStmt" for c in case_nodes):
                 exits.append(stmt)  # no default: the switch may be skipped
-            return _dedupe(exits)
+            return list(dict.fromkeys(exits))
         # simple statement
         return [stmt]
 
@@ -257,16 +251,6 @@ class _FunctionWiring:
             if name in scope:
                 return scope[name]
         return None
-
-
-def _dedupe(items: list[int]) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
 
 
 def _collect_cases(ast: Ast, body: int) -> list[int]:

@@ -16,6 +16,10 @@ class GraphTooLarge(FrontendError):
         self.max_nodes = max_nodes
 
 
+class NestingTooDeep(FrontendError):
+    """Nesting deeper than the recursive parser and ICFG walk can follow."""
+
+
 def _check_cap(max_nodes: int) -> None:
     if max_nodes > DEFAULT_MAX_NODES:  # a graph no graph file reader accepts
         raise ValueError(f"max_nodes is {max_nodes}, graph files hold at most "
@@ -72,10 +76,13 @@ def extract_graph(
 ) -> tuple[ProgramGraph, list[str]]:
     """Full pipeline from C source to graph; returns (graph, diagnostics)."""
     _check_cap(max_nodes)
-    ast = parse(tokenize(source))
-    if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
-        raise GraphTooLarge(len(ast), max_nodes)
-    icfg = build_icfg(ast)
+    try:  # the parser and the ICFG walk recurse once per level of nesting
+        ast = parse(tokenize(source))
+        if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
+            raise GraphTooLarge(len(ast), max_nodes)
+        icfg = build_icfg(ast)
+    except RecursionError as err:
+        raise NestingTooDeep("source nests too deeply to extract") from err
     dfg = reaching_definitions(ast, icfg)
     graph = assemble_graph(
         ast, icfg, dfg, vocab,

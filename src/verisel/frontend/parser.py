@@ -3,9 +3,11 @@
 Produces a flat AST with pre-order node numbering. Structural punctuation
 (parentheses, braces, semicolons) is consumed but never materialized as
 nodes; declarations, statements, and expressions become nodes whose kind
-names follow the usual C AST vocabulary. Binary operators are parsed by
-precedence climbing: one loop per operand looks each operator's tier up in
-``_BINARY_TIERS``, and every binary operator associates to the left.
+names follow the usual C AST vocabulary. ``if``, ``while`` and ``switch``
+share one rule, ``keyword ( expression ) statement``. Binary operators are
+parsed by precedence climbing: one loop per operand looks each operator's
+tier up in ``_BINARY_TIERS``, and every binary operator associates to the
+left.
 
 The parser does little Python work per token. The token list ends in two
 end markers, so the token methods index it with no bounds check, and a rule
@@ -64,6 +66,10 @@ _LITERAL_KINDS = {
     "char": "CharacterLiteral",
     "string": "StringLiteral",
 }
+
+# the node kind of each keyword that shares its rule with another
+_KEYWORD_KINDS = {"if": "IfStmt", "while": "WhileStmt", "switch": "SwitchStmt",
+                  "break": "BreakStmt", "continue": "ContinueStmt"}
 
 _END = Token("end", "", 0, 0)  # read past the last token; ParseError shows None
 
@@ -345,23 +351,17 @@ class _Parser:
         self.expect("punct", ";")
         return expr
 
-    def parse_if(self) -> _N:
-        self.expect("kw", "if")
+    def parse_guarded(self) -> _N:
+        """``keyword ( expression ) statement`` (if, while, switch), then an if's else."""
+        kind = _KEYWORD_KINDS[self.take().text]
         self.expect("punct", "(")
         cond = self.parse_expression()
         self.expect("punct", ")")
-        node = _N("IfStmt", [cond, self.parse_statement()])
-        if self.at("kw", "else"):
+        node = _N(kind, [cond, self.parse_statement()])
+        if kind == "IfStmt" and self.at("kw", "else"):
             self.take()
             node.children.append(self.parse_statement())
         return node
-
-    def parse_while(self) -> _N:
-        self.expect("kw", "while")
-        self.expect("punct", "(")
-        cond = self.parse_expression()
-        self.expect("punct", ")")
-        return _N("WhileStmt", [cond, self.parse_statement()])
 
     def parse_for(self) -> _N:
         self.expect("kw", "for")
@@ -384,13 +384,6 @@ class _Parser:
         parts.append(self.parse_statement())
         return _N("ForStmt", parts)
 
-    def parse_switch(self) -> _N:
-        self.expect("kw", "switch")
-        self.expect("punct", "(")
-        cond = self.parse_expression()
-        self.expect("punct", ")")
-        return _N("SwitchStmt", [cond, self.parse_statement()])
-
     def parse_case(self) -> _N:
         self.expect("kw", "case")
         value = self.parse_expression()
@@ -410,8 +403,8 @@ class _Parser:
         self.expect("punct", ";")
         return node
 
-    def parse_jump(self, keyword: str, kind: str) -> _N:
-        self.expect("kw", keyword)
+    def parse_jump(self) -> _N:
+        kind = _KEYWORD_KINDS[self.take().text]
         self.expect("punct", ";")
         return _N(kind)
 
@@ -509,13 +502,13 @@ class _Parser:
 
 # statement keyword -> the _Parser method that parses the statement
 _STATEMENT_KEYWORDS = {
-    "if": _Parser.parse_if,
-    "while": _Parser.parse_while,
+    "if": _Parser.parse_guarded,
+    "while": _Parser.parse_guarded,
     "for": _Parser.parse_for,
-    "switch": _Parser.parse_switch,
+    "switch": _Parser.parse_guarded,
     "return": _Parser.parse_return,
-    "break": lambda parser: parser.parse_jump("break", "BreakStmt"),
-    "continue": lambda parser: parser.parse_jump("continue", "ContinueStmt"),
+    "break": _Parser.parse_jump,
+    "continue": _Parser.parse_jump,
     "case": _Parser.parse_case,
     "default": _Parser.parse_default,
     "typedef": _Parser.parse_typedef,

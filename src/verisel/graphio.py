@@ -254,7 +254,7 @@ def deserialize_graph(text: str) -> ProgramGraph:
     :class:`GraphFileTooLarge`, raised before any node or edge is converted."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise SchemaError(f"document: not valid JSON ({err})") from err
     if not isinstance(obj, dict):
         raise SchemaError("document: expected a JSON object")

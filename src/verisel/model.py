@@ -733,7 +733,7 @@ def load_model(path: str | Path) -> ModelParameters:
         raise ModelFormatError("missing header line")
     try:
         header = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ModelFormatError(f"bad header: {err}") from err
     if not isinstance(header, dict):
         raise ModelFormatError("bad header: not a JSON object")

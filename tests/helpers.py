@@ -1627,13 +1627,13 @@ class PlumbingParser(_Parser):
             return _N("NullStmt")
         if token.kind == "kw":
             handler = {
-                "if": self.parse_if,
-                "while": self.parse_while,
+                "if": self.parse_guarded,
+                "while": self.parse_guarded,
                 "for": self.parse_for,
-                "switch": self.parse_switch,
+                "switch": self.parse_guarded,
                 "return": self.parse_return,
-                "break": lambda: self.parse_jump("break", "BreakStmt"),
-                "continue": lambda: self.parse_jump("continue", "ContinueStmt"),
+                "break": self.parse_jump,
+                "continue": self.parse_jump,
                 "case": self.parse_case,
                 "default": self.parse_default,
                 "typedef": self.parse_typedef,

@@ -150,6 +150,25 @@ def test_extract_skips_a_source_that_is_not_utf8(tmp_path, capsys):
     assert "overall      2" in captured.out
 
 
+@pytest.mark.parametrize("body", [  # each far past the interpreter's recursion limit
+    "if (x) { " * 1_000 + "x = 1;" + " }" * 1_000,
+    "x = " + "(" * 1_000 + "1" + ")" * 1_000 + ";",
+    "if (x == 0) x = 1; " + " ".join(f"else if (x == {i}) x = {i};" for i in range(1, 2_000)),
+], ids=["blocks", "parentheses", "else-if"])
+def test_extract_skips_a_source_nested_too_deeply_and_goes_on(tmp_path, capsys, body):
+    deep = tmp_path / "deep.c"
+    deep.write_text(f"int main() {{ int x; x = 0; {body} return x; }}", encoding="utf-8")
+    out = tmp_path / "graphs"
+    code = main(["extract", str(CORPUS / "01_straight_line.c"), str(deep),
+                 str(CORPUS / "02_branch_join.c"), "-o", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"{deep}: source nests too deeply to extract" in captured.err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "01_straight_line.json", "02_branch_join.json"]
+    assert "overall      2" in captured.out
+
+
 def test_extract_reports_unresolved_calls_to_stderr(tmp_path, capsys):
     out = tmp_path / "graphs"
     code = main(["extract", str(CORPUS / "02_branch_join.c"), "-o", str(out)])
@@ -320,6 +339,9 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"split": {"ratios": [0.6, 0.2, 0.2], "sed": 3}}, "unknown keys: split.sed"),
     ({"penalty": {"time_limt": 5.0}}, "unknown keys: penalty.time_limt"),
     ({"train": {"seed": -1}}, "seed must be >= 0, got -1"),
+    ({"model": {"widht": 4, "gat_width": 4}, "train": {"epoch": 2, "epochs": 2}},
+     "unknown keys: model.widht, train.epoch"),
+    ({"model": {"widht": 4, "heigth": 2}}, "unknown keys: model.heigth, model.widht"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)
@@ -346,6 +368,15 @@ def test_train_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, mon
     assert message in capsys.readouterr().err
 
 
+def test_train_config_nested_too_deeply_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"model": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    code = main(["train", "--config", str(config), "--graphs", str(tmp_path),
+                 "--labels", str(tmp_path / "labels.csv"), "-o", str(tmp_path / "m.bin")])
+    assert code == 2
+    assert "maximum recursion depth" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("env, message", [
     ({"VERISEL_TRIAN_EPOCHS": "3"}, "unknown keys: trian"),
     ({"VERISEL_SPLIT_SED": "3"}, "unknown keys: split.sed"),
@@ -354,6 +385,9 @@ def test_train_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, mon
     ({"VERISEL_TRAIN_INITIAL_LR": "true"}, "must be finite positive numbers"),
     ({"VERISEL_MODEL_LEAKY_SLOPE": "NaN"}, "leaky_slope must be finite"),
     ({"VERISEL_TRAIN_SEED": "-3"}, "seed must be >= 0, got -3"),
+    ({"VERISEL_MODEL_WIDHT": "8"}, "unknown keys: model.widht"),
+    # too deep to decode, so the plain string
+    ({"VERISEL_TRAIN_EPOCHS": "[" * 10_000 + "]" * 10_000}, "must be integers"),
 ])
 def test_train_override_that_is_misspelt_or_not_finite_is_usage_error(
         tmp_path, capsys, monkeypatch, env, message):

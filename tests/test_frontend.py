@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,8 @@ from verisel.frontend import (
     tokenize,
 )
 from verisel.frontend import graph_build
+from verisel.frontend.cfg import function_definitions, owned_expr_roots, sub_statements
+from verisel.frontend.parser import _STATEMENT_KEYWORDS
 from verisel.graphio import PropertyKind, TokenVocabulary, deserialize_graph, serialize_graph
 
 VOCAB = TokenVocabulary.default()
@@ -476,6 +479,97 @@ int main() {
     assert (switch, ret) not in pairs  # default present: switch cannot fall past
     y2 = ast.find("BinaryOperator", "=")[3]
     assert (y2, default) in pairs  # case 2 falls through into default
+
+
+# statement kind -> the roles of its children, in order, as a regex: "e" an
+# expression the statement evaluates itself, "s" a statement nested in it
+STATEMENT_LAYOUTS = {
+    "CompoundStmt": "s*",
+    "LabelStmt": "s",
+    "DefaultStmt": "s",
+    "CaseStmt": "es",
+    "IfStmt": "ess?",
+    "WhileStmt": "es",
+    "SwitchStmt": "es",
+    "ForStmt": "e{0,3}s",
+}
+EXPRESSION_KINDS = {
+    "BinaryOperator", "CompoundAssignOperator", "UnaryOperator", "CallExpr",
+    "DeclRefExpr", "ArraySubscriptExpr", "IntegerLiteral", "FloatingLiteral",
+    "CharacterLiteral", "StringLiteral",
+}
+# the statements that nest none: each evaluates its own subtree
+LEAF_STATEMENT_KINDS = EXPRESSION_KINDS | {
+    "DeclStmt", "TypedefDecl", "ReturnStmt", "BreakStmt", "ContinueStmt", "NullStmt"}
+
+# every statement keyword the parser dispatches on, and every statement kind
+EVERY_STATEMENT = """\
+int g;
+void tick(void) { g++; return; }
+int main() {
+    typedef int word;
+    word n = 3;
+    for (int i = 0; i < n; i++) { if (i == 1) continue; if (i == 2) break; else tick(); }
+    for (n = 0; ; ) break;
+    for (;;) { break; }
+    while (n) n--;
+    switch (g) { case 1: g = 2; break; default: ; }
+    done: g += 'c';
+    "s";
+    return g;
+}
+"""
+
+
+def statement_kinds_with_checked_shapes(ast) -> set[str]:
+    """Walk every function body's statements; check each one's expression and
+    statement children against the layouts above, and return the kinds seen."""
+    seen = set()
+    for fn in function_definitions(ast):
+        assert owned_expr_roots(ast, fn) == ()  # build_icfg writes the parameters
+        stack = [ast.children(fn)[-1]]
+        while stack:
+            node = stack.pop()
+            kind, children = ast.kind(node), ast.children(node)
+            exprs, stmts = owned_expr_roots(ast, node), sub_statements(ast, node)
+            seen.add(kind)
+            if kind not in STATEMENT_LAYOUTS:
+                assert kind in LEAF_STATEMENT_KINDS, kind
+                assert (exprs, stmts) == ((node,), ()), kind
+                continue
+            assert exprs + stmts == children, kind
+            roles = "e" * len(exprs) + "s" * len(stmts)
+            assert re.fullmatch(STATEMENT_LAYOUTS[kind], roles), (kind, roles)
+            expr_kinds = [ast.kind(e) for e in exprs]
+            if kind == "ForStmt" and expr_kinds[:1] == ["DeclStmt"]:
+                expr_kinds = expr_kinds[1:]  # for (int i = 0; ...)
+            assert set(expr_kinds) <= EXPRESSION_KINDS, kind
+            stack.extend(stmts)
+    return seen
+
+
+def test_statement_shapes_cover_every_statement_the_parser_emits():
+    keywords = {t.text for t in tokenize(EVERY_STATEMENT) if t.kind == "kw"}
+    assert set(_STATEMENT_KEYWORDS) <= keywords  # a new statement keyword needs a case here
+    ast = parse_source(EVERY_STATEMENT)
+    seen = statement_kinds_with_checked_shapes(ast)
+    assert seen >= set(STATEMENT_LAYOUTS) | (LEAF_STATEMENT_KINDS - EXPRESSION_KINDS)
+    jumps = ast.find("BreakStmt") + ast.find("ContinueStmt")
+    assert all(ast.children(j) == () for j in jumps)  # so they record no accesses
+    assert all(build_icfg(ast).accesses[j] == (set(), {}) for j in jumps)
+
+
+def test_statement_shapes_hold_on_corpus():
+    sources = sorted(CORPUS.glob("*.c"))
+    assert len(sources) == 20
+    for path in sources:
+        statement_kinds_with_checked_shapes(parse_source(path.read_text()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_programs())
+def test_statement_shapes_hold_on_generated_programs(program):
+    statement_kinds_with_checked_shapes(parse_source(program.source))
 
 
 # ---------------------------------------------------------------------------

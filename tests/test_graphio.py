@@ -133,6 +133,12 @@ def test_deserialize_names_offending_field():
         )
 
 
+def test_deserialize_a_document_nested_too_deeply_is_a_schema_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(SchemaError, match="document: .*maximum recursion depth"):
+        deserialize_graph(f'{{"id": "x", "nodes": {deep}}}')
+
+
 def test_serialize_round_trip_randomized():
     rng = np.random.default_rng(42)
     for trial in range(100):

@@ -527,6 +527,16 @@ def test_model_container_rejects_a_header_that_is_not_an_object(tmp_path, header
         load_model(path)
 
 
+def test_model_container_rejects_a_header_nested_too_deeply_to_decode(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    deep = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(header.replace(b"{", b'{"deep": ' + deep + b", ", 1) + b"\n" + rest)
+    with pytest.raises(ModelFormatError, match="bad header: maximum recursion depth"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("portfolio", [b'"abc"', b"[]", b'["alpha", 2, "gamma"]', b"null",
                                        b'["alpha", "alpha", "gamma"]'])
 def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
