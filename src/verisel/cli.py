@@ -5,7 +5,7 @@ failure, 2 on usage errors. All JSON output is canonical (sorted keys), and
 ``train`` accepts ``--seed`` so runs are reproducible. Run configuration
 for ``train`` is a JSON document whose values can be overridden through
 ``VERISEL_<SECTION>_<FIELD>`` environment variables (values parsed as JSON,
-falling back to plain strings).
+falling back to plain strings); ``graphio.CONFIG_KEYS`` states every key.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +23,20 @@ import numpy as np
 from .explain import UnknownEdgeSets, explain, to_dot, top_m_edges
 from .frontend import DEFAULT_MAX_NODES, FrontendError, extract_graph
 from .graphio import (
+    CONFIG_KEYS,
+    CONFIG_SECTIONS,
+    ConfigError,
     ProgramGraph,
     PropertyKind,
     SchemaError,
     TokenVocabulary,
+    apply_env_overrides,
     build_instances,
-    label_penalty,
     load_graph,
     load_labels,
-    portfolio_names,
+    read_config,
     save_graph,
     split_dataset,
-    split_ratios,
 )
 from .model import (
     ModelConfig,
@@ -46,93 +47,28 @@ from .model import (
 )
 from .trainer import TrainConfig, evaluate_rankings, format_table, train
 
-ENV_PREFIX = "VERISEL_"
-
 
 class UsageError(Exception):
     """Bad invocation that argparse cannot catch on its own."""
 
 
-@dataclass
-class RunConfig:
-    vocabulary: str | None
-    portfolio: tuple[str, ...]
-    model: ModelConfig
-    train: TrainConfig
-    split_ratios: tuple[float, float, float]
-    split_seed: int
-    time_limit: float
-    penalty_weight: float
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        # a misspelt key would otherwise leave its default in force unnoticed
-        known = {"split": {"ratios", "seed"}, "penalty": {"time_limit", "penalty_weight"},
-                 "model": {f.name for f in fields(ModelConfig)},
-                 "train": {f.name for f in fields(TrainConfig)}}
-        sections = {name: data.get(name, {}) for name in known}
-        not_objects = [name for name, value in sections.items() if not isinstance(value, dict)]
-        if not_objects:
-            raise UsageError(f"config: {', '.join(not_objects)} must be a JSON object")
-        split, penalty = sections["split"], sections["penalty"]
-        unknown = sorted(set(data) - {"vocabulary", "portfolio", *sections})
-        unknown += sorted(f"{name}.{key}" for name, keys in known.items()
-                          for key in set(sections[name]) - keys)
-        if unknown:
-            raise UsageError(f"config: unknown keys: {', '.join(unknown)}")
-        split_seed = split.get("seed", 0)
-        if type(split_seed) is not int:
-            raise UsageError(f"config: split.seed must be an integer, got {split_seed!r}")
-        try:
-            time_limit, penalty_weight = label_penalty(
-                penalty.get("time_limit", 900.0), penalty.get("penalty_weight", 1.0))
-            return cls(
-                vocabulary=data.get("vocabulary"),
-                portfolio=portfolio_names(data.get("portfolio", ())),
-                model=ModelConfig.from_dict(sections["model"]),
-                train=TrainConfig.from_dict(sections["train"]),
-                split_ratios=split_ratios(split.get("ratios", (0.8, 0.1, 0.1))),
-                split_seed=split_seed,
-                time_limit=time_limit,
-                penalty_weight=penalty_weight,
-            )
-        except (TypeError, ValueError) as err:
-            raise UsageError(f"config: {err}") from err
-
-
-def apply_env_overrides(data: dict, environ=None) -> dict:
-    """Fold VERISEL_* variables into the config dict (JSON-parsed values)."""
-    environ = os.environ if environ is None else environ
-    top_level = {"vocabulary", "portfolio"}
-    for key, raw in sorted(environ.items()):
-        if not key.startswith(ENV_PREFIX):
-            continue
-        try:
-            value = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError):
-            value = raw
-        name = key[len(ENV_PREFIX):].lower()
-        if name in top_level:
-            data[name] = value
-            continue
-        section, _, field = name.partition("_")
-        if not field:
-            raise UsageError(f"cannot interpret override {key}")
-        target = data.setdefault(section, {})
-        if not isinstance(target, dict):
-            raise UsageError(f"cannot apply {key}: {section} is not a JSON object")
-        target[field] = value
-    return data
-
-
-def load_run_config(path: str | Path) -> RunConfig:
+def load_run_config(path: str | Path) -> dict[str, dict]:
+    """The run config in ``path`` with ``VERISEL_*`` overrides, by section ("" for the
+    top level), with ``model`` and ``train`` as their records."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, RecursionError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: not a JSON object")
-    return RunConfig.from_dict(apply_env_overrides(data))
+    try:
+        apply_env_overrides(data)
+        parts = {section: data.pop(section, {}) for section in CONFIG_SECTIONS}
+        config = read_config({"": data, **parts})
+    except ConfigError as err:
+        raise UsageError(f"config: {err}") from err
+    return {**config, "model": ModelConfig(**config["model"]),
+            "train": TrainConfig(**config["train"])}
 
 
 def _load_vocab(path: str | None) -> TokenVocabulary:
@@ -247,21 +183,15 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    vocab = _load_vocab(args.vocab or config.vocabulary)
+    vocab = _load_vocab(args.vocab or config[""]["vocabulary"])
     graphs = _load_graphs(args.graphs)
     records = load_labels(args.labels)
-    instances = build_instances(
-        graphs, records, config.portfolio,
-        time_limit=config.time_limit, penalty_weight=config.penalty_weight,
-    )
-    train_set, val_set, test_set = split_dataset(
-        instances, config.split_ratios, config.split_seed
-    )
-    train_cfg = config.train
+    instances = build_instances(graphs, records, config[""]["portfolio"], **config["penalty"])
+    train_set, val_set, test_set = split_dataset(instances, **config["split"])
+    train_cfg = config["train"]
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    init = init_parameters(config.model, vocab, config.portfolio,
-                           seed=train_cfg.seed)
+    init = init_parameters(config["model"], vocab, config[""]["portfolio"], seed=train_cfg.seed)
     params, history = train(train_set, val_set, init, train_cfg)
     save_model(params, args.out)
     if args.history:
@@ -395,23 +325,19 @@ def _property_kind(text: str) -> PropertyKind:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _finite_float(text: str) -> float:
-    """An argparse type: a finite number (no nan or inf)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """An argparse type: a finite number above zero."""
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _finite_float(positive: bool = False):
+    """An argparse type: a finite number (no nan or inf), above zero if ``positive``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if positive and value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -462,8 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", nargs="+", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--ks", help="comma-separated K values for top-K error")
-    p.add_argument("--time-limit", type=_positive_float, default=900.0)
-    p.add_argument("--penalty-weight", type=_finite_float, default=1.0)
+    p.add_argument("--time-limit", type=_finite_float(positive=True),
+                   default=CONFIG_KEYS["penalty.time_limit"].default)
+    p.add_argument("--penalty-weight", type=_finite_float(),
+                   default=CONFIG_KEYS["penalty.penalty_weight"].default)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
@@ -474,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="report JSON path (default: stdout)")
     p.add_argument("--dot", help="also write a DOT rendering here")
     p.add_argument("--iters", type=_int_at_least(0), default=100)
-    p.add_argument("--lr", type=_finite_float, default=0.01)
-    p.add_argument("--size-weight", type=_finite_float, default=0.05)
-    p.add_argument("--entropy-weight", type=_finite_float, default=0.1)
+    p.add_argument("--lr", type=_finite_float(), default=0.01)
+    p.add_argument("--size-weight", type=_finite_float(), default=0.05)
+    p.add_argument("--entropy-weight", type=_finite_float(), default=0.1)
     p.add_argument("--edge-sets", help="restrict masking, e.g. 'AST,ICFG'")
     p.set_defaults(func=cmd_explain)
     return parser

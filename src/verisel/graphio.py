@@ -1,4 +1,4 @@
-"""Program-graph data model, token vocabulary, label ingestion, and splits.
+"""Program-graph data model, vocabulary, run-config table, labels and splits.
 
 File formats owned by this module:
 
@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 EDGE_SET_NAMES = ("AST", "ICFG", "DFG")
 
@@ -106,32 +107,144 @@ def ordering_from_scores(scores: Sequence[float]) -> tuple[int, ...]:
     return tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
 
 
-def portfolio_names(value) -> tuple[str, ...]:
-    """A portfolio's verifier names: a nonempty list or tuple of distinct strings."""
-    if not (isinstance(value, (list, tuple)) and value and set(map(type, value)) == {str}
-            and len(set(value)) == len(value)):
-        raise ValueError(f"portfolio must be a nonempty list of distinct names: {value!r}")
-    return tuple(value)
+# ---------------------------------------------------------------------------
+# run configuration
 
 
-def split_ratios(value) -> tuple[float, float, float]:
-    """Train/validation/test ratios: three positive numbers that sum to 1."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 3
-            and all(type(r) in (int, float) and r > 0 for r in value)
-            and abs(sum(value) - 1.0) <= 1e-9):
-        raise ValueError(f"split.ratios must be a list of three positive numbers "
-                         f"that sum to 1: {value!r}")
-    return tuple(value)  # type: ignore[return-value]
+class ConfigError(ValueError):
+    """A run-config value breaks its key's rule; the message names the key."""
 
 
-def label_penalty(time_limit, penalty_weight) -> tuple[float, float]:
-    """The label formula's time limit (finite, above 0) and penalty weight (finite)."""
-    limit, weight = float(time_limit), float(penalty_weight)
-    if not (math.isfinite(limit) and limit > 0):
-        raise ValueError(f"penalty.time_limit must be positive and finite: {time_limit!r}")
-    if not math.isfinite(weight):
-        raise ValueError(f"penalty.penalty_weight must be finite: {penalty_weight!r}")
-    return limit, weight
+RECORD = object()    # the default is the record's (ModelConfig, TrainConfig)
+REQUIRED = object()  # no default: a run config must give the key
+
+
+class ConfigKey(NamedTuple):
+    """A value must be ``kind``, then ``bound``; ``load`` gives the value used."""
+
+    kind: str
+    is_kind: Callable[[object], bool]
+    bound: str = ""
+    in_bound: Callable[[object], bool] = lambda value: True
+    default: object = RECORD
+    load: Callable[[object], object] = lambda value: value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(kind, value) -> bool:
+    return isinstance(value, (list, tuple)) and all(type(item) is kind for item in value)
+
+
+def _widths(value) -> bool:
+    return _list_of(int, value) and min(value, default=1) >= 1
+
+
+def _at_least(low: int) -> ConfigKey:
+    return ConfigKey("an integer", lambda v: type(v) is int, f">= {low}", lambda v: v >= low)
+
+
+def _positive_finite(**fields) -> ConfigKey:
+    return ConfigKey("a number", _is_number, "positive and finite",
+                     lambda v: 0 < v < math.inf, **fields)
+
+
+# Every key of a run config, as "section.field"; the two top-level keys have
+# no section. A key left out takes its default.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "vocabulary": ConfigKey("a path or null", lambda v: v is None or type(v) is str,
+                            default=None),
+    "portfolio": ConfigKey("a nonempty list of distinct names",
+                           lambda v: _list_of(str, v) and 0 < len(v) == len(set(v)),
+                           default=REQUIRED, load=tuple),
+    "model.num_gat_layers": _at_least(0)._replace(bound="in 0..5",
+                                                  in_bound=lambda v: 0 <= v <= 5),
+    "model.edge_sets": ConfigKey(
+        f"a list of distinct names from {'/'.join(EDGE_SET_NAMES)}",
+        lambda v: _list_of(str, v) and len(v) == len(set(v) & set(EDGE_SET_NAMES)), load=tuple),
+    "model.jumping_knowledge": ConfigKey("true or false", lambda v: type(v) is bool),
+    "model.gat_width": _at_least(1),
+    "model.pool_hidden": ConfigKey("a list of integers >= 1", _widths, load=tuple),
+    # [] asks for the default head shape, as null does
+    "model.head_hidden": ConfigKey("a list of integers >= 1, or null",
+                                   lambda v: v is None or _widths(v),
+                                   load=lambda v: tuple(v) if v else None),
+    "model.property_encoding": ConfigKey('"scalar" or "onehot"',
+                                         lambda v: v in ("scalar", "onehot")),
+    "model.leaky_slope": ConfigKey("a number", _is_number, "finite", math.isfinite),
+    "train.epochs": _at_least(1),
+    "train.initial_lr": _positive_finite(),
+    "train.plateau_patience": _at_least(1),
+    "train.lr_decay_factor": _positive_finite(),
+    "train.min_lr": _positive_finite(),
+    "train.margin": _positive_finite(),
+    "train.seed": _at_least(0),
+    "split.ratios": ConfigKey(
+        "a list of three positive numbers that sum to 1",
+        lambda v: (isinstance(v, (list, tuple)) and len(v) == 3
+                   and all(_is_number(r) and r > 0 for r in v) and abs(sum(v) - 1.0) <= 1e-9),
+        default=(0.8, 0.1, 0.1), load=tuple),
+    "split.seed": ConfigKey("an integer", lambda v: type(v) is int, default=0),
+    "penalty.time_limit": _positive_finite(default=900.0, load=float),
+    "penalty.penalty_weight": ConfigKey("a number", _is_number, "finite", math.isfinite,
+                                        default=1.0, load=float),
+}
+CONFIG_SECTIONS = tuple(dict.fromkeys(name.split(".")[0] for name in CONFIG_KEYS if "." in name))
+_SECTION = ConfigKey("a JSON object", lambda v: isinstance(v, dict))
+# VERISEL_* variables that switch the program rather than override a key
+RESERVED_ENV = ("VERISEL_DEBUG", "VERISEL_TRACE")
+
+
+def config_value(name: str, value, key: ConfigKey | None = None):
+    """``value`` as the key ``name`` (or ``key``) loads it, if it meets the rule."""
+    key = key or CONFIG_KEYS[name]
+    for rule, holds in ((key.kind, key.is_kind), (key.bound, key.in_bound)):
+        if not holds(value):
+            shown = "nothing" if value is REQUIRED else json.dumps(value, default=repr)
+            raise ConfigError(f"{name} must be {rule}, got "
+                              f"{shown if len(shown) <= 80 else shown[:77] + '...'}")
+    return key.load(value)
+
+
+def read_config(parts: dict) -> dict[str, dict]:
+    """Config sections (name -> object, "" for the top level) read through the
+    table; fields left out take the table's defaults, or else the record's."""
+    for section, values in parts.items():
+        config_value(section, values, _SECTION)
+    unknown = sorted(name for section, values in parts.items() for field in values
+                     for name in [f"{section}.{field}".lstrip(".")]
+                     if name not in CONFIG_KEYS or "." in field)
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    read: dict[str, dict] = {section: {} for section in parts}
+    for name, key in CONFIG_KEYS.items():
+        section, _, field = name.rpartition(".")
+        if section in parts and (field in parts[section] or key.default is not RECORD):
+            read[section][field] = config_value(name, parts[section].get(field, key.default))
+    return read
+
+
+def apply_env_overrides(document: dict, environ=os.environ) -> dict:
+    """Fold ``VERISEL_<SECTION>_<FIELD>`` variables (JSON, else strings) into a config
+    document; one that names no key lands where :func:`read_config` reports it."""
+    for var, raw in sorted(environ.items()):
+        if not var.startswith("VERISEL_") or var in RESERVED_ENV:
+            continue
+        try:
+            value = json.loads(raw)
+        except (json.JSONDecodeError, RecursionError):
+            value = raw
+        name = var[len("VERISEL_"):].lower().replace("_", ".", 1)
+        section, dot, field = name.rpartition(".")
+        if not dot and name not in CONFIG_KEYS:
+            raise ConfigError(f"cannot interpret override {var}")
+        target = document.setdefault(section, {}) if section else document
+        if not isinstance(target, dict):
+            raise ConfigError(f"cannot apply {var}: {section} is not a JSON object")
+        target[field] = value
+    return document
 
 
 @dataclass(frozen=True)
@@ -327,7 +440,8 @@ def compute_label(
     record: VerifierLabelRecord, time_limit: float, penalty_weight: float
 ) -> float:
     """Competition score minus a linear penalty for capped normalized time."""
-    time_limit, penalty_weight = label_penalty(time_limit, penalty_weight)
+    time_limit = config_value("penalty.time_limit", time_limit)
+    penalty_weight = config_value("penalty.penalty_weight", penalty_weight)
     capped = min(record.cpu_seconds, time_limit)
     return record.svcomp_score - penalty_weight * capped / time_limit
 
@@ -387,16 +501,17 @@ def build_instances(
     records: Iterable[VerifierLabelRecord],
     portfolio: Sequence[str],
     *,
-    time_limit: float = 900.0,
-    penalty_weight: float = 1.0,
+    time_limit: float = CONFIG_KEYS["penalty.time_limit"].default,
+    penalty_weight: float = CONFIG_KEYS["penalty.penalty_weight"].default,
 ) -> list[LabeledInstance]:
     """Join graphs with label records into training instances.
 
     Every (graph, verifier) pair must have a record; a precomputed ``label``
     column wins over the score/time formula.
     """
-    portfolio = portfolio_names(portfolio)
-    time_limit, penalty_weight = label_penalty(time_limit, penalty_weight)
+    portfolio = config_value("portfolio", portfolio)
+    time_limit = config_value("penalty.time_limit", time_limit)
+    penalty_weight = config_value("penalty.penalty_weight", penalty_weight)
     by_key: dict[tuple[str, PropertyKind, str], VerifierLabelRecord] = {}
     for rec in records:
         by_key[(rec.program_id, rec.property, rec.verifier)] = rec
@@ -439,7 +554,7 @@ def split_dataset(
     seed: int,
 ) -> tuple[list[LabeledInstance], list[LabeledInstance], list[LabeledInstance]]:
     """Stratified (per property) deterministic split into train/val/test."""
-    ratios = split_ratios(ratios)
+    ratios = config_value("split.ratios", ratios)
     rng = random.Random(seed)
     strata: dict[str, list[LabeledInstance]] = {}
     for inst in instances:

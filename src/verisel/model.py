@@ -63,8 +63,9 @@ from .graphio import (
     ProgramGraph,
     PropertyKind,
     TokenVocabulary,
+    config_value,
     ordering_from_scores,
-    portfolio_names,
+    read_config,
 )
 from .tensor import Tensor
 
@@ -89,6 +90,8 @@ class ModelFormatError(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The ``model`` section of a run config; ``graphio.CONFIG_KEYS`` has its rules."""
+
     num_gat_layers: int = 1
     edge_sets: tuple[str, ...] = EDGE_SET_NAMES
     jumping_knowledge: bool = True
@@ -97,30 +100,6 @@ class ModelConfig:
     head_hidden: tuple[int, ...] | None = None  # None: (d_in, d_in // 2)
     property_encoding: str = "scalar"  # scalar | onehot
     leaky_slope: float = 0.2
-
-    def __post_init__(self):
-        if not self.head_hidden:  # no hidden widths given: the default shape
-            object.__setattr__(self, "head_hidden", None)
-        sizes = (self.num_gat_layers, self.gat_width, *self.pool_hidden, *(self.head_hidden or ()))
-        if any(type(v) is not int for v in sizes):
-            raise ValueError(f"num_gat_layers and widths must be integers, got {sizes}")
-        if type(self.jumping_knowledge) is not bool:
-            raise ValueError("jumping_knowledge must be true or false")
-        if not 0 <= self.num_gat_layers <= 5:
-            raise ValueError("num_gat_layers must be in 0..5")
-        bad = set(self.edge_sets) - set(EDGE_SET_NAMES)
-        if bad:
-            raise ValueError(f"unknown edge sets: {sorted(bad)}")
-        if len(set(self.edge_sets)) != len(self.edge_sets):
-            raise ValueError("edge_sets must not repeat")
-        if self.property_encoding not in ("scalar", "onehot"):
-            raise ValueError("property_encoding must be 'scalar' or 'onehot'")
-        if any(w < 1 for w in sizes[1:]):
-            raise ValueError("widths must be positive")
-        if type(self.leaky_slope) not in (int, float):
-            raise ValueError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
-        if not np.isfinite(self.leaky_slope):
-            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
 
     @property
     def property_dim(self) -> int:
@@ -133,16 +112,6 @@ class ModelConfig:
         if self.jumping_knowledge:
             return vocab_size + self.num_gat_layers * self.gat_width
         return self.gat_width
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        kwargs = dict(data)
-        for key in ("edge_sets", "pool_hidden", "head_hidden"):
-            if isinstance(kwargs.get(key), str):
-                raise ValueError(f"{key} must be a list, not a string")
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 class GatLayerParams(NamedTuple):
@@ -265,7 +234,8 @@ def init_parameters(
 ) -> ModelParameters:
     """Fresh parameters, uniform in +-1/sqrt(fan_in) from a seeded generator,
     drawn block by block in the ``(out, in)`` order of the model file."""
-    portfolio = portfolio_names(portfolio)
+    config = ModelConfig(**read_config({"model": asdict(config)})["model"])
+    portfolio = config_value("portfolio", portfolio)
     rng = np.random.default_rng(seed)
     parts = []
     for _, shape, fan_in, transposed in _parameter_layout(config, len(vocab), len(portfolio)):
@@ -741,8 +711,8 @@ def load_model(path: str | Path) -> ModelParameters:
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version: {version!r}")
     try:
-        config = ModelConfig.from_dict(header["config"])
-        portfolio = portfolio_names(header["portfolio"])
+        config = ModelConfig(**read_config({"model": header["config"]})["model"])
+        portfolio = config_value("portfolio", header["portfolio"])
         fingerprint = header["vocab_fingerprint"]
         vocab_size = int(header["vocab_size"])
     except (KeyError, TypeError, ValueError) as err:

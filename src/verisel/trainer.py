@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .graphio import LabeledInstance, ordering_from_scores
+from .graphio import LabeledInstance, ordering_from_scores, read_config
 from .model import (
     LengthMismatch,
     ModelInput,
@@ -326,6 +326,8 @@ def evaluate_rankings(results: Sequence[RankingResult],
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``train`` section of a run config; ``graphio.CONFIG_KEYS`` has its rules."""
+
     epochs: int = 50
     initial_lr: float = 1e-3
     plateau_patience: int = 3
@@ -333,23 +335,6 @@ class TrainConfig:
     min_lr: float = 1e-8
     margin: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        if any(type(v) is not int for v in (self.epochs, self.plateau_patience, self.seed)):
-            raise ValueError("epochs, plateau_patience and seed must be integers")
-        if self.epochs < 1 or self.plateau_patience < 1:
-            raise ValueError("epochs and patience must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        rates = (self.initial_lr, self.lr_decay_factor, self.min_lr, self.margin)
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf
-               for v in rates):
-            raise ValueError("initial_lr, lr_decay_factor, min_lr and margin must be "
-                             f"finite positive numbers, got {rates}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
 
 
 @dataclass
@@ -474,6 +459,7 @@ def train(
     cfg: TrainConfig,
 ) -> tuple[ModelParameters, TrainHistory]:
     """Per-instance SGD with the plateau schedule; returns best-val params."""
+    cfg = TrainConfig(**read_config({"train": asdict(cfg)})["train"])
     if not train_set or not val_set:
         raise EmptySplit("train and validation sets must be nonempty")
     widths = {len(inst.labels) for inst in list(train_set) + list(val_set)}

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 from pathlib import Path
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from helpers import permuted_graph
-from verisel.cli import apply_env_overrides, build_parser, main
+from verisel.cli import apply_env_overrides, build_parser, load_run_config, main
 from verisel.graphio import (
+    CONFIG_KEYS,
+    RECORD,
+    REQUIRED,
     PropertyKind,
     TokenVocabulary,
     build_instances,
@@ -17,9 +21,10 @@ from verisel.graphio import (
     save_graph,
 )
 from verisel.model import ModelConfig, init_parameters, load_model, predict, save_model
-from verisel.trainer import evaluate_rankings
+from verisel.trainer import TrainConfig, evaluate_rankings
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+README = CORPUS.parent / "README.md"
 VOCAB = TokenVocabulary.default()
 PORTFOLIO = ("v0", "v1", "v2")
 
@@ -298,7 +303,8 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"model": {"edge_sets": "AST"}}, "edge_sets must be a list"),
     ({"model": {"pool_hidden": "8"}}, "pool_hidden must be a list"),
     ({"model": {"head_hidden": "8"}}, "head_hidden must be a list"),
-    ({"model": {"head_hidden": [0]}}, "widths must be positive"),
+    ({"model": {"head_hidden": [0]}},
+     "model.head_hidden must be a list of integers >= 1, or null, got [0]"),
     ({"portfolio": ["a", "a"]}, "portfolio must be a nonempty list"),
     ({"split": {"ratios": [0.5, 0.5, "x"]}}, "split.ratios must be a list"),
     ({"penalty": {"time_limit": -1}}, "penalty.time_limit must be positive"),
@@ -311,26 +317,32 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"penalty": {"time_limit": float("inf")}}, "penalty.time_limit must be positive and finite"),
     ({"penalty": {"penalty_weight": float("nan")}}, "penalty.penalty_weight must be finite"),
     ({"penalty": {"penalty_weight": float("-inf")}}, "penalty.penalty_weight must be finite"),
-    ({"model": {"num_gat_layers": 1.5}}, "num_gat_layers and widths must be integers"),
-    ({"model": {"num_gat_layers": True}}, "num_gat_layers and widths must be integers"),
-    ({"model": {"gat_width": 8.5}}, "num_gat_layers and widths must be integers"),
-    ({"model": {"pool_hidden": [4.5]}}, "num_gat_layers and widths must be integers"),
-    ({"model": {"head_hidden": [True]}}, "num_gat_layers and widths must be integers"),
+    ({"model": {"num_gat_layers": 1.5}}, "model.num_gat_layers must be an integer, got 1.5"),
+    ({"model": {"num_gat_layers": True}}, "model.num_gat_layers must be an integer, got true"),
+    ({"model": {"gat_width": 8.5}}, "model.gat_width must be an integer, got 8.5"),
+    ({"model": {"pool_hidden": [4.5]}},
+     "model.pool_hidden must be a list of integers >= 1, got [4.5]"),
+    ({"model": {"head_hidden": [True]}},
+     "model.head_hidden must be a list of integers >= 1, or null, got [true]"),
     ({"model": {"jumping_knowledge": "no"}}, "jumping_knowledge must be true or false"),
-    ({"train": {"epochs": 2.5}}, "epochs, plateau_patience and seed must be integers"),
-    ({"train": {"epochs": True}}, "epochs, plateau_patience and seed must be integers"),
-    ({"train": {"plateau_patience": 1.5}}, "epochs, plateau_patience and seed must be integers"),
-    ({"train": {"seed": "x"}}, "epochs, plateau_patience and seed must be integers"),
+    ({"train": {"epochs": 2.5}}, "train.epochs must be an integer, got 2.5"),
+    ({"train": {"epochs": True}}, "train.epochs must be an integer, got true"),
+    ({"train": {"plateau_patience": 1.5}}, "train.plateau_patience must be an integer, got 1.5"),
+    ({"train": {"seed": "x"}}, 'train.seed must be an integer, got "x"'),
     ({"split": {"seed": 1.5}}, "split.seed must be an integer"),
     ({"split": {"seed": True}}, "split.seed must be an integer"),
     ({"split": {"seed": "7"}}, "split.seed must be an integer"),
-    ({"train": {"initial_lr": float("nan")}}, "must be finite positive numbers"),
-    ({"train": {"initial_lr": float("inf")}}, "must be finite positive numbers"),
-    ({"train": {"initial_lr": True}}, "must be finite positive numbers"),
-    ({"train": {"lr_decay_factor": float("nan")}}, "must be finite positive numbers"),
-    ({"train": {"min_lr": float("-inf")}}, "must be finite positive numbers"),
-    ({"train": {"margin": False}}, "must be finite positive numbers"),
-    ({"train": {"margin": "1"}}, "must be finite positive numbers"),
+    ({"train": {"initial_lr": float("nan")}},
+     "train.initial_lr must be positive and finite, got NaN"),
+    ({"train": {"initial_lr": float("inf")}},
+     "train.initial_lr must be positive and finite, got Infinity"),
+    ({"train": {"initial_lr": True}}, "train.initial_lr must be a number, got true"),
+    ({"train": {"lr_decay_factor": float("nan")}},
+     "train.lr_decay_factor must be positive and finite, got NaN"),
+    ({"train": {"min_lr": float("-inf")}},
+     "train.min_lr must be positive and finite, got -Infinity"),
+    ({"train": {"margin": False}}, "train.margin must be a number, got false"),
+    ({"train": {"margin": "1"}}, 'train.margin must be a number, got "1"'),
     ({"model": {"leaky_slope": float("nan")}}, "leaky_slope must be finite"),
     ({"model": {"leaky_slope": float("-inf")}}, "leaky_slope must be finite"),
     ({"model": {"leaky_slope": True}}, "leaky_slope must be a number"),
@@ -342,6 +354,15 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"model": {"widht": 4, "gat_width": 4}, "train": {"epoch": 2, "epochs": 2}},
      "unknown keys: model.widht, train.epoch"),
     ({"model": {"widht": 4, "heigth": 2}}, "unknown keys: model.heigth, model.widht"),
+    ({"vocabulary": 5}, "config: vocabulary must be a path or null, got 5"),
+    ({"model": {"pool_hidden": 5}}, "model.pool_hidden must be a list of integers >= 1, got 5"),
+    ({"model": {"edge_sets": [["AST"]]}},
+     'model.edge_sets must be a list of distinct names from AST/ICFG/DFG, got [["AST"]]'),
+    ({"penalty": {"time_limit": None}}, "penalty.time_limit must be a number, got null"),
+    ({"penalty": {"time_limit": True}}, "penalty.time_limit must be a number, got true"),
+    ({"penalty": {"time_limit": "900"}}, 'penalty.time_limit must be a number, got "900"'),
+    ({"penalty": {"penalty_weight": False}}, "penalty.penalty_weight must be a number, got false"),
+    ({"penalty": {"penalty_weight": "1"}}, 'penalty.penalty_weight must be a number, got "1"'),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)
@@ -380,14 +401,21 @@ def test_train_config_nested_too_deeply_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("env, message", [
     ({"VERISEL_TRIAN_EPOCHS": "3"}, "unknown keys: trian"),
     ({"VERISEL_SPLIT_SED": "3"}, "unknown keys: split.sed"),
-    ({"VERISEL_TRAIN_INITIAL_LR": "NaN"}, "must be finite positive numbers"),
-    ({"VERISEL_TRAIN_INITIAL_LR": "Infinity"}, "must be finite positive numbers"),
-    ({"VERISEL_TRAIN_INITIAL_LR": "true"}, "must be finite positive numbers"),
+    ({"VERISEL_TRAIN_INITIAL_LR": "NaN"}, "train.initial_lr must be positive and finite, got NaN"),
+    ({"VERISEL_TRAIN_INITIAL_LR": "Infinity"},
+     "train.initial_lr must be positive and finite, got Infinity"),
+    ({"VERISEL_TRAIN_INITIAL_LR": "true"}, "train.initial_lr must be a number, got true"),
     ({"VERISEL_MODEL_LEAKY_SLOPE": "NaN"}, "leaky_slope must be finite"),
     ({"VERISEL_TRAIN_SEED": "-3"}, "seed must be >= 0, got -3"),
     ({"VERISEL_MODEL_WIDHT": "8"}, "unknown keys: model.widht"),
     # too deep to decode, so the plain string
-    ({"VERISEL_TRAIN_EPOCHS": "[" * 10_000 + "]" * 10_000}, "must be integers"),
+    ({"VERISEL_TRAIN_EPOCHS": "[" * 10_000 + "]" * 10_000},
+     'train.epochs must be an integer, got "[[['),
+    # switches, not overrides: only the other variable is reported
+    ({"VERISEL_DEBUG": "1", "VERISEL_MODEL_WIDHT": "8"},
+     "error: config: unknown keys: model.widht\n"),
+    ({"VERISEL_TRACE": "trace.jsonl", "VERISEL_MODEL_WIDHT": "8"},
+     "error: config: unknown keys: model.widht\n"),
 ])
 def test_train_override_that_is_misspelt_or_not_finite_is_usage_error(
         tmp_path, capsys, monkeypatch, env, message):
@@ -399,6 +427,23 @@ def test_train_override_that_is_misspelt_or_not_finite_is_usage_error(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("switch, value", [("VERISEL_DEBUG", "1"),
+                                            ("VERISEL_TRACE", "trace.jsonl")])
+def test_reserved_switches_leave_the_train_run_unaffected(tmp_path, extracted, monkeypatch,
+                                                          switch, value):
+    ids = [p.stem for p in sorted(extracted.glob("*.json"))]
+    labels = labels_csv_for(ids, tmp_path / "labels.csv")
+    config = run_config(tmp_path / "config.json")
+    models = []
+    for env in ({}, {switch: value}):
+        for key, text in env.items():
+            monkeypatch.setenv(key, text)
+        models.append(tmp_path / f"model{len(models)}.bin")
+        assert main(["train", "--config", str(config), "--graphs", str(extracted),
+                     "--labels", str(labels), "-o", str(models[-1])]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
 
 
 def test_apply_env_overrides_parsing():
@@ -414,6 +459,73 @@ def test_apply_env_overrides_parsing():
     assert data["train"]["epochs"] == 3
     assert data["model"]["num_gat_layers"] == 2
     assert data["portfolio"] == ["a", "b"]
+
+
+def clear_overrides(monkeypatch):
+    for key in [key for key in os.environ if key.startswith("VERISEL_")]:
+        monkeypatch.delenv(key)
+
+
+def test_readme_configuration_table_is_the_code_table(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("### Run configuration")[1]
+    section = section.split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    records = {"model": ModelConfig(), "train": TrainConfig()}
+    code = {}
+    for name, key in CONFIG_KEYS.items():
+        section_name, _, field = name.rpartition(".")
+        default = (getattr(records[section_name], field) if key.default is RECORD
+                   else "required" if key.default is REQUIRED else key.default)
+        code[f"`{name}`"] = (", ".join(filter(None, (key.kind, key.bound))),
+                             json.loads(json.dumps(default)))
+    assert {key: (rule, default if default == "required" else json.loads(default.strip("`")))
+            for key, rule, default in rows} == code
+    example = section.split("```json\n")[1].split("```")[0]
+    (tmp_path / "example.json").write_text(example, encoding="utf-8")
+    clear_overrides(monkeypatch)
+    assert load_run_config(tmp_path / "example.json")[""]["portfolio"] == (
+        "toolA", "toolB", "toolC")
+
+
+def test_config_file_overrides_and_model_header_read_one_config(tmp_path, monkeypatch):
+    document = {
+        "vocabulary": None,
+        "portfolio": ["v0", "v1", "v2"],
+        "model": {"num_gat_layers": 2, "edge_sets": ["DFG", "AST"], "jumping_knowledge": False,
+                  "gat_width": 5, "pool_hidden": [6, 3], "head_hidden": [],
+                  "property_encoding": "onehot", "leaky_slope": 0.1},
+        "train": {"epochs": 4, "initial_lr": 0.002, "plateau_patience": 2,
+                  "lr_decay_factor": 0.5, "min_lr": 1e-6, "margin": 0.5, "seed": 3},
+        "split": {"ratios": [0.5, 0.25, 0.25], "seed": -2},
+        "penalty": {"time_limit": 60, "penalty_weight": 2},
+    }
+    clear_overrides(monkeypatch)
+    (tmp_path / "file.json").write_text(json.dumps(document), encoding="utf-8")
+    from_file = load_run_config(tmp_path / "file.json")
+    (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
+    for name in CONFIG_KEYS:
+        section, _, field = name.rpartition(".")
+        value = document[section][field] if section else document[field]
+        monkeypatch.setenv("VERISEL_" + name.replace(".", "_").upper(), json.dumps(value))
+    from_env = load_run_config(tmp_path / "empty.json")
+    assert from_env == from_file
+    assert from_file["model"] == ModelConfig(2, ("DFG", "AST"), False, 5, (6, 3), None,
+                                             "onehot", 0.1)
+    assert from_file["train"] == TrainConfig(4, 0.002, 2, 0.5, 1e-6, 0.5, 3)
+    assert from_file["penalty"] == {"time_limit": 60.0, "penalty_weight": 2.0}
+
+    headers = []
+    for config in (from_file, from_env):
+        save_model(init_parameters(config["model"], VOCAB, config[""]["portfolio"]),
+                   tmp_path / "model.bin")
+        reloaded = load_model(tmp_path / "model.bin")
+        assert reloaded.config == config["model"]
+        save_model(reloaded, tmp_path / "again.bin")
+        for path in ("model.bin", "again.bin"):
+            headers.append((tmp_path / path).read_bytes().split(b"\n")[0])
+    assert len(set(headers)) == 1
+    assert b'"head_hidden": null' in headers[0]
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,11 @@ def test_label_monotone_in_time(t1, t2, weight):
     (900.0, float("nan"), "penalty_weight must be finite"),
     (900.0, float("inf"), "penalty_weight must be finite"),
     (900.0, float("-inf"), "penalty_weight must be finite"),
+    # booleans and strings are not numbers, though float() reads them
+    (True, 1.0, "penalty.time_limit must be a number, got true"),
+    ("900", 1.0, 'penalty.time_limit must be a number, got "900"'),
+    (900.0, False, "penalty.penalty_weight must be a number, got false"),
+    (900.0, "1", 'penalty.penalty_weight must be a number, got "1"'),
 ])
 def test_label_formula_needs_finite_parameters(time_limit, penalty_weight, message):
     graph = ProgramGraph("p", PropertyKind.REACH_SAFETY, [0], {"AST": [], "ICFG": [], "DFG": []})

@@ -552,22 +552,24 @@ def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
 
 
 @pytest.mark.parametrize("field, value, message", [
-    (b'"edge_sets": ["AST", "ICFG", "DFG"]', b'"edge_sets": ""', "edge_sets must be a list"),
-    (b'"pool_hidden": [5, 3]', b'"pool_hidden": "53"', "pool_hidden must be a list"),
-    (b'"head_hidden": null', b'"head_hidden": "8"', "head_hidden must be a list"),
-    (b'"head_hidden": null', b'"head_hidden": [4, 0]', "widths must be positive"),
-    (b'"leaky_slope": 0.2', b'"leaky_slope": "x"', "leaky_slope must be a number"),
-    (b'"leaky_slope": 0.2', b'"leaky_slope": true', "leaky_slope must be a number"),
-    (b'"leaky_slope": 0.2', b'"leaky_slope": NaN', "leaky_slope must be finite"),
-    (b'"leaky_slope": 0.2', b'"leaky_slope": -Infinity', "leaky_slope must be finite"),
+    (b'"edge_sets": ["AST", "ICFG", "DFG"]', b'"edge_sets": ""',
+     "model.edge_sets must be a list"),
+    (b'"pool_hidden": [5, 3]', b'"pool_hidden": "53"', "model.pool_hidden must be a list"),
+    (b'"head_hidden": null', b'"head_hidden": "8"', "model.head_hidden must be a list"),
+    (b'"head_hidden": null', b'"head_hidden": [4, 0]',
+     "model.head_hidden must be a list of integers >= 1, or null"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": "x"', "model.leaky_slope must be a number"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": true', "model.leaky_slope must be a number"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": NaN', "model.leaky_slope must be finite"),
+    (b'"leaky_slope": 0.2', b'"leaky_slope": -Infinity', "model.leaky_slope must be finite"),
     (b'"num_gat_layers": 1', b'"num_gat_layers": 1.5',
-     "num_gat_layers and widths must be integers"),
+     "model.num_gat_layers must be an integer, got 1.5"),
     (b'"gat_width": 4', b'"gat_width": 4.0',
-     "num_gat_layers and widths must be integers"),
+     "model.gat_width must be an integer, got 4.0"),
     (b'"pool_hidden": [5, 3]', b'"pool_hidden": [5, true]',
-     "num_gat_layers and widths must be integers"),
+     "model.pool_hidden must be a list of integers >= 1"),
     (b'"jumping_knowledge": true', b'"jumping_knowledge": "no"',
-     "jumping_knowledge must be true or false"),
+     "model.jumping_knowledge must be true or false"),
 ])
 def test_model_container_rejects_a_config_with_a_bad_list(tmp_path, field, value, message):
     path = tmp_path / "model.bin"
