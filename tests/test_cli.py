@@ -45,6 +45,12 @@ def labels_csv_for(graph_ids, path: Path, prop="ReachSafety"):
     return path
 
 
+def flag_cases(*rows):
+    """(flag, value, message) rows as cases named ``flag=value``, so a
+    message change renames no case."""
+    return [pytest.param(*row, id=f"{row[0]}={row[1]}") for row in rows]
+
+
 def run_config(path: Path, **overrides):
     config = {
         "portfolio": list(PORTFOLIO),
@@ -272,7 +278,7 @@ def test_train_seed_reproducible(tmp_path, extracted):
 @pytest.mark.parametrize("seed, message", [
     ("-1", "must be at least 0, got -1"),
     ("x", "not an integer: 'x'"),
-])
+], ids=["-1", "x"])
 def test_train_bad_seed_flag_is_usage_error(tmp_path, capsys, seed, message):
     config = run_config(tmp_path / "config.json")
     with pytest.raises(SystemExit) as excinfo:
@@ -674,11 +680,11 @@ def test_evaluate_topk_curve_non_increasing(tmp_path, extracted, capsys):
     assert curve[-1] == 0.0
 
 
-@pytest.mark.parametrize("option, value, message", [
+@pytest.mark.parametrize("option, value, message", flag_cases(
     ("--time-limit", "nan", "must be finite"),
     ("--time-limit", "0", "must be positive"),
     ("--penalty-weight", "inf", "must be finite"),
-])
+))
 def test_evaluate_bad_label_formula_is_usage_error(tmp_path, extracted, capsys,
                                                    option, value, message):
     # a nan time limit made every label nan, and the report read as perfect
@@ -744,13 +750,13 @@ def test_explain_stdout_by_default(tmp_path, extracted, capsys):
     assert all(e["score"] == 0.5 for e in report["edges"])
 
 
-@pytest.mark.parametrize("option, value, message", [
+@pytest.mark.parametrize("option, value, message", flag_cases(
     ("--iters", "-3", "must be at least 0"),
     ("--lr", "nan", "must be finite"),
     ("--lr", "-inf", "must be finite"),
     ("--size-weight", "inf", "must be finite"),
     ("--entropy-weight", "nan", "must be finite"),
-])
+))
 def test_explain_bad_number_is_usage_error(tmp_path, extracted, capsys, option, value, message):
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as excinfo:
