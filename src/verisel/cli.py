@@ -6,6 +6,7 @@ failure, 2 on usage errors. All JSON output is canonical (sorted keys), and
 for ``train`` is a JSON document whose values can be overridden through
 ``VERISEL_<SECTION>_<FIELD>`` environment variables (values parsed as JSON,
 falling back to plain strings); ``graphio.CONFIG_KEYS`` states every key.
+A numeric flag takes the rule and the default of the value it feeds.
 """
 
 from __future__ import annotations
@@ -13,17 +14,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .explain import UnknownEdgeSets, explain, to_dot, top_m_edges
-from .frontend import DEFAULT_MAX_NODES, FrontendError, extract_graph
+from .explain import SETTINGS, UnknownEdgeSets, explain, to_dot, top_m_edges
+from .frontend import DEFAULT_MAX_NODES, FrontendError, check_max_nodes, extract_graph
 from .graphio import (
-    CONFIG_KEYS,
     CONFIG_SECTIONS,
     ConfigError,
     ProgramGraph,
@@ -32,6 +32,7 @@ from .graphio import (
     TokenVocabulary,
     apply_env_overrides,
     build_instances,
+    config_value,
     load_graph,
     load_labels,
     read_config,
@@ -260,10 +261,8 @@ def cmd_evaluate(args) -> int:
     ks = _top_ks(args.ks, len(params.portfolio))
     graphs = _load_graphs(args.graphs)
     records = load_labels(args.labels)
-    instances = build_instances(
-        graphs, records, params.portfolio,
-        time_limit=args.time_limit, penalty_weight=args.penalty_weight,
-    )
+    penalty = {k: v for k, v in vars(args).items() if k in ("time_limit", "penalty_weight")}
+    instances = build_instances(graphs, records, params.portfolio, **penalty)
     results = [predict(inst.graph, params) for inst in instances]
     report = evaluate_rankings(results, instances, ks)
     _emit(report.to_json() if args.json else report.to_text(), sys.stdout)
@@ -278,11 +277,10 @@ def cmd_explain(args) -> int:
     params = load_model(args.model)
     graph = load_graph(args.graph)
     vocab = _load_vocab(args.vocab)
+    settings = {k: v for k, v in vars(args).items() if k in SETTINGS}
     try:
         mask = explain(
-            params, graph,
-            iters=args.iters, lr=args.lr,
-            size_weight=args.size_weight, entropy_weight=args.entropy_weight,
+            params, graph, **settings,
             edge_sets=tuple(args.edge_sets.split(",")) if args.edge_sets else None,
         )
     except UnknownEdgeSets as err:
@@ -302,42 +300,20 @@ def cmd_explain(args) -> int:
 # argument wiring
 
 
-def _int_at_least(low: int, high: int | None = None):
-    """An argparse type: an integer no smaller than ``low``, nor larger than ``high``."""
-    def parse(text: str) -> int:
+def _checked(check, parse=str):
+    """An argparse type: what the library's ``check`` returns for the text as
+    ``parse`` reads it, or for the text itself if it does not parse; the
+    check's ``ValueError`` is the usage error."""
+    def convert(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
-        return value
-    return parse
-
-
-def _property_kind(text: str) -> PropertyKind:
-    """An argparse type: a property kind, by any name ``PropertyKind.from_name`` reads."""
-    try:
-        return PropertyKind.from_name(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _finite_float(positive: bool = False):
-    """An argparse type: a finite number (no nan or inf), above zero if ``positive``."""
-    def parse(text: str) -> float:
+            value = text
         try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-        if positive and value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-        return value
-    return parse
+            return check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
 @functools.cache
@@ -356,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True,
                    help="output graph file (single input) or directory; "
                         "with several inputs, a name ending in .json is refused")
-    p.add_argument("--property", type=_property_kind, default="ReachSafety",
+    p.add_argument("--property", type=_checked(PropertyKind.from_name), default="ReachSafety",
                    help="property kind recorded in the graphs")
     p.add_argument("--vocab", help="vocabulary manifest path")
-    p.add_argument("--max-nodes", type=_int_at_least(1, DEFAULT_MAX_NODES),
+    p.add_argument("--max-nodes", type=_checked(check_max_nodes, int),
                    default=DEFAULT_MAX_NODES)
     p.add_argument("--json", action="store_true", help="stats as JSON")
     p.set_defaults(func=cmd_extract)
@@ -372,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="model output path")
     p.add_argument("--history", help="write per-epoch history JSON here")
     p.add_argument("--vocab", help="override the config vocabulary path")
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--seed", type=_checked(functools.partial(config_value, "train.seed"), int))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", help="rank the portfolio for one graph")
     p.add_argument("--model", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--property", type=_property_kind, required=True,
+    p.add_argument("--property", type=_checked(PropertyKind.from_name), required=True,
                    help="property kind to condition on")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rank)
@@ -388,10 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", nargs="+", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--ks", help="comma-separated K values for top-K error")
-    p.add_argument("--time-limit", type=_finite_float(positive=True),
-                   default=CONFIG_KEYS["penalty.time_limit"].default)
-    p.add_argument("--penalty-weight", type=_finite_float(),
-                   default=CONFIG_KEYS["penalty.penalty_weight"].default)
+    for name in ("time_limit", "penalty_weight"):  # left out: build_instances()'s default
+        p.add_argument(f"--{name.replace('_', '-')}", default=argparse.SUPPRESS,
+                       type=_checked(functools.partial(config_value, f"penalty.{name}"), float))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
@@ -401,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocabulary manifest path")
     p.add_argument("-o", "--out", help="report JSON path (default: stdout)")
     p.add_argument("--dot", help="also write a DOT rendering here")
-    p.add_argument("--iters", type=_int_at_least(0), default=100)
-    p.add_argument("--lr", type=_finite_float(), default=0.01)
-    p.add_argument("--size-weight", type=_finite_float(), default=0.05)
-    p.add_argument("--entropy-weight", type=_finite_float(), default=0.1)
+    for name, parse in zip(SETTINGS, (int, float, float, float)):  # left out: explain()'s default
+        check = functools.partial(config_value, name, key=SETTINGS[name])
+        p.add_argument(f"--{name.replace('_', '-')}", type=_checked(check, parse),
+                       default=argparse.SUPPRESS)
     p.add_argument("--edge-sets", help="restrict masking, e.g. 'AST,ICFG'")
     p.set_defaults(func=cmd_explain)
     return parser
@@ -419,7 +394,10 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # stable exit contract: runtime failures are 1
-        print(f"error: {err}", file=sys.stderr)
+        if os.environ.get("VERISEL_DEBUG") == "1":
+            import traceback  # only when asked: each command runs without it
+            traceback.print_exc()
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
 

@@ -32,13 +32,26 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .graphio import EDGE_SET_NAMES, ProgramGraph, TokenVocabulary, ordering_from_scores
+from .graphio import (
+    EDGE_SET_NAMES,
+    FINITE,
+    ProgramGraph,
+    TokenVocabulary,
+    at_least,
+    config_value,
+    ordering_from_scores,
+)
 from .model import EmptyGraph, MaskScorer, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
 
 class UnknownEdgeSets(ValueError):
     """Edge-set names other than those of ``graphio.EDGE_SET_NAMES``."""
+
+
+# the rule of each of explain()'s optimisation settings, checked as a config
+# key's is: config_value(name, value, SETTINGS[name])
+SETTINGS = {"iters": at_least(0), "lr": FINITE, "size_weight": FINITE, "entropy_weight": FINITE}
 
 
 @dataclass(frozen=True)
@@ -158,11 +171,15 @@ def explain(
 ) -> EdgeMask:
     """Optimize per-edge keep scores against the model's original prediction.
 
+    A setting that breaks its rule in ``SETTINGS`` raises
+    :class:`graphio.ConfigError` before any work; the defaults are the CLI's.
     ``edge_sets`` restricts masking to a subset (default: every edge set the
     model is configured to read); an unknown name raises
     :class:`UnknownEdgeSets`. Deterministic for fixed inputs; ``seed`` only
     matters when ``init_noise`` jitters the initial logits.
     """
+    for name, value in zip(SETTINGS, (iters, lr, size_weight, entropy_weight)):
+        config_value(name, value, SETTINGS[name])
     if graph.num_nodes == 0:
         raise EmptyGraph(f"graph {graph.id} has no nodes")
     sets = tuple(edge_sets) if edge_sets is not None else params.config.edge_sets

@@ -7,6 +7,7 @@ from .graph_build import (
     GraphTooLarge,
     NestingTooDeep,
     assemble_graph,
+    check_max_nodes,
     extract_graph,
 )
 from .lexer import FrontendError, LexError, Token, tokenize
@@ -28,6 +29,7 @@ __all__ = [
     "UnsupportedConstruct",
     "assemble_graph",
     "build_icfg",
+    "check_max_nodes",
     "extract_graph",
     "parse",
     "parse_source",

@@ -4,16 +4,17 @@ CFG nodes are statement-level AST nodes plus FunctionDecl nodes. Compound
 statements are transparent; label/case wrappers are pass-through nodes that
 flow into their inner statement. ``STATEMENT_SHAPES`` states once, per
 statement kind, which children are expressions the node evaluates itself
-(``owned_expr_roots``) and which are the statements nested directly in it
-(``sub_statements``); any other kind, such as an expression statement, a
-declaration or a jump, evaluates its own subtree. Wiring a function body
-walks it once. At each statement-level node the walk resolves names
-lexically (globals, then parameters, then a scope per ``CompoundStmt`` and
-per ``ForStmt``) and records in ``ControlEdges.accesses`` the variables the
-node writes and the identifier nodes that read each variable. Stores
-through pointers or array elements write nothing (no alias analysis). The
-same walk records the callee names in pre-order, and call/return wiring
-loops over them.
+and which are the statements nested directly in it (``statement_parts``);
+any other kind, such as an expression statement, a declaration or a jump,
+evaluates its own subtree. Wiring a function body walks it once. At each
+statement-level node the walk resolves names lexically (globals, then
+parameters, then a scope per ``CompoundStmt`` and per ``ForStmt``) and
+records in ``ControlEdges.accesses`` the variables the node writes and the
+identifier nodes that read each variable. Stores through pointers or array
+elements write nothing (no alias analysis). The same walk records the
+callee names in pre-order, which call/return wiring loops over, and gives
+a switch a flow edge to every ``case`` and ``default`` it meets in the
+switch's body outside a nested switch.
 
 Interprocedural wiring, per call site ``cs`` of a function ``f`` defined in
 the same translation unit:
@@ -88,20 +89,11 @@ def function_definitions(ast: Ast) -> list[int]:
 
 
 def statement_parts(ast: Ast, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(``owned_expr_roots``, ``sub_statements``) of a node, by one lookup."""
+    """(the expression subtrees a node evaluates itself, the statements nested
+    directly in it, in source order), by one lookup."""
     kind, children, _ = ast.nodes[node]
     shape = STATEMENT_SHAPES.get(kind)
     return (children[shape[0]], children[shape[1]]) if shape else ((node,), ())
-
-
-def sub_statements(ast: Ast, node: int) -> tuple[int, ...]:
-    """Statements nested directly in a node, in source order."""
-    return statement_parts(ast, node)[1]
-
-
-def owned_expr_roots(ast: Ast, node: int) -> tuple[int, ...]:
-    """Expression subtrees evaluated *at* this CFG node (no nested statements)."""
-    return statement_parts(ast, node)[0]
 
 
 def last_statement(ast: Ast, body: int) -> int | None:
@@ -130,6 +122,7 @@ class _FunctionWiring:
         self.returns: list[int] = []
         self.loop_stack: list[int] = []
         self.break_stack: list[list[int]] = []
+        self.case_stack: list[list[int]] = []  # the cases of each open switch
 
     def wire(self, stmt: int, preds: list[int]) -> list[int]:
         """Wire ``preds -> stmt`` and internals; return fallthrough exits."""
@@ -155,6 +148,8 @@ class _FunctionWiring:
         for p in preds:
             self.add_edge(p, stmt, "flow")
         if kind in WRAPPER_KINDS:
+            if kind != "LabelStmt" and self.case_stack:  # a case of the innermost switch
+                self.case_stack[-1].append(stmt)
             (inner,) = nested
             return self.wire(inner, [stmt])
 
@@ -195,12 +190,13 @@ class _FunctionWiring:
             return list(dict.fromkeys([stmt] + breaks))
         if kind == "SwitchStmt":
             (body,) = nested
-            case_nodes = _collect_cases(ast, body)
-            for case in case_nodes:
-                self.add_edge(stmt, case, "flow")
+            self.case_stack.append([])
             self.break_stack.append([])
             exits = self.wire(body, []) + self.break_stack.pop()
-            if not any(ast.kind(c) == "DefaultStmt" for c in case_nodes):
+            cases = self.case_stack.pop()
+            for case in cases:
+                self.add_edge(stmt, case, "flow")
+            if not any(ast.kind(c) == "DefaultStmt" for c in cases):
                 exits.append(stmt)  # no default: the switch may be skipped
             return list(dict.fromkeys(exits))
         # simple statement
@@ -251,21 +247,6 @@ class _FunctionWiring:
             if name in scope:
                 return scope[name]
         return None
-
-
-def _collect_cases(ast: Ast, body: int) -> list[int]:
-    out: list[int] = []
-
-    def visit(stmt: int) -> None:
-        kind = ast.kind(stmt)
-        if kind in ("CaseStmt", "DefaultStmt"):
-            out.append(stmt)
-        if kind in ("CompoundStmt", "CaseStmt", "DefaultStmt"):
-            for child in sub_statements(ast, stmt):
-                visit(child)
-
-    visit(body)
-    return out
 
 
 def _callee_name(ast: Ast, call: int) -> str:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from ..graphio import DEFAULT_MAX_NODES, ProgramGraph, PropertyKind, TokenVocabulary
+from ..graphio import (
+    DEFAULT_MAX_NODES,
+    ProgramGraph,
+    PropertyKind,
+    TokenVocabulary,
+    at_least,
+    config_value,
+)
 from .cfg import ControlEdges, build_icfg
 from .dataflow import DataEdges, reaching_definitions
 from .lexer import FrontendError, tokenize
-from .parser import Ast, parse
+from .parser import Ast, NestingTooDeep, parse
 
 
 class GraphTooLarge(FrontendError):
@@ -16,14 +23,14 @@ class GraphTooLarge(FrontendError):
         self.max_nodes = max_nodes
 
 
-class NestingTooDeep(FrontendError):
-    """Nesting deeper than the recursive parser and ICFG walk can follow."""
+_MAX_NODES = at_least(1)._replace(bound=f"in 1..{DEFAULT_MAX_NODES}",
+                                  in_bound=lambda v: 1 <= v <= DEFAULT_MAX_NODES)
 
 
-def _check_cap(max_nodes: int) -> None:
-    if max_nodes > DEFAULT_MAX_NODES:  # a graph no graph file reader accepts
-        raise ValueError(f"max_nodes is {max_nodes}, graph files hold at most "
-                         f"{DEFAULT_MAX_NODES} nodes")
+def check_max_nodes(max_nodes: int) -> int:
+    """``max_nodes`` if it is in 1..``DEFAULT_MAX_NODES`` (a larger cap would let
+    through a graph no graph file reader accepts), else ConfigError."""
+    return config_value("max_nodes", max_nodes, _MAX_NODES)
 
 
 def assemble_graph(
@@ -42,7 +49,7 @@ def assemble_graph(
     return, and loop-back edges merged, set 2 the def-use edges. Node features
     are vocabulary indices; kinds outside the vocabulary map to Unknown.
     """
-    _check_cap(max_nodes)
+    check_max_nodes(max_nodes)
     n = len(ast)
     if n > max_nodes:
         raise GraphTooLarge(n, max_nodes)
@@ -75,14 +82,14 @@ def extract_graph(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[ProgramGraph, list[str]]:
     """Full pipeline from C source to graph; returns (graph, diagnostics)."""
-    _check_cap(max_nodes)
-    try:  # the parser and the ICFG walk recurse once per level of nesting
-        ast = parse(tokenize(source))
-        if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
-            raise GraphTooLarge(len(ast), max_nodes)
+    check_max_nodes(max_nodes)
+    ast = parse(tokenize(source))
+    if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
+        raise GraphTooLarge(len(ast), max_nodes)
+    try:  # the ICFG walk recurses once per level of nesting
         icfg = build_icfg(ast)
     except RecursionError as err:
-        raise NestingTooDeep("source nests too deeply to extract") from err
+        raise NestingTooDeep() from err
     dfg = reaching_definitions(ast, icfg)
     graph = assemble_graph(
         ast, icfg, dfg, vocab,

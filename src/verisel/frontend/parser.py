@@ -84,6 +84,13 @@ class ParseError(FrontendError):
         self.found = found
 
 
+class NestingTooDeep(FrontendError):
+    """Nesting deeper than the recursive parser and ICFG walk can follow."""
+
+    def __init__(self):
+        super().__init__("source nests too deeply to extract")
+
+
 class UnsupportedConstruct(FrontendError):
     def __init__(self, construct: str, token: Token | None = None):
         where = f"{token.line}:{token.col}: " if token else ""
@@ -517,8 +524,10 @@ _STATEMENT_KEYWORDS = {
 
 def parse(tokens: list[Token]) -> Ast:
     """Parse a token stream into a flat, pre-order-numbered AST."""
-    parser = _Parser(tokens)
-    root = parser.parse_translation_unit()
+    try:  # the parser recurses once per level of nesting
+        root = _Parser(tokens).parse_translation_unit()
+    except RecursionError as err:
+        raise NestingTooDeep() from err
     return _flatten(root)
 
 

@@ -112,7 +112,7 @@ def ordering_from_scores(scores: Sequence[float]) -> tuple[int, ...]:
 
 
 class ConfigError(ValueError):
-    """A run-config value breaks its key's rule; the message names the key."""
+    """A value breaks its run-config key's (or setting's) rule; the message names it."""
 
 
 RECORD = object()    # the default is the record's (ModelConfig, TrainConfig)
@@ -142,13 +142,16 @@ def _widths(value) -> bool:
     return _list_of(int, value) and min(value, default=1) >= 1
 
 
-def _at_least(low: int) -> ConfigKey:
+def at_least(low: int) -> ConfigKey:
     return ConfigKey("an integer", lambda v: type(v) is int, f">= {low}", lambda v: v >= low)
 
 
 def _positive_finite(**fields) -> ConfigKey:
     return ConfigKey("a number", _is_number, "positive and finite",
                      lambda v: 0 < v < math.inf, **fields)
+
+
+FINITE = ConfigKey("a number", _is_number, "finite", math.isfinite)
 
 
 # Every key of a run config, as "section.field"; the two top-level keys have
@@ -159,13 +162,13 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "portfolio": ConfigKey("a nonempty list of distinct names",
                            lambda v: _list_of(str, v) and 0 < len(v) == len(set(v)),
                            default=REQUIRED, load=tuple),
-    "model.num_gat_layers": _at_least(0)._replace(bound="in 0..5",
-                                                  in_bound=lambda v: 0 <= v <= 5),
+    "model.num_gat_layers": at_least(0)._replace(bound="in 0..5",
+                                                 in_bound=lambda v: 0 <= v <= 5),
     "model.edge_sets": ConfigKey(
         f"a list of distinct names from {'/'.join(EDGE_SET_NAMES)}",
         lambda v: _list_of(str, v) and len(v) == len(set(v) & set(EDGE_SET_NAMES)), load=tuple),
     "model.jumping_knowledge": ConfigKey("true or false", lambda v: type(v) is bool),
-    "model.gat_width": _at_least(1),
+    "model.gat_width": at_least(1),
     "model.pool_hidden": ConfigKey("a list of integers >= 1", _widths, load=tuple),
     # [] asks for the default head shape, as null does
     "model.head_hidden": ConfigKey("a list of integers >= 1, or null",
@@ -173,14 +176,14 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                    load=lambda v: tuple(v) if v else None),
     "model.property_encoding": ConfigKey('"scalar" or "onehot"',
                                          lambda v: v in ("scalar", "onehot")),
-    "model.leaky_slope": ConfigKey("a number", _is_number, "finite", math.isfinite),
-    "train.epochs": _at_least(1),
+    "model.leaky_slope": FINITE,
+    "train.epochs": at_least(1),
     "train.initial_lr": _positive_finite(),
-    "train.plateau_patience": _at_least(1),
+    "train.plateau_patience": at_least(1),
     "train.lr_decay_factor": _positive_finite(),
     "train.min_lr": _positive_finite(),
     "train.margin": _positive_finite(),
-    "train.seed": _at_least(0),
+    "train.seed": at_least(0),
     "split.ratios": ConfigKey(
         "a list of three positive numbers that sum to 1",
         lambda v: (isinstance(v, (list, tuple)) and len(v) == 3
@@ -188,8 +191,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         default=(0.8, 0.1, 0.1), load=tuple),
     "split.seed": ConfigKey("an integer", lambda v: type(v) is int, default=0),
     "penalty.time_limit": _positive_finite(default=900.0, load=float),
-    "penalty.penalty_weight": ConfigKey("a number", _is_number, "finite", math.isfinite,
-                                        default=1.0, load=float),
+    "penalty.penalty_weight": FINITE._replace(default=1.0, load=float),
 }
 CONFIG_SECTIONS = tuple(dict.fromkeys(name.split(".")[0] for name in CONFIG_KEYS if "." in name))
 _SECTION = ConfigKey("a JSON object", lambda v: isinstance(v, dict))

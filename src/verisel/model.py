@@ -321,7 +321,7 @@ def gat_layer(
     edges: np.ndarray | Sequence[tuple[int, int]],
     params: GatLayerParams,
     *,
-    slope: float = 0.2,
+    slope: float = ModelConfig.leaky_slope,
     message_mask: Tensor | None = None,
     allowed_mask: EdgeIndex | None = None,
 ) -> Tensor:
@@ -487,7 +487,7 @@ def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
 
 
 def attention_pool(states: Tensor, pool: Sequence[AffineParams],
-                   slope: float = 0.2) -> Tensor:
+                   slope: float = ModelConfig.leaky_slope) -> Tensor:
     """Collapse node states into one graph vector via learned softmax weights.
 
     The pool MLP scores each node, a softmax over the nodes turns the scores

@@ -347,12 +347,13 @@ class EpochDecision:
 
 @dataclass
 class PlateauSchedule:
-    """Decay lr by `factor` after `patience` consecutive non-improving epochs."""
+    """Decay lr by `factor` after `patience` consecutive non-improving epochs
+    (defaults: ``TrainConfig``'s)."""
 
     lr: float
-    patience: int = 3
-    factor: float = 0.1
-    min_lr: float = 1e-8
+    patience: int = TrainConfig.plateau_patience
+    factor: float = TrainConfig.lr_decay_factor
+    min_lr: float = TrainConfig.min_lr
     best: float = field(default=float("inf"))
     bad_epochs: int = field(default=0)
 

@@ -18,7 +18,7 @@ from verisel.frontend.cfg import (
     _callee_name,
     _FunctionWiring,
     function_definitions,
-    owned_expr_roots,
+    statement_parts,
 )
 from verisel.frontend.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, Token
 from verisel.frontend.parser import (
@@ -1144,7 +1144,7 @@ def node_defs_uses(ast, res: _Resolution, cfg_node: int):
             if ast.kind(child) == "ParmVarDecl" and ast.text(child):
                 writes.add(child)
                 res.name_of_var.setdefault(child, ast.text(child) or "")
-    for root in owned_expr_roots(ast, cfg_node):
+    for root in statement_parts(ast, cfg_node)[0]:
         _gather_expr(ast, res, root, writes, reads)
     uses: dict[int, list[int]] = {}
     for ref in reads:
@@ -1159,7 +1159,7 @@ def oracle_call_sites(ast, cfg_node: int) -> list[str]:
     pre-order; "" for a computed callee. A separate scan of every owned
     expression, the one the ICFG wiring walk replaced."""
     names = []
-    for root in owned_expr_roots(ast, cfg_node):
+    for root in statement_parts(ast, cfg_node)[0]:
         for node in ast.walk(root):
             if ast.kind(node) != "CallExpr":
                 continue

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import permuted_graph
 from verisel.cli import apply_env_overrides, build_parser, load_run_config, main
+from verisel.explain import explain, top_m_edges
 from verisel.graphio import (
     CONFIG_KEYS,
     RECORD,
@@ -212,25 +213,28 @@ def test_unknown_property_is_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
 def test_extract_max_nodes_below_one_is_usage_error(tmp_path, limit, capsys):
-    target = tmp_path / "g.json"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
-              "--max-nodes", limit])
-    assert excinfo.value.code == 2
-    assert "--max-nodes: must be at least 1" in capsys.readouterr().err
-    assert not target.exists()
+    # refused before the output directory is made
+    for target in (tmp_path / "g.json", tmp_path / "graphs"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
+                  "--max-nodes", limit])
+        assert excinfo.value.code == 2
+        assert (f"--max-nodes: max_nodes must be in 1..100000, got {limit}\n"
+                in capsys.readouterr().err)
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("limit", ["100001", "200000"])
 def test_extract_max_nodes_above_the_graph_file_cap_is_usage_error(tmp_path, limit, capsys):
     # a graph over DEFAULT_MAX_NODES could be written but never loaded again
-    target = tmp_path / "g.json"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
-              "--max-nodes", limit])
-    assert excinfo.value.code == 2
-    assert "--max-nodes: must be at most 100000" in capsys.readouterr().err
-    assert not target.exists()
+    for target in (tmp_path / "graphs", tmp_path / "g.json"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
+                  "--max-nodes", limit])
+        assert excinfo.value.code == 2
+        assert (f"--max-nodes: max_nodes must be in 1..100000, got {limit}\n"
+                in capsys.readouterr().err)
+        assert not target.exists()
     assert main(["extract", str(CORPUS / "01_straight_line.c"), "-o", str(target),
                  "--max-nodes", "100000"]) == 0
     assert load_graph(target).num_nodes > 0
@@ -276,8 +280,8 @@ def test_train_seed_reproducible(tmp_path, extracted):
 
 
 @pytest.mark.parametrize("seed, message", [
-    ("-1", "must be at least 0, got -1"),
-    ("x", "not an integer: 'x'"),
+    ("-1", "train.seed must be >= 0, got -1"),
+    ("x", 'train.seed must be an integer, got "x"'),
 ], ids=["-1", "x"])
 def test_train_bad_seed_flag_is_usage_error(tmp_path, capsys, seed, message):
     config = run_config(tmp_path / "config.json")
@@ -288,6 +292,31 @@ def test_train_bad_seed_flag_is_usage_error(tmp_path, capsys, seed, message):
     assert excinfo.value.code == 2
     assert f"--seed: {message}" in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--seed", "-1", "train.seed must be >= 0, got -1"),
+    ("evaluate", "--time-limit", "NaN", "penalty.time_limit must be positive and finite, got NaN"),
+    ("evaluate", "--penalty-weight", "-Infinity",
+     "penalty.penalty_weight must be finite, got -Infinity"),
+], ids=["--seed", "--time-limit", "--penalty-weight"])
+def test_a_flag_and_its_config_key_share_one_rule(tmp_path, capsys, monkeypatch,
+                                                  command, flag, value, message):
+    # one value as the flag, then as the VERISEL_* override of the key it feeds
+    config, model = run_config(tmp_path / "config.json"), tmp_path / "m.bin"
+    data = ["--graphs", str(tmp_path), "--labels", str(tmp_path / "labels.csv")]
+    train = ["train", "--config", str(config), "-o", str(model), *data]
+    argv = train if command == "train" else ["evaluate", "--model", str(model), *data]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, f"{flag}={value}"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"verisel {command}: error: argument {flag}: {message}")
+    key = message.split(" ")[0]
+    monkeypatch.setenv("VERISEL_" + key.replace(".", "_").upper(), value)
+    assert main(train) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not model.exists()
 
 
 def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypatch):
@@ -602,6 +631,31 @@ def test_rank_missing_model_file_is_runtime_error(tmp_path, extracted, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "VERISEL_DEBUG=1"])
+def test_runtime_failure_names_its_exception_class(tmp_path, extracted, capsys, monkeypatch,
+                                                   debug):
+    if debug:
+        monkeypatch.setenv("VERISEL_DEBUG", "1")
+    missing = tmp_path / "nope.bin"
+    code = main(["rank", "--model", str(missing), "--graph",
+                 str(sorted(extracted.glob("*.json"))[0]), "--property", "ReachSafety"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: FileNotFoundError: [Errno 2] No such file or directory: "
+                        f"'{missing}'\n")
+    assert err.startswith("Traceback (most recent call last):\n") == debug
+    assert ("in load_model" in err) == debug
+
+
+def test_usage_error_prints_its_message_alone_also_under_debug(tmp_path, extracted, capsys,
+                                                               monkeypatch):
+    monkeypatch.setenv("VERISEL_DEBUG", "1")
+    code = main(["evaluate", "--model", str(zero_model(tmp_path)), "--graphs", str(extracted),
+                 "--labels", str(tmp_path / "labels.csv"), "--ks", "9"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --ks: K=9 outside 1..3\n"
+
+
 def test_rank_json_flag_does_not_carry_over_to_the_next_call(tmp_path, extracted, capsys):
     model = zero_model(tmp_path)
     graph = next(iter(sorted(extracted.glob("*.json"))))
@@ -681,9 +735,9 @@ def test_evaluate_topk_curve_non_increasing(tmp_path, extracted, capsys):
 
 
 @pytest.mark.parametrize("option, value, message", flag_cases(
-    ("--time-limit", "nan", "must be finite"),
-    ("--time-limit", "0", "must be positive"),
-    ("--penalty-weight", "inf", "must be finite"),
+    ("--time-limit", "nan", "penalty.time_limit must be positive and finite, got NaN"),
+    ("--time-limit", "0", "penalty.time_limit must be positive and finite, got 0.0"),
+    ("--penalty-weight", "inf", "penalty.penalty_weight must be finite, got Infinity"),
 ))
 def test_evaluate_bad_label_formula_is_usage_error(tmp_path, extracted, capsys,
                                                    option, value, message):
@@ -740,6 +794,15 @@ def test_explain_unknown_edge_set_is_usage_error(tmp_path, extracted, capsys):
     assert not report_path.exists()
 
 
+def test_explain_without_value_flags_uses_the_library_defaults(tmp_path, extracted):
+    model, graph = zero_model(tmp_path), sorted(extracted.glob("*.json"))[1]
+    report = tmp_path / "report.json"
+    assert main(["explain", "--model", str(model), "--graph", str(graph),
+                 "-o", str(report)]) == 0
+    want = top_m_edges(explain(load_model(model), load_graph(graph)), load_graph(graph), VOCAB)
+    assert report.read_bytes() == want.to_json().encode("utf-8")
+
+
 def test_explain_stdout_by_default(tmp_path, extracted, capsys):
     model = zero_model(tmp_path)
     graph = sorted(extracted.glob("*.json"))[0]
@@ -751,11 +814,13 @@ def test_explain_stdout_by_default(tmp_path, extracted, capsys):
 
 
 @pytest.mark.parametrize("option, value, message", flag_cases(
-    ("--iters", "-3", "must be at least 0"),
-    ("--lr", "nan", "must be finite"),
-    ("--lr", "-inf", "must be finite"),
-    ("--size-weight", "inf", "must be finite"),
-    ("--entropy-weight", "nan", "must be finite"),
+    ("--iters", "-3", "iters must be >= 0, got -3"),
+    ("--iters", "1.5", 'iters must be an integer, got "1.5"'),
+    ("--lr", "nan", "lr must be finite, got NaN"),
+    ("--lr", "-inf", "lr must be finite, got -Infinity"),
+    ("--size-weight", "inf", "size_weight must be finite, got Infinity"),
+    ("--entropy-weight", "nan", "entropy_weight must be finite, got NaN"),
+    ("--entropy-weight", "x", 'entropy_weight must be a number, got "x"'),
 ))
 def test_explain_bad_number_is_usage_error(tmp_path, extracted, capsys, option, value, message):
     report_path = tmp_path / "report.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verisel.explain
 import verisel.model
 from helpers import awkward_graph, dense_forward_scores, exp, log, scatter, sum_all
 from verisel import tensor as T
@@ -17,7 +18,7 @@ from verisel.explain import (
     to_dot,
     top_m_edges,
 )
-from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind
+from verisel.graphio import EDGE_SET_NAMES, ConfigError, ProgramGraph, PropertyKind
 from verisel.model import (
     EdgeIndex,
     EmptyGraph,
@@ -137,6 +138,27 @@ def test_explain_rejects_unknown_edge_sets():
     for sets in (("AST", "DFX"), ("DFX",), ("XYZ", "DFX", "DFG")):
         with pytest.raises(ValueError, match="unknown edge sets: DFX"):
             explain(params, simple_graph(), iters=0, edge_sets=sets)
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    pytest.param(*row, id=f"{row[0]}={row[1]!r}") for row in [
+    ("iters", -1, "iters must be >= 0, got -1"),
+    ("iters", 2.0, "iters must be an integer, got 2.0"),
+    ("iters", True, "iters must be an integer, got true"),
+    ("lr", float("nan"), "lr must be finite, got NaN"),
+    ("lr", "0.1", 'lr must be a number, got "0.1"'),
+    ("size_weight", float("inf"), "size_weight must be finite, got Infinity"),
+    ("entropy_weight", float("-inf"), "entropy_weight must be finite, got -Infinity"),
+    ("entropy_weight", None, "entropy_weight must be a number, got null"),
+]])
+def test_explain_refuses_a_bad_setting_before_any_work(monkeypatch, setting, value, message):
+    # checked first: even a graph with no nodes gets the setting's error
+    monkeypatch.setattr(verisel.explain, "forward_scores", None)
+    empty = ProgramGraph("e", PropertyKind.REACH_SAFETY, [], {"AST": [], "ICFG": [], "DFG": []})
+    for graph in (simple_graph(), empty):
+        with pytest.raises(ConfigError) as excinfo:
+            explain(fresh_params(), graph, **{setting: value})
+        assert str(excinfo.value) == message
 
 
 def masked_scores_and_keep_gradient(forward, graph, params, keep, mask):

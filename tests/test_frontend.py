@@ -31,6 +31,7 @@ from verisel.frontend import (
     AstNode,
     GraphTooLarge,
     LexError,
+    NestingTooDeep,
     ParseError,
     Token,
     UnsupportedConstruct,
@@ -43,7 +44,7 @@ from verisel.frontend import (
     tokenize,
 )
 from verisel.frontend import graph_build
-from verisel.frontend.cfg import function_definitions, owned_expr_roots, sub_statements
+from verisel.frontend.cfg import function_definitions, statement_parts
 from verisel.frontend.parser import _STATEMENT_KEYWORDS
 from verisel.graphio import PropertyKind, TokenVocabulary, deserialize_graph, serialize_graph
 
@@ -481,6 +482,26 @@ int main() {
     assert (y2, default) in pairs  # case 2 falls through into default
 
 
+@pytest.mark.parametrize("body, successors", [
+    ("L: case 1: x = 2; break; case 2: x = 3;", [{"case 1", "case 2", "return"}]),
+    ("case 0: if (x) { case 1: x = 2; } break; case 2: x = 3;",
+     [{"case 0", "case 1", "case 2", "return"}]),
+    # a nested switch keeps its own cases
+    ("case 0: while (x) { default: x--; case 1: x = 2; } case 2: switch (x) { case 5: x = 1; }",
+     [{"case 0", "default", "case 1", "case 2"}, {"case 5", "return"}]),
+], ids=["under-a-label", "inside-an-if", "inside-a-loop-and-a-nested-switch"])
+def test_icfg_switch_reaches_every_case_in_its_body(body, successors):
+    ast, icfg, _ = pipeline(f"int main() {{ int x; x = 0; switch (x) {{ {body} }} return x; }}")
+
+    def name(node):
+        kind, children, _ = ast.nodes[node]
+        return f"case {ast.text(children[0])}" if kind == "CaseStmt" else {
+            "DefaultStmt": "default", "ReturnStmt": "return"}[kind]
+
+    assert [{name(dst) for src, dst in icfg.pairs() if src == switch}
+            for switch in ast.find("SwitchStmt")] == successors
+
+
 # statement kind -> the roles of its children, in order, as a regex: "e" an
 # expression the statement evaluates itself, "s" a statement nested in it
 STATEMENT_LAYOUTS = {
@@ -526,12 +547,12 @@ def statement_kinds_with_checked_shapes(ast) -> set[str]:
     statement children against the layouts above, and return the kinds seen."""
     seen = set()
     for fn in function_definitions(ast):
-        assert owned_expr_roots(ast, fn) == ()  # build_icfg writes the parameters
+        assert statement_parts(ast, fn) == ((), ())  # build_icfg writes the parameters
         stack = [ast.children(fn)[-1]]
         while stack:
             node = stack.pop()
             kind, children = ast.kind(node), ast.children(node)
-            exprs, stmts = owned_expr_roots(ast, node), sub_statements(ast, node)
+            exprs, stmts = statement_parts(ast, node)
             seen.add(kind)
             if kind not in STATEMENT_LAYOUTS:
                 assert kind in LEAF_STATEMENT_KINDS, kind
@@ -743,6 +764,15 @@ def test_long_operator_chains_extract(op):
     assert len(graph.edge_sets["DFG"]) == 20_002
 
 
+def test_parser_entry_points_raise_nesting_too_deep():
+    # 200 parentheses are about 1,200 frames of the recursive parser
+    source = "int main() { int x; x = " + "(" * 200 + "1" + ")" * 200 + "; return x; }"
+    for entry in (parse_source, lambda text: parse(tokenize(text))):
+        with pytest.raises(NestingTooDeep, match="^source nests too deeply to extract$"):
+            entry(source)
+    assert graph_build.NestingTooDeep is NestingTooDeep
+
+
 COMPUTED_CALLEES = (
     "int f(int a){return a;} "
     "int main(){int x; int *p; x=1; p=&x; f(x)(2); (*p)(x); return 0;}"
@@ -879,9 +909,9 @@ def test_a_cap_above_the_graph_file_limit_is_refused(monkeypatch):
     ast, icfg, dfg = pipeline(TWO_FUNCTIONS)
     monkeypatch.setattr(graph_build, "tokenize", lambda source: 1 / 0)
     for cap in (DEFAULT_MAX_NODES + 1, 10 * DEFAULT_MAX_NODES):
-        with pytest.raises(ValueError, match=f"max_nodes is {cap}"):
+        with pytest.raises(ValueError, match=f"max_nodes must be in 1..100000, got {cap}"):
             extract_graph(TWO_FUNCTIONS, VOCAB, graph_id="x", property=PROP, max_nodes=cap)
-        with pytest.raises(ValueError, match=f"max_nodes is {cap}"):
+        with pytest.raises(ValueError, match=f"max_nodes must be in 1..100000, got {cap}"):
             assemble_graph(ast, icfg, dfg, VOCAB, graph_id="x", property=PROP, max_nodes=cap)
     graph = assemble_graph(ast, icfg, dfg, VOCAB, graph_id="x", property=PROP,
                            max_nodes=DEFAULT_MAX_NODES)
