@@ -5,13 +5,13 @@ from .dataflow import DataEdges, reaching_definitions
 from .graph_build import (
     DEFAULT_MAX_NODES,
     GraphTooLarge,
-    NestingTooDeep,
     assemble_graph,
     check_max_nodes,
     extract_graph,
 )
 from .lexer import FrontendError, LexError, Token, tokenize
-from .parser import Ast, AstNode, ParseError, UnsupportedConstruct, parse, parse_source
+from .parser import (Ast, AstNode, NestingTooDeep, ParseError, UnsupportedConstruct, parse,
+                     parse_source)
 
 __all__ = [
     "Ast",

@@ -13,7 +13,7 @@ from ..graphio import (
 from .cfg import ControlEdges, build_icfg
 from .dataflow import DataEdges, reaching_definitions
 from .lexer import FrontendError, tokenize
-from .parser import Ast, NestingTooDeep, parse
+from .parser import Ast, parse
 
 
 class GraphTooLarge(FrontendError):
@@ -86,10 +86,7 @@ def extract_graph(
     ast = parse(tokenize(source))
     if len(ast) > max_nodes:  # before the analyses, which grow superlinearly
         raise GraphTooLarge(len(ast), max_nodes)
-    try:  # the ICFG walk recurses once per level of nesting
-        icfg = build_icfg(ast)
-    except RecursionError as err:
-        raise NestingTooDeep() from err
+    icfg = build_icfg(ast)  # never deeper than the parse that just succeeded
     dfg = reaching_definitions(ast, icfg)
     graph = assemble_graph(
         ast, icfg, dfg, vocab,

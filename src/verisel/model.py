@@ -23,11 +23,11 @@ A graph reaches the model as a :class:`ModelInput`: its one-hot node states,
 the (src, dst) pairs of the enabled edge sets and their :class:`EdgeIndex`,
 built once by :func:`prepare_input` and reused by every pass over that graph
 (training steps, validation, explainer iterations). The trainable parameters
-are views into one float64 vector (:attr:`ModelParameters.vector`), so an
-optimizer updates them all at once and a snapshot is one array copy. Each
-layer is a named tuple of its views, grouped by position in the layout.
-Inference, validation and the explainer read them through views that record
-nothing (:attr:`ModelParameters.frozen`).
+are views into one float64 vector (:attr:`ModelParameters.vector`), their
+gradients into another (``grad``), so an optimizer updates them all at once
+and a snapshot is one array copy. Each layer is a named tuple of its views,
+grouped by position in the layout. Inference, validation and the explainer
+read them through views that record nothing (:attr:`ModelParameters.frozen`).
 
 Each weight matrix ``W`` (out x in) is held as ``W.T`` (in x out), the
 operand ``h @ W.T`` reads: a contiguous view multiplies exactly like the
@@ -70,6 +70,7 @@ from .graphio import (
 from .tensor import Tensor
 
 MODEL_FORMAT_VERSION = 1
+DEFAULT_MARGIN = 1.0  # margin_rank_loss_t's and trainer.TrainConfig's
 
 
 class VocabMismatch(Exception):
@@ -129,8 +130,9 @@ class AffineParams(NamedTuple):
 class ModelParameters:
     """Model metadata plus every trainable as a view into ``vector``.
 
-    The views are reshaped slices of the one float64 ``vector``, laid out in
-    :meth:`named` order; writing to a view's ``values`` writes the vector.
+    The views are reshaped slices of the one float64 ``vector``, in the order
+    of :func:`_parameter_layout`; writing to a view's ``values`` writes the
+    vector. Each ``grad`` is the same slice of ``grad``, which Adam reads whole.
     """
 
     config: ModelConfig
@@ -138,19 +140,23 @@ class ModelParameters:
     vocab_fingerprint: str
     vocab_size: int
     vector: np.ndarray
+    grad: np.ndarray = field(init=False)
     gat: list[GatLayerParams] = field(init=False)
     pool: list[AffineParams] = field(init=False)
     head: list[AffineParams] = field(init=False)
 
     def __post_init__(self):
-        views, offset = [], 0
+        self.grad = np.full(self.vector.shape, -0.0)
+        tensors, offset = [], 0
         for _, shape, _, transposed in self._layout():
             rows, cols = shape[::-1] if transposed else shape
-            views.append(self.vector[offset:offset + rows * cols].reshape(rows, cols))
+            span = slice(offset, offset + rows * cols)
+            tensors.append(Tensor(self.vector[span].reshape(rows, cols), requires_grad=True))
+            tensors[-1].grad = self.grad[span].reshape(rows, cols)
             offset += rows * cols
         if self.vector.shape != (offset,) or self.vector.dtype != np.float64:
             raise ValueError(f"parameters need a float64 vector of {offset} values")
-        self._bind([Tensor(view, requires_grad=True) for view in views])
+        self._bind(tensors)
 
     def _layout(self) -> list[tuple[str, tuple[int, int], int, bool]]:
         return _parameter_layout(self.config, self.vocab_size, len(self.portfolio))
@@ -164,15 +170,11 @@ class ModelParameters:
         self.pool = [AffineParams(*tensors[i:i + 2]) for i in range(pool_at, head_at, 2)]
         self.head = [AffineParams(*tensors[i:i + 2]) for i in range(head_at, len(tensors), 2)]
 
-    def named(self) -> list[tuple[str, Tensor]]:
-        return [(name, t) for (name, *_), t in zip(self._layout(), self.trainables())]
-
     def trainables(self) -> list[Tensor]:
         return list(chain(*self.gat, *self.pool, *self.head))
 
     def zero_grad(self) -> None:
-        for t in self.trainables():
-            t.zero_grad()
+        self.grad.fill(-0.0)  # -0.0 + x is x, as in Tensor.zero_grad
 
     def copy(self) -> "ModelParameters":
         return replace(self, vector=self.vector.copy())
@@ -647,7 +649,7 @@ def _ranking_pairs(labels: Sequence[float]) -> list[tuple[int, int]]:
 
 
 def margin_rank_loss_t(scores: Tensor, labels: Sequence[float],
-                       margin: float = 1.0) -> Tensor:
+                       margin: float = DEFAULT_MARGIN) -> Tensor:
     """Mean hinge over ordered pairs; differentiable in ``scores``, as one
     tape node (a constant zero when no label beats another)."""
     k = scores.shape[1]

@@ -3,10 +3,10 @@
 Every value is a 2-D matrix (scalars are 1x1, vectors are 1xN). Primitives
 record their inputs and a local-gradient closure on the output tensor; a
 call to :func:`backward` linearizes the recorded applications in topological
-order and accumulates gradients into the ``grad`` field of every leaf that
-requires them. Gradients accumulate across repeated backward calls until
-reset via :meth:`Tensor.zero_grad`. A primitive records only when an input
-requires gradients, so a pass over frozen parameters builds no tape.
+order and adds gradients, in place, into the ``grad`` array of every leaf
+that requires them. Gradients accumulate across repeated backward calls
+until reset via :meth:`Tensor.zero_grad`. A primitive records only when an
+input requires gradients, so a pass over frozen parameters builds no tape.
 
 Summation is delegated to numpy, whose reduction order is fixed for a given
 shape, so identical inputs produce bit-identical outputs. On large graphs,
@@ -76,7 +76,9 @@ class Tensor:
         return float(self.values[0, 0])
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Fill ``grad`` with -0.0 (``-0.0 + x`` is ``x``), keeping the array."""
+        if self.grad is not None:
+            self.grad.fill(-0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -251,7 +253,7 @@ def _toposort(loss: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+    """Add the gradient of ``loss`` into ``grad`` on every requires_grad leaf it reaches.
 
     Repeated calls without :meth:`Tensor.zero_grad` accumulate.
     """
@@ -264,9 +266,9 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             # flow entries may alias each other (they are never written in
-            # place); a leaf's grad gets its own copy
+            # place); a leaf without a grad array gets its own copy
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                node.grad = g.copy() if node.grad is None else np.add(node.grad, g, out=node.grad)
             continue
         for parent, pg in zip(node._inputs, node._backward(g)):
             if not parent.requires_grad or pg is None:

@@ -7,10 +7,10 @@ strictly lower validation loss the learning rate drops by a factor of ten;
 training stops at the epoch cap or once a drop would land below the floor.
 The returned parameters are the snapshot with the best validation loss.
 
-Adam runs over the model's one flat parameter vector: a step concatenates
-the gradients in parameter order and updates every parameter with a few
-elementwise array operations. Each graph's model input is prepared once per
-call to :func:`train` and reused by every epoch.
+Adam runs over the model's one flat parameter vector: a step reads the
+gradient vector laid out beside it whole and updates every parameter with a
+few elementwise array operations. Each graph's model input is prepared once
+per call to :func:`train` and reused by every epoch.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from . import tensor as tz
 from .graphio import LabeledInstance, ordering_from_scores, read_config
 from .model import (
+    DEFAULT_MARGIN,
     LengthMismatch,
     ModelInput,
     ModelParameters,
@@ -333,7 +334,7 @@ class TrainConfig:
     plateau_patience: int = 3
     lr_decay_factor: float = 0.1
     min_lr: float = 1e-8
-    margin: float = 1.0
+    margin: float = DEFAULT_MARGIN
     seed: int = 0
 
 
@@ -405,25 +406,20 @@ ADAM_EPS = 1e-8
 
 
 class _AdamState:
-    """First/second moment estimates over ``params.vector``."""
+    """First/second moment estimates over ``params.vector``, from ``params.grad``."""
 
     def __init__(self, params: ModelParameters):
-        self.vector = params.vector
-        self.named = params.named()
+        self.vector, self.grad = params.vector, params.grad
         self.step_count = 0
         self.m = np.zeros_like(self.vector)
         self.v = np.zeros_like(self.vector)
         # Work arrays for every step: a fresh temporary of the vector's size
         # is mapped anew and page-faulted in, which costs more than the math.
-        self._grad = np.empty_like(self.vector)
+        self._square = np.empty_like(self.vector)
         self._work = np.empty_like(self.vector)
 
     def step(self, lr: float) -> None:
-        missing = [name for name, t in self.named if t.grad is None]
-        if missing:
-            raise ValueError(f"Adam step without a gradient for {', '.join(missing)}")
-        grad, work = self._grad, self._work
-        np.concatenate([t.grad.ravel() for _, t in self.named], out=grad)
+        grad, square, work = self.grad, self._square, self._work
         self.step_count += 1
         correct1 = 1.0 - ADAM_BETA1 ** self.step_count
         correct2 = 1.0 - ADAM_BETA2 ** self.step_count
@@ -433,15 +429,15 @@ class _AdamState:
         np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
         self.m += work
         self.v *= ADAM_BETA2
-        np.square(grad, out=grad)
-        grad *= 1.0 - ADAM_BETA2
-        self.v += grad
+        np.square(grad, out=square)
+        square *= 1.0 - ADAM_BETA2
+        self.v += square
         np.divide(self.m, correct1, out=work)
         work *= lr
-        np.divide(self.v, correct2, out=grad)
-        np.sqrt(grad, out=grad)
-        grad += ADAM_EPS
-        work /= grad
+        np.divide(self.v, correct2, out=square)
+        np.sqrt(square, out=square)
+        square += ADAM_EPS
+        work /= square
         self.vector -= work
 
 

@@ -653,8 +653,6 @@ class PerTensorAdam:
         correct1 = 1.0 - self.beta1 ** self.step_count
         correct2 = 1.0 - self.beta2 ** self.step_count
         for i, t in enumerate(self.tensors):
-            if t.grad is None:
-                continue
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * t.grad
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * t.grad ** 2
             t.values -= lr * (self.m[i] / correct1) / (
@@ -1855,8 +1853,8 @@ def expression_sources():
 
 # ---------------------------------------------------------------------------
 # Conveniences that only tests use: finite-difference gradient checks, the
-# float form of the ranking loss, node relabelling, edges of one ICFG tag,
-# and the vocabulary manifest text.
+# float form of the ranking loss, the model's parameters by name, node
+# relabelling, edges of one ICFG tag, and the vocabulary manifest text.
 
 
 class GradCheck(NamedTuple):
@@ -1908,6 +1906,11 @@ def margin_rank_loss(scores, labels, margin: float = 1.0) -> float:
     if len(scores) != len(labels) or len(scores) < 2:
         raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels (need >= 2)")
     return margin_rank_loss_t(tz.constant(list(scores)), labels, margin).item()
+
+
+def named(params):
+    """(name, trainable) pairs of ``params`` in the order of its layout."""
+    return [(name, t) for (name, *_), t in zip(params._layout(), params.trainables())]
 
 
 def permuted_graph(graph: ProgramGraph, perm) -> ProgramGraph:

@@ -770,7 +770,45 @@ def test_parser_entry_points_raise_nesting_too_deep():
     for entry in (parse_source, lambda text: parse(tokenize(text))):
         with pytest.raises(NestingTooDeep, match="^source nests too deeply to extract$"):
             entry(source)
-    assert graph_build.NestingTooDeep is NestingTooDeep
+
+
+def in_main(body):
+    return "int main() { int x; x = 0; " + body + " return x; }"
+
+
+NESTING_FORMS = {  # a program that nests d levels deep
+    "braced if": lambda d: in_main("if (x) { " * d + "x = 1;" + " }" * d),
+    "if": lambda d: in_main("if (x) " * d + "x = 1;"),
+    "else if": lambda d: in_main("if (x) x = 1; " + "else if (x) x = 2; " * d),
+    "while": lambda d: in_main("while (x) " * d + "x = 1;"),
+    "for": lambda d: in_main("for (x = 0; x < 1; x = x + 1) " * d + "x = 1;"),
+    "label": lambda d: in_main("".join(f"L{i}: " for i in range(d)) + "x = 1;"),
+    "case": lambda d: in_main("switch (x) { " + "".join(f"case {i}: " for i in range(d))
+                              + "x = 1; }"),
+    "braces": lambda d: in_main("{ " * d + "x = 1;" + " }" * d),
+    # the return edges look for the callee's last statement inside the braces
+    "braces ending a callee": lambda d: ("void f() { int x; " + "{ " * d + "x = 1;" + " }" * d
+                                         + " } int main() { f(); return 0; }"),
+}
+
+
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_the_deepest_program_the_parser_accepts_extracts(form):
+    # extract_graph does not guard the ICFG walk, which must never run out of
+    # stack where the parser did not. The bisection ends on the deepest
+    # program the parser accepts, and a RecursionError in any probe fails it
+    def extracts(depth):
+        try:
+            extract(NESTING_FORMS[form](depth))
+        except NestingTooDeep:
+            return False
+        return True
+
+    good, bad = 1, 2048
+    assert extracts(good) and not extracts(bad)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if extracts(mid) else (good, mid)
 
 
 COMPUTED_CALLEES = (

@@ -16,6 +16,7 @@ from helpers import (
     elementwise_mul,
     grad_check,
     margin_rank_loss,
+    named,
     permuted_graph,
     random_graph,
     random_permutation,
@@ -158,7 +159,7 @@ def scores_and_gradients(forward, graph, params, mix):
     params.zero_grad()
     scores = forward(graph, params)
     T.backward(sum_all(elementwise_mul(scores, mix)))
-    return scores.values, [t.grad for t in params.trainables()]
+    return scores.values, [t.grad.copy() for t in params.trainables()]  # the next call refills
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,7 +173,7 @@ def test_edge_list_attention_matches_dense_oracle(seed, n, layers, jk):
     got, got_grads = scores_and_gradients(forward_scores, graph, params, mix)
     want, want_grads = scores_and_gradients(dense_forward_scores, graph, params, mix)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    for name, a, b in zip([k for k, _ in params.named()], got_grads, want_grads):
+    for name, a, b in zip([k for k, _ in named(params)], got_grads, want_grads):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
 
@@ -638,20 +639,24 @@ def test_saved_container_header_and_block_layout_are_pinned(tmp_path, config, he
         offset += 4 + name_len + 8 + 8 * rows * cols
     assert got == blocks
     # the parameter vector holds each weight transposed, (in, out)
-    assert [(name, *t.shape) for name, t in params.named()] == [
+    assert [(name, *t.shape) for name, t in named(params)] == [
         (name, cols, rows) if name.split(".")[1].startswith("w") else (name, rows, cols)
         for name, rows, cols in blocks]
 
 
 def assert_backed_by_vector(params):
-    """Every trainable is a view into ``params.vector``, laid out in named() order."""
+    """Every trainable is a view into ``params.vector``, in layout order, and
+    its gradient the same view into ``params.grad``."""
     offset = 0
-    for name, t in params.named():
+    params.grad[:] = np.arange(params.grad.size)
+    for name, t in named(params):
         assert np.shares_memory(t.values, params.vector), name
         size = t.values.size
         assert np.array_equal(t.values.ravel(), params.vector[offset:offset + size]), name
+        assert np.shares_memory(t.grad, params.grad), name
+        assert np.array_equal(t.grad.ravel(), np.arange(offset, offset + size)), name
         offset += size
-    assert offset == params.vector.size
+    assert offset == params.vector.size == params.grad.size
     params.vector[:] = np.arange(params.vector.size)
     assert params.trainables()[0].values[0, 0] == 0.0
     assert params.trainables()[-1].values[0, -1] == params.vector.size - 1
@@ -682,19 +687,19 @@ def test_frozen_view_shares_the_vector_and_records_nothing():
 
 
 def assert_layers_bind_the_named_views(params):
-    """``named()`` gives the layout's names in order, each layer field is the
+    """``named`` gives the layout's names in order, each layer field is the
     view of that name, and the frozen view has the same layers over new
     tensors on the same arrays."""
     layout = _parameter_layout(params.config, params.vocab_size, len(params.portfolio))
     frozen = params.frozen
     for view in (params, frozen):
-        assert [name for name, _ in view.named()] == [name for name, *_ in layout]
-        views = dict(view.named())
+        assert [name for name, _ in named(view)] == [name for name, *_ in layout]
+        views = dict(named(view))
         for kind in ("gat", "pool", "head"):
             for i, layer in enumerate(getattr(view, kind)):
                 for name, t in layer._asdict().items():
                     assert t is views[f"{kind}{i}.{name}"]
-    for (_, a), (_, b) in zip(frozen.named(), params.named()):
+    for (_, a), (_, b) in zip(named(frozen), named(params)):
         assert a is not b and a.values is b.values and a.shape == b.shape
     for kind in ("gat", "pool", "head"):
         layers, originals = getattr(frozen, kind), getattr(params, kind)
@@ -715,11 +720,24 @@ def test_layers_bind_the_views_the_layout_names(config):
     assert_layers_bind_the_named_views(tiny_params(seed=6, **config))
 
 
+def test_zero_grad_on_one_trainable_keeps_its_view():
+    params = tiny_params(seed=2)
+    params.grad.fill(3.0)
+    t = params.trainables()[1]
+    view = t.grad
+    t.zero_grad()
+    assert t.grad is view and np.shares_memory(view, params.grad)
+    assert np.count_nonzero(params.grad == 3.0) == params.grad.size - view.size
+    params.zero_grad()
+    assert np.signbit(params.grad).all() and not params.grad.any()
+
+
 def test_copy_is_independent_of_the_original():
     params = tiny_params(seed=5)
     before = params.vector.copy()
     clone = params.copy()
     assert not np.shares_memory(clone.vector, params.vector)
+    assert not np.shares_memory(clone.grad, params.grad)
     clone.vector += 1.0
     clone.trainables()[0].values[0, 0] = 42.0
     assert np.array_equal(params.vector, before)
@@ -742,7 +760,7 @@ def test_load_reproduces_vector_bytes_from_out_in_file_blocks(tmp_path, layers, 
         offset += 4 + name_len + 8
         blocks[name] = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
         offset += 8 * rows * cols
-    for name, t in params.named():
+    for name, t in named(params):
         weight = name.split(".")[1].startswith("w")
         assert np.array_equal(blocks[name], t.values.T if weight else t.values), name
     assert load_model(path).vector.tobytes() == params.vector.tobytes()

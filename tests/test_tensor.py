@@ -143,6 +143,17 @@ def test_backward_accumulates_without_reset():
     np.testing.assert_allclose(x.grad, np.ones((1, 3)))
 
 
+def test_zero_grad_keeps_the_array_and_the_next_gradient_lands_bit_for_bit():
+    x = T.Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
+    signed_zeros = T.constant([[-0.0, 0.0, 5.0]])
+    T.backward(sum_all(elementwise_mul(x, signed_zeros)))  # the first gradient is a copy
+    held, first = x.grad, x.grad.tobytes()
+    x.zero_grad()
+    assert x.grad is held and np.signbit(held).all()
+    T.backward(sum_all(elementwise_mul(x, signed_zeros)))  # added into the -0.0s
+    assert x.grad is held and held.tobytes() == first
+
+
 def test_backward_reused_leaf_sums_paths():
     x = T.Tensor([[3.0]], requires_grad=True)
     T.backward(add(x, x))  # d/dx (x + x) = 2

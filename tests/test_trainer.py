@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import PerTensorAdam, reference_train
+from helpers import PerTensorAdam, named, reference_train
+from verisel import tensor as tz
 from verisel.explain import explain
 from verisel.graphio import (
     LabeledInstance,
@@ -16,7 +17,15 @@ from verisel.graphio import (
     _largest_remainder,
     ordering_from_scores,
 )
-from verisel.model import LengthMismatch, ModelConfig, init_parameters, predict, prepare_input
+from verisel.model import (
+    LengthMismatch,
+    ModelConfig,
+    forward_scores,
+    init_parameters,
+    margin_rank_loss_t,
+    predict,
+    prepare_input,
+)
 from verisel.trainer import (
     BadK,
     DegenerateRankingWarning,
@@ -371,7 +380,7 @@ def test_train_reproducible_per_seed():
     params_a, hist_a = train(data[:4], data[4:], small_model(), cfg)
     params_b, hist_b = train(data[:4], data[4:], small_model(), cfg)
     assert hist_a.epochs == hist_b.epochs
-    for (_, ta), (_, tb) in zip(params_a.named(), params_b.named()):
+    for (_, ta), (_, tb) in zip(named(params_a), named(params_b)):
         assert np.array_equal(ta.values, tb.values)
 
 
@@ -403,24 +412,39 @@ def test_flat_adam_equals_per_tensor_oracle():
     for step in range(50):
         lr = float(10.0 ** rng.uniform(-4, -1))
         for a, b in zip(flat.trainables(), oracle.trainables()):
-            a.grad = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
-            b.grad = a.grad.copy()
+            a.grad[...] = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
+            b.grad[...] = a.grad
         adam.step(lr)
         reference.step(lr)
-        for (name, a), b in zip(flat.named(), oracle.trainables()):
+        for (name, a), b in zip(named(flat), oracle.trainables()):
             assert np.array_equal(a.values, b.values), (step, name)
 
 
-def test_adam_step_without_a_gradient_raises():
-    params = small_model()
+def test_adam_step_leaves_a_zero_gradient_trainable_unchanged():
+    params, oracle = small_model(seed=9), small_model(seed=9)
+    adam, reference = _AdamState(params), PerTensorAdam(oracle.trainables())
+    params.zero_grad()
+    oracle.zero_grad()
+    for a, b in zip(params.trainables()[:-1], oracle.trainables()[:-1]):
+        a.grad[...] = b.grad[...] = 1.0
+    untouched = params.head[-1].b.values.copy()  # as if no loss reached it
+    adam.step(1e-3)
+    reference.step(1e-3)
+    assert params.head[-1].b.values.tobytes() == untouched.tobytes()
+    assert params.vector.tobytes() == oracle.vector.tobytes()
+
+
+def test_gradients_stay_views_into_the_flat_vector_through_a_training_step():
+    params = small_model(seed=3)
     adam = _AdamState(params)
-    for t in params.trainables():
-        t.grad = np.ones(t.shape)
-    params.head[-1].b.grad = None
-    before = params.vector.copy()
-    with pytest.raises(ValueError, match="head2.b"):
+    inst = training_data(1, seed=4)[0]
+    for _ in range(2):
+        params.zero_grad()
+        tz.backward(margin_rank_loss_t(forward_scores(inst.graph, params), inst.labels))
         adam.step(1e-3)
-    assert np.array_equal(params.vector, before)
+        assert all(np.shares_memory(t.grad, params.grad) for t in params.trainables())
+        assert adam.grad is params.grad
+    assert np.any(params.grad != 0.0)
 
 
 def test_train_equals_unprepared_per_tensor_reference_loop():
@@ -429,7 +453,7 @@ def test_train_equals_unprepared_per_tensor_reference_loop():
     params, history = train(data[:6], data[6:], small_model(seed=2), cfg)
     want, want_history = reference_train(data[:6], data[6:], small_model(seed=2), cfg)
     assert [(e.train_loss, e.val_loss, e.lr) for e in history.epochs] == want_history
-    for (name, a), b in zip(params.named(), want.trainables()):
+    for (name, a), b in zip(named(params), want.trainables()):
         assert np.array_equal(a.values, b.values), name
 
 
@@ -442,8 +466,7 @@ def test_train_equals_unprepared_per_tensor_reference_loop():
 def test_inference_leaves_the_callers_flags_and_grads(run):
     params = small_model(seed=6)
     params.trainables()[0].requires_grad = False  # frozen by the caller
-    for t in params.trainables()[1:]:
-        t.grad = np.full(t.shape, 7.0)
+    params.grad.fill(7.0)
     flags = [t.requires_grad for t in params.trainables()]
     grads = [t.grad for t in params.trainables()]
     before = params.vector.copy()
@@ -452,7 +475,7 @@ def test_inference_leaves_the_callers_flags_and_grads(run):
     run(params, inst)  # the second call reuses the view
     assert [t.requires_grad for t in params.trainables()] == flags
     assert all(t.grad is g for t, g in zip(params.trainables(), grads))
-    assert all((t.grad == 7.0).all() for t in params.trainables()[1:])
+    assert (params.grad == 7.0).all()
     assert np.array_equal(params.vector, before)
     assert not any(t.requires_grad for t in params.frozen.trainables())
 
