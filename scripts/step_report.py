@@ -5,9 +5,14 @@ Trains the README default model (2 GAT layers of width 32, jumping
 knowledge) on the 20 corpus graphs, one Adam step per graph as ``train``
 does, and prints the tensors one step puts on the autodiff tape, the median
 microseconds per forward, backward and Adam step, and the minor page faults
-per step. It then explains each corpus graph with the trained model and
-prints the tensors one explainer iteration puts on the tape, the median
-microseconds per iteration (the time of a longer ``explain`` call minus a
+per step. Then it takes training steps on one larger graph, the disjoint
+union of three copies of the corpus graphs (about 1.9k nodes), and prints
+the milliseconds and minor page faults per step there. The script first
+applies the CLI's allocator setting (``cli.pin_malloc_thresholds``), so
+both fault counts are the ones a ``verisel`` command sees. It then
+explains each corpus graph with the trained model and prints the tensors
+one explainer iteration puts on the tape, the median microseconds per
+iteration (the time of a longer ``explain`` call minus a
 one-iteration call, so the set-up is not counted) and the median
 microseconds of that one-iteration call, which holds the set-up that runs
 once per ``explain`` call. Last it prints the median
@@ -24,10 +29,12 @@ import tempfile
 import time
 from pathlib import Path
 
+from model_digest import disjoint_union
 from verisel import tensor as tz
+from verisel.cli import pin_malloc_thresholds
 from verisel.explain import explain
 from verisel.frontend import extract_graph
-from verisel.graphio import PropertyKind, TokenVocabulary
+from verisel.graphio import LabeledInstance, PropertyKind, TokenVocabulary
 from verisel.model import (
     ModelConfig,
     forward_scores,
@@ -49,6 +56,8 @@ LEARNING_RATE = 0.002
 EXPLAIN_ITERS = 20
 EXPLAIN_ROUNDS = 3
 PREDICT_ROUNDS = 3
+UNION_COPIES = 3
+UNION_STEPS = 20
 
 
 def minor_faults() -> int:
@@ -65,6 +74,33 @@ def tape_sizes():
         yield sizes
     finally:
         tz.backward = backward
+
+
+def train_step(inp, params, optimizer) -> tuple[tz.Tensor, tuple[float, float, float]]:
+    """One Adam step on one graph: the loss and the seconds of the forward
+    (with the loss), the backward and the Adam step."""
+    params.zero_grad()
+    t0 = time.perf_counter()
+    loss = margin_rank_loss_t(forward_scores(inp, params), LABELS)
+    t1 = time.perf_counter()
+    tz.backward(loss)
+    t2 = time.perf_counter()
+    optimizer.step(LEARNING_RATE)
+    t3 = time.perf_counter()
+    return loss, (t1 - t0, t2 - t1, t3 - t2)
+
+
+def union_steps(graphs, params, optimizer) -> tuple[int, float, float]:
+    """Nodes of the union of ``UNION_COPIES`` copies of ``graphs``, and the
+    median seconds and the minor page faults per training step on it, after
+    one untimed step."""
+    union = disjoint_union([LabeledInstance(g, list(LABELS)) for g in graphs] * UNION_COPIES,
+                           "union").graph
+    inp = prepare_input(union, params)
+    train_step(inp, params, optimizer)
+    start = minor_faults()
+    seconds = [sum(train_step(inp, params, optimizer)[1]) for _ in range(UNION_STEPS)]
+    return union.num_nodes, statistics.median(seconds), (minor_faults() - start) / UNION_STEPS
 
 
 def explain_iteration(params, graphs) -> tuple[int, float, float]:
@@ -109,6 +145,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.epochs < 2:
         parser.error("--epochs must be at least 2")
+    pinned = pin_malloc_thresholds()
 
     vocab = TokenVocabulary.default()
     params = init_parameters(CONFIG, vocab, PORTFOLIO, seed=0)
@@ -122,18 +159,11 @@ def main() -> int:
     for epoch in range(args.epochs):
         start_faults = minor_faults()
         for inp in inputs:
-            params.zero_grad()
-            t0 = time.perf_counter()
-            loss = margin_rank_loss_t(forward_scores(inp, params), LABELS)
-            t1 = time.perf_counter()
-            tz.backward(loss)
-            t2 = time.perf_counter()
-            optimizer.step(LEARNING_RATE)
-            t3 = time.perf_counter()
+            loss, times = train_step(inp, params, optimizer)
             if epoch == 0:  # warm-up pass
                 tape = len(tz._toposort(loss))
                 continue
-            for name, seconds in zip(phases, (t1 - t0, t2 - t1, t3 - t2)):
+            for name, seconds in zip(phases, times):
                 phases[name].append(seconds)
         if epoch:
             faults += minor_faults() - start_faults
@@ -144,6 +174,11 @@ def main() -> int:
     for name, seconds in phases.items():
         print(f"{name} us per step (median): {statistics.median(seconds) * 1e6:.0f}")
     print(f"minor page faults per step: {faults / steps:.1f}")
+    nodes, seconds, faults = union_steps(graphs, params, optimizer)
+    print(f"training step on a {nodes}-node union of {UNION_COPIES} copies of the corpus "
+          f"(malloc thresholds {'pinned' if pinned else 'not pinned'}): "
+          f"{seconds * 1e3:.1f} ms (median of {UNION_STEPS}), {faults:.1f} minor page faults "
+          f"per step")
     tape, seconds, single = explain_iteration(params, graphs)
     print(f"explainer iteration on {len(graphs)} corpus graphs, "
           f"{EXPLAIN_ROUNDS} x {EXPLAIN_ITERS} timed iterations each")

@@ -385,7 +385,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt (malloc.h): M_MMAP_THRESHOLD at the ceiling of glibc's own
+# dynamic threshold on 64-bit, and M_TRIM_THRESHOLD at twice that, as it pairs them
+_MALLOC_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "MALLOC_MMAP_MAX_")
+
+
+def _mallopt(param: int, value: int) -> int:
+    import ctypes  # numpy has imported it already
+    return ctypes.CDLL(None).mallopt(param, value)
+
+
+@functools.cache
+def pin_malloc_thresholds() -> bool:
+    """Keep freed model temporaries in the heap, rather than have glibc unmap
+    or trim them after each step and fault them in again on the next. Runs
+    once per process; does nothing off glibc or when the environment sets a
+    glibc malloc tunable. True if glibc took both thresholds."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    if (not glibc or any(name in os.environ for name in _MALLOC_ENV)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    return all(_mallopt(param, value) == 1 for param, value in _MALLOC_THRESHOLDS)
+
+
 def main(argv=None) -> int:
+    pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
