@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .explain import SETTINGS, UnknownEdgeSets, explain, to_dot, top_m_edges
+from .explain import SETTINGS, explain, to_dot, top_m_edges
 from .frontend import DEFAULT_MAX_NODES, FrontendError, check_max_nodes, extract_graph
 from .graphio import (
+    CONFIG_KEYS,
     CONFIG_SECTIONS,
     ConfigError,
     ProgramGraph,
@@ -278,13 +279,7 @@ def cmd_explain(args) -> int:
     graph = load_graph(args.graph)
     vocab = _load_vocab(args.vocab)
     settings = {k: v for k, v in vars(args).items() if k in SETTINGS}
-    try:
-        mask = explain(
-            params, graph, **settings,
-            edge_sets=tuple(args.edge_sets.split(",")) if args.edge_sets else None,
-        )
-    except UnknownEdgeSets as err:
-        raise UsageError(f"--edge-sets: {err}") from err
+    mask = explain(params, graph, **settings, edge_sets=args.edge_sets)
     report = top_m_edges(mask, graph, vocab)
     text = report.to_json()
     if args.out:
@@ -380,7 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
         check = functools.partial(config_value, name, key=SETTINGS[name])
         p.add_argument(f"--{name.replace('_', '-')}", type=_checked(check, parse),
                        default=argparse.SUPPRESS)
-    p.add_argument("--edge-sets", help="restrict masking, e.g. 'AST,ICFG'")
+    p.add_argument("--edge-sets", help="restrict masking, e.g. 'AST,ICFG'",
+                   type=_checked(functools.partial(config_value, "edge_sets",
+                                                   key=CONFIG_KEYS["model.edge_sets"]),
+                                 lambda text: text.split(",")))
     p.set_defaults(func=cmd_explain)
     return parser
 

@@ -6,7 +6,10 @@ the graph has an (i, i) edge; duplicates across edge sets multiply). Gradient
 descent minimizes the squared distance between the masked and original score
 vectors plus a size penalty (mean mask) and a binary-entropy penalty, so edges
 the prediction does not need drift toward zero while load-bearing edges stay
-high. Scores are sigmoids, hence always strictly inside (0, 1).
+high. Scores are sigmoids of finite logits, but a large step can round one
+to exactly 0 or 1, where the entropy penalty's log is undefined: an iteration
+whose keep scores leave (0, 1) raises :class:`MaskSaturated` before any log
+is taken. The scores returned after the last step are not checked.
 
 The mask runs over the parameters' frozen view (``params.frozen``), so the
 tape reaches the mask logits alone and the caller's values, flags and grads
@@ -33,6 +36,7 @@ import numpy as np
 
 from . import tensor as tz
 from .graphio import (
+    CONFIG_KEYS,
     EDGE_SET_NAMES,
     FINITE,
     ProgramGraph,
@@ -45,8 +49,8 @@ from .model import EmptyGraph, MaskScorer, ModelParameters, forward_scores, prep
 from .tensor import Tensor
 
 
-class UnknownEdgeSets(ValueError):
-    """Edge-set names other than those of ``graphio.EDGE_SET_NAMES``."""
+class MaskSaturated(Exception):
+    """A keep score rounded to exactly 0 or 1: the step size is too large."""
 
 
 # the rule of each of explain()'s optimisation settings, checked as a config
@@ -63,7 +67,7 @@ class MaskedEdge:
 
 @dataclass
 class EdgeMask:
-    """Per-edge keep scores in (0, 1) plus the optimization loss trace."""
+    """Per-edge keep scores (sigmoids of the final logits) plus the loss trace."""
 
     graph_id: str
     edges: list[MaskedEdge]
@@ -174,19 +178,18 @@ def explain(
     A setting that breaks its rule in ``SETTINGS`` raises
     :class:`graphio.ConfigError` before any work; the defaults are the CLI's.
     ``edge_sets`` restricts masking to a subset (default: every edge set the
-    model is configured to read); an unknown name raises
-    :class:`UnknownEdgeSets`. Deterministic for fixed inputs; ``seed`` only
-    matters when ``init_noise`` jitters the initial logits.
+    model is configured to read), by the rule of ``model.edge_sets``. An
+    iteration whose keep scores reach 0 or 1 raises :class:`MaskSaturated`.
+    Deterministic for fixed inputs; ``seed`` only matters when ``init_noise``
+    jitters the initial logits.
     """
     for name, value in zip(SETTINGS, (iters, lr, size_weight, entropy_weight)):
         config_value(name, value, SETTINGS[name])
+    if edge_sets is not None:
+        edge_sets = config_value("edge_sets", edge_sets, CONFIG_KEYS["model.edge_sets"])
     if graph.num_nodes == 0:
         raise EmptyGraph(f"graph {graph.id} has no nodes")
-    sets = tuple(edge_sets) if edge_sets is not None else params.config.edge_sets
-    unknown = sorted(set(sets) - set(EDGE_SET_NAMES))
-    if unknown:
-        raise UnknownEdgeSets(f"unknown edge sets: {', '.join(unknown)}")
-    edges = maskable_edges(graph, sets)
+    edges = maskable_edges(graph, params.config.edge_sets if edge_sets is None else edge_sets)
     if not edges:
         return EdgeMask(graph.id, [], [], [])
 
@@ -202,9 +205,12 @@ def explain(
     score = MaskScorer(inp, frozen)
 
     trace: list[float] = []
-    for _ in range(iters):
+    for it in range(1, iters + 1):
         logits.zero_grad()
         keep = tz.sigmoid(logits)
+        if not (0.0 < keep.values.min() and keep.values.max() < 1.0):
+            raise MaskSaturated(f"iteration {it}: a keep score reached 0 or 1; "
+                                f"lower lr (now {lr!r})")
         masked = score(inp.index.message_mask(keep, slots))
         loss = _objective(masked, target, _penalty(keep, size_weight, entropy_weight))
         tz.backward(loss)

@@ -455,10 +455,7 @@ LABELS_HEADER = ("program_id", "property", "verifier", "svcomp_score",
 def read_labels_csv(text: str) -> list[VerifierLabelRecord]:
     reader = csv.DictReader(io.StringIO(text))
     names = tuple(reader.fieldnames or ())
-    if names[: len(LABELS_HEADER)] != LABELS_HEADER or names not in (
-        LABELS_HEADER,
-        LABELS_HEADER + ("label",),
-    ):
+    if names not in (LABELS_HEADER, LABELS_HEADER + ("label",)):
         raise SchemaError(f"header: expected {','.join(LABELS_HEADER)}[,label]")
     records = []
     seen: set[tuple[str, PropertyKind, str]] = set()

@@ -413,32 +413,17 @@ class _AdamState:
         self.step_count = 0
         self.m = np.zeros_like(self.vector)
         self.v = np.zeros_like(self.vector)
-        # Work arrays for every step: a fresh temporary of the vector's size
-        # is mapped anew and page-faulted in, which costs more than the math.
-        self._square = np.empty_like(self.vector)
-        self._work = np.empty_like(self.vector)
 
     def step(self, lr: float) -> None:
-        grad, square, work = self.grad, self._square, self._work
+        m, v, g = self.m, self.v, self.grad
         self.step_count += 1
         correct1 = 1.0 - ADAM_BETA1 ** self.step_count
         correct2 = 1.0 - ADAM_BETA2 ** self.step_count
-        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g ** 2;
-        # vector -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
-        self.m *= ADAM_BETA1
-        np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
-        self.m += work
-        self.v *= ADAM_BETA2
-        np.square(grad, out=square)
-        square *= 1.0 - ADAM_BETA2
-        self.v += square
-        np.divide(self.m, correct1, out=work)
-        work *= lr
-        np.divide(self.v, correct2, out=square)
-        np.sqrt(square, out=square)
-        square += ADAM_EPS
-        work /= square
-        self.vector -= work
+        m *= ADAM_BETA1
+        m += g * (1.0 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v += np.square(g) * (1.0 - ADAM_BETA2)
+        self.vector -= (m / correct1) * lr / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def validation_loss(instances: Sequence[tuple[ModelInput, Sequence[float]]],

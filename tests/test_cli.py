@@ -784,14 +784,19 @@ def test_explain_writes_report_and_dot(tmp_path, extracted):
 
 
 def test_explain_unknown_edge_set_is_usage_error(tmp_path, extracted, capsys):
-    model = zero_model(tmp_path)
+    # checked at the flag by the rule of model.edge_sets, before any file is
+    # read: the model does not exist
     graph = sorted(extracted.glob("*.json"))[0]
     report_path = tmp_path / "report.json"
-    code = main(["explain", "--model", str(model), "--graph", str(graph),
-                 "-o", str(report_path), "--iters", "0", "--edge-sets", "DFX"])
-    assert code == 2
-    assert "unknown edge sets: DFX" in capsys.readouterr().err
-    assert not report_path.exists()
+    for value, shown in [("DFX", '["DFX"]'), ("AST,AST", '["AST", "AST"]'), ("", '[""]')]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explain", "--model", str(tmp_path / "missing.bin"), "--graph", str(graph),
+                  "-o", str(report_path), "--iters", "0", f"--edge-sets={value}"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "verisel explain: error: argument --edge-sets: edge_sets must be a list of "
+            f"distinct names from AST/ICFG/DFG, got {shown}")
+        assert not report_path.exists()
 
 
 def test_explain_without_value_flags_uses_the_library_defaults(tmp_path, extracted):

@@ -1,3 +1,5 @@
+import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,7 @@ from verisel import tensor as T
 from verisel.explain import (
     EdgeMask,
     MaskedEdge,
+    MaskSaturated,
     explain,
     maskable_edges,
     report_size,
@@ -134,10 +137,30 @@ def test_explain_restricted_edge_sets():
 
 
 def test_explain_rejects_unknown_edge_sets():
+    # the rule of model.edge_sets: a repeated name, and a bare string rather
+    # than a list of names, break it too
     params = fresh_params()
-    for sets in (("AST", "DFX"), ("DFX",), ("XYZ", "DFX", "DFG")):
-        with pytest.raises(ValueError, match="unknown edge sets: DFX"):
+    for sets, shown in [(("AST", "DFX"), '["AST", "DFX"]'), (("DFX",), '["DFX"]'),
+                        (("XYZ", "DFX", "DFG"), '["XYZ", "DFX", "DFG"]'),
+                        (("AST", "AST"), '["AST", "AST"]'), ("AST", '"AST"')]:
+        with pytest.raises(ConfigError) as excinfo:
             explain(params, simple_graph(), iters=0, edge_sets=sets)
+        assert str(excinfo.value) == \
+            f"edge_sets must be a list of distinct names from AST/ICFG/DFG, got {shown}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_explain_stops_at_the_first_saturated_iteration():
+    # a step this large rounds keep scores to exactly 0 or 1, where the entropy
+    # penalty's log is undefined: that iteration raises before numpy warns,
+    # and the iterations before it run as usual
+    params = fresh_params(seed=5)
+    with pytest.raises(MaskSaturated, match=r"lr \(now 10000000.0\)$") as excinfo:
+        explain(params, simple_graph(), iters=100, lr=1e7)
+    first = int(re.fullmatch(r"iteration (\d+): .*", str(excinfo.value)).group(1))
+    assert first > 1
+    mask = explain(params, simple_graph(), iters=first - 1, lr=1e7)
+    assert len(mask.trace) == first - 1 and all(map(math.isfinite, mask.trace))
 
 
 @pytest.mark.parametrize("setting, value, message", [
