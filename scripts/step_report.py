@@ -16,9 +16,12 @@ one explainer iteration puts on the tape, the median microseconds per
 iteration (the time of a longer ``explain`` call minus a
 one-iteration call, so the set-up is not counted) and the median
 microseconds of that one-iteration call, which holds the set-up that runs
-once per ``explain`` call. Last it prints the median
+once per ``explain`` call. Then it prints the median
 microseconds per ``predict``, on a freshly loaded model (the call that builds
-the model's frozen parameter view) and on the same model again. Run it as
+the model's frozen parameter view) and on the same model again. Last it
+prints the median microseconds per graph of one ``predict_many`` call over
+the corpus graphs, which packs them into unions of graphs, next to one
+``predict`` per graph. Run it as
 ``PYTHONPATH=src python scripts/step_report.py``.
 """
 
@@ -38,11 +41,13 @@ from verisel.frontend import extract_graph
 from verisel.graphio import LabeledInstance, PropertyKind, TokenVocabulary
 from verisel.model import (
     ModelConfig,
+    _batches,
     forward_scores,
     init_parameters,
     load_model,
     margin_rank_loss_t,
     predict,
+    predict_many,
     prepare_input,
     save_model,
 )
@@ -57,6 +62,7 @@ LEARNING_RATE = 0.002
 EXPLAIN_ITERS = 20
 EXPLAIN_ROUNDS = 3
 PREDICT_ROUNDS = 3
+BATCH_ROUNDS = 10
 UNION_COPIES = 3
 UNION_STEPS = 20
 
@@ -148,6 +154,23 @@ def predict_calls(params, graphs) -> tuple[float, float]:
     return statistics.median(first), statistics.median(again)
 
 
+def batched_predict(params, graphs) -> tuple[float, float]:
+    """Median seconds per graph of one ``predict_many`` call over ``graphs``
+    and of one ``predict`` per graph, on the same model."""
+    batched, single = [], []
+    predict_many(graphs, params)  # builds the frozen view
+    for _ in range(BATCH_ROUNDS):
+        t0 = time.perf_counter()
+        predict_many(graphs, params)
+        t1 = time.perf_counter()
+        for graph in graphs:
+            predict(graph, params)
+        t2 = time.perf_counter()
+        batched.append((t1 - t0) / len(graphs))
+        single.append((t2 - t1) / len(graphs))
+    return statistics.median(batched), statistics.median(single)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=20,
@@ -198,6 +221,10 @@ def main() -> int:
     first, again = predict_calls(params, graphs)
     print(f"us per predict on a freshly loaded model (median): {first * 1e6:.0f}")
     print(f"us per predict on a model already used (median): {again * 1e6:.0f}")
+    batched, single = batched_predict(params, graphs)
+    print(f"us per graph, predict_many over {len(graphs)} corpus graphs as "
+          f"{len(_batches(graphs))} union(s) (median of {BATCH_ROUNDS}): {batched * 1e6:.0f}; "
+          f"one predict per graph: {single * 1e6:.0f} ({single / batched:.2f}x)")
     return 0
 
 

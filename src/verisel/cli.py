@@ -45,6 +45,7 @@ from .model import (
     init_parameters,
     load_model,
     predict,
+    predict_many,
     save_model,
 )
 from .trainer import TrainConfig, evaluate_rankings, format_table, train
@@ -264,7 +265,7 @@ def cmd_evaluate(args) -> int:
     records = load_labels(args.labels)
     penalty = {k: v for k, v in vars(args).items() if k in ("time_limit", "penalty_weight")}
     instances = build_instances(graphs, records, params.portfolio, **penalty)
-    results = [predict(inst.graph, params) for inst in instances]
+    results = predict_many([inst.graph for inst in instances], params)
     report = evaluate_rankings(results, instances, ks)
     _emit(report.to_json() if args.json else report.to_text(), sys.stdout)
     return 0

@@ -29,7 +29,7 @@ the chain's.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ from .graphio import (
     TokenVocabulary,
     at_least,
     config_value,
-    ordering_from_scores,
 )
 from .model import EmptyGraph, MaskScorer, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
@@ -94,7 +93,7 @@ class ExplanationReport:
 
     def to_dict(self) -> dict:
         return {"graph_id": self.graph_id, "m": self.m,
-                "edges": [asdict(e) for e in self.entries]}
+                "edges": [dict(vars(e)) for e in self.entries]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -223,11 +222,13 @@ def explain(
 
 def top_m_edges(mask: EdgeMask, graph: ProgramGraph,
                 vocab: TokenVocabulary) -> ExplanationReport:
-    """The m highest-scoring edges (m from :func:`report_size`), best first."""
+    """The m highest-scoring edges (m from :func:`report_size`), best first;
+    ties go by ascending edge index, as in ``graphio.ordering_from_scores``."""
     n = len(mask.edges)
     m = min(report_size(n), n)
     entries = []
-    for rank, idx in enumerate(ordering_from_scores(mask.scores)[:m], start=1):
+    best = np.argsort(-np.asarray(mask.scores, dtype=np.float64), kind="stable")[:m]
+    for rank, idx in enumerate(best.tolist(), start=1):
         edge = mask.edges[idx]
         entries.append(ReportEntry(
             rank=rank,

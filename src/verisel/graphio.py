@@ -159,8 +159,9 @@ FINITE = ConfigKey("a number", _is_number, "finite", math.isfinite)
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "vocabulary": ConfigKey("a path or null", lambda v: v is None or type(v) is str,
                             default=None),
-    "portfolio": ConfigKey("a nonempty list of distinct names",
-                           lambda v: _list_of(str, v) and 0 < len(v) == len(set(v)),
+    # a ranking needs two verifiers: the loss and the metrics compare pairs
+    "portfolio": ConfigKey("a list of at least two distinct names",
+                           lambda v: _list_of(str, v) and 1 < len(v) == len(set(v)),
                            default=REQUIRED, load=tuple),
     "model.num_gat_layers": at_least(0)._replace(bound="in 0..5",
                                                  in_bound=lambda v: 0 <= v <= 5),

@@ -36,11 +36,19 @@ from verisel.frontend.parser import (
     _N,
     _Parser,
 )
-from verisel.graphio import EDGE_SET_NAMES, ProgramGraph, PropertyKind, SchemaError
+from verisel.graphio import (
+    EDGE_SET_NAMES,
+    ProgramGraph,
+    PropertyKind,
+    SchemaError,
+    ordering_from_scores,
+)
 from verisel.model import (
     LengthMismatch,
     ModelInput,
-    _encode_property,
+    RankingResult,
+    _encode_properties,
+    forward_scores,
     jumping_knowledge,
     margin_rank_loss_t,
     prepare_input,
@@ -467,7 +475,7 @@ def dense_forward_scores(graph, params, *, message_mask=None):
         ))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = tape_attention_pool(collected, params.pool, config.leaky_slope)
-    z = tz.concat_cols([graph_vec, _encode_property(graph.property, config)])
+    z = tz.concat_cols([graph_vec, _encode_properties([graph.property], config)])
     return tape_mlp(z, params.head, config.leaky_slope)
 
 
@@ -589,8 +597,17 @@ def tape_forward_scores(graph, params, *, prop=None, message_mask=None):
                                       slope=config.leaky_slope, message_mask=message_mask))
     collected = jumping_knowledge(outputs, config.jumping_knowledge)
     graph_vec = tape_attention_pool(collected, params.pool, config.leaky_slope)
-    prop_vec = _encode_property(prop or inp.graph.property, config)
+    prop_vec = _encode_properties([prop or inp.graphs[0].property], config)
     return tape_mlp(tz.concat_cols([graph_vec, prop_vec]), params.head, config.leaky_slope)
+
+
+def per_graph_predict(graphs, params, *, prop=None):
+    """``model.predict_many`` as the loop it replaced: one forward per graph."""
+    results = []
+    for graph in graphs:
+        scores = tuple(float(v) for v in forward_scores(graph, params.frozen, prop=prop).values[0])
+        results.append(RankingResult(graph.id, scores, ordering_from_scores(scores)))
+    return results
 
 
 def tape_explain(params, graph, *, iters=100, lr=0.01, size_weight=0.05,

@@ -333,14 +333,16 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"portfolio": "abc"}, "portfolio must be a nonempty list"),
+    pytest.param({"portfolio": "abc"}, "portfolio must be a list of at least two",
+                 id="portfolio=abc"),
     ({"split": {"ratios": "abc"}}, "split.ratios must be a list"),
     ({"model": {"edge_sets": "AST"}}, "edge_sets must be a list"),
     ({"model": {"pool_hidden": "8"}}, "pool_hidden must be a list"),
     ({"model": {"head_hidden": "8"}}, "head_hidden must be a list"),
     ({"model": {"head_hidden": [0]}},
      "model.head_hidden must be a list of integers >= 1, or null, got [0]"),
-    ({"portfolio": ["a", "a"]}, "portfolio must be a nonempty list"),
+    pytest.param({"portfolio": ["a", "a"]}, "portfolio must be a list of at least two",
+                 id="portfolio=a,a"),
     ({"split": {"ratios": [0.5, 0.5, "x"]}}, "split.ratios must be a list"),
     ({"penalty": {"time_limit": -1}}, "penalty.time_limit must be positive"),
     ({"model": {"leaky_slope": "x"}}, "leaky_slope must be a number"),
@@ -398,6 +400,9 @@ def test_train_env_override_changes_epochs(tmp_path, extracted, capsys, monkeypa
     ({"penalty": {"time_limit": "900"}}, 'penalty.time_limit must be a number, got "900"'),
     ({"penalty": {"penalty_weight": False}}, "penalty.penalty_weight must be a number, got false"),
     ({"penalty": {"penalty_weight": "1"}}, 'penalty.penalty_weight must be a number, got "1"'),
+    pytest.param({"portfolio": ["only"]},
+                 'portfolio must be a list of at least two distinct names, got ["only"]',
+                 id="portfolio=only"),
 ])
 def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides, message):
     config = run_config(tmp_path / "config.json", **overrides)
@@ -406,6 +411,38 @@ def test_train_config_with_a_bad_list_is_usage_error(tmp_path, capsys, overrides
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+def test_one_verifier_portfolio_is_refused_before_any_graph_is_read(
+        tmp_path, extracted, capsys, monkeypatch):
+    """A ranking compares verifiers in pairs: ``train`` refuses a one-name
+    portfolio at the config check, and a model file naming one does not load."""
+    ids = [p.stem for p in sorted(extracted.glob("*.json"))]
+    labels = labels_csv_for(ids, tmp_path / "labels.csv")
+    config = run_config(tmp_path / "config.json", portfolio=["only"])
+
+    def no_graph(path):
+        raise AssertionError(f"read {path}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("verisel.cli.load_graph", no_graph)
+        code = main(["train", "--config", str(config), "--graphs", str(extracted),
+                     "--labels", str(labels), "-o", str(tmp_path / "m.bin")])
+    assert code == 2
+    assert ('portfolio must be a list of at least two distinct names, got ["only"]'
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m.bin").exists()
+
+    model = tmp_path / "one.bin"
+    save_model(init_parameters(ModelConfig(gat_width=4, pool_hidden=(4,)), VOCAB,
+                               PORTFOLIO), model)
+    header, rest = model.read_bytes().split(b"\n", 1)
+    model.write_bytes(header.replace(b'["v0", "v1", "v2"]', b'["only"]') + b"\n" + rest)
+    code = main(["evaluate", "--model", str(model), "--graphs", str(extracted),
+                 "--labels", str(labels)])
+    assert code == 1
+    assert "error: ModelFormatError: bad header: portfolio must be a list of at least two" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("document, env, message", [

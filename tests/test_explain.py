@@ -367,6 +367,26 @@ def test_top_m_edges_ordering_and_clamp():
     assert top_m_edges(tiny, graph, VOCAB).m == 2  # clamped to edge count
 
 
+def test_report_order_goes_by_edge_index_when_scores_tie():
+    # a model that reads no edge set ignores the mask on every edge that is
+    # not a self-loop, so those keep scores take the same steps and the
+    # report lists the first m edges in order
+    params = fresh_params(seed=2, edge_sets=())
+    n = 30
+    chain = ProgramGraph("chain", PropertyKind.TERMINATION, [i % len(VOCAB) for i in range(n)], {
+        "AST": [(i, i + 1) for i in range(n - 1)],
+        "ICFG": [(i + 1, i) for i in range(n - 1)],
+        "DFG": [(i, i + 2) for i in range(n - 2)],
+    })
+    for graph in (simple_graph(), chain):
+        mask = explain(params, graph, iters=5, edge_sets=EDGE_SET_NAMES)
+        assert len(mask.edges) > report_size(len(mask.edges)) and len(set(mask.scores)) == 1
+        report = top_m_edges(mask, graph, VOCAB)
+        assert [(e.edge_set, e.src, e.dst) for e in report.entries] == [
+            (e.edge_set, e.src, e.dst) for e in mask.edges[:report.m]]
+        assert [e.rank for e in report.entries] == list(range(1, report.m + 1))
+
+
 def test_report_carries_kind_names():
     graph = simple_graph()
     edges = maskable_edges(graph, ("AST",))

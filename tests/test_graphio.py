@@ -370,7 +370,7 @@ def test_label_formula_needs_finite_parameters(time_limit, penalty_weight, messa
     # checked before any record is read, so precomputed labels do not hide it
     for rec in (record(), record(label=1.0)):
         with pytest.raises(ValueError, match=message):
-            build_instances([graph], [rec], ["v"], time_limit=time_limit,
+            build_instances([graph], [rec], ["v", "w"], time_limit=time_limit,
                             penalty_weight=penalty_weight)
     with pytest.raises(ValueError, match=message):
         compute_label(record(), time_limit, penalty_weight)
@@ -383,6 +383,7 @@ p1,ReachSafety,v2,0,900,unknown
 
 CSV_WITH_LABEL = """program_id,property,verifier,svcomp_score,cpu_seconds,outcome,label
 p1,Termination,v1,2,10,correct,1.75
+p1,Termination,v2,0,900,unknown,-0.5
 """
 
 
@@ -406,16 +407,16 @@ def test_precomputed_label_bypasses_formula():
     records = read_labels_csv(CSV_WITH_LABEL)
     graph = ProgramGraph("p1", PropertyKind.TERMINATION, [1],
                          {"AST": [], "ICFG": [], "DFG": []})
-    inst, = build_instances([graph], records, ["v1"])
-    assert inst.labels == [1.75]  # identity path, formula not applied
-    assert inst.successes == [True]
+    inst, = build_instances([graph], records, ["v1", "v2"])
+    assert inst.labels == [1.75, -0.5]  # identity path, formula not applied
+    assert inst.successes == [True, False]
 
 
 def test_build_instances_missing_record():
     graph = ProgramGraph("p9", PropertyKind.OVERFLOW, [1],
                          {"AST": [], "ICFG": [], "DFG": []})
     with pytest.raises(KeyError):
-        build_instances([graph], read_labels_csv(CSV_TEXT), ["v1"])
+        build_instances([graph], read_labels_csv(CSV_TEXT), ["v1", "v2"])
 
 
 def test_build_instances_rejects_a_repeated_verifier():

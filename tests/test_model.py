@@ -1,9 +1,11 @@
+import dataclasses
 import struct
 import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from helpers import (
     grad_check,
     margin_rank_loss,
     named,
+    per_graph_predict,
     permuted_graph,
     random_graph,
     random_permutation,
     sum_all,
 )
+import verisel.model
 from verisel import tensor as T
 from verisel.graphio import ProgramGraph, PropertyKind, TokenVocabulary
 from verisel.model import (
@@ -41,8 +45,10 @@ from verisel.model import (
     load_model,
     margin_rank_loss_t,
     predict,
+    predict_many,
     prepare_input,
     save_model,
+    union_input,
 )
 
 VOCAB8 = TokenVocabulary(("Unknown",) + tuple(f"K{i}" for i in range(1, 8)))
@@ -382,6 +388,119 @@ def test_threaded_predict_leaves_gradients_recorded():
         sys.setswitchinterval(interval)
 
 
+def test_threaded_predict_many_matches_one_thread():
+    rng = np.random.default_rng(41)
+    params = tiny_params(seed=7, num_gat_layers=2)
+    lists = [[random_graph(rng, vocab_size=len(VOCAB8), graph_id=f"g{i}.{j}")
+              for j in range(int(rng.integers(1, 9)))] for i in range(16)]
+    flags = [t.requires_grad for t in params.trainables()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(verisel.model, "BATCH_MAX_NODES", 20):
+            expected = [bit_pattern(predict_many(graphs, params)) for graphs in lists]
+            for _ in range(5):
+                shared = params.copy()  # its frozen view is built by the threads
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(lambda graphs: predict_many(graphs, shared), lists))
+                assert [bit_pattern(results) for results in got] == expected
+                assert [t.requires_grad for t in shared.trainables()] == flags
+        assert [t.requires_grad for t in params.trainables()] == flags
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def bit_pattern(results):
+    return [(r.graph_id, np.array(r.scores).tobytes(), r.ordering) for r in results]
+
+
+def sized_graph(rng, n, graph_id, prop=PropertyKind.REACH_SAFETY):
+    graph = awkward_graph(rng, n, vocab_size=len(VOCAB8))
+    return dataclasses.replace(graph, id=graph_id, property=prop)
+
+
+def assert_agrees_with_per_graph_loop(got, want):
+    assert [r.graph_id for r in got] == [r.graph_id for r in want]
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a.scores, b.scores, rtol=0, atol=1e-12)
+        place = {v: i for i, v in enumerate(a.ordering)}
+        for i, u in enumerate(b.ordering):
+            for v in b.ordering[i + 1:]:
+                if b.scores[u] - b.scores[v] > 1e-9:
+                    assert place[u] < place[v]
+
+
+PROPERTY_PARAMS = (tiny_params(seed=5, num_gat_layers=2),
+                   tiny_params(seed=6, num_gat_layers=0, property_encoding="onehot"),
+                   tiny_params(seed=8, num_gat_layers=1, jumping_knowledge=False,
+                               edge_sets=("ICFG",)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_predict_many_matches_the_per_graph_loop(data):
+    params = data.draw(st.sampled_from(PROPERTY_PARAMS))
+    budget = data.draw(st.integers(1, 40))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+    graphs = [random_graph(np.random.default_rng(seed), max_nodes=24,
+                           vocab_size=len(VOCAB8), graph_id=f"g{i}")
+              for i, seed in enumerate(seeds)]
+    prop = data.draw(st.none() | st.sampled_from(list(PropertyKind)))
+    with mock.patch.object(verisel.model, "BATCH_MAX_NODES", budget):
+        got = predict_many(graphs, params, prop=prop)
+    assert_agrees_with_per_graph_loop(got, per_graph_predict(graphs, params, prop=prop))
+
+
+def test_predict_many_straddles_the_budget():
+    rng = np.random.default_rng(43)
+    params = tiny_params(seed=9, num_gat_layers=2)
+    props = list(PropertyKind)
+    sizes = (600, 424, 1, 1100, 30, 1024, 7)
+    graphs = [sized_graph(rng, n, f"s{i}", props[i % len(props)]) for i, n in enumerate(sizes)]
+    batches = verisel.model._batches(graphs)
+    assert [[g.num_nodes for g in batch] for batch in batches] == [
+        [600, 424], [1], [1100], [30], [1024], [7]]
+    assert_agrees_with_per_graph_loop(predict_many(graphs, params),
+                                      per_graph_predict(graphs, params))
+
+
+def test_predict_is_predict_many_of_one_graph():
+    rng = np.random.default_rng(47)
+    params = tiny_params(seed=3, num_gat_layers=2)
+    for n in (1, 5, 300):
+        graph = sized_graph(rng, n, f"one{n}")
+        assert bit_pattern([predict(graph, params)]) == bit_pattern(
+            predict_many([graph], params)) == bit_pattern(per_graph_predict([graph], params))
+
+
+def test_forward_scores_of_a_union_gives_one_row_per_graph_and_records_nothing():
+    rng = np.random.default_rng(53)
+    params = tiny_params(seed=4, num_gat_layers=2)
+    graphs = [random_graph(rng, vocab_size=len(VOCAB8), graph_id=f"u{i}") for i in range(3)]
+    union = union_input(graphs, params)
+    assert union.bounds == tuple(np.cumsum([0] + [g.num_nodes for g in graphs]))
+    rows = forward_scores(union, params.frozen, prop=PropertyKind.OVERFLOW)
+    assert rows.shape == (3, len(PORTFOLIO)) and not rows.requires_grad
+    for graph, row in zip(graphs, rows.values):
+        one = forward_scores(graph, params.frozen, prop=PropertyKind.OVERFLOW).values[0]
+        np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
+    # pooling a union reads its rows as constants: a taped pass would lose gradients
+    with pytest.raises(ValueError, match="record nothing"):
+        forward_scores(union, params)
+
+
+def test_predict_many_names_the_graph_it_cannot_read():
+    params = tiny_params()
+    good = graph_of([1, 2], ast=[(0, 1)])
+    empty = dataclasses.replace(graph_of([]), id="empty-one")
+    alien = dataclasses.replace(graph_of([1, len(VOCAB8)]), id="alien-kinds")
+    with pytest.raises(EmptyGraph, match="graph empty-one has no nodes"):
+        predict_many([good, empty], params)
+    with pytest.raises(VocabMismatch, match="graph alien-kinds has kind indices"):
+        predict_many([good, alien, good], params)
+    assert predict_many([], params) == []
+
+
 def test_predict_vocab_mismatch():
     params = tiny_params()
     graph = graph_of([len(VOCAB8)])  # kind index out of range
@@ -539,7 +658,7 @@ def test_model_container_rejects_a_header_nested_too_deeply_to_decode(tmp_path):
 
 
 @pytest.mark.parametrize("portfolio", [b'"abc"', b"[]", b'["alpha", 2, "gamma"]', b"null",
-                                       b'["alpha", "alpha", "gamma"]'])
+                                       b'["alpha", "alpha", "gamma"]', b'["only"]'])
 def test_model_container_rejects_a_portfolio_that_is_not_a_list_of_names(
         tmp_path, portfolio):
     path = tmp_path / "model.bin"
