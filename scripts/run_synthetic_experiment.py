@@ -5,30 +5,31 @@ Generates graphs whose best verifier is decided by the presence of one
 loop-back control edge, trains on 30 of them, then reports success accuracy,
 mean Spearman correlation, and the top-K error curve for the trained model,
 the ideal static selectors, and a random selector on the held-out split.
+The dataset generator and the selectors live beside the tests, in
+``tests/planted.py``. Run it as
+``PYTHONPATH=src python scripts/run_synthetic_experiment.py``.
 """
 
 import argparse
 import sys
 import warnings
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from verisel.explain import explain, top_m_edges
-from verisel.model import init_parameters, predict
-from verisel.synthetic import (
+from planted import (  # noqa: E402
     PORTFOLIO,
+    baselines,
     experiment_config,
     instances_of,
     planted_dataset,
-    synthetic_vocabulary,
-)
-from verisel.trainer import (
-    TrainConfig,
-    baselines,
-    evaluate_rankings,
     random_orderings,
     results_from_orderings,
-    train,
+    synthetic_vocabulary,
 )
+from verisel.explain import explain, top_m_edges  # noqa: E402
+from verisel.model import init_parameters, predict  # noqa: E402
+from verisel.trainer import TrainConfig, evaluate_rankings, train  # noqa: E402
 
 
 def main() -> int:

@@ -59,7 +59,7 @@ def assemble_graph(
         for parent, node in enumerate(ast.nodes)
         for child in node.children
     )
-    graph = ProgramGraph(
+    return ProgramGraph(
         id=graph_id,
         property=property,
         node_kinds=node_kinds,
@@ -69,8 +69,6 @@ def assemble_graph(
             "DFG": dfg.edges,
         },
     )
-    graph.validate(vocab_size=len(vocab))
-    return graph
 
 
 def extract_graph(

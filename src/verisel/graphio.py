@@ -306,7 +306,7 @@ class ProgramGraph:
     def num_edges(self) -> int:
         return sum(len(v) for v in self.edge_sets.values())
 
-    def validate(self, vocab_size: int | None = None) -> None:
+    def validate(self) -> None:
         n = self.num_nodes
         for name in EDGE_SET_NAMES:
             if name not in self.edge_sets:
@@ -323,8 +323,8 @@ class ProgramGraph:
                     f"edges.{name}: edge endpoint out of range ({src}, {dst})"
                 )
         kinds = self.node_kinds
-        if kinds and (min(kinds) < 0 or (vocab_size is not None and max(kinds) >= vocab_size)):
-            idx = next(k for k in kinds if k < 0 or (vocab_size is not None and k >= vocab_size))
+        if kinds and min(kinds) < 0:
+            idx = next(k for k in kinds if k < 0)
             raise SchemaError(f"node_kinds: index {idx} out of range")
 
 

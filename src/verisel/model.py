@@ -64,9 +64,11 @@ from . import tensor as tz
 from .graphio import (
     EDGE_SET_NAMES,
     NUM_PROPERTIES,
+    ConfigKey,
     ProgramGraph,
     PropertyKind,
     TokenVocabulary,
+    at_least,
     config_value,
     ordering_from_scores,
     read_config,
@@ -793,6 +795,11 @@ def save_model(params: ModelParameters, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
+# TokenVocabulary.fingerprint: a sha256 hex digest
+_FINGERPRINT = ConfigKey("a string", lambda v: type(v) is str, "64 lowercase hex digits",
+                         lambda v: len(v) == 64 and set(v) <= set("0123456789abcdef"))
+
+
 def load_model(path: str | Path) -> ModelParameters:
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
@@ -810,8 +817,9 @@ def load_model(path: str | Path) -> ModelParameters:
     try:
         config = ModelConfig(**read_config({"model": header["config"]})["model"])
         portfolio = config_value("portfolio", header["portfolio"])
-        fingerprint = header["vocab_fingerprint"]
-        vocab_size = int(header["vocab_size"])
+        fingerprint = config_value("vocab_fingerprint", header["vocab_fingerprint"],
+                                   _FINGERPRINT)
+        vocab_size = config_value("vocab_size", header["vocab_size"], at_least(1))
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"bad header: {err}") from err
 

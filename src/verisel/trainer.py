@@ -1,4 +1,4 @@
-"""Training loop, ranking metrics, and static/random baselines.
+"""Training loop and ranking metrics.
 
 Training performs one gradient step per instance (no batching) on the
 pairwise margin ranking loss, using Adam-style moment estimates with the
@@ -39,10 +39,6 @@ from .model import (
 
 class EmptySplit(Exception):
     """Training needs nonempty train and validation sets."""
-
-
-class InvalidRanking(Exception):
-    """A rank vector is not a permutation of 1..k."""
 
 
 class NoEligibleInstances(Exception):
@@ -96,28 +92,9 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
-def ordinal_ranking(labels: Sequence[float]) -> list[int]:
-    """Permutation of 1..k: rank 1 = highest label, ties by lower index."""
-    ranks = [0] * len(labels)
-    for position, idx in enumerate(ordering_from_scores(labels)):
-        ranks[idx] = position + 1
-    return ranks
-
-
 def best_verifier(labels: Sequence[float]) -> int:
     """Index of the top label; ties go to the lowest index."""
     return ordering_from_scores(labels)[0]
-
-
-def borda_ordering(rankings: Sequence[Sequence[float]], num_verifiers: int) -> list[int]:
-    """Static ordering by descending Borda count (sum of k - rank)."""
-    counts = [0.0] * num_verifiers
-    for ranking in rankings:
-        if sorted(ranking) != list(range(1, num_verifiers + 1)):
-            raise InvalidRanking(f"not a permutation of 1..{num_verifiers}: {ranking}")
-        for verifier, rank in enumerate(ranking):
-            counts[verifier] += num_verifiers - rank
-    return list(ordering_from_scores(counts))
 
 
 def success_accuracy(
@@ -155,59 +132,6 @@ def topk_error(
         if target not in ordering[:k_select]
     )
     return misses / len(orderings)
-
-
-# ---------------------------------------------------------------------------
-# baselines
-
-
-@dataclass(frozen=True)
-class Baselines:
-    iss_success: int        # single verifier with the most correct outcomes
-    iss_rank: tuple[int, ...]    # Borda ordering of the training rankings
-    iss_topk: tuple[int, ...]    # verifiers by how often they were best
-
-
-def baselines(train_set: Sequence[LabeledInstance]) -> Baselines:
-    if not train_set:
-        raise EmptySplit("baselines need a nonempty training set")
-    k = len(train_set[0].labels)
-    success_counts = [0] * k
-    best_counts = [0] * k
-    rankings = []
-    for inst in train_set:
-        for v, ok in enumerate(inst.successes):
-            success_counts[v] += bool(ok)
-        best_counts[best_verifier(inst.labels)] += 1
-        rankings.append(ordinal_ranking(inst.labels))
-    return Baselines(
-        iss_success=ordering_from_scores(success_counts)[0],
-        iss_rank=tuple(borda_ordering(rankings, k)),
-        iss_topk=ordering_from_scores(best_counts),
-    )
-
-
-def random_orderings(num_instances: int, k: int, seed: int) -> list[list[int]]:
-    """Reproducible uniform orderings, one per instance."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(num_instances):
-        ordering = list(range(k))
-        rng.shuffle(ordering)
-        out.append(ordering)
-    return out
-
-
-def results_from_orderings(orderings: Sequence[Sequence[int]],
-                           instances: Sequence[LabeledInstance]) -> list[RankingResult]:
-    out = []
-    for ordering, inst in zip(orderings, instances):
-        k = len(ordering)
-        scores = [0.0] * k
-        for position, verifier in enumerate(ordering):
-            scores[verifier] = float(k - position)
-        out.append(RankingResult(inst.graph.id, tuple(scores), tuple(ordering)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ from dataclasses import dataclass, field
 import pytest
 from hypothesis import settings
 
-from verisel.graphio import LabeledInstance
-from verisel.model import ModelParameters, init_parameters
-from verisel.synthetic import (
+from planted import (
     PORTFOLIO,
     PlantedGraph,
     experiment_config,
@@ -14,6 +12,8 @@ from verisel.synthetic import (
     planted_dataset,
     synthetic_vocabulary,
 )
+from verisel.graphio import LabeledInstance
+from verisel.model import ModelParameters, init_parameters
 from verisel.trainer import TrainConfig, TrainHistory, train
 
 # CI runs the property tests on a fixed example sequence so a run cannot flake;

@@ -1,4 +1,7 @@
-"""Synthetic planted-signal datasets for desk-scale experiments.
+"""Planted-signal datasets and the static and random selectors they are
+compared with: evaluation tooling the tests and
+``scripts/run_synthetic_experiment.py`` share, kept out of ``src/`` because
+no command runs it.
 
 Every generated graph has one "source marker" node (kind 3) placed after one
 "target marker" node (kind 2) in a forward ICFG chain. Positive graphs carry
@@ -16,12 +19,21 @@ middle choice. A verifier "succeeds" when its label is positive.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .graphio import LabeledInstance, ProgramGraph, PropertyKind, TokenVocabulary
-from .model import ModelConfig
+from verisel.graphio import (
+    LabeledInstance,
+    ProgramGraph,
+    PropertyKind,
+    TokenVocabulary,
+    ordering_from_scores,
+)
+from verisel.model import ModelConfig, RankingResult
+from verisel.trainer import EmptySplit, best_verifier
 
 SYNTHETIC_KINDS = ("Unknown",) + tuple(f"K{i}" for i in range(1, 10))
 TARGET_KIND = 2
@@ -103,3 +115,79 @@ def instances_of(dataset: list[PlantedGraph]) -> list[LabeledInstance]:
 def experiment_config() -> ModelConfig:
     """Architecture sized for the planted-signal experiments."""
     return ModelConfig(num_gat_layers=1, gat_width=16, pool_hidden=(16, 8))
+
+
+# ---------------------------------------------------------------------------
+# static and random selectors
+
+
+class InvalidRanking(Exception):
+    """A rank vector is not a permutation of 1..k."""
+
+
+def ordinal_ranking(labels: Sequence[float]) -> list[int]:
+    """Permutation of 1..k: rank 1 = highest label, ties by lower index."""
+    ranks = [0] * len(labels)
+    for position, idx in enumerate(ordering_from_scores(labels)):
+        ranks[idx] = position + 1
+    return ranks
+
+
+def borda_ordering(rankings: Sequence[Sequence[float]], num_verifiers: int) -> list[int]:
+    """Static ordering by descending Borda count (sum of k - rank)."""
+    counts = [0.0] * num_verifiers
+    for ranking in rankings:
+        if sorted(ranking) != list(range(1, num_verifiers + 1)):
+            raise InvalidRanking(f"not a permutation of 1..{num_verifiers}: {ranking}")
+        for verifier, rank in enumerate(ranking):
+            counts[verifier] += num_verifiers - rank
+    return list(ordering_from_scores(counts))
+
+
+@dataclass(frozen=True)
+class Baselines:
+    iss_success: int        # single verifier with the most correct outcomes
+    iss_rank: tuple[int, ...]    # Borda ordering of the training rankings
+    iss_topk: tuple[int, ...]    # verifiers by how often they were best
+
+
+def baselines(train_set: Sequence[LabeledInstance]) -> Baselines:
+    if not train_set:
+        raise EmptySplit("baselines need a nonempty training set")
+    k = len(train_set[0].labels)
+    success_counts = [0] * k
+    best_counts = [0] * k
+    rankings = []
+    for inst in train_set:
+        for v, ok in enumerate(inst.successes):
+            success_counts[v] += bool(ok)
+        best_counts[best_verifier(inst.labels)] += 1
+        rankings.append(ordinal_ranking(inst.labels))
+    return Baselines(
+        iss_success=ordering_from_scores(success_counts)[0],
+        iss_rank=tuple(borda_ordering(rankings, k)),
+        iss_topk=ordering_from_scores(best_counts),
+    )
+
+
+def random_orderings(num_instances: int, k: int, seed: int) -> list[list[int]]:
+    """Reproducible uniform orderings, one per instance."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(num_instances):
+        ordering = list(range(k))
+        rng.shuffle(ordering)
+        out.append(ordering)
+    return out
+
+
+def results_from_orderings(orderings: Sequence[Sequence[int]],
+                           instances: Sequence[LabeledInstance]) -> list[RankingResult]:
+    out = []
+    for ordering, inst in zip(orderings, instances):
+        k = len(ordering)
+        scores = [0.0] * k
+        for position, verifier in enumerate(ordering):
+            scores[verifier] = float(k - position)
+        out.append(RankingResult(inst.graph.id, tuple(scores), tuple(ordering)))
+    return out

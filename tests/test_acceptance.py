@@ -21,6 +21,7 @@ from helpers import (
     random_permutation,
     sum_all,
 )
+from planted import PORTFOLIO, random_orderings, results_from_orderings, synthetic_vocabulary
 from verisel import tensor as T
 from verisel.explain import explain, report_size, top_m_edges
 from verisel.frontend import build_icfg, parse_source, reaching_definitions
@@ -39,12 +40,9 @@ from verisel.model import (
     predict,
     save_model,
 )
-from verisel.synthetic import PORTFOLIO, synthetic_vocabulary
 from verisel.trainer import (
     PlateauSchedule,
     evaluate_rankings,
-    random_orderings,
-    results_from_orderings,
     spearman,
     topk_error,
 )
@@ -108,7 +106,7 @@ def _mean_spearman(order, rankings, k):
 
 
 def test_criterion_2_borda_optimality():
-    from verisel.trainer import borda_ordering
+    from planted import borda_ordering
 
     started = time.perf_counter()
     rng = np.random.default_rng(2)
@@ -309,7 +307,7 @@ def test_criterion_8_explainer_faithfulness(synthetic_run):
     for n in range(1, 1001):
         assert report_size(n) == (5 if n < 50 else n // 10)
 
-    from verisel.synthetic import planted_graph
+    from planted import planted_graph
 
     vocab = synthetic_vocabulary()
     rng = np.random.default_rng(88)

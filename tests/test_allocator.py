@@ -74,18 +74,21 @@ class Libc:
         calls.append([param, value])
         return 1
 ctypes.CDLL = Libc
-import verisel, verisel.cli, verisel.explain, verisel.frontend, verisel.graphio
-import verisel.model, verisel.synthetic, verisel.tensor, verisel.trainer
+import importlib, pkgutil, verisel
+modules = [info.name for info in pkgutil.walk_packages(verisel.__path__, "verisel.")]
+for name in modules:
+    importlib.import_module(name)
 on_import = list(calls)
 verisel.cli.pin_malloc_thresholds()
-print(json.dumps([on_import, calls]))
+print(json.dumps([modules, on_import, calls]))
 """
     env = {name: value for name, value in os.environ.items()
            if name not in (*cli._MALLOC_ENV, "GLIBC_TUNABLES")}
     env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), *sys.path])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    on_import, after_call = json.loads(out)
+    modules, on_import, after_call = json.loads(out)
+    assert {"verisel.cli", "verisel.frontend.parser", "verisel.trainer"} <= set(modules)
     assert on_import == []
     assert after_call == ([list(call) for call in PINNED] if GLIBC else [])
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import verisel.explain
 import verisel.model
 from helpers import awkward_graph, dense_forward_scores, exp, log, scatter, sum_all
+from planted import PORTFOLIO, planted_graph, synthetic_vocabulary
 from verisel import tensor as T
 from verisel.explain import (
     EdgeMask,
@@ -32,7 +33,6 @@ from verisel.model import (
     init_parameters,
     predict,
 )
-from verisel.synthetic import PORTFOLIO, planted_graph, synthetic_vocabulary
 
 VOCAB = synthetic_vocabulary()
 

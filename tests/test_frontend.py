@@ -972,6 +972,16 @@ def test_corpus_wide_structural_invariants():
         ast = parse_source(source)
         graph, _ = extract(source, graph_id=path.stem)
         assert len(graph.edge_sets["AST"]) == graph.num_nodes - 1
-        graph.validate(vocab_size=len(VOCAB))
+        graph.validate()
+        assert max(graph.node_kinds) < len(VOCAB), path.name
         # every AST kind the corpus produces is in the shipped vocabulary
         assert all(k > 0 for k in graph.node_kinds), path.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(c_programs())
+def test_extracted_graphs_are_valid_on_generated_programs(program):
+    # assemble_graph does not validate what it builds; serialize_graph does
+    graph, _ = extract(program.source)
+    graph.validate()
+    assert 0 <= min(graph.node_kinds) and max(graph.node_kinds) < len(VOCAB)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 import struct
 import sys
 import tempfile
@@ -699,6 +701,38 @@ def test_model_container_rejects_a_config_with_a_bad_list(tmp_path, field, value
     assert doctored != header
     path.write_bytes(doctored + b"\n" + rest)
     with pytest.raises(ModelFormatError, match=f"bad header: {message}"):
+        load_model(path)
+
+
+VOCAB_HEADER_CASES = [
+    ("vocab_size", 8.5, "vocab_size must be an integer, got 8.5"),
+    ("vocab_size", 8.0, "vocab_size must be an integer, got 8.0"),
+    ("vocab_size", "8", 'vocab_size must be an integer, got "8"'),
+    ("vocab_size", True, "vocab_size must be an integer, got true"),
+    ("vocab_size", None, "vocab_size must be an integer, got null"),
+    ("vocab_size", 0, "vocab_size must be >= 1, got 0"),
+    ("vocab_fingerprint", 5, "vocab_fingerprint must be a string, got 5"),
+    ("vocab_fingerprint", None, "vocab_fingerprint must be a string, got null"),
+    ("vocab_fingerprint", VOCAB8.fingerprint().upper(),
+     "vocab_fingerprint must be 64 lowercase hex digits"),
+    ("vocab_fingerprint", VOCAB8.fingerprint()[:-1],
+     "vocab_fingerprint must be 64 lowercase hex digits"),
+    ("vocab_fingerprint", "g" * 64, "vocab_fingerprint must be 64 lowercase hex digits"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", VOCAB_HEADER_CASES,
+                         ids=[f"{key}={json.dumps(value)[:12]}"
+                              for key, value, _ in VOCAB_HEADER_CASES])
+def test_model_container_reads_only_vocabulary_fields_it_could_have_written(
+        tmp_path, key, value, message):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields[key] = value
+    path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + rest)
+    with pytest.raises(ModelFormatError, match=re.escape(f"bad header: {message}")):
         load_model(path)
 
 

@@ -7,6 +7,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import PerTensorAdam, named, reference_train
+from planted import (
+    InvalidRanking,
+    baselines,
+    borda_ordering,
+    ordinal_ranking,
+    random_orderings,
+    results_from_orderings,
+)
 from verisel import tensor as tz
 from verisel.explain import explain
 from verisel.graphio import (
@@ -30,18 +38,12 @@ from verisel.trainer import (
     BadK,
     DegenerateRankingWarning,
     EmptySplit,
-    InvalidRanking,
     NoEligibleInstances,
     PlateauSchedule,
     TrainConfig,
     _AdamState,
-    baselines,
     best_verifier,
-    borda_ordering,
     evaluate_rankings,
-    ordinal_ranking,
-    random_orderings,
-    results_from_orderings,
     spearman,
     success_accuracy,
     topk_error,
