@@ -44,7 +44,7 @@ from .graphio import (
     at_least,
     config_value,
 )
-from .model import EmptyGraph, MaskScorer, ModelParameters, forward_scores, prepare_input
+from .model import MaskScorer, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
 
@@ -186,14 +186,12 @@ def explain(
         config_value(name, value, SETTINGS[name])
     if edge_sets is not None:
         edge_sets = config_value("edge_sets", edge_sets, CONFIG_KEYS["model.edge_sets"])
-    if graph.num_nodes == 0:
-        raise EmptyGraph(f"graph {graph.id} has no nodes")
+    frozen = params.frozen
+    inp = prepare_input(graph, frozen)
     edges = maskable_edges(graph, params.config.edge_sets if edge_sets is None else edge_sets)
     if not edges:
         return EdgeMask(graph.id, [], [], [])
 
-    frozen = params.frozen
-    inp = prepare_input(graph, frozen)
     target = forward_scores(inp, frozen).values
 
     init = np.zeros((1, len(edges)))

@@ -338,7 +338,7 @@ def serialize_graph(graph: ProgramGraph) -> str:
     graph.validate()
     sets = []
     for name in sorted(EDGE_SET_NAMES):
-        pairs = sorted(graph.edge_sets.get(name, []))
+        pairs = sorted(graph.edge_sets[name])
         rows = ",\n".join([f"   [\n    {s},\n    {d}\n   ]" for s, d in pairs])
         sets.append(f'  "{name}": ' + (f"[\n{rows}\n  ]" if pairs else "[]"))
     kinds = ",\n".join([f"  {k}" for k in graph.node_kinds])

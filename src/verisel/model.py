@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,6 +225,17 @@ def _parameter_layout(config: ModelConfig, vocab_size: int, portfolio_size: int
     return layout
 
 
+def _from_blocks(config: ModelConfig, portfolio: tuple[str, ...], vocab_fingerprint: str,
+                 vocab_size: int, block: Callable[..., np.ndarray]) -> ModelParameters:
+    """Parameters from the blocks ``block(name, file shape, fan-in)`` gives in layout order."""
+    parts = []
+    for name, shape, fan_in, transposed in _parameter_layout(config, vocab_size, len(portfolio)):
+        values = block(name, shape, fan_in)
+        parts.append((values.T if transposed else values).ravel())
+    return ModelParameters(config, portfolio, vocab_fingerprint, vocab_size,
+                           np.concatenate(parts).astype(np.float64, copy=False))
+
+
 @dataclass(frozen=True)
 class RankingResult:
     """Per-verifier scores and the induced ordering for one instance."""
@@ -245,18 +256,12 @@ def init_parameters(
     config = ModelConfig(**read_config({"model": asdict(config)})["model"])
     portfolio = config_value("portfolio", portfolio)
     rng = np.random.default_rng(seed)
-    parts = []
-    for _, shape, fan_in, transposed in _parameter_layout(config, len(vocab), len(portfolio)):
+
+    def draw(name: str, shape: tuple[int, int], fan_in: int) -> np.ndarray:
         bound = 1.0 / np.sqrt(fan_in)
-        block = rng.uniform(-bound, bound, size=shape)
-        parts.append((block.T if transposed else block).ravel())
-    return ModelParameters(
-        config=config,
-        portfolio=portfolio,
-        vocab_fingerprint=vocab.fingerprint(),
-        vocab_size=len(vocab),
-        vector=np.concatenate(parts),
-    )
+        return rng.uniform(-bound, bound, size=shape)
+
+    return _from_blocks(config, portfolio, vocab.fingerprint(), len(vocab), draw)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,7 @@ class EdgeIndex:
     def __init__(self, num_nodes: int, pairs: np.ndarray):
         self.num_nodes = num_nodes
         loops = np.arange(num_nodes, dtype=np.intp) * (num_nodes + 1)
+        # not np.unique: numpy 2.4 finds these keys by hashing, 3-16x slower
         keys = np.sort(np.concatenate([loops, self._keys(pairs)]))
         self.keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         dst, src = np.divmod(self.keys, num_nodes)
@@ -842,21 +848,16 @@ def load_model(path: str | Path) -> ModelParameters:
             raise ModelFormatError(f"duplicate parameter block: {name}")
         blocks[name] = values.reshape(rows, cols)
 
-    parts = []
-    for name, shape, _, transposed in _parameter_layout(config, vocab_size, len(portfolio)):
+    def take(name: str, shape: tuple[int, int], _: int) -> np.ndarray:
         if name not in blocks:
             raise ModelFormatError(f"missing parameter block: {name}")
         block = blocks.pop(name)
         if block.shape != shape:
             raise ModelFormatError(
                 f"parameter block {name}: shape {block.shape}, config needs {shape}")
-        parts.append((block.T if transposed else block).ravel())
+        return block
+
+    params = _from_blocks(config, portfolio, fingerprint, vocab_size, take)
     if blocks:
         raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
-    return ModelParameters(
-        config=config,
-        portfolio=portfolio,
-        vocab_fingerprint=fingerprint,
-        vocab_size=vocab_size,
-        vector=np.concatenate(parts).astype(np.float64, copy=False),
-    )
+    return params

@@ -16,6 +16,7 @@ per call to :func:`train` and reused by every epoch.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -74,10 +75,10 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Rank correlation via the squared rank-difference formula.
+    """Spearman's rho: the Pearson correlation of the average ranks.
 
-    Ties get average ranks. A constant input has no defined correlation;
-    the sentinel 0.0 is returned and a DegenerateRankingWarning emitted.
+    Tied values share the mean of their ranks. A constant input has no
+    defined correlation; 0.0 is returned and a DegenerateRankingWarning emitted.
     """
     if len(x) != len(y) or len(x) < 2:
         raise LengthMismatch(f"{len(x)} vs {len(y)} values (need equal, >= 2)")
@@ -85,11 +86,11 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         warnings.warn("constant vector in rank correlation",
                       DegenerateRankingWarning, stacklevel=2)
         return 0.0
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    n = len(x)
-    d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
-    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
+    mean = (len(x) + 1) / 2.0  # n average ranks sum to n(n + 1) / 2
+    dx = [r - mean for r in _average_ranks(x)]
+    dy = [r - mean for r in _average_ranks(y)]
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    return sxy / math.sqrt(sum(a * a for a in dx) * sum(b * b for b in dy))
 
 
 def best_verifier(labels: Sequence[float]) -> int:
@@ -183,7 +184,7 @@ class EvalReport:
             success = "n/a" if block.success_accuracy is None else f"{block.success_accuracy:.3f}"
             row = [name, str(block.num_instances), success,
                    f"{block.spearman_mean:.3f}"]
-            row += [f"{block.topk_error.get(k, float('nan')):.3f}" for k in ks]
+            row += [f"{block.topk_error[k]:.3f}" for k in ks]
             rows.append(row)
         return format_table(rows)
 
@@ -265,7 +266,6 @@ class TrainConfig:
 @dataclass
 class EpochDecision:
     improved: bool
-    lr: float        # learning rate for the *next* epoch
     decayed: bool
     stop: bool       # a decay fell below the floor
 
@@ -286,16 +286,16 @@ class PlateauSchedule:
         if val_loss < self.best:
             self.best = val_loss
             self.bad_epochs = 0
-            return EpochDecision(improved=True, lr=self.lr, decayed=False, stop=False)
+            return EpochDecision(improved=True, decayed=False, stop=False)
         self.bad_epochs += 1
         if self.bad_epochs < self.patience:
-            return EpochDecision(improved=False, lr=self.lr, decayed=False, stop=False)
+            return EpochDecision(improved=False, decayed=False, stop=False)
         self.bad_epochs = 0
         lowered = self.lr * self.factor
         if lowered < self.min_lr:
-            return EpochDecision(improved=False, lr=self.lr, decayed=False, stop=True)
+            return EpochDecision(improved=False, decayed=False, stop=True)
         self.lr = lowered
-        return EpochDecision(improved=False, lr=self.lr, decayed=True, stop=False)
+        return EpochDecision(improved=False, decayed=True, stop=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Planted-signal datasets and the static and random selectors they are
 compared with: evaluation tooling the tests and
 ``scripts/run_synthetic_experiment.py`` share, kept out of ``src/`` because
-no command runs it.
+no command runs it. The tests' Pearson-of-ranks oracle for
+``trainer.spearman`` lives here too.
 
 Every generated graph has one "source marker" node (kind 3) placed after one
 "target marker" node (kind 2) in a forward ICFG chain. Positive graphs carry
@@ -33,7 +34,7 @@ from verisel.graphio import (
     ordering_from_scores,
 )
 from verisel.model import ModelConfig, RankingResult
-from verisel.trainer import EmptySplit, best_verifier
+from verisel.trainer import EmptySplit, best_verifier, spearman
 
 SYNTHETIC_KINDS = ("Unknown",) + tuple(f"K{i}" for i in range(1, 10))
 TARGET_KIND = 2
@@ -118,7 +119,7 @@ def experiment_config() -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# static and random selectors
+# static and random selectors, and the rank-correlation oracle
 
 
 class InvalidRanking(Exception):
@@ -142,6 +143,31 @@ def borda_ordering(rankings: Sequence[Sequence[float]], num_verifiers: int) -> l
         for verifier, rank in enumerate(ranking):
             counts[verifier] += num_verifiers - rank
     return list(ordering_from_scores(counts))
+
+
+def average_ranks(values: Sequence[float]) -> list[float]:
+    """Rank 1 for the largest value; tied values share the mean of the ranks
+    they span: one plus the count of larger values, plus half the count of
+    the other equal values."""
+    return [1.0 + sum(w > v for w in values) + (sum(w == v for w in values) - 1) / 2.0
+            for v in values]
+
+
+def pearson(a: Sequence[float], b: Sequence[float]) -> float:
+    a = np.asarray(a, dtype=float) - np.mean(a)
+    b = np.asarray(b, dtype=float) - np.mean(b)
+    return float((a * b).sum() / np.sqrt((a * a).sum() * (b * b).sum()))
+
+
+def mean_spearman(order: Sequence[int], rankings: Sequence[Sequence[int]], k: int) -> float:
+    """Mean rank correlation of a static ``order`` with each 1..k ranking."""
+    scores = [0.0] * k
+    for pos, v in enumerate(order):
+        scores[v] = float(k - pos)
+    total = 0.0
+    for ranking in rankings:
+        total += spearman([float(k - r) for r in ranking], scores)
+    return total / len(rankings)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,15 @@ from helpers import (
     random_permutation,
     sum_all,
 )
-from planted import PORTFOLIO, random_orderings, results_from_orderings, synthetic_vocabulary
+from planted import (
+    PORTFOLIO,
+    average_ranks,
+    mean_spearman,
+    pearson,
+    random_orderings,
+    results_from_orderings,
+    synthetic_vocabulary,
+)
 from verisel import tensor as T
 from verisel.explain import explain, report_size, top_m_edges
 from verisel.frontend import build_icfg, parse_source, reaching_definitions
@@ -59,20 +67,6 @@ def report(criterion: int, detail: str, started: float, budget: float):
 # -- 1. metric oracles -------------------------------------------------------
 
 
-def _pearson(a, b):
-    a = np.asarray(a) - np.mean(a)
-    b = np.asarray(b) - np.mean(b)
-    return float((a * b).sum() / np.sqrt((a * a).sum() * (b * b).sum()))
-
-
-def _ranks(values):
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    ranks = [0.0] * len(values)
-    for pos, idx in enumerate(order):
-        ranks[idx] = pos + 1.0
-    return ranks
-
-
 def test_criterion_1_spearman_oracle():
     started = time.perf_counter()
     assert spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 3.0]) == pytest.approx(
@@ -84,7 +78,7 @@ def test_criterion_1_spearman_oracle():
         n = int(rng.integers(2, 15))
         x = list(rng.standard_normal(n))
         y = list(rng.standard_normal(n))
-        delta = abs(spearman(x, y) - _pearson(_ranks(x), _ranks(y)))
+        delta = abs(spearman(x, y) - pearson(average_ranks(x), average_ranks(y)))
         worst = max(worst, delta)
     assert worst < 1e-9
     report(1, f"spearman = pearson-of-ranks on 1000 pairs, max delta {worst:.2e}",
@@ -92,17 +86,6 @@ def test_criterion_1_spearman_oracle():
 
 
 # -- 2. borda optimality -----------------------------------------------------
-
-
-def _mean_spearman(order, rankings, k):
-    scores = [0.0] * k
-    for pos, v in enumerate(order):
-        scores[v] = float(k - pos)
-    total = 0.0
-    for ranking in rankings:
-        true_scores = [float(k - r) for r in ranking]
-        total += spearman(true_scores, scores)
-    return total / len(rankings)
 
 
 def test_criterion_2_borda_optimality():
@@ -117,9 +100,9 @@ def test_criterion_2_borda_optimality():
                 [int(r) for r in rng.permutation(k) + 1]
                 for _ in range(int(rng.integers(2, 8)))
             ]
-            ours = _mean_spearman(borda_ordering(rankings, k), rankings, k)
+            ours = mean_spearman(borda_ordering(rankings, k), rankings, k)
             best = max(
-                _mean_spearman(list(p), rankings, k)
+                mean_spearman(list(p), rankings, k)
                 for p in itertools.permutations(range(k))
             )
             assert ours == pytest.approx(best, abs=1e-12)

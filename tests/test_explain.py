@@ -28,6 +28,7 @@ from verisel.model import (
     EmptyGraph,
     MaskScorer,
     ModelConfig,
+    VocabMismatch,
     edge_pairs,
     forward_scores,
     init_parameters,
@@ -118,7 +119,7 @@ def test_explain_empty_graph_raises():
     params = fresh_params()
     empty = ProgramGraph("e", PropertyKind.REACH_SAFETY, [],
                          {"AST": [], "ICFG": [], "DFG": []})
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(EmptyGraph, match="^graph e has no nodes$"):
         explain(params, empty)
 
 
@@ -128,6 +129,14 @@ def test_explain_no_edges_yields_empty_mask():
                         {"AST": [], "ICFG": [], "DFG": []})
     mask = explain(params, bare)
     assert mask.edges == [] and mask.scores == []
+
+
+def test_explain_checks_the_vocabulary_before_it_looks_for_edges():
+    params = fresh_params()
+    bare = ProgramGraph("b", PropertyKind.REACH_SAFETY, [1, len(VOCAB)],
+                        {"AST": [], "ICFG": [], "DFG": []})
+    with pytest.raises(VocabMismatch, match="^graph b has kind indices outside"):
+        explain(params, bare)
 
 
 def test_explain_restricted_edge_sets():

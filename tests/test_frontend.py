@@ -968,9 +968,7 @@ def test_corpus_wide_structural_invariants():
     files = sorted(CORPUS.glob("*.c"))
     assert len(files) == 20
     for path in files:
-        source = path.read_text(encoding="utf-8")
-        ast = parse_source(source)
-        graph, _ = extract(source, graph_id=path.stem)
+        graph, _ = extract(path.read_text(encoding="utf-8"), graph_id=path.stem)
         assert len(graph.edge_sets["AST"]) == graph.num_nodes - 1
         graph.validate()
         assert max(graph.node_kinds) < len(VOCAB), path.name

@@ -949,3 +949,18 @@ def test_model_container_rejects_a_repeated_parameter_block(tmp_path):
     path.write_bytes(path.read_bytes() + copy)
     with pytest.raises(ModelFormatError, match="duplicate parameter block: gat0.w_in"):
         load_model(path)
+
+
+def test_model_container_names_a_missing_block_before_an_unexpected_one(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    name = b"extra.w"
+    extra = (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2)
+             + np.zeros(2, dtype="<f8").tobytes())
+    path.write_bytes(header + b"\n" + rest + extra)
+    with pytest.raises(ModelFormatError, match=r"^unexpected parameter blocks: \['extra.w'\]$"):
+        load_model(path)
+    path.write_bytes(header + b"\n" + rest.replace(b"gat0.w_in", b"gat9.w_in", 1))
+    with pytest.raises(ModelFormatError, match="^missing parameter block: gat0.w_in$"):
+        load_model(path)

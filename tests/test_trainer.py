@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from helpers import PerTensorAdam, named, reference_train
 from planted import (
     InvalidRanking,
+    average_ranks,
     baselines,
     borda_ordering,
+    mean_spearman,
     ordinal_ranking,
+    pearson,
     random_orderings,
     results_from_orderings,
 )
@@ -68,6 +71,19 @@ def test_spearman_worked_case():
     assert spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 3.0]) == pytest.approx(0.8, abs=1e-15)
 
 
+def test_spearman_with_a_tie():
+    # average ranks [2.5, 2.5, 1] vs [1, 3, 2], both of mean 2; the deviations
+    # [0.5, 0.5, -1] and [-1, 1, 0] are orthogonal, so rho is 0
+    assert spearman([-1.0, -1.0, 2.0], [0.3, 0.1, 0.2]) == 0.0
+
+
+def test_spearman_with_two_tied_pairs():
+    # average ranks [3.5, 3.5, 1.5, 1.5] vs [1, 2, 3, 4], both of mean 2.5;
+    # deviations [1, 1, -1, -1] and [-1.5, -0.5, 0.5, 1.5]: -4 / sqrt(4 * 5)
+    assert spearman([1.0, 1.0, 2.0, 2.0], [4.0, 3.0, 2.0, 1.0]) == pytest.approx(
+        -2.0 / math.sqrt(5.0), abs=1e-15)
+
+
 def test_spearman_degenerate_constant():
     with pytest.warns(DegenerateRankingWarning):
         assert spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
@@ -80,22 +96,6 @@ def test_spearman_length_mismatch():
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def pearson(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a = a - a.mean()
-    b = b - b.mean()
-    return float((a * b).sum() / np.sqrt((a * a).sum() * (b * b).sum()))
-
-
-def rank_vector(values):
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    ranks = [0.0] * len(values)
-    for pos, idx in enumerate(order):
-        ranks[idx] = pos + 1.0
-    return ranks
-
-
 def test_spearman_equals_pearson_of_ranks():
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -103,7 +103,22 @@ def test_spearman_equals_pearson_of_ranks():
         x = list(rng.standard_normal(n))
         y = list(rng.standard_normal(n))
         rho = spearman(x, y)
-        assert abs(rho - pearson(rank_vector(x), rank_vector(y))) < 1e-9
+        assert abs(rho - pearson(average_ranks(x), average_ranks(y))) < 1e-9
+
+
+def test_spearman_equals_pearson_of_ranks_on_tied_draws():
+    rng = np.random.default_rng(3)
+    tied = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        x = [float(v) for v in rng.integers(0, 4, n)]
+        y = [float(v) for v in rng.integers(0, 4, n)]
+        if min(x) == max(x) or min(y) == max(y):
+            continue  # no defined correlation
+        tied += len(set(x)) < n or len(set(y)) < n
+        rho = spearman(x, y)
+        assert abs(rho - pearson(average_ranks(x), average_ranks(y))) < 1e-12
+    assert tied >= 200
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +138,6 @@ def test_borda_tie_breaks_by_index():
 def test_borda_rejects_non_permutation():
     with pytest.raises(InvalidRanking):
         borda_ordering([[1, 1, 3]], 3)
-
-
-def mean_spearman(static_order, rankings, k):
-    scores = [0.0] * k
-    for pos, v in enumerate(static_order):
-        scores[v] = float(k - pos)
-    rhos = []
-    for ranking in rankings:
-        true_scores = [float(k - r) for r in ranking]
-        rhos.append(spearman(true_scores, scores))
-    return float(np.mean(rhos))
 
 
 def test_borda_maximizes_mean_spearman_exhaustively():
