@@ -8,7 +8,14 @@ microseconds per forward, backward and Adam step, and the minor page faults
 per step. Then it takes training steps on one larger graph, the disjoint
 union of three copies of the corpus graphs (about 1.9k nodes), and prints
 the median milliseconds and minor page faults per step there, after two
-untimed steps, and the most faults one step took. The script first
+untimed steps, and the most faults one step took. A scaling probe follows:
+one forward and backward (no Adam step) of the default 1-layer model on a
+generated call-heavy program of 200 helper functions (the benchmark's
+generator, ``Shape(200, 25, 6, 3, 3)``), about 31k nodes and 291k attention
+rows, with the median milliseconds and minor page faults per step and the
+tracemalloc peak of one step. On such code the attention rows outgrow the
+nodes, so a GAT layer's (rows x width) arrays, not the node states, set
+the peak. The script first
 applies the CLI's allocator setting (``cli.pin_malloc_thresholds``), so
 both fault counts are the ones a ``verisel`` command sees. It then
 explains each corpus graph with the trained model and prints the tensors
@@ -29,8 +36,10 @@ import argparse
 import contextlib
 import resource
 import statistics
+import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from model_digest import disjoint_union
@@ -65,6 +74,9 @@ PREDICT_ROUNDS = 3
 BATCH_ROUNDS = 10
 UNION_COPIES = 3
 UNION_STEPS = 20
+# perfbench's generator.Shape(functions, statements, variables, fan_in, loop_depth)
+PROBE_SHAPE = (200, 25, 6, 3, 3)
+PROBE_STEPS = 5
 
 
 def minor_faults() -> int:
@@ -117,6 +129,41 @@ def union_steps(graphs, params, optimizer) -> tuple[int, float, float, int]:
         faults.append(minor_faults() - start)
     return (union.num_nodes, statistics.median(seconds), statistics.median(faults),
             max(faults))
+
+
+def scaling_probe(vocab) -> tuple[int, int, float, float, float]:
+    """Nodes and attention rows of the ``PROBE_SHAPE`` program, and for one
+    forward and backward of the default model on it: the median seconds and
+    minor page faults per step after one untimed step, and the tracemalloc
+    peak in MiB of one more step."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from generator import Shape, generate_program
+
+    params = init_parameters(ModelConfig(), vocab, PORTFOLIO, seed=0)
+    source = generate_program(Shape(*PROBE_SHAPE), "layout-0", "seed-0")
+    graph = extract_graph(source, vocab, graph_id="probe",
+                          property=PropertyKind.REACH_SAFETY)[0]
+    inp = prepare_input(graph, params)
+
+    def step() -> None:
+        params.zero_grad()
+        tz.backward(margin_rank_loss_t(forward_scores(inp, params), LABELS))
+
+    step()
+    seconds, faults = [], []
+    for _ in range(PROBE_STEPS):
+        start, t0 = minor_faults(), time.perf_counter()
+        step()
+        seconds.append(time.perf_counter() - t0)
+        faults.append(minor_faults() - start)
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return (graph.num_nodes, len(inp.index.keys), statistics.median(seconds),
+            statistics.median(faults), peak)
 
 
 def explain_iteration(params, graphs) -> tuple[int, float, float]:
@@ -212,6 +259,11 @@ def main() -> int:
           f"(malloc thresholds {'pinned' if pinned else 'not pinned'}): "
           f"{seconds * 1e3:.1f} ms and {faults:.0f} minor page faults per step "
           f"(medians of {UNION_STEPS}), at most {most} faults in one step")
+    nodes, rows, seconds, faults, peak = scaling_probe(vocab)
+    print(f"scaling probe, default 1-layer model on a {nodes}-node call-heavy program "
+          f"({rows} attention rows): {seconds * 1e3:.0f} ms and "
+          f"{faults:.0f} minor page faults per forward and backward (medians of "
+          f"{PROBE_STEPS}), tracemalloc peak {peak:.1f} MiB")
     tape, seconds, single = explain_iteration(params, graphs)
     print(f"explainer iteration on {len(graphs)} corpus graphs, "
           f"{EXPLAIN_ROUNDS} x {EXPLAIN_ITERS} timed iterations each")

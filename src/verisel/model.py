@@ -36,11 +36,16 @@ differently. Model files keep ``(out, in)`` blocks; :func:`save_model` and
 :func:`load_model` transpose the blocks :func:`_parameter_layout` marks.
 
 A GAT layer is a mask-independent step (:func:`_gat_attention`: projections,
-edge scores, softmax, sender gather) followed by the tape node that applies
-the message mask and aggregates (:func:`_gat_node`). One sequence,
-:func:`_scores`, runs the layers, jumping knowledge, pooling and head for
-:func:`forward_scores` and for :class:`MaskScorer`, which hands it layer 0's
-attention and the property row computed once per ``explain`` call. An input
+edge scores, softmax) followed by the tape node that applies the message
+mask and aggregates (:func:`_gat_node`). Between the two only node-sized
+arrays and one column per edge are kept: the tape node gathers, scales and
+sums the senders' features in blocks of whole segments of at most
+:data:`BLOCK_ROWS` edges (:class:`EdgeBlock`), so a layer's memory grows
+linearly with its edges, and a graph within the bound runs one block. One
+sequence, :func:`_scores`, runs the layers, jumping knowledge, pooling and
+head for :func:`forward_scores` and for :class:`MaskScorer`, which hands it
+layer 0's attention (with its gathered sender rows) and the property row
+computed once per ``explain`` call. An input
 may be the disjoint union of several graphs (:func:`union_input`): the
 layers run once over it, each graph is pooled alone, and the head scores one
 row per graph. :func:`predict_many` ranks graphs that way, and
@@ -274,6 +279,42 @@ def edge_pairs(graph: ProgramGraph, edge_sets: Sequence[str]) -> np.ndarray:
     return np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2)
 
 
+# The most attention rows a GAT layer holds as (rows x width) arrays at once;
+# the measured peaks behind it are in the README's model section.
+BLOCK_ROWS = 4096
+
+
+class EdgeBlock(NamedTuple):
+    """Whole consecutive segments of an :class:`EdgeIndex`, one step of a
+    walk over its attention rows."""
+
+    rows: slice | np.ndarray  # the block's rows, in the order its segments read them
+    segments: tz.Segments     # those rows by segment, numbered from the first one
+    nodes: slice              # the segments it holds
+
+
+def _edge_blocks(segments: tz.Segments, order: np.ndarray | None) -> list[EdgeBlock]:
+    """``segments`` in blocks of whole segments of at most :data:`BLOCK_ROWS`
+    rows each, a longer segment a block of its own; ``order`` lists the rows
+    in segment order, or is None where ``segments`` are sorted. Rows that fit
+    in one block are that block, with ``segments`` themselves."""
+    if len(segments.ids) <= BLOCK_ROWS:
+        return [EdgeBlock(slice(None), segments, slice(None))]
+    ends = np.cumsum(segments.sizes)
+    blocks: list[EdgeBlock] = []
+    first = 0
+    while first < len(ends):
+        start = int(segments.starts[first])
+        end = max(first + 1, int(np.searchsorted(ends, start + BLOCK_ROWS, side="right")))
+        rows = slice(start, int(ends[end - 1]))
+        if order is not None:
+            rows = order[rows]
+        blocks.append(EdgeBlock(rows, tz.Segments(segments.ids[rows] - first, end - first),
+                                slice(first, end)))
+        first = end
+    return blocks
+
+
 class EdgeIndex:
     """The edges attention runs over, as sorted keys ``dst * n + src``.
 
@@ -282,7 +323,9 @@ class EdgeIndex:
     node a non-empty run both as a receiver and as a sender. :meth:`slots`
     maps (src, dst) rows to their positions in ``keys`` once, and
     :meth:`message_mask` turns per-row keep scores at those slots into
-    per-edge attention multipliers.
+    per-edge attention multipliers. :attr:`receiver_blocks` and
+    :attr:`sender_blocks` cut the rows into blocks (:class:`EdgeBlock`), each
+    built on first use.
     """
 
     def __init__(self, num_nodes: int, pairs: np.ndarray):
@@ -294,6 +337,16 @@ class EdgeIndex:
         dst, src = np.divmod(self.keys, num_nodes)
         self.senders = tz.Segments(src, num_nodes)
         self.receivers = tz.Segments(dst, num_nodes)
+
+    @cached_property
+    def receiver_blocks(self) -> list[EdgeBlock]:
+        """Blocks of whole receiver segments: contiguous row ranges."""
+        return _edge_blocks(self.receivers, None)
+
+    @cached_property
+    def sender_blocks(self) -> list[EdgeBlock]:
+        """Blocks of whole sender segments: row lists in ``senders.order``."""
+        return _edge_blocks(self.senders, self.senders.order)
 
     def _keys(self, pairs: np.ndarray) -> np.ndarray:
         """Keys of (src, dst) rows; every endpoint must lie in 0..n-1."""
@@ -351,12 +404,21 @@ def gat_layer(
     return _gat_node(states, index, params, attention, message_mask)
 
 
+class Attention(NamedTuple):
+    """The mask-independent step of a GAT layer (:func:`_gat_attention`)."""
+
+    xin: np.ndarray      # receiver features, n x d
+    xout: np.ndarray     # sender features, n x d
+    slopes: np.ndarray   # the leaky-ReLU slope of each edge score, E x 1
+    weights: np.ndarray  # the softmax of the scores over each receiver, E x 1
+    gathered: np.ndarray | None = None  # xout[senders.ids], where a caller keeps it
+
+
 def _gat_attention(h: np.ndarray, index: EdgeIndex, params: GatLayerParams,
-                   slope: float) -> tuple[np.ndarray, ...]:
+                   slope: float) -> Attention:
     """The mask-independent step of a GAT layer over node states ``h``: the
-    receiver and sender features, the leaky-ReLU slope of each edge score,
-    the softmax of the scores over each receiver, and the sender features of
-    each edge."""
+    receiver and sender features, the leaky-ReLU slope of each edge score
+    and the softmax of the scores over each receiver."""
     w_in, w_out, attn = params.w_in.values, params.w_out.values, params.attn.values
     if h.shape[1] != w_in.shape[0]:
         raise tz.ShapeError(f"gat_layer: states {h.shape} vs w_in {w_in.T.shape}")
@@ -365,18 +427,26 @@ def _gat_attention(h: np.ndarray, index: EdgeIndex, params: GatLayerParams,
     xin = h @ w_in
     xout = h @ w_out
     # score of the edge (j -> i) is leaky_relu(s_in[i] + s_out[j])
-    raw = (xin @ attn[:d_out])[recv.ids] + (xout @ attn[d_out:])[send.ids]
+    # take copies rows as indexing does, two to three times faster
+    raw = ((xin @ attn[:d_out]).take(recv.ids, axis=0)
+           + (xout @ attn[d_out:]).take(send.ids, axis=0))
     slopes = np.where(raw >= 0.0, 1.0, float(slope))
     scores = raw * slopes
-    e = np.exp(scores - recv.reduce(np.maximum, scores)[recv.ids])
-    weights = e / recv.reduce(np.add, e)[recv.ids]
-    return xin, xout, slopes, weights, xout[send.ids]
+    e = np.exp(scores - recv.reduce(np.maximum, scores).take(recv.ids, axis=0))
+    weights = e / recv.reduce(np.add, e).take(recv.ids, axis=0)
+    return Attention(xin, xout, slopes, weights)
 
 
 def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
-              attention: tuple[np.ndarray, ...], message_mask: Tensor | None) -> Tensor:
+              attention: Attention, message_mask: Tensor | None) -> Tensor:
     """The tape node of a GAT layer: the weights of :func:`_gat_attention`,
     scaled by ``message_mask``, sum the gathered messages into each receiver.
+
+    Its (rows x width) arrays exist one :class:`EdgeBlock` at a time, apart
+    from sender rows a caller keeps in ``attention.gathered``: the forward
+    walks the receiver blocks, and a backward that needs the senders' sum
+    walks the sender blocks and takes the row dot products there too. Every product is row-local and each segment is summed over
+    the same rows in the same order, so the blocks do not change the bits.
 
     ``states`` is listed twice among the node's inputs, for the receiver and
     the sender path, so that ``tz.backward`` adds those two gradients to the
@@ -393,30 +463,38 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
                             f"not one column of {len(weights)} rows")
     scaled = weights if mask is None else weights * mask
 
+    def senders_of(rows):
+        return xout.take(send.ids[rows], axis=0) if gathered is None else gathered[rows]
+
     def bwd(g: np.ndarray):
         need_h = states.requires_grad
         need_xin = need_h or w_in.requires_grad
         need_xout = need_h or w_out.requires_grad
         need_scores = need_xin or need_xout or attn.requires_grad
         need_mask = message_mask is not None and message_mask.requires_grad
-        g_msg = g[recv.ids]
-        g_gathered = g_msg * scaled if need_xout else None
-        g_scaled = None
-        if need_scores or need_mask:
-            g_scaled = g_msg * gathered
-            if g_scaled.shape[1] > 1:  # a one-wide product is its own row sum
-                g_scaled = g_scaled.sum(axis=1, keepdims=True)
+        # the node is recorded only when need_scores or need_mask holds
+        g_scaled = np.empty(weights.shape)
+        g_sent = np.empty(xout.shape) if need_xout else None
+        for rows, segments, nodes in (index.sender_blocks if need_xout
+                                      else index.receiver_blocks):
+            g_msg = g.take(recv.ids[rows], axis=0)
+            if need_xout:
+                g_sent[nodes] = segments.reduce(np.add, g_msg * scaled[rows])
+            dots = g_msg * senders_of(rows)
+            # a one-wide product is its own row sum
+            g_scaled[rows] = dots if dots.shape[1] == 1 else dots.sum(axis=1, keepdims=True)
         g_mask = g_scaled * weights if need_mask else None
         if not need_scores:
             return None, None, None, None, None, g_mask
         g_weights = g_scaled if mask is None else g_scaled * mask
-        g_scores = weights * (g_weights - recv.reduce(np.add, g_weights * weights)[recv.ids])
+        g_scores = weights * (g_weights - recv.reduce(np.add, g_weights * weights)
+                              .take(recv.ids, axis=0))
         g_raw = g_scores * slopes
         g_s_in = recv.reduce(np.add, g_raw)
         g_s_out = send.reduce(np.add, g_raw)
         a = attn.values
         g_xin = g_s_in @ a[:d_out].T if need_xin else None
-        g_xout = send.reduce(np.add, g_gathered) + g_s_out @ a[d_out:].T if need_xout else None
+        g_xout = g_sent + g_s_out @ a[d_out:].T if need_xout else None
         g_attn = None
         if attn.requires_grad:  # the sum of the two halves, each zero-padded
             top, bottom = np.zeros(attn.shape), np.zeros(attn.shape)
@@ -429,10 +507,13 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
                 h.T @ g_xout if w_out.requires_grad else None,
                 g_attn, g_mask)
 
+    out = np.empty(xout.shape)
+    for rows, segments, nodes in index.receiver_blocks:
+        out[nodes] = segments.reduce(np.add, senders_of(rows) * scaled[rows])
     inputs = (states, states, w_in, w_out, attn)
     if message_mask is not None:
         inputs += (message_mask,)
-    return tz.record(recv.reduce(np.add, gathered * scaled), inputs, bwd)
+    return tz.record(out, inputs, bwd)
 
 
 def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> Tensor:
@@ -617,7 +698,7 @@ def _pool(states: Tensor, bounds: tuple[int, ...], pool: Sequence[AffineParams],
 
 
 def _scores(inp: ModelInput, params: ModelParameters, prop_rows: Tensor,
-            message_mask: Tensor | None, first: tuple | None = None) -> Tensor:
+            message_mask: Tensor | None, first: Attention | None = None) -> Tensor:
     """GAT layers, jumping knowledge, pooling of each graph, and the head over
     the pooled rows and ``prop_rows``; ``first`` is layer 0's
     :func:`_gat_attention` when the caller holds it."""
@@ -656,16 +737,22 @@ class MaskScorer:
     call, with the work no mask can change done once, when it is built.
 
     That work is layer 0's attention (its input, the one-hot node kinds, is
-    constant) and the property row. The explainer builds one per ``explain``
-    call over the frozen view; the scores are valid while the parameter
-    values stay as they were when it was built.
+    constant) and the property row. The attention keeps that layer's sender
+    features gathered per edge (E x width), which every iteration reads,
+    forward and backward, where a layer would gather them block by block.
+    The explainer builds one per ``explain`` call over the frozen view; the
+    scores are valid while the parameter values stay as they were when it
+    was built.
     """
 
     def __init__(self, inp: ModelInput, params: ModelParameters):
         self.inp = inp = _checked_input(inp, params)
         self.params = params
-        self.first = None if not params.gat else _gat_attention(
-            inp.states.values, inp.index, params.gat[0], params.config.leaky_slope)
+        self.first = None
+        if params.gat:
+            first = _gat_attention(inp.states.values, inp.index, params.gat[0],
+                                   params.config.leaky_slope)
+            self.first = first._replace(gathered=first.xout.take(inp.index.senders.ids, axis=0))
         self.prop = _encode_properties([g.property for g in inp.graphs], params.config)
 
     def __call__(self, message_mask: Tensor) -> Tensor:

@@ -216,7 +216,7 @@ def _metric_block(results: Sequence[RankingResult],
     best = [best_verifier(inst.labels) for inst in instances]
     return MetricBlock(
         success_accuracy=success,
-        spearman_mean=float(np.mean(rhos)) if rhos else 0.0,
+        spearman_mean=float(np.mean(rhos)),
         topk_error={k: topk_error(orderings, best, k) for k in ks},
         num_instances=len(instances),
         num_all_solved=all_solved,

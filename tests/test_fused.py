@@ -12,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import verisel.model
 import verisel.trainer
 from helpers import (
     call_heavy_program,
@@ -23,6 +26,7 @@ from helpers import (
     tape_attention_pool,
     tape_explain,
     tape_forward_scores,
+    tape_gat_layer,
     tape_margin_rank_loss,
     tape_message_mask,
     tape_mlp,
@@ -36,6 +40,8 @@ from verisel.model import (
     EdgeIndex,
     GatLayerParams,
     ModelConfig,
+    _gat_attention,
+    _gat_node,
     _mlp,
     attention_pool,
     edge_pairs,
@@ -189,6 +195,75 @@ def test_gat_layer_gradients_match_central_differences(masked):
 
     report = grad_check(f, [states, w_in, w_out, attn, logits])
     assert report.passed, report
+
+
+def test_16_row_blocks_keep_scores_gradients_models_and_explanations(monkeypatch):
+    # every test graph spans several receiver and sender blocks, and the
+    # large graph's longest sender segment (26 rows) is a block of its own
+    monkeypatch.setattr(verisel.model, "BLOCK_ROWS", 16)
+    params = corpus_params()
+    for graph in corpus_graphs()[1] + (large_graph(),):
+        index = prepare_input(graph, params).index
+        assert min(len(index.receiver_blocks), len(index.sender_blocks)) > 1
+    assert index.senders.sizes.max() > 16
+    for layers in range(4):
+        for jk in (True, False):
+            test_scores_and_gradients_equal_the_tape_oracle_on_the_corpus(layers, jk)
+    test_explain_equals_the_tape_oracle()
+    test_training_equals_the_tape_oracle(monkeypatch)
+
+
+@st.composite
+def blocked_layers(draw):
+    """Pairs over 1-12 nodes, maybe with a hub (node 0 sends to and receives
+    from every node, one long segment each way), a block bound from 1 to
+    E + 1 rows, which leaves require gradients, and a seed for the values."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if draw(st.booleans()):
+        pairs += [(0, i) for i in range(n)] + [(i, 0) for i in range(n)]
+    edges = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    e = len(EdgeIndex(n, edges).keys)
+    return (n, edges, draw(st.integers(1, e + 1)),
+            draw(st.sampled_from(["train", "train-masked", "mask", "scorer"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocked_layers())
+def test_gat_layer_in_blocks_of_any_bound_equals_the_tape_oracle(case):
+    # "train" walks the sender blocks in the backward; "mask" (the gradient
+    # reaches the mask alone) stays on the receiver blocks, and "scorer" does
+    # so on sender rows gathered once, as MaskScorer keeps them
+    n, edges, bound, path, seed = case
+    rng = np.random.default_rng(seed)
+    train = path.startswith("train")
+    states = T.Tensor(rng.standard_normal((n, 3)), requires_grad=train)
+    params = GatLayerParams(*(T.Tensor(rng.standard_normal(shape), requires_grad=train)
+                              for shape in ((3, 4), (3, 4), (8, 1))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verisel.model, "BLOCK_ROWS", bound)
+        index = EdgeIndex(n, edges)
+        e = len(index.keys)
+        for blocks, order in ((index.receiver_blocks, np.arange(e)),
+                              (index.sender_blocks, index.senders.order)):
+            # whole segments in order, at most `bound` rows unless one segment
+            rows = np.concatenate([np.arange(e)[b.rows] for b in blocks])
+            assert np.array_equal(np.sort(rows), np.arange(e))
+            assert len(blocks) == 1 or np.array_equal(rows, order)
+            assert all(len(b.segments.ids) <= bound or len(b.segments.sizes) == 1
+                       for b in blocks)
+        logits = T.Tensor(rng.standard_normal((e, 1)), requires_grad=path != "train")
+        mask = None if path == "train" else T.sigmoid(logits)
+        leaves = [t for t in (states, *params, logits) if t.requires_grad]
+        mix = T.constant(rng.standard_normal((n, 4)))
+        attention = _gat_attention(states.values, index, params, 0.2)
+        if path == "scorer":
+            attention = attention._replace(gathered=attention.xout[index.senders.ids])
+        fused = leaf_bytes(_gat_node(states, index, params, attention, mask), leaves, mix)
+    oracle = tape_gat_layer(states, index, params, slope=0.2, message_mask=mask)
+    assert fused == leaf_bytes(oracle, leaves, mix)
 
 
 def test_sorted_segments_reduce_like_the_permuted_copy():
