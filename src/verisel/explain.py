@@ -13,11 +13,11 @@ is taken. The scores returned after the last step are not checked.
 
 The mask runs over the parameters' frozen view (``params.frozen``), so the
 tape reaches the mask logits alone and the caller's values, flags and grads
-are never written. The target scores come from ``forward_scores``. What no
-mask can change is done once, before the first iteration: the masked edges
-are resolved to attention-edge slots, and a ``model.MaskScorer`` computes
-layer 0's attention and the property row, so each iteration runs only the
-rest of the forward sequence ``forward_scores`` runs.
+are never written. What no mask can change is done once per call: a
+``model.MaskScorer`` computes layer 0's attention and the property row, the
+target scores are its pass with no mask, and the masked edges are resolved
+to attention-edge slots. Each iteration then runs only the rest of the
+forward sequence of ``model.forward_scores``, bit for bit.
 
 Like the model's layers, the objective is fused into few tape nodes: the
 size and entropy penalty is one node and the total loss another, each
@@ -44,6 +44,7 @@ from .graphio import (
     at_least,
     config_value,
 )
+# forward_scores goes uncalled; perfbench/tracing.py wraps this module's name
 from .model import MaskScorer, ModelParameters, forward_scores, prepare_input
 from .tensor import Tensor
 
@@ -192,14 +193,14 @@ def explain(
     if not edges:
         return EdgeMask(graph.id, [], [], [])
 
-    target = forward_scores(inp, frozen).values
+    score = MaskScorer(inp, frozen)
+    target = score(None).values
 
     init = np.zeros((1, len(edges)))
     if init_noise > 0.0:
         init += init_noise * np.random.default_rng(seed).standard_normal(init.shape)
     logits = Tensor(init, requires_grad=True)
     slots = inp.index.slots(np.array([(e.src, e.dst) for e in edges], dtype=np.intp))
-    score = MaskScorer(inp, frozen)
 
     trace: list[float] = []
     for it in range(1, iters + 1):

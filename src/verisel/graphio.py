@@ -125,7 +125,7 @@ class ConfigKey(NamedTuple):
     kind: str
     is_kind: Callable[[object], bool]
     bound: str = ""
-    in_bound: Callable[[object], bool] = lambda value: True
+    in_bound: Callable[[object], bool] = lambda _: True
     default: object = RECORD
     load: Callable[[object], object] = lambda value: value
 

@@ -45,11 +45,12 @@ linearly with its edges, and a graph within the bound runs one block. One
 sequence, :func:`_scores`, runs the layers, jumping knowledge, pooling and
 head for :func:`forward_scores` and for :class:`MaskScorer`, which hands it
 layer 0's attention (with its gathered sender rows) and the property row
-computed once per ``explain`` call. An input
-may be the disjoint union of several graphs (:func:`union_input`): the
-layers run once over it, each graph is pooled alone, and the head scores one
-row per graph. :func:`predict_many` ranks graphs that way, and
-:func:`predict` is its batch of one.
+computed once per ``explain`` call; that call's target is the scorer's pass
+with no mask, so layer 0's attention runs once per call. An input may be
+the disjoint union of several graphs (:func:`union_input`): the layers run
+once over it, each graph is pooled alone, and the head scores one row per
+graph. :func:`predict_many` ranks graphs that way, and :func:`predict` is
+its batch of one.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def init_parameters(
     portfolio = config_value("portfolio", portfolio)
     rng = np.random.default_rng(seed)
 
-    def draw(name: str, shape: tuple[int, int], fan_in: int) -> np.ndarray:
+    def draw(_: str, shape: tuple[int, int], fan_in: int) -> np.ndarray:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
@@ -385,23 +386,22 @@ class EdgeIndex:
 
 def gat_layer(
     states: Tensor,
-    edges: np.ndarray | Sequence[tuple[int, int]],
+    edges: np.ndarray,
     params: GatLayerParams,
     *,
-    slope: float = ModelConfig.leaky_slope,
-    message_mask: Tensor | None = None,
-    allowed_mask: EdgeIndex | None = None,
+    slope: float,
+    message_mask: Tensor | None,
+    allowed_mask: EdgeIndex,
 ) -> Tensor:
-    """One attention layer over ``edges`` (src, dst) plus a self-loop per node.
+    """One attention layer over ``allowed_mask``, the :class:`EdgeIndex` of
+    the (src, dst) rows ``edges`` plus a self-loop per node.
 
-    ``allowed_mask`` is the :class:`EdgeIndex` of those edges, the pairs that
-    attention may use; it is built here when the caller has none, and
-    ``forward_scores`` builds it once for all layers. ``message_mask`` (E x 1,
-    aligned with that index) scales the attention weights.
+    ``message_mask`` (E x 1, aligned with that index) scales the attention
+    weights, or is None.
     """
-    index = EdgeIndex(states.shape[0], edges) if allowed_mask is None else allowed_mask
-    attention = _gat_attention(states.values, index, params, slope)
-    return _gat_node(states, index, params, attention, message_mask)
+    # edges goes unread; perfbench/tracing.py wraps this by parameter name and counts them
+    attention = _gat_attention(states.values, allowed_mask, params, slope)
+    return _gat_node(states, allowed_mask, params, attention, message_mask)
 
 
 class Attention(NamedTuple):
@@ -444,9 +444,10 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
 
     Its (rows x width) arrays exist one :class:`EdgeBlock` at a time, apart
     from sender rows a caller keeps in ``attention.gathered``: the forward
-    walks the receiver blocks, and a backward that needs the senders' sum
-    walks the sender blocks and takes the row dot products there too. Every product is row-local and each segment is summed over
-    the same rows in the same order, so the blocks do not change the bits.
+    walks the receiver blocks, and the backward walks the sender blocks,
+    taking the senders' sum where it is needed and the row dot products.
+    Every product is row-local and each segment is summed over the same
+    rows in the same order, so the blocks do not change the bits.
 
     ``states`` is listed twice among the node's inputs, for the receiver and
     the sender path, so that ``tz.backward`` adds those two gradients to the
@@ -475,8 +476,7 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
         # the node is recorded only when need_scores or need_mask holds
         g_scaled = np.empty(weights.shape)
         g_sent = np.empty(xout.shape) if need_xout else None
-        for rows, segments, nodes in (index.sender_blocks if need_xout
-                                      else index.receiver_blocks):
+        for rows, segments, nodes in index.sender_blocks:
             g_msg = g.take(recv.ids[rows], axis=0)
             if need_xout:
                 g_sent[nodes] = segments.reduce(np.add, g_msg * scaled[rows])
@@ -516,11 +516,9 @@ def _gat_node(states: Tensor, index: EdgeIndex, params: GatLayerParams,
     return tz.record(out, inputs, bwd)
 
 
-def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool = True) -> Tensor:
+def jumping_knowledge(layer_outputs: Sequence[Tensor], enabled: bool) -> Tensor:
     """Concatenate per-layer node states column-wise (``tz.concat_cols``
     checks that their node counts agree), or keep the last."""
-    if not layer_outputs:
-        raise tz.ShapeError("jumping_knowledge: no layer outputs")
     if not enabled or len(layer_outputs) == 1:
         return layer_outputs[-1]
     return tz.concat_cols(list(layer_outputs))
@@ -581,8 +579,7 @@ def _mlp(z: Tensor, layers: Sequence[AffineParams], slope: float) -> Tensor:
     return tz.record(out, (z, *chain(*layers)), bwd)
 
 
-def attention_pool(states: Tensor, pool: Sequence[AffineParams],
-                   slope: float = ModelConfig.leaky_slope) -> Tensor:
+def attention_pool(states: Tensor, pool: Sequence[AffineParams], slope: float) -> Tensor:
     """Collapse node states into one graph vector via learned softmax weights.
 
     The pool MLP scores each node, a softmax over the nodes turns the scores
@@ -590,8 +587,6 @@ def attention_pool(states: Tensor, pool: Sequence[AffineParams],
     ``states``. ``states`` is listed twice among the node's inputs, for the
     sum and for the MLP path.
     """
-    if states.shape[0] < 1:
-        raise EmptyGraph("attention pooling needs at least one node")
     h = states.values
     z, steps = _mlp_forward(h, pool, slope)
     t = z.T.copy()
@@ -733,16 +728,17 @@ def forward_scores(
 
 
 class MaskScorer:
-    """``forward_scores(inp, params, message_mask=mask)`` for one mask per
-    call, with the work no mask can change done once, when it is built.
+    """``forward_scores(inp, params, message_mask=mask)`` per mask (or None),
+    with the work no mask can change done once, when it is built.
 
     That work is layer 0's attention (its input, the one-hot node kinds, is
     constant) and the property row. The attention keeps that layer's sender
-    features gathered per edge (E x width), which every iteration reads,
-    forward and backward, where a layer would gather them block by block.
-    The explainer builds one per ``explain`` call over the frozen view; the
-    scores are valid while the parameter values stay as they were when it
-    was built.
+    features gathered per edge (E x width), which every call reads, forward
+    and backward, where a layer would gather them block by block. Layers 1
+    and up run through :func:`gat_layer`. The explainer builds one per
+    ``explain`` call over the frozen view and takes its target from the
+    unmasked call; the scores are valid while the parameter values stay as
+    they were when it was built.
     """
 
     def __init__(self, inp: ModelInput, params: ModelParameters):
@@ -755,7 +751,7 @@ class MaskScorer:
             self.first = first._replace(gathered=first.xout.take(inp.index.senders.ids, axis=0))
         self.prop = _encode_properties([g.property for g in inp.graphs], params.config)
 
-    def __call__(self, message_mask: Tensor) -> Tensor:
+    def __call__(self, message_mask: Tensor | None) -> Tensor:
         return _scores(self.inp, self.params, self.prop, message_mask, self.first)
 
 

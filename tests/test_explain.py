@@ -185,7 +185,7 @@ def test_explain_stops_at_the_first_saturated_iteration():
 ]])
 def test_explain_refuses_a_bad_setting_before_any_work(monkeypatch, setting, value, message):
     # checked first: even a graph with no nodes gets the setting's error
-    monkeypatch.setattr(verisel.explain, "forward_scores", None)
+    monkeypatch.setattr(verisel.explain, "MaskScorer", None)
     empty = ProgramGraph("e", PropertyKind.REACH_SAFETY, [], {"AST": [], "ICFG": [], "DFG": []})
     for graph in (simple_graph(), empty):
         with pytest.raises(ConfigError) as excinfo:
@@ -255,8 +255,7 @@ def test_explain_never_writes_the_callers_parameters(monkeypatch):
             return forward(*args, **kwargs)
         return watched
 
-    # the target goes through forward_scores, each iteration through the scorer
-    monkeypatch.setattr("verisel.explain.forward_scores", watch(forward_scores))
+    # the target and each iteration go through the scorer
     monkeypatch.setattr(MaskScorer, "__call__", watch(MaskScorer.__call__))
     explain(params, simple_graph(), iters=3)
     graph = simple_graph()
@@ -270,9 +269,9 @@ def test_explain_never_writes_the_callers_parameters(monkeypatch):
 
 
 def test_mask_independent_work_runs_once_per_call(monkeypatch):
-    # layer 0's attention is made for the target and once for the scorer,
-    # however many iterations follow; layer 1's attention depends on the mask
-    # and is made again in every iteration
+    # layer 0's attention is made once, when the scorer is built, however
+    # many iterations follow; layer 1's attention depends on the mask and is
+    # made again for the target and in every iteration
     params = fresh_params(seed=3, num_gat_layers=2)
     assert params.vocab_size != params.config.gat_width
     calls = Counter()
@@ -290,7 +289,7 @@ def test_mask_independent_work_runs_once_per_call(monkeypatch):
     for iters in (1, 6):
         calls.clear()
         explain(params, simple_graph(), iters=iters)
-        assert calls == {"layer 0": 2, "layer 1": 1 + iters}
+        assert calls == {"layer 0": 1, "layer 1": 1 + iters}
 
 
 def test_out_of_range_edge_in_an_unread_set_is_rejected():

@@ -39,6 +39,7 @@ from verisel.model import (
     AffineParams,
     EdgeIndex,
     GatLayerParams,
+    MaskScorer,
     ModelConfig,
     _gat_attention,
     _gat_node,
@@ -134,6 +135,22 @@ def test_explain_equals_the_tape_oracle():
                 scores, trace = tape_explain(params, graph, **kwargs)
                 assert np.array(mask.scores).tobytes() == np.array(scores).tobytes()
                 assert np.array(mask.trace).tobytes() == np.array(trace).tobytes()
+
+
+@pytest.mark.parametrize("config", [
+    dict(num_gat_layers=2, gat_width=32, jumping_knowledge=True, pool_hidden=(64, 12)),
+    dict(num_gat_layers=3, gat_width=8, jumping_knowledge=False, pool_hidden=(6,),
+         head_hidden=(5, 4), property_encoding="onehot"),
+    dict(num_gat_layers=0, pool_hidden=(8,)),
+], ids=["readme", "deep", "flat"])
+def test_unmasked_scorer_equals_forward_scores(config):
+    # explain's target is the scorer's pass with no mask; the configurations
+    # are scripts/model_digest.py's
+    frozen = corpus_params(seed=4, **config).frozen
+    for graph in corpus_graphs()[1]:
+        inp = prepare_input(graph, frozen)
+        assert (MaskScorer(inp, frozen)(None).values.tobytes()
+                == forward_scores(inp, frozen).values.tobytes())
 
 
 def test_training_equals_the_tape_oracle(monkeypatch):

@@ -32,6 +32,7 @@ from verisel import tensor as T
 from verisel.graphio import ProgramGraph, PropertyKind, TokenVocabulary
 from verisel.model import (
     AffineParams,
+    EdgeIndex,
     EmptyGraph,
     GatLayerParams,
     LengthMismatch,
@@ -83,9 +84,15 @@ def identity_layer(d):
     )
 
 
+def unmasked_layer(h, edges, params):
+    """``gat_layer`` over ``edges`` and their index, unmasked, slope 0.2."""
+    return gat_layer(h, edges, params, slope=0.2, message_mask=None,
+                     allowed_mask=EdgeIndex(h.shape[0], edges))
+
+
 def test_gat_single_node_identity():
     h = T.constant([[1.0, -2.0, 0.5]])
-    out = gat_layer(h, [], identity_layer(3))
+    out = unmasked_layer(h, [], identity_layer(3))
     np.testing.assert_allclose(out.values, h.values, atol=1e-12)
 
 
@@ -97,8 +104,8 @@ def test_gat_disconnected_nodes_independent_and_equivariant():
         attn=T.Tensor(rng.standard_normal((8, 1))),
     )
     h = T.constant(rng.standard_normal((2, 3)))
-    out = gat_layer(h, [], params)
-    swapped = gat_layer(T.constant(h.values[::-1].copy()), [], params)
+    out = unmasked_layer(h, [], params)
+    swapped = unmasked_layer(T.constant(h.values[::-1].copy()), [], params)
     np.testing.assert_allclose(out.values, swapped.values[::-1], atol=1e-12)
 
 
@@ -131,7 +138,7 @@ def test_gat_path_graph_matches_dense_oracle():
     )
     h = rng.standard_normal((3, 5))
     edges = [(0, 1), (1, 2)]
-    got = gat_layer(T.constant(h), edges, params).values
+    got = unmasked_layer(T.constant(h), edges, params).values
     np.testing.assert_allclose(got, dense_gat_oracle(h, edges, params), atol=1e-10)
 
 
@@ -151,7 +158,7 @@ def test_gat_random_graphs_match_dense_oracle():
             for _ in range(int(rng.integers(0, 2 * n)))
         })
         h = rng.standard_normal((n, d_in))
-        got = gat_layer(T.constant(h), edges, params).values
+        got = unmasked_layer(T.constant(h), edges, params).values
         np.testing.assert_allclose(
             got, dense_gat_oracle(h, edges, params), atol=1e-10
         )
@@ -241,14 +248,14 @@ def test_forward_backward_memory_is_linear_in_edges():
 
 def test_jumping_knowledge_single_matrix_identity():
     a = T.constant(np.arange(6.0).reshape(3, 2))
-    out = jumping_knowledge([a])
+    out = jumping_knowledge([a], True)
     np.testing.assert_array_equal(out.values, a.values)
 
 
 def test_jumping_knowledge_concat_order():
     a = T.constant(np.ones((2, 2)))
     b = T.constant(2.0 * np.ones((2, 3)))
-    out = jumping_knowledge([a, b])
+    out = jumping_knowledge([a, b], True)
     assert out.shape == (2, 5)
     np.testing.assert_array_equal(out.values[:, :2], a.values)
     np.testing.assert_array_equal(out.values[:, 2:], b.values)
@@ -263,7 +270,7 @@ def test_jumping_knowledge_disabled_returns_last():
 
 def test_jumping_knowledge_rejects_differing_node_counts():
     with pytest.raises(T.ShapeError, match="row mismatch"):
-        jumping_knowledge([T.constant(np.ones((2, 2))), T.constant(np.ones((3, 2)))])
+        jumping_knowledge([T.constant(np.ones((2, 2))), T.constant(np.ones((3, 2)))], True)
 
 
 def test_zero_gat_layers_pool_over_onehot():
@@ -288,7 +295,7 @@ def test_pool_single_node_identity():
         AffineParams(T.Tensor(rng.standard_normal((4, 2))), T.Tensor(np.zeros((1, 2)))),
         AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(np.zeros((1, 1)))),
     ]
-    out = attention_pool(states, pool)
+    out = attention_pool(states, pool, 0.2)
     np.testing.assert_allclose(out.values, v, atol=1e-12)
 
 
@@ -301,7 +308,7 @@ def test_pool_two_identical_nodes():
         AffineParams(T.Tensor(rng.standard_normal((3, 2))), T.Tensor(np.zeros((1, 2)))),
         AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(np.zeros((1, 1)))),
     ]
-    out = attention_pool(states, pool)
+    out = attention_pool(states, pool, 0.2)
     np.testing.assert_allclose(out.values[0], v, atol=1e-12)
 
 
@@ -315,7 +322,7 @@ def test_pool_weights_are_probabilities():
         AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(rng.standard_normal((1, 1)))),
     ]
     states = T.constant(np.hstack([rng.standard_normal((6, 4)), np.eye(6)]))
-    weights = attention_pool(states, pool).values[0, 4:]
+    weights = attention_pool(states, pool, 0.2).values[0, 4:]
     assert weights.min() >= 0.0
     np.testing.assert_allclose(weights.sum(), 1.0, atol=1e-12)
 
@@ -328,15 +335,9 @@ def test_pool_permutation_invariance():
         AffineParams(T.Tensor(rng.standard_normal((2, 1))), T.Tensor(rng.standard_normal((1, 1)))),
     ]
     states = rng.standard_normal((6, 4))
-    base = attention_pool(T.constant(states), pool).values
-    shuffled = attention_pool(T.constant(states[rng.permutation(6)]), pool).values
+    base = attention_pool(T.constant(states), pool, 0.2).values
+    shuffled = attention_pool(T.constant(states[rng.permutation(6)]), pool, 0.2).values
     np.testing.assert_allclose(base, shuffled, atol=1e-9)
-
-
-def test_pool_empty_graph():
-    pool = [AffineParams(T.Tensor(np.ones((2, 1))), T.Tensor(np.zeros((1, 1))))]
-    with pytest.raises(EmptyGraph):
-        attention_pool(T.Tensor(np.zeros((0, 2))), pool)
 
 
 # ---------------------------------------------------------------------------

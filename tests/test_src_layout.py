@@ -7,6 +7,12 @@ belongs beside them (``tests/planted.py`` holds the planted-graph generator
 and the static and random selectors). An import or a string is not a
 reference, so a re-export alone keeps nothing; a dunder method is called
 by Python itself and is not checked.
+
+Every parameter of every function is read in its body, unless it is named
+``_``. The benchmark's tracer (``perfbench/tracing.py``) wraps some
+functions by module attribute and parameter names, and keeps a few names
+and parameters that ``src/`` would not need: each site must resolve, and
+each parameter kept only for it is listed here.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 # (module, name) -> why it stays with no reference in src/
 ENTRY_POINTS = {
@@ -23,6 +30,14 @@ ENTRY_POINTS = {
     ("verisel.frontend", "__all__"): "the frontend's public names, read by tools",
     ("verisel.frontend.parser", "parse_source"):
         "parses a whole source file; the benchmark's ICFG checks and tests call it",
+}
+
+
+# (module, function, parameter) -> why its function never reads it
+UNREAD = {
+    ("verisel.frontend.dataflow", "reaching_definitions", "ast"):
+        "wrapped by name in perfbench/tracing.py",
+    ("verisel.model", "gat_layer", "edges"): "wrapped by name in perfbench/tracing.py",
 }
 
 
@@ -95,3 +110,62 @@ def test_the_probe_finds_a_function_nothing_calls(tmp_path):
         ("verisel", "__all__"), ("verisel.core", "run"),
         ("verisel.core", "spare"), ("verisel.core", "unused"),
     }
+
+
+def unread_parameters(src: Path = SRC) -> set[tuple[str, str, str]]:
+    """(module, function, parameter) of every parameter under ``src`` that
+    its function's body never reads; a lambda is named ``<lambda>``, and a
+    method's first parameter, which Python passes, is not checked."""
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(path, src)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node.body
+            else:
+                continue
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            args = node.args
+            positional = [*args.posonlyargs, *args.args][id(node) in methods:]
+            found |= {(module, name, arg.arg)
+                      for arg in (*positional, args.vararg, *args.kwonlyargs, args.kwarg)
+                      if arg is not None and arg.arg != "_" and arg.arg not in read}
+    return found
+
+
+def test_every_parameter_in_src_is_read():
+    assert unread_parameters() == set(UNREAD)
+
+
+def test_the_probe_finds_a_parameter_nothing_reads(tmp_path):
+    package = tmp_path / "verisel"
+    package.mkdir()
+    (package / "core.py").write_text(
+        "def run(n, spare, _, *args, scale=1, **opts):\n"
+        "    def inner(m):\n        return m * scale + len(args)\n"
+        "    return inner(n) + sorted(map(lambda k, v: k, opts, opts))[0]\n"
+        "class Box:\n"
+        "    def size(self, unit):\n        return 0\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n        return run(0, 0, 0)\n", encoding="utf-8")
+    assert unread_parameters(tmp_path) == {
+        ("verisel.core", "run", "spare"), ("verisel.core", "<lambda>", "v"),
+        ("verisel.core", "size", "unit"),
+    }
+
+
+def test_every_benchmark_site_resolves(monkeypatch):
+    # a renamed or reshaped site only shows up as missing per-layer metrics
+    # in a traced benchmark run; this finds it without running one
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    assert len(tracing.SITES) == 23
+    assert [f"{site.module}.{site.attr}" for site in tracing.SITES
+            if tracing.resolve(site) is None] == []
