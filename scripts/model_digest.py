@@ -2,9 +2,9 @@
 """Digests of what four seeded models compute on the shipped C corpus.
 
 Trains three models on the 20 corpus graphs, each seeded and for a few
-epochs: the README default (2 GAT layers of width 32, jumping knowledge),
+epochs: the README example model (2 GAT layers of width 32, jumping knowledge),
 3 layers without jumping knowledge with a one-hot property and head widths
-(5, 4), and a model without GAT layers. A fourth, the README default again,
+(5, 4), and a model without GAT layers. A fourth, the README example again,
 trains on four larger graphs, each the disjoint union of five corpus
 graphs (about 150 nodes and 400 attention edges), so that its GAT layers
 sum messages by ``tensor.Segments``' rank-step plan, which the corpus

@@ -12,7 +12,6 @@ The dataset generator and the selectors live beside the tests, in
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -78,15 +77,13 @@ def main() -> int:
         f"top{k}err" for k in range(1, len(PORTFOLIO) + 1)
     )
     print(header)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, results in selectors.items():
-            rep = evaluate_rankings(results, held).overall
-            success = "n/a" if rep.success_accuracy is None else f"{rep.success_accuracy:8.3f}"
-            topks = " ".join(
-                f"{rep.topk_error[k]:7.3f}" for k in sorted(rep.topk_error)
-            )
-            print(f"{name:10s} {success} {rep.spearman_mean:9.3f} {topks}")
+    for name, results in selectors.items():
+        rep = evaluate_rankings(results, held).overall
+        success = "n/a" if rep.success_accuracy is None else f"{rep.success_accuracy:8.3f}"
+        topks = " ".join(
+            f"{rep.topk_error[k]:7.3f}" for k in sorted(rep.topk_error)
+        )
+        print(f"{name:10s} {success} {rep.spearman_mean:9.3f} {topks}")
 
     positives = [g for g in data[val_split:] if g.positive][:args.explain_top]
     if positives:

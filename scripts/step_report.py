@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost of one training step and one explainer iteration on the shipped C corpus.
 
-Trains the README default model (2 GAT layers of width 32, jumping
+Trains the README example model (2 GAT layers of width 32, jumping
 knowledge) on the 20 corpus graphs, one Adam step per graph as ``train``
 does, and prints the tensors one step puts on the autodiff tape, the median
 microseconds per forward, backward and Adam step, and the minor page faults
@@ -133,7 +133,7 @@ def union_steps(graphs, params, optimizer) -> tuple[int, float, float, int]:
 
 def scaling_probe(vocab) -> tuple[int, int, float, float, float]:
     """Nodes and attention rows of the ``PROBE_SHAPE`` program, and for one
-    forward and backward of the default model on it: the median seconds and
+    forward and backward of the default 1-layer model on it: the median seconds and
     minor page faults per step after one untimed step, and the tracemalloc
     peak in MiB of one more step."""
     sys.path.insert(0, str(REPO / "perfbench"))

@@ -1,11 +1,13 @@
 """Command-line entry point: extract, train, rank, evaluate, explain.
 
 Exit codes are a stable scripting contract: 0 on success, 1 on runtime
-failure, 2 on usage errors. All JSON output is canonical (sorted keys), and
-``train`` accepts ``--seed`` so runs are reproducible. Run configuration
-for ``train`` is a JSON document whose values can be overridden through
-``VERISEL_<SECTION>_<FIELD>`` environment variables (values parsed as JSON,
-falling back to plain strings); ``graphio.CONFIG_KEYS`` states every key.
+failure, 2 on usage errors. Every JSON document a command writes is
+``graphio.canonical_json``'s, so NaN or infinity in one fails the command
+with exit 1. ``train`` accepts ``--seed`` so runs are reproducible. Run
+configuration for ``train`` is a JSON document whose values can be
+overridden through ``VERISEL_<SECTION>_<FIELD>`` environment variables
+(values parsed as JSON, falling back to plain strings);
+``graphio.CONFIG_KEYS`` states every key.
 A numeric flag takes the rule and the default of the value it feeds.
 """
 
@@ -16,7 +18,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .graphio import (
     TokenVocabulary,
     apply_env_overrides,
     build_instances,
+    canonical_json,
     config_value,
     load_graph,
     load_labels,
@@ -93,12 +96,6 @@ def _graph_paths(specs: list[str]) -> list[Path]:
 
 def _load_graphs(specs: list[str]) -> list[ProgramGraph]:
     return [load_graph(p) for p in _graph_paths(specs)]
-
-
-def _emit(text: str, out):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +170,7 @@ def cmd_extract(args) -> int:
 
     if graphs:
         stats = _corpus_stats(graphs)
-        if args.json:
-            _emit(json.dumps(stats, sort_keys=True, indent=2), sys.stdout)
-        else:
-            _emit(_stats_table(stats), sys.stdout)
+        sys.stdout.write(canonical_json(stats) if args.json else _stats_table(stats))
     return 1 if failures else 0
 
 
@@ -198,18 +192,14 @@ def cmd_train(args) -> int:
     params, history = train(train_set, val_set, init, train_cfg)
     save_model(params, args.out)
     if args.history:
-        Path(args.history).write_text(history.to_json(), encoding="utf-8")
-    best_val = min(e.val_loss for e in history.epochs)
-    _emit(
-        json.dumps({
-            "epochs_run": len(history.epochs),
-            "stop_reason": history.stop_reason,
-            "best_val_loss": best_val,
-            "split_sizes": [len(train_set), len(val_set), len(test_set)],
-            "model": str(args.out),
-        }, sort_keys=True, indent=2),
-        sys.stdout,
-    )
+        Path(args.history).write_text(canonical_json(asdict(history)), encoding="utf-8")
+    sys.stdout.write(canonical_json({
+        "epochs_run": len(history.epochs),
+        "stop_reason": history.stop_reason,
+        "best_val_loss": min(e.val_loss for e in history.epochs),
+        "split_sizes": [len(train_set), len(val_set), len(test_set)],
+        "model": str(args.out),
+    }))
     return 0
 
 
@@ -231,11 +221,10 @@ def cmd_rank(args) -> int:
                 for i, v in enumerate(result.ordering)
             ],
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2), sys.stdout)
+        sys.stdout.write(canonical_json(payload))
     else:
         for i, v in enumerate(result.ordering):
-            _emit(f"{i + 1}. {params.portfolio[v]}  {result.scores[v]:+.6f}",
-                  sys.stdout)
+            print(f"{i + 1}. {params.portfolio[v]}  {result.scores[v]:+.6f}")
     return 0
 
 
@@ -267,7 +256,7 @@ def cmd_evaluate(args) -> int:
     instances = build_instances(graphs, records, params.portfolio, **penalty)
     results = predict_many([inst.graph for inst in instances], params)
     report = evaluate_rankings(results, instances, ks)
-    _emit(report.to_json() if args.json else report.to_text(), sys.stdout)
+    sys.stdout.write(canonical_json(report.to_dict()) if args.json else report.to_text())
     return 0
 
 
@@ -282,11 +271,11 @@ def cmd_explain(args) -> int:
     settings = {k: v for k, v in vars(args).items() if k in SETTINGS}
     mask = explain(params, graph, **settings, edge_sets=args.edge_sets)
     report = top_m_edges(mask, graph, vocab)
-    text = report.to_json()
+    text = canonical_json(report.to_dict())
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
-        _emit(text, sys.stdout)
+        sys.stdout.write(text)
     if args.dot:
         Path(args.dot).write_text(to_dot(graph, vocab, report), encoding="utf-8")
     return 0

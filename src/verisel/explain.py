@@ -28,7 +28,6 @@ the chain's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,9 +94,6 @@ class ExplanationReport:
     def to_dict(self) -> dict:
         return {"graph_id": self.graph_id, "m": self.m,
                 "edges": [dict(vars(e)) for e in self.entries]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_size(num_edges: int) -> int:

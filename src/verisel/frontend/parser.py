@@ -334,7 +334,6 @@ class _Parser:
         return block
 
     def parse_statement(self) -> _N:
-        self.reject_unsupported()
         token = self.peek()
         if token is _END:
             raise ParseError("statement", None)
@@ -455,7 +454,7 @@ class _Parser:
             node = _N("BinaryOperator", [node, right], text=token.text)
 
     def parse_unary(self) -> _N:
-        self.reject_unsupported()
+        self.reject_unsupported()  # statements and operands are checked here alone
         token = self.peek()
         if token.kind == "op" and token.text in UNARY_OPS:
             self.take()
@@ -490,7 +489,6 @@ class _Parser:
                 return node
 
     def parse_primary(self) -> _N:
-        self.reject_unsupported()
         token = self.peek()
         if token.kind == "ident":
             return _N("DeclRefExpr", text=self.take().text)

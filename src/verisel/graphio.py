@@ -7,6 +7,8 @@ File formats owned by this module:
 * Labels file: CSV with header
   ``program_id,property,verifier,svcomp_score,cpu_seconds,outcome[,label]``.
 * Vocabulary manifest: newline-delimited kind names, line 0 = ``Unknown``.
+* Report JSON (statistics, summaries, rankings, metrics, explanations):
+  :func:`canonical_json`.
 """
 
 from __future__ import annotations
@@ -351,6 +353,13 @@ def serialize_graph(graph: ProgramGraph) -> str:
     ])
 
 
+def canonical_json(value) -> str:
+    """``value`` as a report or summary document: sorted keys, a two-space
+    indent and a final newline. NaN or infinity, which no strict JSON reader
+    accepts, is a ``ValueError``, raised before any text exists."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _expect(obj: dict, key: str, types) -> object:
     if key not in obj:
         raise SchemaError(f"{key}: missing field")
@@ -460,10 +469,13 @@ def read_labels_csv(text: str) -> list[VerifierLabelRecord]:
         raise SchemaError(f"header: expected {','.join(LABELS_HEADER)}[,label]")
     records = []
     seen: set[tuple[str, PropertyKind, str]] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the file's line, past blank lines the reader skips
+        if None in row or None in row.values():  # DictReader's filler for a short or long row
+            raise SchemaError(f"line {lineno}: expected {len(names)} fields, as in the header")
         try:
             prop = PropertyKind.from_name(row["property"])
-            raw_label = (row.get("label") or "").strip()
+            raw_label = row.get("label", "").strip()
             record = VerifierLabelRecord(
                 program_id=row["program_id"],
                 property=prop,

@@ -792,7 +792,7 @@ def predict_many(
     over more rows can round differently in the last bit); a batch of one
     runs the operations of a one-graph pass, bit for bit.
 
-    The budget is the measured crossover, default model, one core of a
+    The budget is the measured crossover, README example model, one core of a
     shared 2-vCPU virtual machine, medians of 15-30 calls. On small graphs a
     forward's ~85 numpy calls cost more than their arithmetic, and a union
     shares them: 160 graphs of 20-300 nodes took 93 ms one by one, 65 ms in

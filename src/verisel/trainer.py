@@ -15,10 +15,8 @@ per call to :func:`train` and reused by every epoch.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -50,10 +48,6 @@ class BadK(Exception):
     """K outside 1..portfolio size."""
 
 
-class DegenerateRankingWarning(UserWarning):
-    """A constant vector has no defined rank correlation; 0 is reported."""
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -78,13 +72,14 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman's rho: the Pearson correlation of the average ranks.
 
     Tied values share the mean of their ranks. A constant input has no
-    defined correlation; 0.0 is returned and a DegenerateRankingWarning emitted.
+    defined correlation, and 0.0 is returned for it. A NaN has no rank, and
+    NaN is returned for an input that holds one.
     """
     if len(x) != len(y) or len(x) < 2:
         raise LengthMismatch(f"{len(x)} vs {len(y)} values (need equal, >= 2)")
+    if any(map(math.isnan, [*x, *y])):
+        return math.nan
     if min(x) == max(x) or min(y) == max(y):
-        warnings.warn("constant vector in rank correlation",
-                      DegenerateRankingWarning, stacklevel=2)
         return 0.0
     mean = (len(x) + 1) / 2.0  # n average ranks sum to n(n + 1) / 2
     dx = [r - mean for r in _average_ranks(x)]
@@ -149,14 +144,8 @@ class MetricBlock:
     num_none_solved: int
 
     def to_dict(self) -> dict:
-        return {
-            "success_accuracy": self.success_accuracy,
-            "spearman_mean": self.spearman_mean,
-            "topk_error": {str(k): v for k, v in sorted(self.topk_error.items())},
-            "num_instances": self.num_instances,
-            "num_all_solved": self.num_all_solved,
-            "num_none_solved": self.num_none_solved,
-        }
+        # str keys: sort_keys would put int keys 2 before 10 and change the bytes
+        return {**asdict(self), "topk_error": {str(k): v for k, v in self.topk_error.items()}}
 
 
 @dataclass
@@ -172,9 +161,6 @@ class EvalReport:
                 for name, block in sorted(self.per_property.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         ks = sorted(self.overall.topk_error)
@@ -207,12 +193,8 @@ def _metric_block(results: Sequence[RankingResult],
         success = success_accuracy(orderings, [i.successes for i in instances])
     except NoEligibleInstances:
         success = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateRankingWarning)
-        rhos = [
-            spearman(inst.labels, list(result.scores))
-            for inst, result in zip(instances, results)
-        ]
+    rhos = [spearman(inst.labels, list(result.scores))
+            for inst, result in zip(instances, results)]
     best = [best_verifier(inst.labels) for inst in instances]
     return MetricBlock(
         success_accuracy=success,
@@ -314,9 +296,6 @@ class EpochStats:
 class TrainHistory:
     epochs: list[EpochStats]
     stop_reason: str  # epoch_cap | lr_floor
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _instance_loss(graph: ModelInput, labels: Sequence[float],

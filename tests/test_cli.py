@@ -17,6 +17,7 @@ from verisel.graphio import (
     PropertyKind,
     TokenVocabulary,
     build_instances,
+    canonical_json,
     load_graph,
     load_labels,
     save_graph,
@@ -626,6 +627,32 @@ def test_rank_zero_model_portfolio_order(tmp_path, extracted, capsys):
     assert all(e["score"] == 0.0 for e in payload["ranking"])
 
 
+def nan_bias_model(tmp_path):
+    """A model whose head bias is NaN, so every score it gives is NaN."""
+    params = init_parameters(ModelConfig(num_gat_layers=1, gat_width=4, pool_hidden=(4, 2)),
+                             VOCAB, PORTFOLIO, seed=0)
+    params.head[-1].b.values[:] = float("nan")
+    path = tmp_path / "nan.bin"
+    save_model(params, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+def test_json_with_a_nan_score_fails_and_writes_nothing(tmp_path, extracted, capsys, command):
+    # no strict JSON reader accepts NaN, so no command writes it
+    model, graph = str(nan_bias_model(tmp_path)), sorted(extracted.glob("*.json"))[0]
+    labels = labels_csv_for([p.stem for p in sorted(extracted.glob("*.json"))],
+                            tmp_path / "labels.csv")
+    argv = {"rank": ["rank", "--model", model, "--graph", str(graph),
+                     "--property", "ReachSafety", "--json"],
+            "evaluate": ["evaluate", "--model", model, "--graphs", str(extracted),
+                         "--labels", str(labels), "--json"]}[command]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ValueError: Out of range float values are not JSON")
+
+
 def test_rank_permuted_graph_same_output(tmp_path, extracted, capsys):
     model_path = zero_model(tmp_path)
     params = load_model(model_path)
@@ -757,6 +784,29 @@ def test_evaluate_matches_library_report(tmp_path, extracted, capsys):
     assert got == json.loads(json.dumps(want))
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("row", [
+    pytest.param("01_straight_line", id="id-only"),
+    pytest.param("01_straight_line,ReachSafety,v0,2.0,10.0", id="no-outcome"),
+    pytest.param("01_straight_line,ReachSafety,v0,2.0,10.0,correct,5.0",
+                 id="label-without-header"),
+])
+def test_labels_row_that_does_not_match_the_header_fails_naming_its_line(
+        tmp_path, extracted, capsys, command, row):
+    labels = labels_csv_for([p.stem for p in sorted(extracted.glob("*.json"))],
+                            tmp_path / "labels.csv")
+    lines = labels.read_text(encoding="utf-8").splitlines()
+    labels.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n", encoding="utf-8")
+    argv = {"train": ["train", "--config", str(run_config(tmp_path / "config.json")),
+                      "-o", str(tmp_path / "m.bin")],
+            "evaluate": ["evaluate", "--model", str(zero_model(tmp_path))]}[command]
+    assert main(argv + ["--graphs", str(extracted), "--labels", str(labels)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: SchemaError: line 3: expected 6 fields, as in the header\n"
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_evaluate_topk_curve_non_increasing(tmp_path, extracted, capsys):
     ids = [p.stem for p in sorted(extracted.glob("*.json"))]
     labels_path = labels_csv_for(ids, tmp_path / "labels.csv")
@@ -842,7 +892,7 @@ def test_explain_without_value_flags_uses_the_library_defaults(tmp_path, extract
     assert main(["explain", "--model", str(model), "--graph", str(graph),
                  "-o", str(report)]) == 0
     want = top_m_edges(explain(load_model(model), load_graph(graph)), load_graph(graph), VOCAB)
-    assert report.read_bytes() == want.to_json().encode("utf-8")
+    assert report.read_bytes() == canonical_json(want.to_dict()).encode("utf-8")
 
 
 def test_explain_stdout_by_default(tmp_path, extracted, capsys):

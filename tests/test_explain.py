@@ -22,7 +22,13 @@ from verisel.explain import (
     to_dot,
     top_m_edges,
 )
-from verisel.graphio import EDGE_SET_NAMES, ConfigError, ProgramGraph, PropertyKind
+from verisel.graphio import (
+    EDGE_SET_NAMES,
+    ConfigError,
+    ProgramGraph,
+    PropertyKind,
+    canonical_json,
+)
 from verisel.model import (
     EdgeIndex,
     EmptyGraph,
@@ -401,7 +407,7 @@ def test_report_carries_kind_names():
     mask = EdgeMask(graph.id, edges, [0.9, 0.8, 0.7], [])
     report = top_m_edges(mask, graph, VOCAB)
     assert report.entries[0].src_kind == "K1"
-    assert report.to_json().startswith("{")
+    assert canonical_json(report.to_dict()).startswith("{")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -410,7 +416,7 @@ def test_report_with_a_non_finite_score_is_not_written(bad):
     graph = simple_graph()
     mask = EdgeMask(graph.id, maskable_edges(graph, ("AST",)), [0.9, bad, 0.7], [])
     with pytest.raises(ValueError, match="not JSON compliant"):
-        top_m_edges(mask, graph, VOCAB).to_json()
+        canonical_json(top_m_edges(mask, graph, VOCAB).to_dict())
 
 
 def test_to_dot_highlights_top_edges():

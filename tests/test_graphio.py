@@ -26,6 +26,7 @@ from verisel.graphio import (
     TokenVocabulary,
     VerifierLabelRecord,
     build_instances,
+    canonical_json,
     compute_label,
     deserialize_graph,
     read_labels_csv,
@@ -403,6 +404,25 @@ def test_read_labels_rejects_duplicates_and_bad_header():
         read_labels_csv("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize("text, row", [
+    pytest.param(CSV_TEXT, "p1", id="id-only"),
+    pytest.param(CSV_TEXT, "p1,ReachSafety,v3,2,1.5", id="no-outcome"),
+    pytest.param(CSV_TEXT, "p1,ReachSafety,v3,2,1.5,correct,-3", id="label-without-header"),
+    pytest.param(CSV_WITH_LABEL, "p1,Termination,v3,2,10,correct", id="no-label-field"),
+    pytest.param(CSV_WITH_LABEL, "p1,Termination,v3,2,10,correct,1.0,x", id="eighth-field"),
+])
+def test_read_labels_rejects_a_row_whose_fields_do_not_match_the_header(text, row):
+    width = len(text.splitlines()[0].split(","))
+    with pytest.raises(SchemaError, match=f"^line 4: expected {width} fields, as in the header$"):
+        read_labels_csv(text + row + "\n")
+
+
+def test_read_labels_names_the_file_line_past_blank_lines():
+    text = CSV_TEXT.replace("\n", "\n\n", 2) + "\np1,ReachSafety,v3,2,x,unknown\n"
+    with pytest.raises(SchemaError, match="^line 7: could not convert"):
+        read_labels_csv(text)
+
+
 def test_precomputed_label_bypasses_formula():
     records = read_labels_csv(CSV_WITH_LABEL)
     graph = ProgramGraph("p1", PropertyKind.TERMINATION, [1],
@@ -437,6 +457,23 @@ def test_read_labels_rejects_a_value_that_is_not_finite(column, row, value):
             "p1,ReachSafety,v1,2,1.5,correct,\n" + row.format(value) + "\n")
     with pytest.raises(SchemaError, match=f"line 3: {column} must be finite"):
         read_labels_csv(text)
+
+
+# ---------------------------------------------------------------------------
+# report JSON
+
+
+def test_canonical_json_sorts_keys_indents_two_and_ends_in_a_newline():
+    assert canonical_json({"b": [1, True], "a": {"10": 0.5, "2": None}}) == (
+        '{\n  "a": {\n    "10": 0.5,\n    "2": null\n  },\n'
+        '  "b": [\n    1,\n    true\n  ]\n}\n')
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_refuses_a_number_that_is_not_finite(bad):
+    # JSON has no NaN or infinity: no strict reader could read such a report back
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json({"ok": 1.0, "rows": [{"score": bad}]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from verisel.graphio import (
     PropertyKind,
     TokenVocabulary,
     _largest_remainder,
+    canonical_json,
     ordering_from_scores,
 )
 from verisel.model import (
@@ -39,7 +41,6 @@ from verisel.model import (
 )
 from verisel.trainer import (
     BadK,
-    DegenerateRankingWarning,
     EmptySplit,
     NoEligibleInstances,
     PlateauSchedule,
@@ -85,8 +86,41 @@ def test_spearman_with_two_tied_pairs():
 
 
 def test_spearman_degenerate_constant():
-    with pytest.warns(DegenerateRankingWarning):
+    # 0.0 and no warning, so no caller has to silence one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+        assert spearman([3.0, 1.0, 2.0], [5.0, 5.0, 5.0]) == 0.0
+
+
+def test_evaluate_rankings_leaves_the_warning_filters_alone():
+    # "a" has constant labels, spearman's degenerate case; the filters stay the
+    # caller's list with the caller's entries, also while a score is read
+    filters, before, seen = warnings.filters, list(warnings.filters), []
+
+    class Watched:
+        def __init__(self, result):
+            self.ordering, self._scores = result.ordering, result.scores
+
+        @property
+        def scores(self):
+            seen.append(warnings.filters is filters and warnings.filters == before)
+            return self._scores
+
+    instances = [instance([1.0, 1.0, 1.0], [True, True, True], gid="a"),
+                 instance([2.0, 1.0, 0.0], [True, False, False], gid="b")]
+    results = results_from_orderings([[0, 1, 2], [0, 1, 2]], instances)
+    report = evaluate_rankings([Watched(r) for r in results], instances)
+    assert report.overall.spearman_mean == 0.5
+    assert seen and all(seen)
+    assert warnings.filters is filters and warnings.filters == before
+
+
+@pytest.mark.parametrize("x, y", [([1.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+                                  ([1.0, 1.0, 1.0], [math.nan] * 3)])
+def test_spearman_of_a_nan_is_nan(x, y):
+    # a NaN has no rank; NaN, not a number computed from an arbitrary order
+    assert math.isnan(spearman(x, y)) and math.isnan(spearman(y, x))
 
 
 def test_spearman_length_mismatch():
@@ -504,7 +538,7 @@ def test_evaluate_rankings_cross_checks_metrics():
     assert set(report.per_property) == {"ReachSafety", "Termination"}
     text = report.to_text()
     assert "overall" in text and "Termination" in text
-    assert report.to_json().startswith("{")
+    assert canonical_json(report.to_dict()).startswith("{")
 
 
 def test_results_from_orderings_score_shape():
