@@ -42,6 +42,7 @@ from .graphio import (
     TokenVocabulary,
     at_least,
     config_value,
+    ordering_from_scores,
 )
 # forward_scores goes uncalled; perfbench/tracing.py wraps this module's name
 from .model import MaskScorer, ModelParameters, forward_scores, prepare_input
@@ -217,13 +218,11 @@ def explain(
 
 def top_m_edges(mask: EdgeMask, graph: ProgramGraph,
                 vocab: TokenVocabulary) -> ExplanationReport:
-    """The m highest-scoring edges (m from :func:`report_size`), best first;
-    ties go by ascending edge index, as in ``graphio.ordering_from_scores``."""
+    """The m highest-scoring edges (m from :func:`report_size`), best first."""
     n = len(mask.edges)
     m = min(report_size(n), n)
     entries = []
-    best = np.argsort(-np.asarray(mask.scores, dtype=np.float64), kind="stable")[:m]
-    for rank, idx in enumerate(best.tolist(), start=1):
+    for rank, idx in enumerate(ordering_from_scores(mask.scores)[:m], start=1):
         edge = mask.edges[idx]
         entries.append(ReportEntry(
             rank=rank,

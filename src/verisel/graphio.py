@@ -105,8 +105,8 @@ NUM_PROPERTIES = len(_PROPERTY_INDEX)
 
 
 def ordering_from_scores(scores: Sequence[float]) -> tuple[int, ...]:
-    """Indices sorted by descending score; ties broken by ascending index."""
-    return tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
+    """Indices by descending score, ties by ascending index (a reverse sort is stable)."""
+    return tuple(sorted(range(len(scores)), key=scores.__getitem__, reverse=True))
 
 
 # ---------------------------------------------------------------------------

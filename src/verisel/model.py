@@ -865,7 +865,16 @@ def margin_rank_loss_t(scores: Tensor, labels: Sequence[float],
 # model container (binary, versioned)
 
 
+def _check_finite(params: ModelParameters, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first block that holds a NaN or an infinity."""
+    if not np.isfinite(params.vector).all():
+        name = next(name for (name, *_), t in zip(params._layout(), params.trainables())
+                    if not np.isfinite(t.values).all())
+        raise error(f"parameter block {name}: non-finite value")
+
+
 def save_model(params: ModelParameters, path: str | Path) -> None:
+    _check_finite(params, ValueError)
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(params.config),
@@ -877,10 +886,8 @@ def save_model(params: ModelParameters, path: str | Path) -> None:
     for (name, _, _, transposed), t in zip(params._layout(), params.trainables()):
         blob = name.encode("utf-8")
         values = t.values.T if transposed else t.values
-        chunks.append(struct.pack("<I", len(blob)))
-        chunks.append(blob)
-        chunks.append(struct.pack("<II", *values.shape))
-        chunks.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        chunks += [struct.pack("<I", len(blob)), blob, struct.pack("<II", *values.shape),
+                   np.ascontiguousarray(values, dtype="<f8").tobytes()]
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -912,35 +919,28 @@ def load_model(path: str | Path) -> ModelParameters:
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"bad header: {err}") from err
 
-    blocks: dict[str, np.ndarray] = {}
     offset = newline + 1
-    while offset < len(data):
-        try:
-            (name_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            name = data[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            rows, cols = struct.unpack_from("<II", data, offset)
-            offset += 8
-            count = rows * cols
-            values = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            offset += count * 8
-        except (struct.error, ValueError, UnicodeDecodeError) as err:
-            raise ModelFormatError(f"corrupt parameter block: {err}") from err
-        if name in blocks:
-            raise ModelFormatError(f"duplicate parameter block: {name}")
-        blocks[name] = values.reshape(rows, cols)
 
     def take(name: str, shape: tuple[int, int], _: int) -> np.ndarray:
-        if name not in blocks:
-            raise ModelFormatError(f"missing parameter block: {name}")
-        block = blocks.pop(name)
-        if block.shape != shape:
-            raise ModelFormatError(
-                f"parameter block {name}: shape {block.shape}, config needs {shape}")
-        return block
+        nonlocal offset  # the next block must be the layout's ``name`` of ``shape``
+        where = f"parameter block {name}"
+        try:
+            (size,) = struct.unpack_from("<I", data, offset)
+            found = data[offset + 4:offset + 4 + size].decode("utf-8")
+            rows, cols = struct.unpack_from("<II", data, offset + 4 + size)
+            values = np.frombuffer(data, "<f8", rows * cols, offset + 12 + size)
+        except (struct.error, ValueError, OverflowError) as err:
+            problem = "missing" if offset == len(data) else f"corrupt or truncated: {err}"
+            raise ModelFormatError(f"{where}: {problem}") from err
+        if found != name:
+            raise ModelFormatError(f"{where}: found {found}")
+        if (rows, cols) != shape:
+            raise ModelFormatError(f"{where}: shape {(rows, cols)}, config needs {shape}")
+        offset += 12 + size + values.nbytes
+        return values.reshape(shape)
 
     params = _from_blocks(config, portfolio, fingerprint, vocab_size, take)
-    if blocks:
-        raise ModelFormatError(f"unexpected parameter blocks: {sorted(blocks)}")
+    if offset != len(data):
+        raise ModelFormatError(f"{len(data) - offset} bytes after the last parameter block")
+    _check_finite(params, ModelFormatError)
     return params

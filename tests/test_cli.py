@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -628,29 +629,41 @@ def test_rank_zero_model_portfolio_order(tmp_path, extracted, capsys):
 
 
 def nan_bias_model(tmp_path):
-    """A model whose head bias is NaN, so every score it gives is NaN."""
+    """A model file whose head bias is NaN, written by changing the bytes of a
+    saved model, since ``save_model`` refuses a NaN parameter."""
     params = init_parameters(ModelConfig(num_gat_layers=1, gat_width=4, pool_hidden=(4, 2)),
                              VOCAB, PORTFOLIO, seed=0)
-    params.head[-1].b.values[:] = float("nan")
+    params.head[-1].b.values[:] = 2.0  # every other parameter lies in [-1, 1]
     path = tmp_path / "nan.bin"
     save_model(params, path)
+    data = path.read_bytes()
+    assert data.count(struct.pack("<d", 2.0)) == len(PORTFOLIO)
+    path.write_bytes(data.replace(struct.pack("<d", 2.0), struct.pack("<d", float("nan"))))
     return path
 
 
-@pytest.mark.parametrize("command", ["rank", "evaluate"])
-def test_json_with_a_nan_score_fails_and_writes_nothing(tmp_path, extracted, capsys, command):
-    # no strict JSON reader accepts NaN, so no command writes it
+NAN_MODEL_CALLS = [("rank", []), ("rank", ["--json"]), ("evaluate", []),
+                   ("evaluate", ["--json"]), ("explain", ["-o", "report.json"])]
+
+
+@pytest.mark.parametrize("command, flags", NAN_MODEL_CALLS,
+                         ids=[" ".join([command, *flags]) for command, flags in NAN_MODEL_CALLS])
+def test_json_with_a_nan_score_fails_and_writes_nothing(tmp_path, extracted, capsys, command,
+                                                        flags, monkeypatch):
+    # the model file is refused at load, so no command computes a NaN score
+    monkeypatch.chdir(tmp_path)
     model, graph = str(nan_bias_model(tmp_path)), sorted(extracted.glob("*.json"))[0]
     labels = labels_csv_for([p.stem for p in sorted(extracted.glob("*.json"))],
                             tmp_path / "labels.csv")
     argv = {"rank": ["rank", "--model", model, "--graph", str(graph),
-                     "--property", "ReachSafety", "--json"],
+                     "--property", "ReachSafety"],
             "evaluate": ["evaluate", "--model", model, "--graphs", str(extracted),
-                         "--labels", str(labels), "--json"]}[command]
-    assert main(argv) == 1
+                         "--labels", str(labels)],
+            "explain": ["explain", "--model", model, "--graph", str(graph)]}[command]
+    assert main(argv + flags) == 1
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: ValueError: Out of range float values are not JSON")
+    assert out.out == "" and not (tmp_path / "report.json").exists()
+    assert out.err == "error: ModelFormatError: parameter block head2.b: non-finite value\n"
 
 
 def test_rank_permuted_graph_same_output(tmp_path, extracted, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 import struct
@@ -939,16 +940,39 @@ def test_model_container_rejects_a_block_of_the_wrong_shape(tmp_path):
         load_model(path)
 
 
+def saved_blocks(data):
+    """The header line of a saved model's bytes and its raw parameter blocks,
+    in file order, as ``{name: bytes}``."""
+    offset = data.find(b"\n") + 1
+    header, blocks = data[:offset], {}
+    while offset < len(data):
+        (size,) = struct.unpack_from("<I", data, offset)
+        rows, cols = struct.unpack_from("<II", data, offset + 4 + size)
+        end = offset + 12 + size + 8 * rows * cols
+        blocks[data[offset + 4:offset + 4 + size].decode()] = data[offset:end]
+        offset = end
+    return header, blocks
+
+
+def raw_block(name, rows, cols, value=0.0):
+    blob = name.encode()
+    return (struct.pack("<I", len(blob)) + blob + struct.pack("<II", rows, cols)
+            + np.full(rows * cols, value, dtype="<f8").tobytes())
+
+
 def test_model_container_rejects_a_repeated_parameter_block(tmp_path):
     path = tmp_path / "model.bin"
-    params = tiny_params()
-    save_model(params, path)
-    rows, cols = params.gat[0].w_in.values.T.shape
-    name = b"gat0.w_in"
-    copy = (struct.pack("<I", len(name)) + name + struct.pack("<II", rows, cols)
-            + np.full(rows * cols, 9.0, dtype="<f8").tobytes())
-    path.write_bytes(path.read_bytes() + copy)
-    with pytest.raises(ModelFormatError, match="duplicate parameter block: gat0.w_in"):
+    save_model(tiny_params(), path)
+    header, blocks = saved_blocks(path.read_bytes())
+    copy = raw_block("gat0.w_in", 4, 8, 9.0)
+    # in place of the next block, the copy is found where gat0.w_out belongs
+    path.write_bytes(header + blocks["gat0.w_in"] + copy + b"".join(list(blocks.values())[1:]))
+    with pytest.raises(ModelFormatError, match="^parameter block gat0.w_out: found gat0.w_in$"):
+        load_model(path)
+    # after the last block, the copy is bytes no block of the layout reads
+    path.write_bytes(header + b"".join(blocks.values()) + copy)
+    with pytest.raises(ModelFormatError,
+                       match=f"^{len(copy)} bytes after the last parameter block$"):
         load_model(path)
 
 
@@ -956,12 +980,156 @@ def test_model_container_names_a_missing_block_before_an_unexpected_one(tmp_path
     path = tmp_path / "model.bin"
     save_model(tiny_params(), path)
     header, rest = path.read_bytes().split(b"\n", 1)
-    name = b"extra.w"
-    extra = (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2)
-             + np.zeros(2, dtype="<f8").tobytes())
+    extra = raw_block("extra.w", 1, 2)
     path.write_bytes(header + b"\n" + rest + extra)
-    with pytest.raises(ModelFormatError, match=r"^unexpected parameter blocks: \['extra.w'\]$"):
+    with pytest.raises(ModelFormatError,
+                       match="^35 bytes after the last parameter block$"):
         load_model(path)
-    path.write_bytes(header + b"\n" + rest.replace(b"gat0.w_in", b"gat9.w_in", 1))
-    with pytest.raises(ModelFormatError, match="^missing parameter block: gat0.w_in$"):
+    path.write_bytes(header + b"\n" + rest.replace(b"gat0.w_in", b"gat9.w_in", 1) + extra)
+    with pytest.raises(ModelFormatError, match="^parameter block gat0.w_in: found gat9.w_in$"):
         load_model(path)
+
+
+def reorder(blocks, edit, name):
+    """The block list with ``edit`` applied at block ``name``."""
+    names = list(blocks)
+    i = names.index(name)
+    if edit == "swap":  # with the next block
+        names[i:i + 2] = names[i + 1], names[i]
+    elif edit == "drop":
+        del names[i]
+    else:  # "extra", an unknown block before this one
+        names.insert(i, "extra.w")
+    return b"".join(blocks.get(n, raw_block("extra.w", 1, 2)) for n in names)
+
+
+OUT_OF_PLACE_CASES = [
+    ("swap", "gat0.w_in", "parameter block gat0.w_in: found gat0.w_out"),
+    ("swap", "pool1.b", "parameter block pool1.b: found pool2.w"),
+    ("swap", "head2.w", "parameter block head2.w: found head2.b"),
+    ("drop", "gat0.attn", "parameter block gat0.attn: found pool0.w"),
+    ("drop", "head2.b", "parameter block head2.b: missing"),
+    ("extra", "pool0.b", "parameter block pool0.b: found extra.w"),
+]
+
+
+@pytest.mark.parametrize("edit, name, message", OUT_OF_PLACE_CASES,
+                         ids=[f"{edit}-{name}" for edit, name, _ in OUT_OF_PLACE_CASES])
+def test_model_container_finds_a_block_out_of_place_by_its_position(tmp_path, edit, name,
+                                                                    message):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    header, blocks = saved_blocks(path.read_bytes())
+    path.write_bytes(header + reorder(blocks, edit, name))
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
+def set_shape(data, name, shape=None):
+    """``data`` with block ``name``'s (rows, cols) written as ``shape``, by
+    default as (cols, rows)."""
+    at = data.index(name.encode()) + len(name)
+    shape = shape or struct.unpack_from("<II", data, at)[::-1]
+    return data[:at] + struct.pack("<II", *shape) + data[at + 8:]
+
+
+BYTE_CASES = [
+    ("flip-shape-gat0.attn", lambda data: set_shape(data, "gat0.attn"),
+     r"parameter block gat0.attn: shape \(1, 8\), config needs \(8, 1\)"),
+    # rows x cols beyond what numpy can count
+    ("max-shape-gat0.attn", lambda data: set_shape(data, "gat0.attn", (2**32 - 1,) * 2),
+     "parameter block gat0.attn: corrupt or truncated: "),
+    ("cut-1-byte", lambda data: data[:-1],
+     "parameter block head2.b: corrupt or truncated: "),
+    ("cut-in-name-pool0.w", lambda data: data[:data.index(b"pool0.w") + 3],
+     "parameter block pool0.w: corrupt or truncated: "),
+    ("pad-1-byte", lambda data: data + b"\0", "1 bytes after the last parameter block"),
+]
+
+
+@pytest.mark.parametrize("doctor, message", [case[1:] for case in BYTE_CASES],
+                         ids=[case[0] for case in BYTE_CASES])
+def test_model_container_rejects_a_misshapen_cut_or_padded_file(tmp_path, doctor, message):
+    path = tmp_path / "model.bin"
+    save_model(tiny_params(), path)
+    path.write_bytes(doctor(path.read_bytes()))
+    with pytest.raises(ModelFormatError, match=f"^{message}"):
+        load_model(path)
+
+
+def with_value(params, name, value):
+    """A copy of ``params`` with the last value of block ``name`` set to ``value``."""
+    params = params.copy()
+    dict(named(params))[name].values.flat[-1] = value
+    return params
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("name", ["gat0.w_in", "pool1.w", "head2.b"])
+def test_model_container_names_the_block_that_holds_a_non_finite_value(tmp_path, name,
+                                                                       value):
+    path = tmp_path / "model.bin"
+    save_model(with_value(tiny_params(), name, 1.5), path)  # every other |value| is <= 1
+    data = path.read_bytes()
+    at = data.index(struct.pack("<d", 1.5))
+    path.write_bytes(data[:at] + struct.pack("<d", value) + data[at + 8:])
+    with pytest.raises(ModelFormatError, match=f"^parameter block {name}: non-finite value$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_save_model_refuses_a_non_finite_parameter_and_writes_nothing(tmp_path, value):
+    params = with_value(tiny_params(), "pool1.w", value)
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match="^parameter block pool1.w: non-finite value$"):
+        save_model(params, path)
+    assert not path.exists()
+    save_model(tiny_params(), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="pool1.w"):
+        save_model(params, path)
+    assert path.read_bytes() == before
+
+
+@functools.cache
+def saved_floats():
+    """A saved 2-layer model's bytes and the file offset of each of its floats."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(tiny_params(seed=8, num_gat_layers=2), path)
+        data = path.read_bytes()
+    header, blocks = saved_blocks(data)
+    offsets, start = [], len(header)
+    for name, raw in blocks.items():
+        offsets += range(start + 12 + len(name), start + len(raw), 8)
+        start += len(raw)
+    return data, offsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_prefix_byte_change_or_non_finite_float_loads_or_is_a_format_error(data):
+    saved, offsets = saved_floats()
+    edit = data.draw(st.sampled_from(["prefix", "byte", "float"]))
+    if edit == "prefix":
+        doctored = saved[:data.draw(st.integers(0, len(saved) - 1))]
+    elif edit == "byte":
+        at = data.draw(st.integers(0, len(saved) - 1))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != saved[at]))
+        doctored = saved[:at] + bytes([byte]) + saved[at + 1:]
+    else:
+        at = data.draw(st.sampled_from(offsets))
+        value = data.draw(st.sampled_from(NON_FINITE))
+        doctored = saved[:at] + struct.pack("<d", value) + saved[at + 8:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        path.write_bytes(doctored)
+        try:
+            load_model(path)
+        except ModelFormatError as err:
+            assert edit != "float" or str(err).endswith(": non-finite value")
+        else:
+            assert edit == "byte"
