@@ -31,7 +31,8 @@ edge from its last statement to its own FunctionDecl node, so running off the
 end of an uncalled function (typically ``main``) is still visible in the
 graph. Calls to functions without a body in the unit (externals, intrinsics
 such as ``__VERIFIER_nondet_int``) produce no edges and are reported in the
-diagnostics list.
+diagnostics list, as are a ``break``, ``continue``, ``case`` or ``default``
+with no enclosing statement to belong to.
 """
 
 from __future__ import annotations
@@ -148,8 +149,12 @@ class _FunctionWiring:
         for p in preds:
             self.add_edge(p, stmt, "flow")
         if kind in WRAPPER_KINDS:
-            if kind != "LabelStmt" and self.case_stack:  # a case of the innermost switch
-                self.case_stack[-1].append(stmt)
+            if kind != "LabelStmt":
+                if self.case_stack:  # a case of the innermost switch
+                    self.case_stack[-1].append(stmt)
+                else:
+                    label = "case" if kind == "CaseStmt" else "default"
+                    self.diagnostics.append(f"node {stmt}: {label} outside switch")
             (inner,) = nested
             return self.wire(inner, [stmt])
 

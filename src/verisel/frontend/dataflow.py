@@ -13,14 +13,16 @@ Definitions are numbered once, in CFG-node order, and IN/OUT sets are
 Python-int bitmasks over those numbers (Kildall 1973; Aho et al.,
 *Compilers*, 9.2). Each variable has a mask of all its definitions; a node
 generates its own definitions and kills every definition of the variables
-it writes, so ``out = gen | (in & ~kill)``. The nodes are swept in reverse
-postorder of the ICFG, repeating the sweep until no OUT set changes (Kam &
+it writes, so ``out = gen | (in & ~kill)``. The nodes are swept in node-id
+order, repeating the sweep until no OUT set changes. AST ids are pre-order,
+so id order is source order within each function. The supported C subset
+has no ``goto``, so every intraprocedural edge except a loop's back edge
+points forward in that order, as it would in a reverse postorder (Kam &
 Ullman 1976; Cooper, Harvey & Kennedy, "Iterative data-flow analysis,
-revisited", 2004). Return edges make a call-heavy ICFG one large cycle,
-and sweeping it in that order needs far fewer node visits than a worklist.
-Each IN set is the union of its predecessors' OUT sets, as the last sweep
-saw them; the definitions reaching a use of ``v`` are the set bits of
-``in & var_bits[v]``.
+revisited", 2004). Any sweep order reaches the same fixpoint, so the order
+changes only the number of sweeps. Each IN set is the union of its
+predecessors' OUT sets, as the last sweep saw them; the definitions
+reaching a use of ``v`` are the set bits of ``in & var_bits[v]``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
     # ast goes unread; perfbench/tracing.py wraps this function by parameter name
     accesses = icfg.accesses
     nodes = sorted(accesses)
+    position = {n: i for i, n in enumerate(nodes)}
 
     def_nodes: list[int] = []  # bit i -> defining node
-    gen: dict[int, int] = {}
+    gen: list[int] = []
     var_bits: dict[int, int] = {}
     for n in nodes:
         bits = 0
@@ -52,63 +55,39 @@ def reaching_definitions(ast: Ast, icfg: ControlEdges) -> DataEdges:
             def_nodes.append(n)
             var_bits[var] = var_bits.get(var, 0) | bit
             bits |= bit
-        gen[n] = bits
-    kill: dict[int, int] = {}
+        gen.append(bits)
+    keep: list[int] = []  # ~kill
     for n in nodes:
         bits = 0
         for var in accesses[n][0]:
             bits |= var_bits[var]
-        kill[n] = bits
+        keep.append(~bits)
 
-    preds: dict[int, list[int]] = {n: [] for n in nodes}
-    succs: dict[int, list[int]] = {n: [] for n in nodes}
+    preds: list[list[int]] = [[] for _ in nodes]  # positions in nodes
     for src, dst, _ in icfg.edges:
-        preds[dst].append(src)
-        succs[src].append(dst)
+        preds[position[dst]].append(position[src])
 
-    # reverse postorder: iterative DFS from each unseen node in id order
-    postorder: list[int] = []
-    seen: set[int] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [(start, iter(succs[start]))]
-        while stack:
-            n, pending = stack[-1]
-            for s in pending:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(succs[s])))
-                    break
-            else:
-                stack.pop()
-                postorder.append(n)
-    order = postorder[::-1]
-
-    # round-robin sweeps over positions in that order until no OUT changes
-    position = {n: i for i, n in enumerate(order)}
-    sweep = [(gen[n], ~kill[n], [position[p] for p in preds[n]]) for n in order]
-    # the last sweep changes no OUT set, so the IN sets it stores are final
-    out_bits = [0] * len(order)
-    in_bits = [0] * len(order)
+    # round-robin sweeps in node-id order until no OUT changes; the last
+    # sweep changes no OUT set, so the IN sets it stores are final
+    out_bits = [0] * len(nodes)
+    in_bits = [0] * len(nodes)
     changed = True
     while changed:
         changed = False
-        for i, (node_gen, keep, node_preds) in enumerate(sweep):
+        for i, (node_gen, node_keep, node_preds) in enumerate(zip(gen, keep, preds)):
             incoming = 0
             for p in node_preds:
                 incoming |= out_bits[p]
             in_bits[i] = incoming
-            out = node_gen | (incoming & keep)
+            out = node_gen | (incoming & node_keep)
             if out != out_bits[i]:
                 out_bits[i] = out
                 changed = True
 
     edges: list[tuple[int, int]] = []
-    for n in nodes:
+    for n, incoming in zip(nodes, in_bits):
         for var, refs in accesses[n][1].items():
-            reaching = in_bits[position[n]] & var_bits.get(var, 0)
+            reaching = incoming & var_bits.get(var, 0)
             while reaching:
                 low = reaching & -reaching
                 reaching ^= low

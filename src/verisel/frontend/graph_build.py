@@ -54,11 +54,11 @@ def assemble_graph(
     if n > max_nodes:
         raise GraphTooLarge(n, max_nodes)
     node_kinds = [vocab.index_of(node.kind) for node in ast.nodes]
-    ast_edges = sorted(
-        (parent, child)
-        for parent, node in enumerate(ast.nodes)
-        for child in node.children
-    )
+    # pre-order ids: parents in increasing order, each with increasing child
+    # ids, so the pairs come out sorted
+    ast_edges = [(parent, child)
+                 for parent, node in enumerate(ast.nodes)
+                 for child in node.children]
     return ProgramGraph(
         id=graph_id,
         property=property,

@@ -1263,8 +1263,8 @@ def set_reaching_definitions(ast, icfg) -> list[tuple[int, int, str]]:
 
 # ---------------------------------------------------------------------------
 # FIFO-worklist reaching definitions: the bit-vector fixpoint that the
-# round-robin sweeps in reverse postorder replaced. Every CFG node is queued
-# once in id order; a node whose OUT changes re-queues its successors.
+# round-robin sweeps of verisel.frontend.dataflow replaced. Every CFG node is
+# queued once in id order; a node whose OUT changes re-queues its successors.
 
 
 def fifo_reaching_definitions(ast, icfg) -> list[tuple[int, int, str]]:

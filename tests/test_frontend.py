@@ -417,6 +417,19 @@ def test_icfg_unresolved_externals_reported_not_wired():
     assert any("__VERIFIER_nondet_int" in d for d in icfg.diagnostics)
 
 
+def test_icfg_jumps_and_cases_outside_their_statements_are_reported_and_wired():
+    source = ("int main() { int x; case 1: x = 1; default: x = 2; "
+              "break; continue; return x; }")
+    ast, icfg, _ = pipeline(source)
+    assert [ast.kind(n) for n in (5, 10, 14, 15)] == [
+        "CaseStmt", "DefaultStmt", "BreakStmt", "ContinueStmt"]
+    assert icfg.diagnostics == ["node 5: case outside switch",
+                                "node 10: default outside switch",
+                                "node 14: break outside loop/switch",
+                                "node 15: continue outside loop"]
+    assert icfg.pairs() == [(3, 5), (5, 7), (7, 10), (10, 11), (11, 14)]
+
+
 def test_icfg_if_else_branches():
     source = """\
 int main() { int a; int b; a = 1;
@@ -704,12 +717,21 @@ def test_reaching_matches_set_pass_and_path_oracle_on_generated_programs(program
     assert set(named) == want  # dfg of program.source
 
 
-def test_round_robin_pass_equals_fifo_pass_on_a_call_heavy_program():
-    # nearly every CFG node sits on one ICFG cycle through return edges
-    ast, icfg, dfg = pipeline(call_heavy_program())
+@pytest.mark.parametrize("order", ["bottom-up", "top-down"])
+def test_round_robin_pass_equals_fifo_pass_on_a_call_heavy_program(order):
+    # nearly every CFG node sits on one ICFG cycle through return edges; the
+    # sweep runs in id order, so the function order sets how many sweeps it takes
+    source = call_heavy_program()
+    if order == "top-down":  # main, then h27 .. h0: calls point forward, returns back
+        head, *functions = re.split(r"^(?=int \w+\(.*\) \{$)", source, flags=re.M)
+        assert [f.split("(")[0] for f in functions[-2:]] == ["int h27", "int main"]
+        source = head + "".join(reversed(functions))
+    ast, icfg, dfg = pipeline(source)
     assert len(ast) > 4500
     assert_sorted_distinct_int_pairs(dfg.edges)
-    assert named_edges(ast, dfg.edges) == fifo_reaching_definitions(ast, icfg)
+    named = named_edges(ast, dfg.edges)
+    assert named == fifo_reaching_definitions(ast, icfg)
+    assert named == set_reaching_definitions(ast, icfg)
 
 
 def assert_walks_match_oracles(source):
